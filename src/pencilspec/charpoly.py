@@ -178,6 +178,29 @@ def _det_chunked(stack, chunk=None):
     return dets.reshape(stack.shape[:-2])
 
 
+def _unit_root_grid(npts: int, m: int) -> np.ndarray:
+    """The tensor grid of ``npts``-th roots of unity in m variables, (G, m)."""
+    nodes = np.exp(2j * np.pi * np.arange(npts) / npts)
+    axes = np.meshgrid(*([nodes] * m), indexing="ij")
+    return np.stack([ax.reshape(-1) for ax in axes], axis=-1)
+
+
+def _interpolate_grid(vals, npts: int, m: int, degree: int, tol: Tolerances) -> MultiPoly:
+    """Polynomial of total degree <= ``degree`` from its values on the grid.
+
+    Inverts the DFT axis by axis and prunes coefficients at or below
+    ``tol.prune_rel`` times the largest one.
+    """
+    coeff_grid = np.fft.fftn(vals.reshape((npts,) * m)) / npts**m
+    cut = tol.prune_rel * float(np.max(np.abs(coeff_grid)))
+    terms = {}
+    for idx in np.argwhere(np.abs(coeff_grid) > cut):
+        exps = tuple(int(e) for e in idx)
+        if sum(exps) <= degree:
+            terms[exps] = complex(coeff_grid[tuple(idx)])
+    return MultiPoly(nvars=m, terms=terms)
+
+
 def pencil_charpoly(mats, grid_cap: int = 10**6, tol: Tolerances = DEFAULT) -> MultiPoly:
     """Expand ``det(x_1 A_1 + ... + x_m A_m - I)`` in full.
 
@@ -191,22 +214,9 @@ def pencil_charpoly(mats, grid_cap: int = 10**6, tol: Tolerances = DEFAULT) -> M
     if m > 3 or npts**m > grid_cap:
         raise GridTooLarge(f"grid of {npts}**{m} points exceeds the cap {grid_cap}")
 
-    nodes = np.exp(2j * np.pi * np.arange(npts) / npts)
-    axes = np.meshgrid(*([nodes] * m), indexing="ij")
-    pts = np.stack([ax.reshape(-1) for ax in axes], axis=-1)  # (G, m)
-
-    pencil = np.einsum("gm,mij->gij", pts, gen)
+    pencil = np.einsum("gm,mij->gij", _unit_root_grid(npts, m), gen)
     pencil -= np.eye(dim)
-    vals = _det_chunked(pencil).reshape((npts,) * m)
-
-    coeff_grid = np.fft.fftn(vals) / npts**m
-    cut = tol.prune_rel * float(np.max(np.abs(coeff_grid)))
-    terms = {}
-    for idx in np.argwhere(np.abs(coeff_grid) > cut):
-        exps = tuple(int(e) for e in idx)
-        if sum(exps) <= dim:
-            terms[exps] = complex(coeff_grid[tuple(idx)])
-    return MultiPoly(nvars=m, terms=terms)
+    return _interpolate_grid(_det_chunked(pencil), npts, m, dim, tol)
 
 
 def _line_coeff_rows(gen, dim, bases, dirs):
@@ -483,22 +493,8 @@ def transform_tuple_vars(p: MultiPoly, c, tol: Tolerances = DEFAULT) -> MultiPol
         raise SingularTransform("mixing matrix is numerically singular")
 
     deg = p.total_degree
-    npts = deg + 1
-    m = p.nvars
-    nodes = np.exp(2j * np.pi * np.arange(npts) / npts)
-    axes = np.meshgrid(*([nodes] * m), indexing="ij")
-    pts = np.stack([ax.reshape(-1) for ax in axes], axis=-1)
-    vals = p.evaluate(pts @ c).reshape((npts,) * m)
-
-    coeff_grid = np.fft.fftn(vals) / npts**m
-    peak = float(np.max(np.abs(coeff_grid)))
-    cut = tol.prune_rel * peak
-    terms = {}
-    for idx in np.argwhere(np.abs(coeff_grid) > cut):
-        exps = tuple(int(e) for e in idx)
-        if sum(exps) <= deg:
-            terms[exps] = complex(coeff_grid[tuple(idx)])
-    return MultiPoly(nvars=m, terms=terms)
+    pts = _unit_root_grid(deg + 1, p.nvars)
+    return _interpolate_grid(p.evaluate(pts @ c), deg + 1, p.nvars, deg, tol)
 
 
 def branch_derivative(

@@ -7,14 +7,14 @@ Exit codes are a stable contract:
 * 1 - spectral conditions fail (including structural splitting failures),
 * 2 - precondition violated (k does not divide N, wrong spectrum pattern,
   tuple not admissible, monomial family over the cap),
-* 3 - I/O trouble or numerical breakdown.
+* 3 - I/O trouble, malformed input or arguments, or numerical breakdown.
 
 Files are JSON.  Complex numbers are stored as ``[re, im]`` pairs with
 full shortest-round-trip decimal digits, so a load/save cycle is lossless.
 Reports echo the inputs, the seeds and the whole tolerance block; rerunning
 with identical inputs reproduces a report byte for byte except for its
-``timestamp`` field.  The ``PENCIL_THREADS`` environment variable caps the
-worker pool used for the per-word checks.
+``timestamp`` field.  ``analyze`` runs its word checks serially; no
+environment variable changes that or the reports.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _matrix_from_json(rows):
             [[complex(cell[0], cell[1]) for cell in row] for row in rows],
             dtype=np.complex128,
         )
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from None
     return arr
 
@@ -122,10 +122,13 @@ def load_tuple(path, allow_nonhermitian: bool = False):
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != TUPLE_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != TUPLE_FORMAT:
         raise ValueError(f"{path}: not a {TUPLE_FORMAT} file")
-    mats = [_matrix_from_json(rows) for rows in doc["matrices"]]
-    if len(mats) != doc.get("m") or any(a.shape != (doc.get("dim"),) * 2 for a in mats):
+    m, dim, matrices = doc.get("m"), doc.get("dim"), doc.get("matrices")
+    if not isinstance(matrices, list) or type(m) is not int or type(dim) is not int:
+        raise ValueError(f"{path}: need a list 'matrices' and integers 'm' and 'dim'")
+    mats = [_matrix_from_json(rows) for rows in matrices]
+    if len(mats) != m or any(a.shape != (dim, dim) for a in mats):
         raise ValueError(f"{path}: matrix shapes disagree with the header")
     if allow_nonhermitian:
         mats = [(a + a.conj().T) / 2.0 for a in mats]
@@ -228,28 +231,33 @@ def _analyze_report_body(report: ConditionReport):
     }
 
 
+def _k_indivisible(report, verdict_key, tup: HermitianTuple, args) -> bool:
+    """Validate ``--k``.  When k does not divide N, write the
+    precondition-violated report (verdict under ``verdict_key``) and return
+    True."""
+    if args.k < 1:
+        raise ValueError(f"--k must be a positive integer, got {args.k}")
+    if tup.dim % args.k == 0:
+        return False
+    report[verdict_key] = "precondition_violated"
+    report["detail"] = f"k={args.k} does not divide N={tup.dim}"
+    _emit(report, args.out)
+    return True
+
+
 def cmd_analyze(args) -> int:
     tol = _tolerances_from_overrides(args.tol)
     tup, meta = load_tuple(args.input, allow_nonhermitian=args.allow_nonhermitian)
-    if tup.dim % args.k:
-        report = _report_skeleton(
-            "analyze",
-            {"k": args.k, "mode": args.mode, "seed": args.seed, "lines": args.lines},
-            args.input,
-            tol,
-        )
-        report["overall"] = "precondition_violated"
-        report["detail"] = f"k={args.k} does not divide N={tup.dim}"
-        _emit(report, args.out)
-        return EXIT_PRECONDITION
-    cond = analyze(
-        tup, args.k, mode=args.mode, seed=args.seed, lines=args.lines, tol=tol
-    )
     report = _report_skeleton(
         "analyze",
         {"k": args.k, "mode": args.mode, "seed": args.seed, "lines": args.lines},
         args.input,
         tol,
+    )
+    if _k_indivisible(report, "overall", tup, args):
+        return EXIT_PRECONDITION
+    cond = analyze(
+        tup, args.k, mode=args.mode, seed=args.seed, lines=args.lines, tol=tol
     )
     report.update(_analyze_report_body(cond))
     if meta:
@@ -270,13 +278,10 @@ def cmd_decompose(args) -> int:
     )
     if meta:
         report["input"]["metadata"] = meta
-    if tup.dim % args.k:
-        report["outcome"] = "precondition_violated"
-        report["detail"] = f"k={args.k} does not divide N={tup.dim}"
-        _emit(report, args.out)
+    if _k_indivisible(report, "outcome", tup, args):
         return EXIT_PRECONDITION
     try:
-        result = decompose(tup, args.k, seed=args.seed, tol=tol)
+        result = decompose(tup, args.k, tol=tol)
     except SpectrumPatternViolation as exc:
         report["outcome"] = "precondition_violated"
         report["detail"] = str(exc)
@@ -315,6 +320,8 @@ def _enumerate_monomials(m, max_degree):
 
 
 def cmd_corollary(args) -> int:
+    if args.max_degree is not None and args.max_degree < 1:
+        raise ValueError(f"--max-degree must be a positive integer, got {args.max_degree}")
     tol = _tolerances_from_overrides(args.tol)
     tup, meta = load_tuple(args.input, allow_nonhermitian=args.allow_nonhermitian)
     report = _report_skeleton(
@@ -330,10 +337,7 @@ def cmd_corollary(args) -> int:
     )
     if meta:
         report["input"]["metadata"] = meta
-    if tup.dim % args.k:
-        report["outcome"] = "precondition_violated"
-        report["detail"] = f"k={args.k} does not divide N={tup.dim}"
-        _emit(report, args.out)
+    if _k_indivisible(report, "outcome", tup, args):
         return EXIT_PRECONDITION
     n = tup.dim // args.k
     degree_bound = n * n - n + 1

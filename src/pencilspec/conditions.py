@@ -12,14 +12,13 @@ The certificate has three layers:
    must pass the perfect k-th power test.
 
 ``analyze`` aggregates all three into a :class:`ConditionReport`.  Word
-checks are independent and may run in a thread pool; their sub-seeds are
-fixed before dispatch, so the report is identical for any worker count.
+checks run serially in enumeration order, on sub-seeds drawn up front from
+the master seed; no environment variable (thread count or other) affects them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -54,7 +53,6 @@ __all__ = [
     "analyze",
     "verify_first_order_identity",
     "verify_cycle_identity",
-    "worker_count",
 ]
 
 
@@ -95,24 +93,13 @@ class WordSpec:
 
 def count_words(n: int, m: int, mode: str = "all") -> int:
     """Closed-form size of the word family."""
-    total = 0
-    for r in range(n):
-        letters = (m - 1) ** (r + 1)
-        if mode == "all":
-            arrangements = 1
-            for t in range(r):
-                arrangements *= n - t
-        elif mode == "proof_core":
-            arrangements = 1
-            num, den = 1, 1
-            for t in range(r):
-                num *= n - t
-                den *= t + 1
-            arrangements = num // den
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        total += letters * arrangements
-    return total
+    if mode == "all":
+        arrangements = math.perm
+    elif mode == "proof_core":
+        arrangements = math.comb
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return sum((m - 1) ** (r + 1) * arrangements(n, r) for r in range(n))
 
 
 def enumerate_words(n: int, m: int, mode: str = "all", cap: int = None):
@@ -305,18 +292,6 @@ class ConditionReport:
     admissibility: dict = None
 
 
-def worker_count(n_tasks: int) -> int:
-    """Worker pool size: CPU count capped by the PENCIL_THREADS variable."""
-    cap = os.environ.get("PENCIL_THREADS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, min(workers, n_tasks))
-
-
 def analyze(
     tup: HermitianTuple,
     k: int,
@@ -329,8 +304,7 @@ def analyze(
     """Run the full battery and aggregate the outcome.
 
     Sub-seeds for the full-tuple test and every word are derived from
-    ``seed`` before any dispatch, and results are assembled in enumeration
-    order, so the report does not depend on the worker count.
+    ``seed`` up front, one per check in enumeration order.
     """
     if lines is None:
         lines = tol.lines
@@ -388,19 +362,10 @@ def analyze(
         list(shifted.matrices), k, n, lines=lines, seed=sub_seeds[0], tol=tol
     )
 
-    def one_word(iw):
-        return check_word_condition(
-            shifted, spec, words[iw], k, n, seed=sub_seeds[1 + iw], lines=lines, tol=tol
-        )
-
-    workers = worker_count(len(words))
-    if workers > 1 and len(words) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(one_word, range(len(words))))
-    else:
-        verdicts = [one_word(i) for i in range(len(words))]
-
-    word_results = tuple(zip(words, verdicts))
+    word_results = tuple(
+        (w, check_word_condition(shifted, spec, w, k, n, seed=s, lines=lines, tol=tol))
+        for w, s in zip(words, sub_seeds[1:])
+    )
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing
     return ConditionReport(

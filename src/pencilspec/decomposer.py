@@ -78,12 +78,6 @@ class BlockStructure:
     pairs: frozenset
     layer_choice: dict
 
-    def unitary(self, i: int, j: int) -> np.ndarray:
-        """Block unitary for (i, j); identity for diagonal and unreached pairs."""
-        if i == j or (i, j) not in self.pairs:
-            return np.eye(self.k, dtype=np.complex128)
-        return self.u[(i, j)]
-
 
 def extract_block_structure(tup: HermitianTuple, spec: SpectralData) -> np.ndarray:
     """k x k block grid of every generator beyond the first, in the ordered
@@ -416,15 +410,12 @@ def _hermitized(a):
     return (a + a.conj().T) / 2.0
 
 
-def decompose(tup: HermitianTuple, k: int, seed: int = 0, tol: Tolerances = DEFAULT) -> DecompositionResult:
-    """Run the whole splitting pipeline.
+def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> DecompositionResult:
+    """Run the whole (deterministic) splitting pipeline.
 
     The caller is expected to have run the condition analysis; only the
-    cheap spectral precondition is re-validated here.  ``seed`` does not
-    influence the construction (it is deterministic); it is recorded so
-    reports stay reproducible end to end.
+    cheap spectral precondition is re-validated here.
     """
-    del seed  # deterministic pipeline; kept for interface symmetry
     if k < 1:
         raise ValueError("k must be a positive integer")
     if tup.dim % k:

@@ -11,6 +11,7 @@ is pure and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,9 +99,6 @@ class HermitianTuple:
     def m(self) -> int:
         return len(self.matrices)
 
-    def scales(self) -> tuple:
-        return tuple(norm_scale(a) for a in self.matrices)
-
     def max_norm(self) -> float:
         return max(spectral_norm(a) for a in self.matrices)
 
@@ -112,25 +110,34 @@ class SpectralData:
     ``eigenvalues`` holds the ascending cluster centers, ``projections[j]``
     the orthogonal projection onto the j-th cluster's eigenspace, and
     ``basis`` the unitary whose columns are the eigenvectors grouped by
-    cluster.  ``reduced_resolvents[j]`` is the scaled reduced resolvent
-    ``sum_{i != j} lam_j / (lam_i - lam_j) * P_i``, whose range is
-    orthogonal to the range of ``projections[j]``; it is kept for
-    diagnostic identities.
+    cluster.
     """
 
     eigenvalues: np.ndarray
     multiplicities: tuple
     projections: tuple
-    reduced_resolvents: tuple
     basis: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    @cached_property
+    def reduced_resolvents(self) -> tuple:
+        """Scaled reduced resolvents ``sum_{i != j} lam_j / (lam_i - lam_j) * P_i``.
+
+        The j-th one has range orthogonal to the range of ``projections[j]``.
+        Diagnostic only, so built on first access.
+        """
+        lams = self.eigenvalues
+        out = []
+        for j in range(self.n):
+            r = np.zeros_like(self.basis)
+            for i, p in enumerate(self.projections):
+                if i != j:
+                    r += lams[j] / (lams[i] - lams[j]) * p
+            out.append(r)
+        return tuple(out)
 
     def rotation(self) -> np.ndarray:
         """Unitary V with V A V* diagonal (rows are eigenvectors)."""
@@ -179,25 +186,12 @@ def eigendecompose_clustered(a, gap_tol: float = None, tol: Tolerances = DEFAULT
     projections = tuple(
         q[:, g] @ q[:, g].conj().T for g in groups
     )
-    resolvents = tuple(
-        _reduced_resolvent(centers, projections, j) for j in range(len(groups))
-    )
     return SpectralData(
         eigenvalues=centers,
         multiplicities=mults,
         projections=projections,
-        reduced_resolvents=resolvents,
         basis=q,
     )
-
-
-def _reduced_resolvent(centers, projections, j):
-    dim = projections[0].shape[0]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for i, p in enumerate(projections):
-        if i != j:
-            out += centers[j] / (centers[i] - centers[j]) * p
-    return out
 
 
 def reduced_resolvent(spec: SpectralData, j: int) -> np.ndarray:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pencilspec.cli import (
     EXIT_ERROR,
@@ -72,6 +74,27 @@ class TestTupleFiles:
         with pytest.raises(ValueError):
             load_tuple(str(path))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2, 3],
+            "pencilspec-tuple",
+            {"format": "pencilspec-tuple", "version": 1, "dim": 1, "m": 1},
+            {"format": "pencilspec-tuple", "dim": 1, "m": 1, "matrices": {"a": 1}},
+            {"format": "pencilspec-tuple", "dim": 1, "m": "1", "matrices": [[[[1.0, 0.0]]]]},
+            {"format": "pencilspec-tuple", "dim": 1.0, "m": 1, "matrices": [[[[1.0, 0.0]]]]},
+            {"format": "pencilspec-tuple", "dim": True, "m": True, "matrices": [[[[1.0, 0.0]]]]},
+            {"format": "pencilspec-tuple", "dim": 1, "m": 1, "matrices": [[[{"re": 1}]]]},
+            {"format": "pencilspec-tuple", "dim": 1, "m": 1, "matrices": [[[[10**400, 0]]]]},
+        ],
+    )
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_tuple(str(path))
+        assert main(["analyze", str(path), "--k", "2"]) == EXIT_ERROR
+
     def test_allow_nonhermitian_projects(self, tmp_path):
         path = tmp_path / "nh.json"
         doc = {
@@ -120,6 +143,7 @@ class TestAnalyzeCommand:
         assert code == EXIT_PRECONDITION
         rep = json.loads(out.read_text())
         assert rep["overall"] == "precondition_violated"
+        assert rep["detail"] == "k=5 does not divide N=6"
 
     def test_missing_file_exits_three(self, tmp_path):
         code = main(["analyze", str(tmp_path / "none.json"), "--k", "2"])
@@ -171,6 +195,9 @@ class TestDecomposeCommand:
     def test_indivisible_k(self, neg_file, tmp_path):
         out = tmp_path / "dec.json"
         assert main(["decompose", str(neg_file), "--k", "4", "--out", str(out)]) == EXIT_PRECONDITION
+        rep = json.loads(out.read_text())
+        assert rep["outcome"] == "precondition_violated"
+        assert rep["detail"] == "k=4 does not divide N=6"
 
 
 class TestCorollaryCommand:
@@ -207,6 +234,13 @@ class TestCorollaryCommand:
         rep = json.loads(out.read_text())
         assert rep["degree_bound"] == 2 and rep["family_size"] == 6
 
+    def test_indivisible_k(self, neg_file, tmp_path):
+        out = tmp_path / "cor.json"
+        assert main(["corollary", str(neg_file), "--k", "4", "--out", str(out)]) == EXIT_PRECONDITION
+        rep = json.loads(out.read_text())
+        assert rep["outcome"] == "precondition_violated"
+        assert rep["detail"] == "k=4 does not divide N=6"
+
     def test_negative_instance_fails(self, neg_file, tmp_path):
         out = tmp_path / "cor.json"
         code = main(["corollary", str(neg_file), "--k", "2", "--out", str(out)])
@@ -214,6 +248,49 @@ class TestCorollaryCommand:
         rep = json.loads(out.read_text())
         assert rep["outcome"] == "fail"
         assert rep["verdict"]["is_kth_power"] is False
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_nonpositive_k_exits_three(self, pos_file, tmp_path, command, k):
+        out = tmp_path / "rep.json"
+        assert main([command, str(pos_file), "--k", k, "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_nonpositive_max_degree_exits_three(self, pos_file, tmp_path, degree):
+        out = tmp_path / "cor.json"
+        argv = ["corollary", str(pos_file), "--k", "2", "--max-degree", degree, "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert not out.exists()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# Documents that pass the format check, with the fields load_tuple
+# validates drawn from arbitrary JSON (each one possibly missing).
+_tagged_docs = st.fixed_dictionaries(
+    {"format": st.just("pencilspec-tuple")},
+    optional={"m": _json_values, "dim": _json_values, "matrices": _json_values},
+)
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=_json_values | _tagged_docs)
+def test_fuzz_malformed_tuple_files_exit_three(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--k", "2"]) == EXIT_ERROR
 
 
 class TestGenerateCommand:

@@ -64,6 +64,14 @@ class TestEnumeration:
         assert len(words) == 7 == count_words(3, 2, "proof_core")
         for w in words:
             assert tuple(sorted(w.projections)) == w.projections
+        for n in range(1, 6):
+            for m in range(2, 5):
+                for mode in ("all", "proof_core"):
+                    words, truncated = enumerate_words(n, m, mode=mode, cap=10**6)
+                    assert not truncated
+                    assert len(words) == count_words(n, m, mode)
+        with pytest.raises(ValueError):
+            count_words(3, 2, "bogus")
 
     def test_n2_m2_explicit(self):
         words, _ = enumerate_words(2, 2, mode="all")
