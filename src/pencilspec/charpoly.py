@@ -302,6 +302,26 @@ def univariate_roots(p: UniPoly, tol: Tolerances = DEFAULT) -> np.ndarray:
     return roots
 
 
+def _single_linkage(pts, tol: float):
+    """Single-linkage clusters of the complex points ``pts`` at distance ``tol``.
+
+    The reflexive ``<= tol`` adjacency is closed transitively by repeated
+    boolean squaring.  Returns ``(clusters, spread)``: ascending index
+    arrays ordered by cluster mean (real part, then imaginary part, each
+    rounded to 12 decimals), and the largest distance between two points of
+    one cluster.
+    """
+    dists = np.abs(pts[:, None] - pts[None, :])
+    same = (dists <= tol) | np.eye(pts.size, dtype=bool)
+    grown = same @ same
+    while not np.array_equal(grown, same):
+        same, grown = grown, grown @ grown
+    clusters = [np.flatnonzero(same[i]) for i in np.unique(np.argmax(same, axis=1))]
+    clusters.sort(key=lambda idx: (round(float(pts[idx].real.sum()) / idx.size, 12),
+                                   round(float(pts[idx].imag.sum()) / idx.size, 12)))
+    return clusters, float(np.max(dists, where=same, initial=0.0))
+
+
 def cluster_roots(roots, tol: float):
     """Single-linkage clustering of points in the complex plane.
 
@@ -312,36 +332,9 @@ def cluster_roots(roots, tol: float):
     if tol <= 0:
         raise ValueError("tol must be positive")
     pts = np.atleast_1d(np.asarray(roots, dtype=np.complex128))
-    npts = pts.size
-    if npts == 0:
+    if pts.size == 0:
         return []
-    parent = list(range(npts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    dists = np.abs(pts[:, None] - pts[None, :])
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            if dists[i, j] <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(npts):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [pts[np.array(g)] for g in groups.values()]
-    clusters.sort(key=lambda c: (round(float(np.mean(c.real)), 12), round(float(np.mean(c.imag)), 12)))
-    return clusters
-
-
-def _cluster_spread(cluster) -> float:
-    if cluster.size < 2:
-        return 0.0
-    return float(np.max(np.abs(cluster[:, None] - cluster[None, :])))
+    return [pts[idx] for idx in _single_linkage(pts, tol)[0]]
 
 
 # --------------------------------------------------------------------------
@@ -423,6 +416,8 @@ def kth_power_test(
         lines = tol.lines
     if lines < 4:
         raise ValueError("need at least 4 sample lines")
+    if tol.cluster_rel <= 0:
+        raise ValueError("cluster_rel must be positive")
 
     m = gen.shape[0]
     master = np.random.default_rng(seed)
@@ -456,9 +451,8 @@ def kth_power_test(
         roots = roots_rows[li]
         scale = 1.0 + float(np.max(np.abs(roots)))
         ctol = tol.cluster_tol(scale)
-        clusters = cluster_roots(roots, ctol)
+        clusters, spread = _single_linkage(roots, ctol)
         sizes = tuple(int(c.size) for c in clusters)
-        spread = max((_cluster_spread(c) for c in clusters), default=0.0)
         worst_spread = max(worst_spread, spread)
         records.append((line_seeds[li], sizes, spread))
         line_ok = len(clusters) == n and all(s == k for s in sizes) and spread <= ctol

@@ -39,14 +39,13 @@ from .errors import (
     ClusterAmbiguity,
     DecompositionError,
     LineSamplingFailed,
-    MonomialBlowup,
     NotHermitian,
     NumericalBreakdown,
     SpectralError,
     SpectrumPatternViolation,
 )
 from .instances import gen_commuting, gen_conjugate_negative, gen_decomposable
-from .linalg import HermitianTuple, shift_to_invertible
+from .linalg import HermitianTuple, _require_hermitian, shift_to_invertible
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
@@ -114,11 +113,11 @@ def save_tuple(path, tup: HermitianTuple, metadata=None):
     _atomic_write(path, _dump_json(doc))
 
 
-def load_tuple(path, allow_nonhermitian: bool = False):
+def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT):
     """Read a tuple file.  Returns ``(HermitianTuple, metadata dict)``.
 
-    With ``allow_nonhermitian`` the matrices are projected onto their
-    Hermitian parts instead of being rejected.
+    Matrices are stored as their Hermitian parts.  A Hermitian defect above
+    ``tol.hermitian_rel`` is rejected unless ``allow_nonhermitian`` is set.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -130,8 +129,10 @@ def load_tuple(path, allow_nonhermitian: bool = False):
     mats = [_matrix_from_json(rows) for rows in matrices]
     if len(mats) != m or any(a.shape != (dim, dim) for a in mats):
         raise ValueError(f"{path}: matrix shapes disagree with the header")
-    if allow_nonhermitian:
-        mats = [(a + a.conj().T) / 2.0 for a in mats]
+    if not allow_nonhermitian:
+        for a in mats:
+            _require_hermitian(a, tol)
+    mats = [(a + a.conj().T) / 2.0 for a in mats]
     return HermitianTuple(tuple(mats)), doc.get("metadata", {})
 
 
@@ -247,7 +248,7 @@ def _k_indivisible(report, verdict_key, tup: HermitianTuple, args) -> bool:
 
 def cmd_analyze(args) -> int:
     tol = _tolerances_from_overrides(args.tol)
-    tup, meta = load_tuple(args.input, allow_nonhermitian=args.allow_nonhermitian)
+    tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol)
     report = _report_skeleton(
         "analyze",
         {"k": args.k, "mode": args.mode, "seed": args.seed, "lines": args.lines},
@@ -272,7 +273,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     tol = _tolerances_from_overrides(args.tol)
-    tup, meta = load_tuple(args.input, allow_nonhermitian=args.allow_nonhermitian)
+    tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol)
     report = _report_skeleton(
         "decompose", {"k": args.k, "seed": args.seed}, args.input, tol
     )
@@ -323,7 +324,7 @@ def cmd_corollary(args) -> int:
     if args.max_degree is not None and args.max_degree < 1:
         raise ValueError(f"--max-degree must be a positive integer, got {args.max_degree}")
     tol = _tolerances_from_overrides(args.tol)
-    tup, meta = load_tuple(args.input, allow_nonhermitian=args.allow_nonhermitian)
+    tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol)
     report = _report_skeleton(
         "corollary",
         {
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ClusterAmbiguity, MonomialBlowup) as exc:
+    except ClusterAmbiguity as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
     except (OSError, ValueError, json.JSONDecodeError, NotHermitian) as exc:

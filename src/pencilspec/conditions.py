@@ -298,7 +298,6 @@ def analyze(
     mode: str = "all",
     seed: int = 0,
     lines: int = None,
-    cap: int = None,
     tol: Tolerances = DEFAULT,
 ) -> ConditionReport:
     """Run the full battery and aggregate the outcome.
@@ -354,7 +353,7 @@ def analyze(
             "tuple is not admissible", precondition_ok=True, adm=adm, shifts=shifts
         )
 
-    words, truncated = enumerate_words(n, tup.m, mode=mode, cap=cap)
+    words, truncated = enumerate_words(n, tup.m, mode=mode, cap=tol.word_cap)
     master = np.random.default_rng(seed)
     sub_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=1 + len(words))]
 

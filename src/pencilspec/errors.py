@@ -125,9 +125,3 @@ class ScalarizationFailed(DecompositionError):
         self.block = block
         self.residual = residual
 
-
-# ------------------------------------------------------------------- cli
-
-
-class MonomialBlowup(SpectralError):
-    """Monomial family size exceeds the configured cap."""

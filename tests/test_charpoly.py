@@ -162,15 +162,34 @@ class TestClusterRoots:
             max_size=12,
         ),
         st.floats(min_value=1e-9, max_value=1.0),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_partition_property(self, pts, tol):
+    def test_partition_property(self, pts, tol, steps):
+        # Points 0.6 tol apart along a ray from pts[0] form chains whose ends
+        # are more than tol apart, so only a transitive closure joins them.
+        pts = pts + [pts[0] + 0.6 * tol * s for s in steps]
         clusters = cluster_roots(pts, tol)
         merged = np.concatenate(clusters)
         assert merged.size == len(pts)
         assert sorted(merged.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
             [complex(p) for p in pts], key=lambda z: (z.real, z.imag)
         )
+        # single linkage: clusters are separated by more than tol ...
+        for i, a in enumerate(clusters):
+            for b in clusters[i + 1 :]:
+                assert np.min(np.abs(a[:, None] - b[None, :])) > tol
+        # ... and each one is connected in its own <= tol graph
+        for c in clusters:
+            adj = np.abs(c[:, None] - c[None, :]) <= tol
+            reached = np.zeros(c.size, dtype=bool)
+            reached[0] = True
+            for _ in range(c.size):
+                reached |= adj[reached].any(axis=0)
+            assert reached.all()
+        keys = [(round(float(np.mean(c.real)), 12), round(float(np.mean(c.imag)), 12))
+                for c in clusters]
+        assert keys == sorted(keys)
 
     def test_singletons_for_tiny_tol(self):
         pts = [0.0, 1.0, 2.0]
@@ -183,6 +202,31 @@ class TestKthPowerTest:
         v = kth_power_test([diag(1, 1, 2, 2), diag(3, 3, 4, 4)], k=2, n=2, seed=0)
         assert v.is_kth_power
         assert all(sizes == (2, 2) for _, sizes, _ in v.per_line_clusters)
+
+    def test_failing_pencil_golden(self):
+        # Line profiles mix (1, 3) and (3, 1), so both the per-line records
+        # and the first failing line are pinned.
+        v = kth_power_test([diag(1, 1, 1, 2), diag(3, 3, 3, 5)], k=2, n=2, seed=0)
+        assert not v.is_kth_power
+        assert v.per_line_clusters == (
+            (5874934615388537134, (1, 3), 0.0),
+            (2488343231644625808, (3, 1), 0.0),
+            (377914054924498011, (1, 3), 0.0),
+            (152440531369162766, (3, 1), 0.0),
+            (7501093982645987484, (1, 3), 0.0),
+            (8418684267946577446, (3, 1), 0.0),
+            (5595227450766711102, (3, 1), 0.0),
+            (6728418181561535777, (3, 1), 0.0),
+        )
+        assert v.failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
+
+    def test_nonpositive_cluster_tolerance_rejected(self):
+        from pencilspec.config import Tolerances
+
+        for rel in (0.0, -1e-6):
+            with pytest.raises(ValueError):
+                kth_power_test([diag(1, 1, 2, 2), diag(3, 3, 4, 4)], k=2, n=2,
+                               tol=Tolerances(cluster_rel=rel))
 
     def test_simple_spectrum_is_not_square(self):
         v = kth_power_test([diag(1, 2)], k=2, n=1, seed=0)

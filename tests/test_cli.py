@@ -112,6 +112,16 @@ class TestTupleFiles:
         tup, _ = load_tuple(str(path), allow_nonhermitian=True)
         assert np.allclose(tup.matrices[0], [[1.0, 0.5], [0.5, 2.0]])
 
+    @pytest.mark.parametrize("command", ["analyze", "decompose"])
+    def test_hermitian_tolerance_override_governs_loading(self, pos_file, tmp_path, command):
+        doc = json.loads(pos_file.read_text())
+        doc["matrices"][0][0][1][0] += 1e-10
+        path = tmp_path / "defect.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), "--k", "2", "--out", str(tmp_path / "rep.json")]
+        assert main(argv) == EXIT_ERROR
+        assert main(argv + ["--tol", "hermitian_rel=1e-9"]) == EXIT_PASS
+
     def test_generate_embeds_descriptor(self, pos_file):
         _, meta = load_tuple(str(pos_file))
         assert meta["descriptor"]["family"] == "decomposable"
@@ -159,6 +169,17 @@ class TestAnalyzeCommand:
         rep = json.loads(out.read_text())
         assert rep["tolerances"]["cluster_rel"] == 1e-5
         assert rep["tolerances"]["lines"] == 6
+
+    def test_word_cap_override_truncates(self, pos_file, tmp_path):
+        out = tmp_path / "rep.json"
+        code = main(
+            ["analyze", str(pos_file), "--k", "2", "--out", str(out), "--tol", "word_cap=3"]
+        )
+        assert code == EXIT_PASS
+        rep = json.loads(out.read_text())
+        assert rep["tolerances"]["word_cap"] == 3
+        assert len(rep["words"]) == 3
+        assert rep["word_enumeration_truncated"] is True
 
     def test_unknown_tolerance_exits_three(self, pos_file):
         assert main(["analyze", str(pos_file), "--k", "2", "--tol", "bogus=1"]) == EXIT_ERROR
