@@ -37,7 +37,6 @@ from .conditions import (
     count_words,
     enumerate_words,
     realize_word,
-    sample_admissible,
     verify_cycle_identity,
     verify_first_order_identity,
 )

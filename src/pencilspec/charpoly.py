@@ -416,8 +416,6 @@ def kth_power_test(
         lines = tol.lines
     if lines < 4:
         raise ValueError("need at least 4 sample lines")
-    if tol.cluster_rel <= 0:
-        raise ValueError("cluster_rel must be positive")
 
     m = gen.shape[0]
     master = np.random.default_rng(seed)

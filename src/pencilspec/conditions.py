@@ -26,16 +26,10 @@ import numpy as np
 
 from .charpoly import KPowerVerdict, branch_derivative, kth_power_test
 from .config import DEFAULT, Tolerances
-from .errors import (
-    ClusterAmbiguity,
-    AdmissibleSamplingFailed,
-    IndexOutOfRange,
-    ZeroCoefficientOnCycle,
-)
+from .errors import ClusterAmbiguity, IndexOutOfRange, ZeroCoefficientOnCycle
 from .linalg import (
     HermitianTuple,
     SpectralData,
-    apply_tuple_map,
     eigendecompose_clustered,
     norm_scale,
     shift_to_invertible,
@@ -49,7 +43,6 @@ __all__ = [
     "realize_word",
     "check_word_condition",
     "check_admissibility",
-    "sample_admissible",
     "analyze",
     "verify_first_order_identity",
     "verify_cycle_identity",
@@ -227,41 +220,6 @@ def check_admissibility(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT):
             ok = False
         per_gen.append(entry)
     return ok, {"generators": per_gen, "shifts": list(shifts)}
-
-
-def sample_admissible(
-    tup: HermitianTuple,
-    k: int,
-    radius: float = None,
-    seed: int = 0,
-    max_tries: int = None,
-    tol: Tolerances = DEFAULT,
-):
-    """Draw real mixing matrices ``C = I + radius * U(-1, 1)`` until the
-    mixed tuple passes :func:`check_admissibility`.
-
-    Returns ``(C, mixed_tuple)``.  Admissible mixings are dense near the
-    identity, so small radii almost always succeed in a few tries.
-    """
-    if radius is None:
-        radius = tol.admissible_radius
-    if not 0.0 < radius <= 0.5:
-        raise ValueError("radius must lie in (0, 0.5]")
-    if max_tries is None:
-        max_tries = tol.admissible_max_tries
-    rng = np.random.default_rng(seed)
-    m = tup.m
-    for _ in range(max_tries):
-        c = np.eye(m) + radius * rng.uniform(-1.0, 1.0, size=(m, m))
-        if abs(np.linalg.det(c)) <= 1e-10:
-            continue
-        cand = apply_tuple_map(tup, c)
-        ok, _ = check_admissibility(cand, k, tol=tol)
-        if ok:
-            return c, cand
-    raise AdmissibleSamplingFailed(
-        f"no admissible mixing found in {max_tries} tries at radius {radius}"
-    )
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Most bounds scale with the size of the data they police; the scale factor
 is always ``max(1, norm)`` so that tuples with tiny norms are judged on an
 absolute scale.  The ladder deliberately leaves about two decades between
 detection thresholds (structural tests) and acceptance thresholds (final
-residuals) so one noisy stage cannot cascade into a false failure.
+residuals) so one noisy stage cannot cascade into a false failure.  Every
+value must be finite and positive.
 """
 
+import math
 from dataclasses import dataclass, asdict
 
 
@@ -21,7 +23,7 @@ class Tolerances:
     interpolation_sep_rel: float = 1e-3   # minimum cluster separation for Lagrange
 
     # generator regularization
-    singular_eig_rel: float = 1e-10       # below this, shift by ||A|| + 1
+    singular_eig_rel: float = 1e-10       # below this, shift by ||A|| + 1; span rank cut
 
     # polynomial machinery
     prune_rel: float = 5e-12              # drop interpolated coefficients below this
@@ -37,13 +39,16 @@ class Tolerances:
 
     # admissibility
     admissible_sep_rel: float = 1e-6      # generator cluster separation, times max(1, ||A||)
-    admissible_radius: float = 0.05       # default perturbation radius
-    admissible_max_tries: int = 50
 
     # block structure ladder
     structural_tol: float = 1e-7          # factor/unify/cycle checks, times max(1, ||A||)
     scalar_block_tol: float = 1e-6        # post-conjugation scalar check, times max(1, ||A||)
     residual_tol: float = 1e-6            # final decomposition residual, times max ||A_l||
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
 
     def as_dict(self):
         return asdict(self)

@@ -64,10 +64,6 @@ class IndexOutOfRange(SpectralError):
     pass
 
 
-class AdmissibleSamplingFailed(SpectralError):
-    pass
-
-
 class ZeroCoefficientOnCycle(SpectralError):
     pass
 

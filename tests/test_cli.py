@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from pencilspec.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    _monomial_span,
     load_tuple,
     main,
     save_tuple,
 )
-from pencilspec.instances import gen_decomposable
+from pencilspec.config import DEFAULT
+from pencilspec.instances import gen_conjugate_negative, gen_decomposable
+from pencilspec.linalg import HermitianTuple
 
 
 def strip_timestamp(text):
@@ -233,17 +237,88 @@ class TestCorollaryCommand:
         assert rep["degree_bound"] == 3
         assert rep["family_size"] == 14
         assert rep["outcome"] == "pass"
-        assert "admissible_transform" in rep
+        assert "admissible_transform" not in rep
 
-    def test_monomial_blowup(self, tmp_path):
+    def test_large_family_certified(self, tmp_path):
         path = tmp_path / "t.json"
         main(["generate", "--family", "decomposable", "--n", "4", "--k", "2", "--m", "3",
               "--seed", "1", "--out", str(path)])
         out = tmp_path / "cor.json"
         code = main(["corollary", str(path), "--k", "2", "--out", str(out)])
-        assert code == EXIT_PRECONDITION
+        assert code == EXIT_PASS
         rep = json.loads(out.read_text())
-        assert rep["outcome"] == "monomial_blowup"
+        assert rep["outcome"] == "pass"
+        assert rep["family_size"] == sum(3**d for d in range(1, 14))
+
+    @pytest.mark.parametrize(
+        "mats",
+        [(np.diag([1.0, 2.0]), np.diag([3.0, 5.0])),
+         (1e7 * np.eye(2), np.diag([1.0, 2.0])),
+         (np.diag([1e9, 1.0]), np.diag([1.0, 2.0]))],
+        ids=["diagonal", "scaled-identity", "ill-conditioned"],
+    )
+    def test_non_square_pencil_fails(self, tmp_path, mats):
+        # None of these diagonal pencils is a square, e.g.
+        # det(x A_1 + y A_2 - I) = (x + 3y - 1)(2x + 5y - 1); the verdict must
+        # not hinge on how the generators' scales compare.
+        path = tmp_path / "t.json"
+        save_tuple(str(path), HermitianTuple(mats))
+        out = tmp_path / "cor.json"
+        assert main(["corollary", str(path), "--k", "2", "--out", str(out)]) == EXIT_FAIL
+        assert json.loads(out.read_text())["outcome"] == "fail"
+
+    def test_mixed_scale_decomposable_passes(self, tmp_path):
+        tup, _ = gen_decomposable(3, 2, 3, seed=3)
+        scales = (1e8, 1.0, 1e-4)
+        path = tmp_path / "t.json"
+        save_tuple(str(path), HermitianTuple(tuple(c * a for c, a in zip(scales, tup.matrices))))
+        out = tmp_path / "cor.json"
+        assert main(["corollary", str(path), "--k", "2", "--out", str(out)]) == EXIT_PASS
+        assert json.loads(out.read_text())["outcome"] == "pass"
+
+    def test_random_hermitian_pair_fails(self, tmp_path):
+        rng = np.random.default_rng(0)
+        mats = []
+        for _ in range(2):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            mats.append((a + a.conj().T) / 2)
+        path = tmp_path / "t.json"
+        save_tuple(str(path), HermitianTuple(tuple(mats)))
+        out = tmp_path / "cor.json"
+        assert main(["corollary", str(path), "--k", "2", "--out", str(out)]) == EXIT_FAIL
+        assert json.loads(out.read_text())["outcome"] == "fail"
+
+    @pytest.mark.parametrize(
+        "tup",
+        [gen_decomposable(2, 3, 3, seed=4)[0], gen_decomposable(3, 2, 2, seed=5)[0],
+         gen_conjugate_negative(1)[0]],
+        ids=["decomposable-2-3-3", "decomposable-3-2-2", "conjugate_negative"],
+    )
+    def test_monomial_span_matches_monomials(self, tup):
+        mats = tup.matrices
+        dim = tup.dim
+        monomials = []
+        for degree in range(1, 4):
+            for word in product(mats, repeat=degree):
+                mat = word[0]
+                for letter in word[1:]:
+                    mat = mat @ letter
+                monomials.append(mat.ravel())
+        monomials = np.array(monomials)
+        span = _monomial_span(mats, 3, DEFAULT).reshape(-1, dim * dim)
+        assert span.shape[0] <= dim * dim
+        assert np.allclose(span @ span.conj().T, np.eye(span.shape[0]), atol=1e-12)
+
+        def rank(rows):
+            s = np.linalg.svd(rows, compute_uv=False)
+            return int(np.sum(s > 1e-10 * s[0]))
+
+        r = rank(monomials)
+        assert rank(span) == r
+        basis = np.linalg.svd(monomials, full_matrices=False)[2][:r]
+        outside = span - (span @ basis.conj().T) @ basis
+        norms = np.linalg.norm(span, axis=1)
+        assert np.max(np.linalg.norm(outside, axis=1)) <= 1e-10 * np.max(norms)
 
     def test_max_degree_cap(self, tmp_path):
         path = tmp_path / "t.json"
@@ -272,6 +347,19 @@ class TestCorollaryCommand:
 
 
 class TestArgumentValidation:
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
+    @pytest.mark.parametrize(
+        "override",
+        ["cluster_rel=nan", "hermitian_rel=nan", "gap_tol=inf", "structural_tol=-1e-7",
+         "word_cap=0", "line_retries=0"],
+    )
+    def test_nonfinite_or_nonpositive_tolerance_exits_three(self, pos_file, tmp_path,
+                                                           command, override):
+        out = tmp_path / "rep.json"
+        argv = [command, str(pos_file), "--k", "2", "--tol", override, "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_nonpositive_k_exits_three(self, pos_file, tmp_path, command, k):

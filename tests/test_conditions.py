@@ -11,11 +11,9 @@ from pencilspec.conditions import (
     count_words,
     enumerate_words,
     realize_word,
-    sample_admissible,
     verify_cycle_identity,
     verify_first_order_identity,
 )
-from pencilspec.charpoly import coefficient_distance, pencil_charpoly, transform_tuple_vars
 from pencilspec.decomposer import extract_block_structure, unify_layers
 from pencilspec.errors import IndexOutOfRange, ZeroCoefficientOnCycle
 from pencilspec.instances import gen_conjugate_negative, gen_decomposable
@@ -174,27 +172,6 @@ class TestAdmissibility:
     def test_nondividing_k(self):
         ok, diagnostics = check_admissibility(HermitianTuple((diag(1, 2, 3),)), k=2)
         assert not ok and "divide" in diagnostics["reason"]
-
-
-class TestSampleAdmissible:
-    def test_succeeds_and_returns_invertible(self):
-        tup, _ = gen_decomposable(2, 2, 2, seed=9)
-        c, mixed = sample_admissible(tup, k=2, radius=0.01, seed=4)
-        assert abs(np.linalg.det(c)) > 1e-10
-        ok, _ = check_admissibility(mixed, k=2)
-        assert ok
-
-    def test_transform_law_on_sample(self):
-        tup, _ = gen_decomposable(2, 2, 2, seed=2)
-        c, mixed = sample_admissible(tup, k=2, radius=0.05, seed=1)
-        lhs = pencil_charpoly(list(mixed.matrices))
-        rhs = transform_tuple_vars(pencil_charpoly(list(tup.matrices)), c)
-        assert coefficient_distance(lhs, rhs) <= 1e-8
-
-    def test_radius_validation(self):
-        tup, _ = gen_decomposable(2, 2, 2, seed=2)
-        with pytest.raises(ValueError):
-            sample_admissible(tup, k=2, radius=0.9, seed=0)
 
 
 class TestAnalyze:
