@@ -10,6 +10,7 @@ from .linalg import (
     conjugate,
     direct_sum_k_copies,
     eigendecompose_clustered,
+    prepare_tuple,
     projection_by_interpolation,
     reduced_resolvent,
     shift_to_invertible,
@@ -26,7 +27,6 @@ from .charpoly import (
     pencil_charpoly,
     restrict_pencil_to_line,
     transform_tuple_vars,
-    univariate_roots,
 )
 from .conditions import (
     ConditionReport,

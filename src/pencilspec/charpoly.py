@@ -29,7 +29,6 @@ from .errors import (
     DegenerateDirection,
     GridTooLarge,
     LineSamplingFailed,
-    NumericalBreakdown,
     SingularTransform,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "KPowerVerdict",
     "pencil_charpoly",
     "restrict_pencil_to_line",
-    "univariate_roots",
     "cluster_roots",
     "kth_power_test",
     "transform_tuple_vars",
@@ -85,13 +83,6 @@ class UniPoly:
             return UniPoly(np.zeros(1, dtype=np.complex128))
         d = self.coeffs[1:] * np.arange(1, self.coeffs.size)
         return UniPoly(d)
-
-    def trimmed(self, rel: float = 0.0) -> "UniPoly":
-        """Drop trailing coefficients at or below ``rel * max|c|``."""
-        mags = np.abs(self.coeffs)
-        cut = rel * float(np.max(mags)) if mags.size else 0.0
-        last = int(np.max(np.flatnonzero(mags > cut))) if np.any(mags > cut) else 0
-        return UniPoly(self.coeffs[: last + 1])
 
 
 @dataclass(frozen=True)
@@ -263,45 +254,6 @@ def restrict_pencil_to_line(mats, base, direction, tol: Tolerances = DEFAULT) ->
 # --------------------------------------------------------------------------
 
 
-def _companion_roots_many(coeff_rows):
-    """Roots of monic-normalized polynomials, batched companion eigenvalues."""
-    rows = np.asarray(coeff_rows, dtype=np.complex128)
-    nlines, ncoef = rows.shape
-    deg = ncoef - 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        monic = rows[:, :-1] / rows[:, -1:]
-    comp = np.zeros((nlines, deg, deg), dtype=np.complex128)
-    idx = np.arange(deg - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, 0, :] = -monic[:, ::-1]
-    return np.linalg.eigvals(comp)
-
-
-def univariate_roots(p: UniPoly, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """All complex roots (with multiplicity) via the companion matrix.
-
-    Each returned root r must satisfy ``|p(r)| <= tol * sum |c_i| |r|^i``;
-    otherwise :class:`NumericalBreakdown` is raised.
-    """
-    q = p.trimmed(rel=0.0)
-    if q.degree < 1:
-        raise ValueError("need degree >= 1 to extract roots")
-    try:
-        roots = _companion_roots_many(q.coeffs[None, :])[0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"companion eigensolve failed: {exc}") from None
-    if not np.all(np.isfinite(roots.real)) or not np.all(np.isfinite(roots.imag)):
-        raise NumericalBreakdown("companion eigensolve produced non-finite roots")
-    mags = np.abs(roots)
-    powers = mags[:, None] ** np.arange(q.coeffs.size)[None, :]
-    denom = powers @ np.abs(q.coeffs)
-    resid = np.abs(q(roots)) / np.maximum(denom, np.finfo(float).tiny)
-    worst = float(np.max(resid))
-    if worst > tol.root_residual_rel:
-        raise NumericalBreakdown(f"root residual {worst:.3e} exceeds {tol.root_residual_rel:.1e}")
-    return roots
-
-
 def _single_linkage(pts, tol: float):
     """Single-linkage clusters of the complex points ``pts`` at distance ``tol``.
 
@@ -376,9 +328,9 @@ def _line_roots_via_pencil(gen, dim, bases, dirs):
     Computed as eigenvalues of ``-M1^{-1} M0`` rather than from polynomial
     coefficients: a multiplicity-k root of a pencil that splits into k
     identical blocks is a semisimple eigenvalue here, so rounding perturbs
-    it linearly instead of by eps**(1/k) as the companion route would.
-    Returns ``None`` rows for lines whose direction pencil is too
-    ill-conditioned to trust.
+    it linearly instead of by eps**(1/k) as a root finder working from the
+    coefficients would.  Returns ``None`` rows for lines whose direction
+    pencil is too ill-conditioned to trust.
     """
     m0 = np.einsum("lm,mij->lij", bases, gen)
     m0 -= np.eye(dim)
@@ -405,9 +357,10 @@ def kth_power_test(
 
     Samples ``lines`` random complex lines (seeded, sub-seed per line fixed
     up front so the outcome is independent of evaluation order), restricts
-    the pencil to each, and demands that every line show exactly n root
-    clusters of size exactly k with intra-cluster spread below the cluster
-    tolerance.
+    the pencil to each, and demands that every line show root clusters whose
+    sizes are all multiples of k, with intra-cluster spread below the cluster
+    tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides every
+    ``e_j``, so a base with repeated factors passes.
     """
     gen, dim = _as_generator_stack(mats)
     if k < 1 or n < 1 or n * k != dim:
@@ -447,13 +400,12 @@ def kth_power_test(
     worst_spread = 0.0
     for li in range(lines):
         roots = roots_rows[li]
-        scale = 1.0 + float(np.max(np.abs(roots)))
-        ctol = tol.cluster_tol(scale)
+        ctol = tol.cluster_rel * (1.0 + float(np.max(np.abs(roots))))
         clusters, spread = _single_linkage(roots, ctol)
         sizes = tuple(int(c.size) for c in clusters)
         worst_spread = max(worst_spread, spread)
         records.append((line_seeds[li], sizes, spread))
-        line_ok = len(clusters) == n and all(s == k for s in sizes) and spread <= ctol
+        line_ok = all(s % k == 0 for s in sizes) and spread <= ctol
         if not line_ok and ok:
             ok = False
             reason = f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"

@@ -42,16 +42,15 @@ from .errors import (
     DecompositionError,
     LineSamplingFailed,
     NotHermitian,
-    NumericalBreakdown,
     SpectralError,
     SpectrumPatternViolation,
 )
 from .instances import gen_commuting, gen_conjugate_negative, gen_decomposable
-from .linalg import HermitianTuple, _require_hermitian, shift_to_invertible
+from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -130,11 +129,9 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     mats = [_matrix_from_json(rows) for rows in matrices]
     if len(mats) != m or any(a.shape != (dim, dim) for a in mats):
         raise ValueError(f"{path}: matrix shapes disagree with the header")
-    if not allow_nonhermitian:
-        for a in mats:
-            _require_hermitian(a, tol)
-    mats = [(a + a.conj().T) / 2.0 for a in mats]
-    return HermitianTuple(tuple(mats)), doc.get("metadata", {})
+    if allow_nonhermitian:
+        mats = [(a + a.conj().T) / 2.0 for a in mats]
+    return HermitianTuple(tuple(mats), tol=tol), doc.get("metadata", {})
 
 
 def _file_digest(path):
@@ -161,7 +158,7 @@ def _verdict_to_json(v):
 
 
 def _word_summary(w, v):
-    bad = [rec for rec in v.per_line_clusters if not all(s == v.k for s in rec[1])]
+    bad = [rec for rec in v.per_line_clusters if any(s % v.k for s in rec[1])]
     sample = bad[0] if bad else v.per_line_clusters[0]
     return {
         "letters": list(w.letters),
@@ -247,14 +244,22 @@ def _k_indivisible(report, verdict_key, tup: HermitianTuple, args) -> bool:
     return True
 
 
-def cmd_analyze(args) -> int:
+def _start(command, parameters, args):
+    """Shared start of the certifying commands: the tolerances, the loaded
+    tuple and the report skeleton (with the tuple file's metadata)."""
     tol = _tolerances_from_overrides(args.tol)
     tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol)
-    report = _report_skeleton(
+    report = _report_skeleton(command, parameters, args.input, tol)
+    if meta:
+        report["input"]["metadata"] = meta
+    return tol, tup, report
+
+
+def cmd_analyze(args) -> int:
+    tol, tup, report = _start(
         "analyze",
         {"k": args.k, "mode": args.mode, "seed": args.seed, "lines": args.lines},
-        args.input,
-        tol,
+        args,
     )
     if _k_indivisible(report, "overall", tup, args):
         return EXIT_PRECONDITION
@@ -262,8 +267,6 @@ def cmd_analyze(args) -> int:
         tup, args.k, mode=args.mode, seed=args.seed, lines=args.lines, tol=tol
     )
     report.update(_analyze_report_body(cond))
-    if meta:
-        report["input"]["metadata"] = meta
     _emit(report, args.out)
     if cond.overall == "pass":
         return EXIT_PASS
@@ -273,13 +276,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    tol = _tolerances_from_overrides(args.tol)
-    tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol)
-    report = _report_skeleton(
-        "decompose", {"k": args.k, "seed": args.seed}, args.input, tol
-    )
-    if meta:
-        report["input"]["metadata"] = meta
+    tol, tup, report = _start("decompose", {"k": args.k, "seed": args.seed}, args)
     if _k_indivisible(report, "outcome", tup, args):
         return EXIT_PRECONDITION
     try:
@@ -319,13 +316,14 @@ def _monomial_span(mats, max_degree, tol):
     monomials in ``mats`` of degrees 1..max_degree.
 
     The span up to degree d+1 is the span up to degree d plus the directions
-    that degree d added, times the (unit-norm) generators.  Those products
+    that degree d added, times the generators (unit-scale ones, as
+    :func:`~pencilspec.linalg.prepare_tuple` leaves them).  Those products
     are projected off the basis twice, and a thin SVD keeps the residual
     directions above ``tol.singular_eig_rel``.  A degree that adds none
     closes the span.  Equal weight on every direction makes the verdict
     depend on the span alone, not on the generators' scale.
     """
-    gen = np.stack([a / np.linalg.norm(a) for a in mats])
+    gen = np.stack(mats)
     dim = gen.shape[1]
     span = np.zeros((0, dim * dim), dtype=np.complex128)
     added = np.eye(dim).reshape(1, -1)
@@ -344,21 +342,11 @@ def _monomial_span(mats, max_degree, tol):
 def cmd_corollary(args) -> int:
     if args.max_degree is not None and args.max_degree < 1:
         raise ValueError(f"--max-degree must be a positive integer, got {args.max_degree}")
-    tol = _tolerances_from_overrides(args.tol)
-    tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol)
-    report = _report_skeleton(
+    tol, tup, report = _start(
         "corollary",
-        {
-            "k": args.k,
-            "seed": args.seed,
-            "lines": args.lines,
-            "max_degree": args.max_degree,
-        },
-        args.input,
-        tol,
+        {"k": args.k, "seed": args.seed, "lines": args.lines, "max_degree": args.max_degree},
+        args,
     )
-    if meta:
-        report["input"]["metadata"] = meta
     if _k_indivisible(report, "outcome", tup, args):
         return EXIT_PRECONDITION
     n = tup.dim // args.k
@@ -368,11 +356,9 @@ def cmd_corollary(args) -> int:
     report["degree_bound"] = degree_bound
     report["family_size"] = sum(tup.m**d for d in range(1, degree_bound + 1))
 
-    # The certificate needs invertible generators; a scalar shift changes
-    # neither the monomial family's splitting behavior nor the verdict.
-    shifted, shifts = shift_to_invertible(tup, tol=tol)
-    report["shifts"] = list(shifts)
-    span = _monomial_span(shifted.matrices, degree_bound, tol)
+    prep = prepare_tuple(tup, tol=tol)
+    report["shifts"] = list(prep.shifts)
+    span = _monomial_span(prep.tup.matrices, degree_bound, tol)
     verdict = kth_power_test(span, args.k, n, lines=args.lines, seed=args.seed, tol=tol)
     report["verdict"] = _verdict_to_json(verdict)
     report["outcome"] = "pass" if verdict.is_kth_power else "fail"
@@ -469,7 +455,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError, NotHermitian) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    except (NumericalBreakdown, LineSamplingFailed) as exc:
+    except LineSamplingFailed as exc:
         sys.stderr.write(f"numerical breakdown: {exc}\n")
         return EXIT_ERROR
     except SpectralError as exc:

@@ -11,9 +11,11 @@ The certificate has three layers:
    the first generator (r <= n-1), the pair pencil with the first generator
    must pass the perfect k-th power test.
 
-``analyze`` aggregates all three into a :class:`ConditionReport`.  Word
-checks run serially in enumeration order, on sub-seeds drawn up front from
-the master seed; no environment variable (thread count or other) affects them.
+``analyze`` aggregates all three into a :class:`ConditionReport`.  It runs
+them on the tuple as :func:`~pencilspec.linalg.prepare_tuple` leaves it (unit
+scale, invertible), which also checks the precondition.  Word checks run
+serially in enumeration order, on sub-seeds drawn up front from the master
+seed; no environment variable (thread count or other) affects them.
 """
 
 from __future__ import annotations
@@ -26,12 +28,18 @@ import numpy as np
 
 from .charpoly import KPowerVerdict, branch_derivative, kth_power_test
 from .config import DEFAULT, Tolerances
-from .errors import ClusterAmbiguity, IndexOutOfRange, ZeroCoefficientOnCycle
+from .errors import (
+    ClusterAmbiguity,
+    IndexOutOfRange,
+    SpectrumPatternViolation,
+    ZeroCoefficientOnCycle,
+)
 from .linalg import (
     HermitianTuple,
     SpectralData,
     eigendecompose_clustered,
     norm_scale,
+    prepare_tuple,
     shift_to_invertible,
 )
 
@@ -265,8 +273,6 @@ def analyze(
     """
     if lines is None:
         lines = tol.lines
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     if tup.m < 2:
         raise ValueError("need at least two generators")
 
@@ -289,26 +295,18 @@ def analyze(
             admissibility=adm,
         )
 
-    if tup.dim % k:
-        return bail(f"k={k} does not divide N={tup.dim}")
-    n = tup.dim // k
-
-    shifted, shifts = shift_to_invertible(tup, tol=tol)
     try:
-        spec = eigendecompose_clustered(shifted.matrices[0], tol=tol)
+        prep = prepare_tuple(tup, k, tol=tol)
     except ClusterAmbiguity as exc:
-        return bail(f"first generator: {exc}", shifts=shifts)
-    if spec.n != n or any(mu != k for mu in spec.multiplicities):
-        return bail(
-            f"first generator has cluster sizes {list(spec.multiplicities)}, "
-            f"wanted {n} clusters of size {k}",
-            shifts=shifts,
-        )
+        return bail(f"first generator: {exc}")
+    except SpectrumPatternViolation as exc:
+        return bail(str(exc))
+    shifted, spec, n = prep.tup, prep.spec, prep.spec.n
 
     admissible_ok, adm = check_admissibility(shifted, k, tol=tol)
     if not admissible_ok:
         return bail(
-            "tuple is not admissible", precondition_ok=True, adm=adm, shifts=shifts
+            "tuple is not admissible", precondition_ok=True, adm=adm, shifts=prep.shifts
         )
 
     words, truncated = enumerate_words(n, tup.m, mode=mode, cap=tol.word_cap)
@@ -337,7 +335,7 @@ def analyze(
         mode=mode,
         seed=seed,
         lines=lines,
-        shifts=shifts,
+        shifts=prep.shifts,
         truncated=truncated,
         detail="" if ok else (full_verdict.failure_reason or f"{len(failing)} failing words"),
         admissibility=adm,

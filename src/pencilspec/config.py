@@ -1,11 +1,15 @@
 """Default tolerances, collected in one place.
 
-Most bounds scale with the size of the data they police; the scale factor
-is always ``max(1, norm)`` so that tuples with tiny norms are judged on an
-absolute scale.  The ladder deliberately leaves about two decades between
-detection thresholds (structural tests) and acceptance thresholds (final
-residuals) so one noisy stage cannot cascade into a false failure.  Every
-value must be finite and positive.
+``analyze``, ``decompose`` and ``corollary`` run on unit-scale generators:
+:func:`~pencilspec.linalg.prepare_tuple` divides each one by its spectral
+norm and shifts singular ones, so the spectral bounds below are read
+against norms of order one and verdicts do not depend on the input's scale.
+Only the Hermitian admission check and the final residual bounds of a
+decomposition are read in the input's units.
+The ladder deliberately leaves about two decades between detection
+thresholds (structural tests) and acceptance thresholds (final residuals)
+so one noisy stage cannot cascade into a false failure.  Every value must
+be finite and positive.
 """
 
 import math
@@ -15,11 +19,11 @@ from dataclasses import dataclass, asdict
 @dataclass(frozen=True)
 class Tolerances:
     # Hermiticity / unitarity admission checks
-    hermitian_rel: float = 1e-12          # times max(1, ||A||)
+    hermitian_rel: float = 1e-12          # times max(1, ||A||), on the input
     unitary_rel: float = 1e-10            # times N
 
     # eigenvalue clustering
-    gap_tol: float = 1e-8                 # times max(1, ||A||)
+    gap_tol: float = 1e-8                 # times max(1, max |eigenvalue|)
     interpolation_sep_rel: float = 1e-3   # minimum cluster separation for Lagrange
 
     # generator regularization
@@ -28,7 +32,6 @@ class Tolerances:
     # polynomial machinery
     prune_rel: float = 5e-12              # drop interpolated coefficients below this
     degenerate_lead_rel: float = 1e-12    # leading-coefficient cutoff on a line
-    root_residual_rel: float = 1e-6       # |p(root)| relative residual trust bound
     cluster_rel: float = 1e-6             # base root-cluster tolerance, times (1+max|root|)
 
     # sampling
@@ -38,11 +41,11 @@ class Tolerances:
     branch_eps: float = 1e-4              # step for branch-derivative tracking
 
     # admissibility
-    admissible_sep_rel: float = 1e-6      # generator cluster separation, times max(1, ||A||)
+    admissible_sep_rel: float = 1e-6      # generator cluster separation
 
     # block structure ladder
-    structural_tol: float = 1e-7          # factor/unify/cycle checks, times max(1, ||A||)
-    scalar_block_tol: float = 1e-6        # post-conjugation scalar check, times max(1, ||A||)
+    structural_tol: float = 1e-7          # factor/unify/cycle checks
+    scalar_block_tol: float = 1e-6        # post-conjugation scalar check
     residual_tol: float = 1e-6            # final decomposition residual, times max ||A_l||
 
     def __post_init__(self):
@@ -52,11 +55,6 @@ class Tolerances:
 
     def as_dict(self):
         return asdict(self)
-
-    def cluster_tol(self, roots_scale):
-        """Root-cluster tolerance at a given root magnitude scale
-        (``1 + max |root|``)."""
-        return self.cluster_rel * roots_scale
 
 
 DEFAULT = Tolerances()

@@ -36,13 +36,7 @@ from .errors import (
     ScalarizationFailed,
     SpectrumPatternViolation,
 )
-from .linalg import (
-    HermitianTuple,
-    SpectralData,
-    eigendecompose_clustered,
-    norm_scale,
-    shift_to_invertible,
-)
+from .linalg import HermitianTuple, SpectralData, norm_scale, prepare_tuple
 
 __all__ = [
     "BlockStructure",
@@ -137,7 +131,8 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
 
     ``blocks`` is the (m-1, n, n, k, k) grid from
     :func:`extract_block_structure`; ``scales`` the per-layer
-    ``max(1, ||A_l||)`` factors.  For each pair the layer with the largest
+    ``max(1, ||A_l||)`` factors (the pipeline passes unit-scale generators,
+    so these are of order one).  For each pair the layer with the largest
     block scalar donates the unitary (ties to the lowest layer); every
     other nonzero layer must match it up to a unimodular scalar, which is
     absorbed into that layer's ``c``.  A mismatch beyond tolerance raises
@@ -376,8 +371,9 @@ class DecompositionResult:
     eigenbasis rotation) carries every original generator onto the direct
     sum of k copies of the reduced tuple, up to ``residual`` in Frobenius
     norm.  ``permutation[new] = old`` gathers the k interleaved invariant
-    subspaces.  ``shifts`` records the scalar regularization applied per
-    generator before analysis (already subtracted from ``reduced``).
+    subspaces.  ``reduced`` and ``eigenvalues`` are in the input's units;
+    ``shifts`` records, also in the input's units, the scalar added to each
+    singular generator before analysis (already subtracted from ``reduced``).
     """
 
     n: int
@@ -414,56 +410,44 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     """Run the whole (deterministic) splitting pipeline.
 
     The caller is expected to have run the condition analysis; only the
-    cheap spectral precondition is re-validated here.
+    cheap spectral precondition is re-validated here.  The pipeline runs on
+    the prepared (unit-scale, invertible) tuple; the reduced tuple, the
+    eigenvalues and the shifts are returned in the input's units.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if tup.dim % k:
-        raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
-    n = tup.dim // k
-
-    shifted, shifts = shift_to_invertible(tup, tol=tol)
-    spec = eigendecompose_clustered(shifted.matrices[0], tol=tol)
-    if spec.n != n or any(mu != k for mu in spec.multiplicities):
-        raise SpectrumPatternViolation(
-            f"first generator has cluster sizes {list(spec.multiplicities)}, "
-            f"wanted {n} clusters of size {k}"
-        )
-
+    prep = prepare_tuple(tup, k, tol=tol)
+    shifted, spec, n = prep.tup, prep.spec, prep.spec.n
     v = spec.rotation()
-    lam_original = spec.eigenvalues - shifts[0]
-    scales = [norm_scale(a) for a in shifted.matrices[1:]]
+    layer_scales = [norm_scale(a) for a in shifted.matrices[1:]]
 
     if k == 1:
         udiag = np.eye(tup.dim, dtype=np.complex128)
         partition = tuple((i,) for i in range(n))
-        reduced_mats = []
-        for a, mu in zip(shifted.matrices, shifts):
-            reduced_mats.append(_hermitized(v @ a @ v.conj().T) - mu * np.eye(n))
+        unit_reduced = [_hermitized(v @ a @ v.conj().T) for a in shifted.matrices]
     else:
         blocks = extract_block_structure(shifted, spec)
-        bs = unify_layers(blocks, scales, tol=tol)
+        bs = unify_layers(blocks, layer_scales, tol=tol)
         bs = extend_closure(bs, tol=tol)
         partition = partition_indices(bs.pairs, n)
-        udiag = build_block_unitary(bs, partition, blocks=blocks, scales=scales, tol=tol)
-        reduced_mats = [np.diag(lam_original).astype(np.complex128)]
-        for li, a in enumerate(shifted.matrices[1:]):
-            rot = v @ a @ v.conj().T
-            scal, _, _ = _scalarize_layer(udiag, rot, n, k)
-            reduced_mats.append(_hermitized(scal) - shifts[li + 1] * np.eye(n))
+        udiag = build_block_unitary(bs, partition, blocks=blocks, scales=layer_scales, tol=tol)
+        unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
+        for a in shifted.matrices[1:]:
+            scal, _, _ = _scalarize_layer(udiag, v @ a @ v.conj().T, n, k)
+            unit_reduced.append(_hermitized(scal))
 
-    reduced = HermitianTuple(tuple(reduced_mats))
+    reduced = HermitianTuple(tuple(
+        c * b - mu * np.eye(n) for b, c, mu in zip(unit_reduced, prep.scales, prep.shifts)
+    ))
     perm = _interleave_permutation(n, k)
     t = np.eye(tup.dim, dtype=np.complex128)[perm] @ udiag @ v
     residual = max(
         float(np.linalg.norm(t @ a @ t.conj().T - np.kron(np.eye(k), b)))
         for a, b in zip(tup.matrices, reduced.matrices)
     )
-    max_norm = max(1.0, tup.max_norm())
-    if residual > tol.residual_tol * max_norm:
+    # an all-zero tuple, like a zero generator, has scale 1
+    bound = tol.residual_tol * (tup.max_norm() or 1.0)
+    if residual > bound:
         raise ScalarizationFailed(
-            f"final residual {residual:.3e} exceeds {tol.residual_tol * max_norm:.3e}",
-            residual=residual,
+            f"final residual {residual:.3e} exceeds {bound:.3e}", residual=residual
         )
     return DecompositionResult(
         n=n,
@@ -472,9 +456,9 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
         block_unitary=udiag,
         permutation=perm,
         reduced=reduced,
-        eigenvalues=lam_original,
+        eigenvalues=spec.eigenvalues * prep.scales[0] - prep.shifts[0],
         partition=partition,
-        shifts=shifts,
+        shifts=prep.shifts,
         residual=residual,
     )
 
@@ -508,7 +492,7 @@ def verify_decomposition(tup: HermitianTuple, result: DecompositionResult, tol: 
             np.linalg.norm(result.reduced.matrices[0] - np.diag(result.eigenvalues))
         ),
     }
-    max_norm = max(1.0, tup.max_norm())
+    max_norm = tup.max_norm() or 1.0
     report["ok"] = bool(
         report["max_residual"] <= tol.residual_tol * max_norm
         and report["unitarity_transform"] <= tol.unitary_rel * dim

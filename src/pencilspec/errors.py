@@ -45,10 +45,6 @@ class LineSamplingFailed(SpectralError):
     """Could not draw a non-degenerate line after repeated retries."""
 
 
-class NumericalBreakdown(SpectralError):
-    """Root finding produced residuals beyond the trust threshold."""
-
-
 class SingularTransform(SpectralError):
     pass
 

@@ -4,13 +4,16 @@ construction needs.
 
 Matrices are plain ``numpy`` complex128 arrays throughout; the only wrapped
 type is :class:`HermitianTuple`, which pins down the pencil generators
-``A_1, ..., A_m`` and validates them once at construction.  Everything here
-is pure and safe to share across threads.
+``A_1, ..., A_m`` and validates them once at construction.
+:func:`prepare_tuple` is the one entry of ``analyze``, ``decompose`` and
+``corollary``: it decides scale, invertibility and the first generator's
+spectral pattern in one place.  Everything here is pure and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,11 +24,13 @@ from .errors import (
     NotHermitian,
     NotUnitary,
     SeparationTooSmall,
+    SpectrumPatternViolation,
 )
 
 __all__ = [
     "HermitianTuple",
     "SpectralData",
+    "PreparedTuple",
     "as_complex_matrix",
     "spectral_norm",
     "norm_scale",
@@ -37,6 +42,7 @@ __all__ = [
     "conjugate",
     "direct_sum_k_copies",
     "shift_to_invertible",
+    "prepare_tuple",
     "apply_tuple_map",
 ]
 
@@ -69,27 +75,35 @@ def unitarity_defect(u) -> float:
     return float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
 
 
+def _require_hermitian(a, tol: Tolerances):
+    defect = hermitian_defect(a)
+    # norm_scale(a) >= 1, so an exactly Hermitian matrix skips the norm
+    if defect > tol.hermitian_rel and defect > (bound := tol.hermitian_rel * norm_scale(a)):
+        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {bound:.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianTuple:
-    """An ordered tuple of same-size Hermitian matrices (pencil generators)."""
+    """An ordered tuple of same-size Hermitian matrices (pencil generators).
+
+    Each generator must be Hermitian within ``tol.hermitian_rel``; its exact
+    Hermitian part is stored, so tuples derived from it pass any later check.
+    """
 
     matrices: tuple
+    _: KW_ONLY
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         mats = tuple(as_complex_matrix(a) for a in self.matrices)
         if not mats:
             raise ValueError("tuple must contain at least one matrix")
         dim = mats[0].shape[0]
-        for idx, a in enumerate(mats):
+        for a in mats:
             if a.shape[0] != dim:
                 raise ValueError("all generators must share one dimension")
-            tol = DEFAULT.hermitian_rel * norm_scale(a)
-            defect = hermitian_defect(a)
-            if defect > tol:
-                raise NotHermitian(
-                    f"generator {idx + 1} has Hermitian defect {defect:.3e} > {tol:.3e}"
-                )
-        object.__setattr__(self, "matrices", mats)
+            _require_hermitian(a, tol)
+        object.__setattr__(self, "matrices", tuple((a + a.conj().T) / 2.0 for a in mats))
 
     @property
     def dim(self) -> int:
@@ -142,13 +156,6 @@ class SpectralData:
     def rotation(self) -> np.ndarray:
         """Unitary V with V A V* diagonal (rows are eigenvectors)."""
         return self.basis.conj().T
-
-
-def _require_hermitian(a, tol: Tolerances):
-    defect = hermitian_defect(a)
-    bound = tol.hermitian_rel * norm_scale(a)
-    if defect > bound:
-        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {bound:.3e}")
 
 
 def eigendecompose_clustered(a, gap_tol: float = None, tol: Tolerances = DEFAULT) -> SpectralData:
@@ -275,6 +282,53 @@ def shift_to_invertible(tup: HermitianTuple, tol: Tolerances = DEFAULT):
             mats.append(a)
             shifts.append(0.0)
     return HermitianTuple(tuple(mats)), tuple(shifts)
+
+
+@dataclass(frozen=True)
+class PreparedTuple:
+    """A tuple brought to unit scale and made invertible.
+
+    ``tup.matrices[l]`` is ``(A_l + shifts[l] I) / scales[l]``, so
+    ``shifts`` are in the input's units.  When prepared for a split into
+    ``k`` copies, ``spec`` is the clustered eigendecomposition of the first
+    prepared generator, with N/k clusters of size ``k``.
+    """
+
+    tup: HermitianTuple
+    scales: tuple
+    shifts: tuple
+    spec: SpectralData = None
+
+
+def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT) -> PreparedTuple:
+    """Divide each generator by its spectral norm, then shift singular ones.
+
+    A zero generator keeps scale 1.  Neither step changes whether the tuple
+    splits into identical copies (``x_l -> x_l / c_l`` keeps a perfect power
+    a perfect power), so verdicts do not depend on the generators' scales.
+    With ``k``, also check that k divides N and that the first generator has
+    N/k eigenvalue clusters of size k; :class:`SpectrumPatternViolation`
+    otherwise.
+    """
+    if k is not None:
+        if k < 1:
+            raise ValueError("k must be a positive integer")
+        if tup.dim % k:
+            raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
+    scales = tuple(spectral_norm(a) or 1.0 for a in tup.matrices)
+    unit = HermitianTuple(tuple(a / c for a, c in zip(tup.matrices, scales)))
+    shifted, unit_shifts = shift_to_invertible(unit, tol=tol)
+    shifts = tuple(mu * c for mu, c in zip(unit_shifts, scales))
+    if k is None:
+        return PreparedTuple(shifted, scales, shifts)
+    n = tup.dim // k
+    spec = eigendecompose_clustered(shifted.matrices[0], tol=tol)
+    if spec.multiplicities != (k,) * n:
+        raise SpectrumPatternViolation(
+            f"first generator has cluster sizes {list(spec.multiplicities)}, "
+            f"wanted {n} clusters of size {k}"
+        )
+    return PreparedTuple(shifted, scales, shifts, spec)
 
 
 def apply_tuple_map(tup: HermitianTuple, c) -> HermitianTuple:

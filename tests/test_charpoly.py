@@ -14,12 +14,10 @@ from pencilspec.charpoly import (
     pencil_charpoly,
     restrict_pencil_to_line,
     transform_tuple_vars,
-    univariate_roots,
 )
 from pencilspec.errors import (
     DegenerateDirection,
     GridTooLarge,
-    NumericalBreakdown,
     SingularTransform,
 )
 from pencilspec.linalg import apply_tuple_map, HermitianTuple, eigendecompose_clustered
@@ -110,34 +108,6 @@ class TestRestrictToLine:
     def test_degenerate_direction(self):
         with pytest.raises(DegenerateDirection):
             restrict_pencil_to_line([diag(1, 0)], base=[0.0], direction=[1.0])
-
-
-class TestUnivariateRoots:
-    def test_simple_roots(self):
-        roots = univariate_roots(UniPoly([1.0, -3.0, 2.0]))
-        assert np.allclose(sorted(roots.real), [0.5, 1.0], atol=1e-10)
-
-    def test_double_root(self):
-        roots = univariate_roots(UniPoly.from_roots([1.0, 1.0]))
-        assert np.max(np.abs(roots - 1.0)) <= 1e-6
-
-    def test_reconstruction_oracle_degree8(self):
-        rng = np.random.default_rng(8)
-        want = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        got = univariate_roots(UniPoly.from_roots(want))
-        # greedy matching: every constructed root is recovered
-        got = list(got)
-        for w in want:
-            i = int(np.argmin([abs(g - w) for g in got]))
-            assert abs(got.pop(i) - w) <= 1e-7
-
-    def test_nonfinite_guard(self):
-        with pytest.raises(NumericalBreakdown):
-            univariate_roots(UniPoly([1e200, 1e-200]))
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            univariate_roots(UniPoly([1.0]))
 
 
 class TestClusterRoots:
@@ -346,13 +316,6 @@ class TestUniPoly:
     def test_derivative(self):
         p = UniPoly([1.0, -3.0, 2.0])
         assert np.allclose(p.derivative().coeffs, [-3.0, 4.0])
-
-    @given(st.integers(min_value=2, max_value=6))
-    @settings(max_examples=20, deadline=None)
-    def test_roots_round_trip(self, deg):
-        want = np.arange(1, deg + 1, dtype=float)
-        got = np.sort(univariate_roots(UniPoly.from_roots(want)).real)
-        assert np.max(np.abs(got - want)) <= 1e-7
 
 
 def test_coefficient_distance_mismatched_vars():

@@ -188,6 +188,10 @@ class TestAnalyzeCommand:
     def test_unknown_tolerance_exits_three(self, pos_file):
         assert main(["analyze", str(pos_file), "--k", "2", "--tol", "bogus=1"]) == EXIT_ERROR
 
+    def test_removed_root_residual_tolerance_exits_three(self, pos_file):
+        argv = ["analyze", str(pos_file), "--k", "2", "--tol", "root_residual_rel=1e-6"]
+        assert main(argv) == EXIT_ERROR
+
     def test_stdout_when_no_out(self, pos_file, capsys):
         code = main(["analyze", str(pos_file), "--k", "2"])
         assert code == EXIT_PASS
@@ -336,6 +340,22 @@ class TestCorollaryCommand:
         rep = json.loads(out.read_text())
         assert rep["outcome"] == "precondition_violated"
         assert rep["detail"] == "k=4 does not divide N=6"
+
+    @pytest.mark.parametrize(
+        "family, n, k, m, k_cert",
+        [("decomposable", 3, 2, 2, 1), ("decomposable", 2, 4, 2, 2), ("commuting", 2, 4, 3, 2)],
+        ids=["first-power", "decomposable-I4-as-square", "commuting-I4-as-square"],
+    )
+    def test_power_with_repeated_factors_passes(self, tmp_path, family, n, k, m, k_cert):
+        # Every polynomial is a first power, and I_4 (x) B is also
+        # I_2 (x) (I_2 (x) B): the pencil is P^4 = (P^2)^2, a square whose
+        # base has repeated factors.
+        path = tmp_path / "t.json"
+        main(["generate", "--family", family, "--n", str(n), "--k", str(k), "--m", str(m),
+              "--seed", "3", "--out", str(path)])
+        out = tmp_path / "cor.json"
+        assert main(["corollary", str(path), "--k", str(k_cert), "--out", str(out)]) == EXIT_PASS
+        assert json.loads(out.read_text())["outcome"] == "pass"
 
     def test_negative_instance_fails(self, neg_file, tmp_path):
         out = tmp_path / "cor.json"

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from pencilspec.conditions import analyze
+from pencilspec.config import Tolerances
+from pencilspec.decomposer import decompose
 from pencilspec.errors import (
     ClusterAmbiguity,
     NotHermitian,
     NotUnitary,
     SeparationTooSmall,
+    SpectrumPatternViolation,
 )
 from pencilspec.linalg import (
     HermitianTuple,
@@ -13,6 +17,7 @@ from pencilspec.linalg import (
     conjugate,
     direct_sum_k_copies,
     eigendecompose_clustered,
+    prepare_tuple,
     projection_by_interpolation,
     reduced_resolvent,
     shift_to_invertible,
@@ -37,6 +42,18 @@ class TestHermitianTuple:
     def test_rejects_mixed_dims(self):
         with pytest.raises(ValueError):
             HermitianTuple((diag(1, 2), diag(1, 2, 3)))
+
+    def test_caller_tolerance_governs_admission(self):
+        a = diag(1, 1, 2, 2)
+        a[0, 1] += 1e-10
+        with pytest.raises(NotHermitian):
+            HermitianTuple((a, diag(3, 3, 4, 4)))
+        tol = Tolerances(hermitian_rel=1e-9)
+        tup = HermitianTuple((a, diag(3, 3, 4, 4)), tol=tol)
+        assert np.array_equal(tup.matrices[0], tup.matrices[0].conj().T)
+        # the pipeline's own re-wraps, at the default tolerance, accept it
+        assert analyze(tup, 2, tol=tol).overall == "pass"
+        assert decompose(tup, 2, tol=tol).residual <= 1e-9
 
 
 class TestEigendecompose:
@@ -204,6 +221,33 @@ class TestShiftToInvertible:
         shifted, shifts = shift_to_invertible(tup)
         assert shifts == (0.0, 0.0)
         assert np.allclose(shifted.matrices[0], diag(1, 2))
+
+
+class TestPrepareTuple:
+    def test_unit_scale_and_shifts_in_input_units(self):
+        tup = HermitianTuple((diag(0, 0, 3e-7, 3e-7), diag(2e5, 2e5, 4e5, 4e5)))
+        prep = prepare_tuple(tup, 2)
+        assert prep.scales == pytest.approx((3e-7, 4e5))
+        assert prep.shifts == pytest.approx((6e-7, 0.0))  # (||A|| + 1) on unit scale
+        assert np.allclose(prep.tup.matrices[0], diag(2, 2, 3, 3))
+        assert np.allclose(prep.tup.matrices[1], diag(0.5, 0.5, 1, 1))
+        assert prep.spec.multiplicities == (2, 2)
+
+    def test_zero_generator_has_scale_one(self):
+        prep = prepare_tuple(HermitianTuple((diag(1, 2), np.zeros((2, 2)))))
+        assert prep.scales == (2.0, 1.0) and prep.shifts == (0.0, 1.0)
+        assert np.array_equal(prep.tup.matrices[1], np.eye(2))
+        assert prep.spec is None
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_spectral_pattern_violations(self, k):
+        tup = HermitianTuple((diag(1, 1, 2, 2, 3, 3), diag(1, 2, 3, 4, 5, 6)))
+        with pytest.raises(SpectrumPatternViolation):
+            prepare_tuple(tup, k)
+
+    def test_nonpositive_k_rejected(self):
+        with pytest.raises(ValueError):
+            prepare_tuple(HermitianTuple((diag(1, 1),)), 0)
 
 
 def test_apply_tuple_map_mixes_generators():

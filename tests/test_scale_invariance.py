@@ -1,0 +1,74 @@
+"""Verdicts do not depend on the generators' scales.
+
+Whether ``(A_1, ..., A_m)`` is unitarily a direct sum of identical copies
+does not change when a generator is multiplied by a nonzero real
+(``x_l -> x_l / c_l`` keeps a perfect power a perfect power), so every
+command must give its ground-truth exit code at every scale.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from pencilspec.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, main, save_tuple
+from pencilspec.decomposer import decompose, verify_decomposition
+from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
+from pencilspec.linalg import HermitianTuple
+
+COMMANDS = ("analyze", "decompose", "corollary")
+
+CASES = {
+    "conjugate_negative": (gen_conjugate_negative(1)[0], EXIT_FAIL),
+    "decomposable-3-2-2": (gen_decomposable(3, 2, 2, seed=1)[0], EXIT_PASS),
+    "commuting-3-2-2": (gen_commuting(3, 2, 2, seed=1)[0], EXIT_PASS),
+}
+
+WHOLE = (1e-9, 1e-6, 1e-3, 1e3, 1e6)
+# per-generator scale vectors 10^U(-6, 6), long enough for any case
+PER_GENERATOR = tuple(10.0 ** np.random.default_rng(s).uniform(-6, 6, 3) for s in (1, 2, 3))
+SCALES = [pytest.param(c, id=f"x{c:g}") for c in WHOLE] + [
+    pytest.param(v, id=f"per-generator-{i}") for i, v in enumerate(PER_GENERATOR)
+]
+
+
+def run_all(tmp_path, tup, k=2):
+    path = tmp_path / "t.json"
+    save_tuple(str(path), tup)
+    out = str(tmp_path / "rep.json")
+    return tuple(main([cmd, str(path), "--k", str(k), "--out", out]) for cmd in COMMANDS)
+
+
+def scaled(tup, scales):
+    scales = np.broadcast_to(scales, (3,))
+    return HermitianTuple(tuple(c * a for c, a in zip(scales, tup.matrices)))
+
+
+@pytest.mark.parametrize("scales", SCALES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_exit_codes_are_scale_invariant(tmp_path, case, scales):
+    tup, want = CASES[case]
+    assert run_all(tmp_path, scaled(tup, scales)) == (want,) * len(COMMANDS)
+
+
+def test_zero_generator(tmp_path):
+    tup = HermitianTuple((np.diag([1.0, 1.0, 2.0, 2.0]), np.zeros((4, 4))))
+    # the zero generator is not admissible, but the tuple splits
+    assert run_all(tmp_path, tup) == (EXIT_PRECONDITION, EXIT_PASS, EXIT_PASS)
+
+
+def test_identity_pair(tmp_path):
+    # one eigenvalue cluster of size 4 breaks the first-generator pattern,
+    # but det(xI + yI - I) = (x + y - 1)^4 is a square
+    tup = HermitianTuple((np.eye(4), np.eye(4)))
+    assert run_all(tmp_path, tup) == (EXIT_PRECONDITION, EXIT_PRECONDITION, EXIT_PASS)
+
+
+def test_tampered_block_unitary_rejected_at_small_scale():
+    tup = scaled(gen_decomposable(2, 2, 2, seed=53)[0], 1e-7)
+    res = decompose(tup, 2)
+    assert verify_decomposition(tup, res)["ok"]
+    tampered = res.block_unitary.copy()
+    tampered[:2, :2] *= -1.0
+    rep = verify_decomposition(tup, dataclasses.replace(res, block_unitary=tampered))
+    assert not rep["ok"]
