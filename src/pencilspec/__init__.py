@@ -23,6 +23,7 @@ from .charpoly import (
     branch_derivative,
     cluster_roots,
     coefficient_distance,
+    kth_power_batch,
     kth_power_test,
     pencil_charpoly,
     restrict_pencil_to_line,
@@ -31,6 +32,7 @@ from .charpoly import (
 from .conditions import (
     ConditionReport,
     WordSpec,
+    adjoint_twins,
     analyze,
     check_admissibility,
     check_word_condition,

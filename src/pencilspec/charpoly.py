@@ -40,6 +40,7 @@ __all__ = [
     "restrict_pencil_to_line",
     "cluster_roots",
     "kth_power_test",
+    "kth_power_batch",
     "transform_tuple_vars",
     "branch_derivative",
     "axis_derivative_closed_form",
@@ -254,24 +255,30 @@ def restrict_pencil_to_line(mats, base, direction, tol: Tolerances = DEFAULT) ->
 # --------------------------------------------------------------------------
 
 
-def _single_linkage(pts, tol: float):
-    """Single-linkage clusters of the complex points ``pts`` at distance ``tol``.
+def _closure(pts, tol):
+    """Single-linkage relation of each row of complex points at distance ``tol``.
 
-    The reflexive ``<= tol`` adjacency is closed transitively by repeated
-    boolean squaring.  Returns ``(clusters, spread)``: ascending index
-    arrays ordered by cluster mean (real part, then imaginary part, each
-    rounded to 12 decimals), and the largest distance between two points of
-    one cluster.
+    ``pts`` has shape ``(..., N)`` and ``tol`` one entry per row.  The
+    reflexive ``<= tol`` adjacency of every row is closed transitively by
+    batched boolean squaring.  Returns ``(dists, same)``: the pairwise
+    distances and the closed relation, both ``(..., N, N)``.
     """
-    dists = np.abs(pts[:, None] - pts[None, :])
-    same = (dists <= tol) | np.eye(pts.size, dtype=bool)
+    dists = np.abs(pts[..., :, None] - pts[..., None, :])
+    same = (dists <= np.asarray(tol)[..., None, None]) | np.eye(pts.shape[-1], dtype=bool)
     grown = same @ same
     while not np.array_equal(grown, same):
         same, grown = grown, grown @ grown
+    return dists, same
+
+
+def _ordered_clusters(pts, same):
+    """The classes of one closed relation as ascending index arrays, ordered
+    by cluster mean (real part, then imaginary part, each rounded to 12
+    decimals)."""
     clusters = [np.flatnonzero(same[i]) for i in np.unique(np.argmax(same, axis=1))]
     clusters.sort(key=lambda idx: (round(float(pts[idx].real.sum()) / idx.size, 12),
                                    round(float(pts[idx].imag.sum()) / idx.size, 12)))
-    return clusters, float(np.max(dists, where=same, initial=0.0))
+    return clusters
 
 
 def cluster_roots(roots, tol: float):
@@ -286,7 +293,7 @@ def cluster_roots(roots, tol: float):
     pts = np.atleast_1d(np.asarray(roots, dtype=np.complex128))
     if pts.size == 0:
         return []
-    return [pts[idx] for idx in _single_linkage(pts, tol)[0]]
+    return [pts[idx] for idx in _ordered_clusters(pts, _closure(pts, tol)[1])]
 
 
 # --------------------------------------------------------------------------
@@ -322,27 +329,139 @@ def _draw_line(rng, m):
 _DIRECTION_COND_CAP = 1e8
 
 
-def _line_roots_via_pencil(gen, dim, bases, dirs):
-    """Roots of ``det(sum (a_i + t d_i) A_i - I)`` for a batch of lines.
+# Working-set budget of the batched power test: pencils are cut into chunks
+# of at most this many (line, matrix entry) pairs, so the stacked operands
+# stay small whatever the number of pencils.
+_BATCH_ENTRIES = 20_000
 
-    Computed as eigenvalues of ``-M1^{-1} M0`` rather than from polynomial
-    coefficients: a multiplicity-k root of a pencil that splits into k
-    identical blocks is a semisimple eigenvalue here, so rounding perturbs
-    it linearly instead of by eps**(1/k) as a root finder working from the
-    coefficients would.  Returns ``None`` rows for lines whose direction
-    pencil is too ill-conditioned to trust.
+
+def _line_roots_via_pencil(gens, bases, dirs):
+    """Roots of ``det(sum (a_i + t d_i) A_i - I)`` for a stack of pencils and lines.
+
+    ``gens`` is ``(P, m, N, N)``, ``bases`` and ``dirs`` are ``(P, L, m)``.
+    Roots are the eigenvalues of ``-M1^{-1} M0`` rather than roots of the
+    polynomial coefficients: a multiplicity-k root of a pencil that splits
+    into k identical blocks is a semisimple eigenvalue here, so rounding
+    perturbs it linearly instead of by eps**(1/k) as a root finder working
+    from the coefficients would.  Returns ``(roots, good)`` of shapes
+    ``(P, L, N)`` and ``(P, L)``; ``good`` is False (and the roots row
+    unset) where the direction pencil is too ill-conditioned to trust.
     """
-    m0 = np.einsum("lm,mij->lij", bases, gen)
+    dim = gens.shape[-1]
+    m0 = np.einsum("plm,pmij->plij", bases, gens)
     m0 -= np.eye(dim)
-    m1 = np.einsum("lm,mij->lij", dirs, gen)
+    m1 = np.einsum("plm,pmij->plij", dirs, gens)
     conds = np.linalg.cond(m1)
     good = np.isfinite(conds) & (conds < _DIRECTION_COND_CAP)
-    out = [None] * bases.shape[0]
+    roots = np.zeros(good.shape + (dim,), dtype=np.complex128)
     if np.any(good):
-        roots = np.linalg.eigvals(-np.linalg.solve(m1[good], m0[good]))
-        for row, li in enumerate(np.flatnonzero(good)):
-            out[li] = roots[row]
-    return out
+        roots[good] = np.linalg.eigvals(-np.linalg.solve(m1[good], m0[good]))
+    return roots, good
+
+
+def _verdict_chunk(gens, k, n, seeds, lines, tol):
+    """Power-test verdicts for one chunk of pencils (see :func:`kth_power_batch`)."""
+    m, dim = gens.shape[1], gens.shape[-1]
+    line_seeds = [
+        [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=lines)]
+        for seed in seeds
+    ]
+    rngs = [[np.random.default_rng(s) for s in row] for row in line_seeds]
+    draws = [[_draw_line(r, m) for r in row] for row in rngs]
+    bases = np.array([[a for a, _ in row] for row in draws])
+    dirs = np.array([[d for _, d in row] for row in draws])
+    roots, good = _line_roots_via_pencil(gens, bases, dirs)
+
+    for p, li in zip(*np.nonzero(~good)):
+        for _ in range(tol.line_retries):
+            a, d = _draw_line(rngs[p][li], m)
+            redraw, ok = _line_roots_via_pencil(gens[p : p + 1], a[None, None], d[None, None])
+            if ok[0, 0]:
+                roots[p, li] = redraw[0, 0]
+                break
+        else:
+            raise LineSamplingFailed(
+                f"line {li} stayed degenerate after {tol.line_retries} redraws"
+            )
+
+    ctol = tol.cluster_rel * (1.0 + np.max(np.abs(roots), axis=-1))
+    dists, same = _closure(roots, ctol)
+    spreads = np.max(dists, where=same, initial=0.0, axis=(-2, -1))
+    # Row sums of the closed relation are the cluster sizes of its points,
+    # so a line needs the mean-ordered clusters only when they differ.
+    sizes = same.sum(axis=-1)
+    uniform = sizes.min(axis=-1) == sizes.max(axis=-1)
+    line_ok = np.all(sizes % k == 0, axis=-1) & (spreads <= ctol)
+
+    verdicts = []
+    for p in range(len(seeds)):
+        records = []
+        for li in range(lines):
+            if uniform[p, li]:
+                size = int(sizes[p, li, 0])
+                profile = (size,) * (dim // size)
+            else:
+                clusters = _ordered_clusters(roots[p, li], same[p, li])
+                profile = tuple(int(c.size) for c in clusters)
+            records.append((line_seeds[p][li], profile, float(spreads[p, li])))
+        bad = np.flatnonzero(~line_ok[p])
+        reason = ""
+        if bad.size:
+            _, profile, spread = records[bad[0]]
+            reason = f"line {bad[0]}: cluster sizes {profile}, spread {spread:.3e}"
+        verdicts.append(
+            KPowerVerdict(
+                is_kth_power=not bad.size,
+                k=k,
+                n=n,
+                per_line_clusters=tuple(records),
+                worst_spread=float(np.max(spreads[p])),
+                failure_reason=reason,
+            )
+        )
+    return verdicts
+
+
+def kth_power_batch(
+    gens,
+    k: int,
+    n: int,
+    seeds,
+    lines: int = None,
+    tol: Tolerances = DEFAULT,
+) -> list:
+    """Decide, for each pencil of a stack, whether its determinant is a
+    perfect k-th power.
+
+    ``gens`` holds P pencils of m generators each, shape ``(P, m, N, N)``,
+    and ``seeds`` one seed per pencil.  Each pencil is restricted to
+    ``lines`` random complex lines (sub-seed per line fixed up front from
+    its seed, so the outcome does not depend on evaluation order or on the
+    rest of the stack), and every line must show root clusters whose sizes
+    are all multiples of k, with intra-cluster spread below the cluster
+    tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
+    every ``e_j``, so a base with repeated factors passes.  Returns one
+    :class:`KPowerVerdict` per pencil.
+    """
+    gens = np.asarray(gens, dtype=np.complex128)
+    if gens.ndim != 4 or gens.shape[-1] != gens.shape[-2]:
+        raise ValueError("pencils must be stacked as (P, m, N, N)")
+    dim = gens.shape[-1]
+    if len(seeds) != gens.shape[0]:
+        raise ValueError("need one seed per pencil")
+    if k < 1 or n < 1 or n * k != dim:
+        raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
+    if lines is None:
+        lines = tol.lines
+    if lines < 4:
+        raise ValueError("need at least 4 sample lines")
+    chunk = max(1, _BATCH_ENTRIES // (lines * dim * dim))
+    verdicts = []
+    for start in range(0, len(seeds), chunk):
+        verdicts += _verdict_chunk(
+            gens[start : start + chunk], k, n, seeds[start : start + chunk], lines, tol
+        )
+    return verdicts
 
 
 def kth_power_test(
@@ -353,70 +472,10 @@ def kth_power_test(
     seed: int = 0,
     tol: Tolerances = DEFAULT,
 ) -> KPowerVerdict:
-    """Decide whether the pencil determinant is a perfect k-th power.
-
-    Samples ``lines`` random complex lines (seeded, sub-seed per line fixed
-    up front so the outcome is independent of evaluation order), restricts
-    the pencil to each, and demands that every line show root clusters whose
-    sizes are all multiples of k, with intra-cluster spread below the cluster
-    tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides every
-    ``e_j``, so a base with repeated factors passes.
-    """
-    gen, dim = _as_generator_stack(mats)
-    if k < 1 or n < 1 or n * k != dim:
-        raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
-    if lines is None:
-        lines = tol.lines
-    if lines < 4:
-        raise ValueError("need at least 4 sample lines")
-
-    m = gen.shape[0]
-    master = np.random.default_rng(seed)
-    line_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=lines)]
-
-    rngs = [np.random.default_rng(s) for s in line_seeds]
-    draws = [_draw_line(r, m) for r in rngs]
-    bases = np.stack([a for a, _ in draws])
-    dirs = np.stack([d for _, d in draws])
-    roots_rows = _line_roots_via_pencil(gen, dim, bases, dirs)
-
-    for li, row in enumerate(roots_rows):
-        if row is not None:
-            continue
-        for _ in range(tol.line_retries):
-            a, d = _draw_line(rngs[li], m)
-            redraw = _line_roots_via_pencil(gen, dim, a[None, :], d[None, :])[0]
-            if redraw is not None:
-                roots_rows[li] = redraw
-                break
-        else:
-            raise LineSamplingFailed(
-                f"line {li} stayed degenerate after {tol.line_retries} redraws"
-            )
-
-    records = []
-    ok = True
-    reason = ""
-    worst_spread = 0.0
-    for li in range(lines):
-        roots = roots_rows[li]
-        ctol = tol.cluster_rel * (1.0 + float(np.max(np.abs(roots))))
-        clusters, spread = _single_linkage(roots, ctol)
-        sizes = tuple(int(c.size) for c in clusters)
-        worst_spread = max(worst_spread, spread)
-        records.append((line_seeds[li], sizes, spread))
-        line_ok = all(s % k == 0 for s in sizes) and spread <= ctol
-        if not line_ok and ok:
-            ok = False
-            reason = f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"
-    return KPowerVerdict(
-        is_kth_power=ok,
-        k=k,
-        n=n,
-        per_line_clusters=tuple(records),
-        worst_spread=worst_spread,
-        failure_reason=reason,
-    )
+    """Decide whether the pencil determinant of ``mats`` is a perfect k-th
+    power: :func:`kth_power_batch` on a stack of one pencil."""
+    gen, _ = _as_generator_stack(mats)
+    return kth_power_batch(gen[None], k, n, [seed], lines=lines, tol=tol)[0]
 
 
 # --------------------------------------------------------------------------

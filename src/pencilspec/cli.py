@@ -17,8 +17,10 @@ Files are JSON.  Complex numbers are stored as ``[re, im]`` pairs with
 full shortest-round-trip decimal digits, so a load/save cycle is lossless.
 Reports echo the inputs, the seeds and the whole tolerance block; rerunning
 with identical inputs reproduces a report byte for byte except for its
-``timestamp`` field.  ``analyze`` runs its word checks serially; no
-environment variable changes that or the reports.
+``timestamp`` field.  ``analyze`` tests its words in one batched call, one
+pre-drawn sub-seed per word, and lists every word in its report: a word
+whose adjoint was tested earlier carries that word's verdict and its index
+under ``adjoint_of``.  No environment variable changes the reports.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -117,7 +119,8 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     """Read a tuple file.  Returns ``(HermitianTuple, metadata dict)``.
 
     Matrices are stored as their Hermitian parts.  A Hermitian defect above
-    ``tol.hermitian_rel`` is rejected unless ``allow_nonhermitian`` is set.
+    ``tol.hermitian_rel`` times the matrix's spectral norm is rejected unless
+    ``allow_nonhermitian`` is set.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -157,16 +160,19 @@ def _verdict_to_json(v):
     }
 
 
-def _word_summary(w, v):
+def _word_summary(w, v, adjoint_of=None):
     bad = [rec for rec in v.per_line_clusters if any(s % v.k for s in rec[1])]
     sample = bad[0] if bad else v.per_line_clusters[0]
-    return {
+    entry = {
         "letters": list(w.letters),
         "projections": list(w.projections),
         "is_kth_power": v.is_kth_power,
         "cluster_profile": list(sample[1]),
         "worst_spread": v.worst_spread,
     }
+    if adjoint_of is not None:
+        entry["adjoint_of"] = adjoint_of
+    return entry
 
 
 def _report_skeleton(command, args, input_path, tol: Tolerances):
@@ -223,9 +229,13 @@ def _analyze_report_body(report: ConditionReport):
         "mode": report.mode,
         "lines": report.lines,
         "shifts": list(report.shifts),
+        "scales": list(report.scales),
         "word_enumeration_truncated": report.truncated,
         "full_tuple": _verdict_to_json(report.full_tuple),
-        "words": [_word_summary(w, v) for w, v in report.word_results],
+        "words": [
+            _word_summary(w, v, report.adjoint_of.get(i))
+            for i, (w, v) in enumerate(report.word_results)
+        ],
         "failing_words": [w.as_dict() for w in report.failing_words],
     }
 

@@ -13,20 +13,24 @@ The certificate has three layers:
 
 ``analyze`` aggregates all three into a :class:`ConditionReport`.  It runs
 them on the tuple as :func:`~pencilspec.linalg.prepare_tuple` leaves it (unit
-scale, invertible), which also checks the precondition.  Word checks run
-serially in enumeration order, on sub-seeds drawn up front from the master
-seed; no environment variable (thread count or other) affects them.
+scale, invertible), which also checks the precondition.  The words are
+realized up front and tested in one call of
+:func:`~pencilspec.charpoly.kth_power_batch`, each on its own sub-seed drawn
+from the master seed, so a verdict does not depend on the rest of the
+battery; no environment variable (thread count or other) affects them.  A
+word whose adjoint comes earlier in the enumeration shares that word's
+verdict instead of being tested (see :func:`adjoint_twins`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .charpoly import KPowerVerdict, branch_derivative, kth_power_test
+from .charpoly import KPowerVerdict, branch_derivative, kth_power_batch, kth_power_test
 from .config import DEFAULT, Tolerances
 from .errors import (
     ClusterAmbiguity,
@@ -49,6 +53,7 @@ __all__ = [
     "enumerate_words",
     "count_words",
     "realize_word",
+    "adjoint_twins",
     "check_word_condition",
     "check_admissibility",
     "analyze",
@@ -146,6 +151,26 @@ def realize_word(tup: HermitianTuple, spec: SpectralData, w: WordSpec) -> np.nda
     for jlab, s in zip(w.projections, w.letters[1:]):
         out = out @ spec.projections[jlab - 1] @ tup.matrices[s - 1]
     return out
+
+
+def adjoint_twins(words) -> dict:
+    """Map each word whose adjoint comes earlier in ``words`` to that word's index.
+
+    Every factor of a word is Hermitian, so the word with reversed letters
+    and projections realizes the adjoint ``W*``, and
+    ``det(x A_1 + y W* - I) = conj(det(conj(x) A_1 + conj(y) W - I))``: the
+    two pair pencils are perfect k-th powers together.  Keys and values are
+    indices into ``words``; a word equal to its own reversal maps nowhere.
+    """
+    first = {}
+    twins = {}
+    for i, w in enumerate(words):
+        j = first.get((w.letters[::-1], w.projections[::-1]))
+        if j is None:
+            first[(w.letters, w.projections)] = i
+        else:
+            twins[i] = j
+    return twins
 
 
 def check_word_condition(
@@ -256,6 +281,8 @@ class ConditionReport:
     truncated: bool
     detail: str = ""
     admissibility: dict = None
+    scales: tuple = ()
+    adjoint_of: dict = field(default_factory=dict)  # word index -> certifying word index
 
 
 def analyze(
@@ -269,14 +296,15 @@ def analyze(
     """Run the full battery and aggregate the outcome.
 
     Sub-seeds for the full-tuple test and every word are derived from
-    ``seed`` up front, one per check in enumeration order.
+    ``seed`` up front, one per check in enumeration order; the adjoint twin
+    of an earlier word skips its test and takes that word's verdict.
     """
     if lines is None:
         lines = tol.lines
     if tup.m < 2:
         raise ValueError("need at least two generators")
 
-    def bail(detail, precondition_ok=False, admissible_ok=False, adm=None, shifts=()):
+    def bail(detail, precondition_ok=False, admissible_ok=False, adm=None, prep=None):
         return ConditionReport(
             overall="precondition_violated",
             precondition_ok=precondition_ok,
@@ -289,10 +317,11 @@ def analyze(
             mode=mode,
             seed=seed,
             lines=lines,
-            shifts=tuple(shifts),
+            shifts=prep.shifts if prep else (),
             truncated=False,
             detail=detail,
             admissibility=adm,
+            scales=prep.scales if prep else (),
         )
 
     try:
@@ -305,9 +334,7 @@ def analyze(
 
     admissible_ok, adm = check_admissibility(shifted, k, tol=tol)
     if not admissible_ok:
-        return bail(
-            "tuple is not admissible", precondition_ok=True, adm=adm, shifts=prep.shifts
-        )
+        return bail("tuple is not admissible", precondition_ok=True, adm=adm, prep=prep)
 
     words, truncated = enumerate_words(n, tup.m, mode=mode, cap=tol.word_cap)
     master = np.random.default_rng(seed)
@@ -317,10 +344,16 @@ def analyze(
         list(shifted.matrices), k, n, lines=lines, seed=sub_seeds[0], tol=tol
     )
 
-    word_results = tuple(
-        (w, check_word_condition(shifted, spec, w, k, n, seed=s, lines=lines, tol=tol))
-        for w, s in zip(words, sub_seeds[1:])
-    )
+    twins = adjoint_twins(words)
+    tested = [i for i in range(len(words)) if i not in twins]
+    # filled in place: the stack is the battery's largest array
+    pencils = np.empty((len(tested), 2, tup.dim, tup.dim), dtype=np.complex128)
+    pencils[:, 0] = shifted.matrices[0]
+    for row, i in enumerate(tested):
+        pencils[row, 1] = realize_word(shifted, spec, words[i])
+    seeds = [sub_seeds[1 + i] for i in tested]
+    verdicts = dict(zip(tested, kth_power_batch(pencils, k, n, seeds, lines=lines, tol=tol)))
+    word_results = tuple((w, verdicts[twins.get(i, i)]) for i, w in enumerate(words))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing
     return ConditionReport(
@@ -339,6 +372,8 @@ def analyze(
         truncated=truncated,
         detail="" if ok else (full_verdict.failure_reason or f"{len(failing)} failing words"),
         admissibility=adm,
+        scales=prep.scales,
+        adjoint_of=twins,
     )
 
 

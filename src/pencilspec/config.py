@@ -4,8 +4,9 @@
 :func:`~pencilspec.linalg.prepare_tuple` divides each one by its spectral
 norm and shifts singular ones, so the spectral bounds below are read
 against norms of order one and verdicts do not depend on the input's scale.
-Only the Hermitian admission check and the final residual bounds of a
-decomposition are read in the input's units.
+The Hermitian admission check is relative to each input matrix's norm, so
+it is scale-free too; only the final residual bounds of a decomposition are
+read in the input's units.
 The ladder deliberately leaves about two decades between detection
 thresholds (structural tests) and acceptance thresholds (final residuals)
 so one noisy stage cannot cascade into a false failure.  Every value must
@@ -19,7 +20,7 @@ from dataclasses import dataclass, asdict
 @dataclass(frozen=True)
 class Tolerances:
     # Hermiticity / unitarity admission checks
-    hermitian_rel: float = 1e-12          # times max(1, ||A||), on the input
+    hermitian_rel: float = 1e-12          # times ||A||, on the input
     unitary_rel: float = 1e-10            # times N
 
     # eigenvalue clustering

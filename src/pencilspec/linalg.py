@@ -77,8 +77,8 @@ def unitarity_defect(u) -> float:
 
 def _require_hermitian(a, tol: Tolerances):
     defect = hermitian_defect(a)
-    # norm_scale(a) >= 1, so an exactly Hermitian matrix skips the norm
-    if defect > tol.hermitian_rel and defect > (bound := tol.hermitian_rel * norm_scale(a)):
+    # relative to ||a|| at every scale; an exactly Hermitian matrix skips the norm
+    if defect and defect > (bound := tol.hermitian_rel * spectral_norm(a)):
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {bound:.3e}")
 
 
@@ -86,8 +86,9 @@ def _require_hermitian(a, tol: Tolerances):
 class HermitianTuple:
     """An ordered tuple of same-size Hermitian matrices (pencil generators).
 
-    Each generator must be Hermitian within ``tol.hermitian_rel``; its exact
-    Hermitian part is stored, so tuples derived from it pass any later check.
+    Each generator's Hermitian defect must be within ``tol.hermitian_rel``
+    times its spectral norm, at any scale; its exact Hermitian part is
+    stored, so tuples derived from it pass any later check.
     """
 
     matrices: tuple

@@ -10,6 +10,7 @@ from pencilspec.charpoly import (
     branch_derivative,
     cluster_roots,
     coefficient_distance,
+    kth_power_batch,
     kth_power_test,
     pencil_charpoly,
     restrict_pencil_to_line,
@@ -239,6 +240,100 @@ class TestKthPowerTest:
 
         with pytest.raises(LineSamplingFailed):
             kth_power_test([diag(1, 0), diag(2, 0)], k=1, n=2, seed=0)
+
+
+def reference_verdict(mats, k, n, seed, lines=8):
+    """The per-line loop the batched test replaced, kept as its reference:
+    one pencil, one line at a time, redraws from the line's own generator."""
+    from pencilspec.charpoly import _DIRECTION_COND_CAP, KPowerVerdict, _draw_line
+    from pencilspec.config import DEFAULT
+
+    gen = np.stack(mats)
+    m, dim = gen.shape[0], gen.shape[-1]
+    line_seeds = [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=lines)]
+    records, reason, worst = [], "", 0.0
+    for li, line_seed in enumerate(line_seeds):
+        rng = np.random.default_rng(line_seed)
+        for _ in range(1 + DEFAULT.line_retries):
+            a, d = _draw_line(rng, m)
+            m0 = np.einsum("lm,mij->lij", a[None], gen) - np.eye(dim)
+            m1 = np.einsum("lm,mij->lij", d[None], gen)
+            if np.linalg.cond(m1[0]) < _DIRECTION_COND_CAP:
+                break
+        roots = np.linalg.eigvals(-np.linalg.solve(m1, m0))[0]
+        ctol = DEFAULT.cluster_rel * (1.0 + float(np.max(np.abs(roots))))
+        clusters = cluster_roots(roots, ctol)
+        sizes = tuple(c.size for c in clusters)
+        spread = max(float(np.max(np.abs(c[:, None] - c[None, :]))) for c in clusters)
+        worst = max(worst, spread)
+        records.append((line_seed, sizes, spread))
+        if not reason and not (all(x % k == 0 for x in sizes) and spread <= ctol):
+            reason = f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"
+    return KPowerVerdict(not reason, k, n, tuple(records), worst, reason)
+
+
+class TestKthPowerBatch:
+    GOLDEN = [diag(1, 1, 1, 2), diag(3, 3, 3, 5)]
+    GOLDEN_LINES = (
+        (5874934615388537134, (1, 3), 0.0),
+        (2488343231644625808, (3, 1), 0.0),
+        (377914054924498011, (1, 3), 0.0),
+        (152440531369162766, (3, 1), 0.0),
+        (7501093982645987484, (1, 3), 0.0),
+        (8418684267946577446, (3, 1), 0.0),
+        (5595227450766711102, (3, 1), 0.0),
+        (6728418181561535777, (3, 1), 0.0),
+    )
+
+    def stack(self):
+        # passing pencils, the failing golden pencil (unequal cluster sizes)
+        # and a rotated pencil whose direction generator is singular, so that
+        # six of its eight first lines are too ill-conditioned and are redrawn
+        from pencilspec.instances import gen_decomposable, haar_unitary
+
+        q = haar_unitary(4, 3)
+        redraw = [q @ diag(1, 1, 2, 2) @ q.conj().T, q @ diag(3e8, 3e8, 0, 0) @ q.conj().T]
+        pencils = [
+            [diag(1, 1, 2, 2), diag(3, 3, 4, 4)],
+            list(gen_decomposable(2, 2, 2, seed=1)[0].matrices),
+            self.GOLDEN,
+            [(a + a.conj().T) / 2 for a in redraw],
+            list(gen_decomposable(2, 2, 2, seed=2)[0].matrices),
+        ]
+        return np.stack([np.stack(p) for p in pencils]), [7, 5, 0, 0, 11]
+
+    def test_batch_equals_per_line_reference(self, monkeypatch):
+        import pencilspec.charpoly as charpoly
+
+        gens, seeds = self.stack()
+        reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(gens, seeds)]
+        first_draws = []
+        route = charpoly._line_roots_via_pencil
+
+        def spy(g, bases, dirs):
+            roots, good = route(g, bases, dirs)
+            first_draws.append(int(np.sum(~good)))
+            return roots, good
+
+        monkeypatch.setattr(charpoly, "_line_roots_via_pencil", spy)
+        batched = kth_power_batch(gens, k=2, n=2, seeds=seeds)
+        assert first_draws[0] == 6 and len(first_draws) > 1  # redraws happened
+        assert batched == reference
+        assert batched == [kth_power_test(list(g), k=2, n=2, seed=s) for g, s in zip(gens, seeds)]
+        assert [v.is_kth_power for v in batched] == [True, True, False, True, True]
+        assert batched[2].per_line_clusters == self.GOLDEN_LINES
+        assert batched[2].failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
+        assert batched[3].worst_spread > 0.0  # spreads depend on the redrawn lines
+        for budget in (1, 2 * 8 * 16, 3 * 8 * 16):
+            monkeypatch.setattr(charpoly, "_BATCH_ENTRIES", budget)
+            assert kth_power_batch(gens, k=2, n=2, seeds=seeds) == reference
+
+    def test_rejects_bad_stack(self):
+        gens, seeds = self.stack()
+        with pytest.raises(ValueError):
+            kth_power_batch(gens[0], k=2, n=2, seeds=seeds[:1])
+        with pytest.raises(ValueError):
+            kth_power_batch(gens, k=2, n=2, seeds=seeds[:-1])
 
 
 class TestTransformVars:

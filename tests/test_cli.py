@@ -192,6 +192,48 @@ class TestAnalyzeCommand:
         argv = ["analyze", str(pos_file), "--k", "2", "--tol", "root_residual_rel=1e-6"]
         assert main(argv) == EXIT_ERROR
 
+    def test_adjoint_twins_listed(self, neg_file, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
+        rep = json.loads(out.read_text())
+        assert rep["version"] == 4
+        words = rep["words"]
+        assert len(words) == 10
+        twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
+        assert len(twins) == 3
+        for i, j in twins:
+            assert j < i and "adjoint_of" not in words[j]
+            assert words[j]["letters"] == words[i]["letters"][::-1]
+            assert words[j]["projections"] == words[i]["projections"][::-1]
+            assert words[j]["is_kth_power"] == words[i]["is_kth_power"]
+        failing = rep["failing_words"]
+        assert {"letters": [2, 2, 2], "projections": [2, 3]} in failing
+        assert {"letters": [2, 2, 2], "projections": [3, 2]} in failing
+
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            (np.diag([1.0, 1.0, 2.0, 2.0]), np.zeros((4, 4))),
+            tuple(1e3 * a for a in gen_decomposable(3, 2, 2, seed=7)[0].matrices),
+        ],
+        ids=["zero-generator", "x1e3"],
+    )
+    def test_admissibility_clusters_in_input_units(self, tmp_path, mats):
+        # input eigenvalue = cluster * scale - shift, per generator
+        path, out = tmp_path / "t.json", tmp_path / "rep.json"
+        save_tuple(str(path), HermitianTuple(mats))
+        main(["analyze", str(path), "--k", "2", "--out", str(out)])
+        rep = json.loads(out.read_text())
+        assert len(rep["scales"]) == len(rep["shifts"]) == len(mats)
+        for a, entry, scale, shift in zip(
+            mats, rep["admissibility"]["generators"], rep["scales"], rep["shifts"]
+        ):
+            eigs = np.linalg.eigvalsh(a)
+            bounds = np.cumsum([0] + entry["multiplicities"])
+            want = [eigs[lo:hi].mean() for lo, hi in zip(bounds, bounds[1:])]
+            got = [c * scale - shift for c in entry["clusters"]]
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
     def test_stdout_when_no_out(self, pos_file, capsys):
         code = main(["analyze", str(pos_file), "--k", "2"])
         assert code == EXIT_PASS

@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from pencilspec.charpoly import kth_power_test
 from pencilspec.conditions import (
     WordSpec,
+    adjoint_twins,
     analyze,
     check_admissibility,
     check_word_condition,
@@ -16,11 +18,12 @@ from pencilspec.conditions import (
 )
 from pencilspec.decomposer import extract_block_structure, unify_layers
 from pencilspec.errors import IndexOutOfRange, ZeroCoefficientOnCycle
-from pencilspec.instances import gen_conjugate_negative, gen_decomposable
+from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import (
     HermitianTuple,
     eigendecompose_clustered,
     norm_scale,
+    prepare_tuple,
     shift_to_invertible,
 )
 
@@ -146,6 +149,56 @@ class TestWordCondition:
         w = WordSpec(**desc.failing_word)
         v = check_word_condition(shifted, sd, w, k=2, n=3, seed=0)
         assert not v.is_kth_power
+
+
+class TestAdjointTwins:
+    @pytest.mark.parametrize(
+        "n, m, mode, want",
+        [(6, 2, "all", 615), (4, 3, "all", 244), (3, 3, "proof_core", 3), (6, 2, "proof_core", 0)],
+    )
+    def test_twin_counts(self, n, m, mode, want):
+        words, _ = enumerate_words(n, m, mode=mode)
+        twins = adjoint_twins(words)
+        assert len(twins) == want
+        for i, j in twins.items():
+            assert j < i
+            assert words[j].letters == words[i].letters[::-1]
+            assert words[j].projections == words[i].projections[::-1]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: gen_decomposable(3, 2, 3, seed=s)[0],
+            lambda s: gen_commuting(3, 2, 3, seed=s)[0],
+            lambda s: gen_conjugate_negative(seed=s)[0],
+        ],
+        ids=["decomposable", "commuting", "conjugate_negative"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_adjoint_pencils_agree(self, make, seed):
+        # each twin is tested on its own, on a seed unrelated to its partner's
+        prep = prepare_tuple(make(seed), 2)
+        a1 = prep.tup.matrices[0]
+        words, _ = enumerate_words(prep.spec.n, prep.tup.m, mode="all")
+        twins = adjoint_twins(words)
+        assert twins
+        for i, j in twins.items():
+            w, w_adj = (realize_word(prep.tup, prep.spec, words[x]) for x in (j, i))
+            assert np.linalg.norm(w_adj - w.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(w))
+            v = kth_power_test([a1, w], 2, prep.spec.n, seed=seed + 100 * j)
+            v_adj = kth_power_test([a1, w_adj], 2, prep.spec.n, seed=seed + 100 * i + 1)
+            assert v.is_kth_power == v_adj.is_kth_power, (words[j], words[i])
+
+    def test_analyze_shares_verdicts(self):
+        tup, desc = gen_conjugate_negative(seed=1)
+        rep = analyze(tup, 2, seed=0)
+        assert rep.adjoint_of == adjoint_twins([w for w, _ in rep.word_results])
+        for i, j in rep.adjoint_of.items():
+            assert rep.word_results[i][1] is rep.word_results[j][1]
+        fails = {(w.letters, w.projections) for w in rep.failing_words}
+        word = desc.failing_word
+        assert (tuple(word["letters"]), tuple(word["projections"])) in fails
+        assert (tuple(word["letters"])[::-1], tuple(word["projections"])[::-1]) in fails
 
 
 class TestAdmissibility:

@@ -43,6 +43,14 @@ class TestHermitianTuple:
         with pytest.raises(ValueError):
             HermitianTuple((diag(1, 2), diag(1, 2, 3)))
 
+    @pytest.mark.parametrize("c", [1.0, 1e-9, 1e-13])
+    def test_admission_is_scale_free(self, c):
+        # the defect is bounded relative to the matrix's own norm at every scale
+        with pytest.raises(NotHermitian):
+            HermitianTuple((c * np.array([[0.0, 1.0], [0.0, 0.0]]),))
+        tup = HermitianTuple((c * np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]]), np.zeros((2, 2))))
+        assert np.array_equal(tup.matrices[1], np.zeros((2, 2)))
+
     def test_caller_tolerance_governs_admission(self):
         a = diag(1, 1, 2, 2)
         a[0, 1] += 1e-10
