@@ -2,19 +2,23 @@
 
 The pencil of a tuple ``(A_1, ..., A_m)`` is ``x_1 A_1 + ... + x_m A_m - I``;
 its determinant is a degree-N polynomial whose zero set is the (affine part
-of the) joint spectrum of the tuple.  Everything in this module is built on
-two numerically boring primitives:
-
-* full expansion by tensor interpolation on roots of unity (inverse DFT per
-  axis, radius 1, which keeps the Vandermonde system perfectly conditioned),
-* line restriction ``t -> det(M0 + t M1)`` evaluated at N+1 unit roots and
-  recovered by a single FFT.
+of the) joint spectrum of the tuple.
 
 The k-th-power certificate never factors anything symbolically: a degree-N
 polynomial is a perfect k-th power of a degree-n polynomial exactly when a
 generic line meets its zero set in n points of multiplicity k each, so the
 test samples seeded random complex lines and inspects root multiplicity
-profiles.
+profiles.  On the line ``t -> M0 + t M1`` the roots are the eigenvalues of
+``-M1^{-1} M0`` (see :func:`_line_roots_via_pencil`); no polynomial
+coefficient is ever formed on that route.
+
+The coefficient route is the reference the tests compare against: full
+expansion by tensor interpolation on roots of unity (:func:`pencil_charpoly`,
+inverse DFT per axis, radius 1, which keeps the Vandermonde system perfectly
+conditioned), line restriction ``t -> det(M0 + t M1)`` evaluated at N+1 unit
+roots and recovered by a single FFT (:func:`restrict_pencil_to_line`), and
+the variable transformation law (:func:`transform_tuple_vars`).  Its
+thresholds are the module constants below, not :class:`Tolerances` fields.
 """
 
 from __future__ import annotations
@@ -155,12 +159,11 @@ def _as_generator_stack(mats):
     return np.stack(arrs), dim
 
 
-def _det_chunked(stack, chunk=None):
+def _det_chunked(stack):
     """Determinants of a (..., N, N) stack, bounded working memory."""
     flat = stack.reshape(-1, stack.shape[-2], stack.shape[-1])
     n = flat.shape[-1]
-    if chunk is None:
-        chunk = max(1, int(4e6 / (n * n)))
+    chunk = max(1, int(4e6 / (n * n)))
     if flat.shape[0] <= chunk:
         dets = np.linalg.det(flat)
     else:
@@ -177,14 +180,19 @@ def _unit_root_grid(npts: int, m: int) -> np.ndarray:
     return np.stack([ax.reshape(-1) for ax in axes], axis=-1)
 
 
-def _interpolate_grid(vals, npts: int, m: int, degree: int, tol: Tolerances) -> MultiPoly:
+# Interpolated coefficients at or below this fraction of the largest one are
+# rounding noise and are dropped.
+_PRUNE_REL = 5e-12
+
+
+def _interpolate_grid(vals, npts: int, m: int, degree: int) -> MultiPoly:
     """Polynomial of total degree <= ``degree`` from its values on the grid.
 
     Inverts the DFT axis by axis and prunes coefficients at or below
-    ``tol.prune_rel`` times the largest one.
+    ``_PRUNE_REL`` times the largest one.
     """
     coeff_grid = np.fft.fftn(vals.reshape((npts,) * m)) / npts**m
-    cut = tol.prune_rel * float(np.max(np.abs(coeff_grid)))
+    cut = _PRUNE_REL * float(np.max(np.abs(coeff_grid)))
     terms = {}
     for idx in np.argwhere(np.abs(coeff_grid) > cut):
         exps = tuple(int(e) for e in idx)
@@ -193,7 +201,7 @@ def _interpolate_grid(vals, npts: int, m: int, degree: int, tol: Tolerances) -> 
     return MultiPoly(nvars=m, terms=terms)
 
 
-def pencil_charpoly(mats, grid_cap: int = 10**6, tol: Tolerances = DEFAULT) -> MultiPoly:
+def pencil_charpoly(mats, grid_cap: int = 10**6) -> MultiPoly:
     """Expand ``det(x_1 A_1 + ... + x_m A_m - I)`` in full.
 
     Interpolates on the tensor grid of (N+1)-st roots of unity per axis and
@@ -208,7 +216,7 @@ def pencil_charpoly(mats, grid_cap: int = 10**6, tol: Tolerances = DEFAULT) -> M
 
     pencil = np.einsum("gm,mij->gij", _unit_root_grid(npts, m), gen)
     pencil -= np.eye(dim)
-    return _interpolate_grid(_det_chunked(pencil), npts, m, dim, tol)
+    return _interpolate_grid(_det_chunked(pencil), npts, m, dim)
 
 
 def _line_coeff_rows(gen, dim, bases, dirs):
@@ -227,7 +235,12 @@ def _line_coeff_rows(gen, dim, bases, dirs):
     return np.fft.fft(vals, axis=1) / npts
 
 
-def restrict_pencil_to_line(mats, base, direction, tol: Tolerances = DEFAULT) -> UniPoly:
+# A line restriction whose leading coefficient is below this fraction of the
+# largest one has lost degree: its direction meets the part at infinity.
+_DEGENERATE_LEAD_REL = 1e-12
+
+
+def restrict_pencil_to_line(mats, base, direction) -> UniPoly:
     """Univariate restriction ``q(t) = det(sum (base_i + t dir_i) A_i - I)``.
 
     Raises :class:`DegenerateDirection` when the leading coefficient
@@ -243,7 +256,7 @@ def restrict_pencil_to_line(mats, base, direction, tol: Tolerances = DEFAULT) ->
         raise ValueError("direction must be nonzero")
     coeffs = _line_coeff_rows(gen, dim, base, direction)[0]
     lead = abs(coeffs[-1])
-    if lead < tol.degenerate_lead_rel * float(np.max(np.abs(coeffs))):
+    if lead < _DEGENERATE_LEAD_REL * float(np.max(np.abs(coeffs))):
         raise DegenerateDirection(
             f"leading coefficient {lead:.3e} is negligible for this direction"
         )
@@ -359,9 +372,9 @@ def _line_roots_via_pencil(gens, bases, dirs):
     return roots, good
 
 
-def _verdict_chunk(gens, k, n, seeds, lines, tol):
+def _verdict_chunk(gens, k, n, seeds, tol):
     """Power-test verdicts for one chunk of pencils (see :func:`kth_power_batch`)."""
-    m, dim = gens.shape[1], gens.shape[-1]
+    m, dim, lines = gens.shape[1], gens.shape[-1], tol.lines
     line_seeds = [
         [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=lines)]
         for seed in seeds
@@ -427,7 +440,6 @@ def kth_power_batch(
     k: int,
     n: int,
     seeds,
-    lines: int = None,
     tol: Tolerances = DEFAULT,
 ) -> list:
     """Decide, for each pencil of a stack, whether its determinant is a
@@ -435,7 +447,7 @@ def kth_power_batch(
 
     ``gens`` holds P pencils of m generators each, shape ``(P, m, N, N)``,
     and ``seeds`` one seed per pencil.  Each pencil is restricted to
-    ``lines`` random complex lines (sub-seed per line fixed up front from
+    ``tol.lines`` random complex lines (sub-seed per line fixed up front from
     its seed, so the outcome does not depend on evaluation order or on the
     rest of the stack), and every line must show root clusters whose sizes
     are all multiples of k, with intra-cluster spread below the cluster
@@ -451,15 +463,13 @@ def kth_power_batch(
         raise ValueError("need one seed per pencil")
     if k < 1 or n < 1 or n * k != dim:
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
-    if lines is None:
-        lines = tol.lines
-    if lines < 4:
+    if tol.lines < 4:
         raise ValueError("need at least 4 sample lines")
-    chunk = max(1, _BATCH_ENTRIES // (lines * dim * dim))
+    chunk = max(1, _BATCH_ENTRIES // (tol.lines * dim * dim))
     verdicts = []
     for start in range(0, len(seeds), chunk):
         verdicts += _verdict_chunk(
-            gens[start : start + chunk], k, n, seeds[start : start + chunk], lines, tol
+            gens[start : start + chunk], k, n, seeds[start : start + chunk], tol
         )
     return verdicts
 
@@ -468,14 +478,13 @@ def kth_power_test(
     mats,
     k: int,
     n: int,
-    lines: int = None,
     seed: int = 0,
     tol: Tolerances = DEFAULT,
 ) -> KPowerVerdict:
     """Decide whether the pencil determinant of ``mats`` is a perfect k-th
     power: :func:`kth_power_batch` on a stack of one pencil."""
     gen, _ = _as_generator_stack(mats)
-    return kth_power_batch(gen[None], k, n, [seed], lines=lines, tol=tol)[0]
+    return kth_power_batch(gen[None], k, n, [seed], tol=tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -483,7 +492,7 @@ def kth_power_test(
 # --------------------------------------------------------------------------
 
 
-def transform_tuple_vars(p: MultiPoly, c, tol: Tolerances = DEFAULT) -> MultiPoly:
+def transform_tuple_vars(p: MultiPoly, c) -> MultiPoly:
     """Substitute ``x -> C^T x``: the polynomial of the mixed tuple ``C A``.
 
     For an invertible mixing matrix C this satisfies
@@ -497,7 +506,7 @@ def transform_tuple_vars(p: MultiPoly, c, tol: Tolerances = DEFAULT) -> MultiPol
 
     deg = p.total_degree
     pts = _unit_root_grid(deg + 1, p.nvars)
-    return _interpolate_grid(p.evaluate(pts @ c), deg + 1, p.nvars, deg, tol)
+    return _interpolate_grid(p.evaluate(pts @ c), deg + 1, p.nvars, deg)
 
 
 def branch_derivative(
@@ -505,8 +514,7 @@ def branch_derivative(
     spec,
     j: int,
     var: int = 1,
-    eps: float = None,
-    tol: Tolerances = DEFAULT,
+    eps: float = 1e-4,
 ):
     """Slope of the tracked x_1-root branch through ``1/lambda_j``.
 
@@ -527,8 +535,6 @@ def branch_derivative(
         raise ValueError(f"direction variable index {var} out of range")
     if not 0 <= j < spec.n:
         raise ValueError(f"cluster index {j} out of range")
-    if eps is None:
-        eps = tol.branch_eps
     lam = float(spec.eigenvalues[j])
     if lam == 0.0:
         raise ValueError("branch point 1/lambda undefined for a zero eigenvalue")

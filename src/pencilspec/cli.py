@@ -7,8 +7,10 @@ Exit codes are a stable contract:
 * 1 - spectral conditions fail (including structural splitting failures),
 * 2 - precondition violated (k does not divide N, wrong spectrum pattern,
   tuple not admissible),
-* 3 - I/O trouble, malformed input or arguments (tolerances must be finite
-  and positive), or numerical breakdown.
+* 3 - I/O trouble, malformed input, numerical breakdown, or invalid
+  arguments: usage errors (a missing or unknown flag, a value of the wrong
+  type), ``--k`` or ``--max-degree`` below 1, and tolerances that are not
+  finite and positive.  ``--help`` exits 0.
 
 ``corollary`` runs the power test on an orthonormal basis of the monomial
 span (at most ``N^2`` matrices), so it has no cap on the family size.
@@ -52,7 +54,7 @@ from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -227,7 +229,6 @@ def _analyze_report_body(report: ConditionReport):
         "n": report.n,
         "k": report.k,
         "mode": report.mode,
-        "lines": report.lines,
         "shifts": list(report.shifts),
         "scales": list(report.scales),
         "word_enumeration_truncated": report.truncated,
@@ -267,15 +268,11 @@ def _start(command, parameters, args):
 
 def cmd_analyze(args) -> int:
     tol, tup, report = _start(
-        "analyze",
-        {"k": args.k, "mode": args.mode, "seed": args.seed, "lines": args.lines},
-        args,
+        "analyze", {"k": args.k, "mode": args.mode, "seed": args.seed}, args
     )
     if _k_indivisible(report, "overall", tup, args):
         return EXIT_PRECONDITION
-    cond = analyze(
-        tup, args.k, mode=args.mode, seed=args.seed, lines=args.lines, tol=tol
-    )
+    cond = analyze(tup, args.k, mode=args.mode, seed=args.seed, tol=tol)
     report.update(_analyze_report_body(cond))
     _emit(report, args.out)
     if cond.overall == "pass":
@@ -354,7 +351,7 @@ def cmd_corollary(args) -> int:
         raise ValueError(f"--max-degree must be a positive integer, got {args.max_degree}")
     tol, tup, report = _start(
         "corollary",
-        {"k": args.k, "seed": args.seed, "lines": args.lines, "max_degree": args.max_degree},
+        {"k": args.k, "seed": args.seed, "max_degree": args.max_degree},
         args,
     )
     if _k_indivisible(report, "outcome", tup, args):
@@ -369,7 +366,7 @@ def cmd_corollary(args) -> int:
     prep = prepare_tuple(tup, tol=tol)
     report["shifts"] = list(prep.shifts)
     span = _monomial_span(prep.tup.matrices, degree_bound, tol)
-    verdict = kth_power_test(span, args.k, n, lines=args.lines, seed=args.seed, tol=tol)
+    verdict = kth_power_test(span, args.k, n, seed=args.seed, tol=tol)
     report["verdict"] = _verdict_to_json(verdict)
     report["outcome"] = "pass" if verdict.is_kth_power else "fail"
     _emit(report, args.out)
@@ -415,7 +412,6 @@ def _build_parser():
         p.add_argument("input", help="tuple file (JSON)")
         p.add_argument("--k", type=int, required=True, help="number of copies to certify")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lines", type=int, default=None, help="random lines per power test")
         p.add_argument("--out", default=None, help="report path (stdout if omitted)")
         p.add_argument(
             "--tol",
@@ -455,8 +451,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 means
+        # "precondition violated" here, so a usage error exits 3
+        return EXIT_PASS if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except ClusterAmbiguity as exc:

@@ -44,7 +44,6 @@ from .linalg import (
     eigendecompose_clustered,
     norm_scale,
     prepare_tuple,
-    shift_to_invertible,
 )
 
 __all__ = [
@@ -180,7 +179,6 @@ def check_word_condition(
     k: int,
     n: int,
     seed: int = 0,
-    lines: int = None,
     tol: Tolerances = DEFAULT,
 ) -> KPowerVerdict:
     """Perfect-power test for the pair pencil of (first generator, word).
@@ -188,9 +186,7 @@ def check_word_condition(
     The word need not be Hermitian; the test is purely polynomial.
     """
     word = realize_word(tup, spec, w)
-    return kth_power_test(
-        [tup.matrices[0], word], k, n, lines=lines, seed=seed, tol=tol
-    )
+    return kth_power_test([tup.matrices[0], word], k, n, seed=seed, tol=tol)
 
 
 # --------------------------------------------------------------------------
@@ -205,21 +201,21 @@ def check_admissibility(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT):
     lines to the single-component perfect-power premise: on the j-th
     coordinate line the spectrum is the reciprocal spectrum of the j-th
     generator, and regularity of the reduced polynomial there means n
-    simple, hence separated, reduced roots.  Generators are shifted to
-    invertible before inspection (a scalar shift moves the intersection
-    points but not their multiplicity pattern).
+    simple, hence separated, reduced roots.  The generators are inspected
+    as given; :func:`analyze` passes them unit-scale and invertible, as
+    :func:`~pencilspec.linalg.prepare_tuple` leaves them (a scalar shift
+    moves the intersection points but not their multiplicity pattern).
 
     Returns ``(ok, diagnostics)``; never raises on a failing tuple.
     """
     if tup.dim % k:
         return False, {"reason": f"k={k} does not divide N={tup.dim}"}
     n = tup.dim // k
-    shifted, shifts = shift_to_invertible(tup, tol=tol)
     per_gen = []
     ok = True
-    for idx, a in enumerate(shifted.matrices):
+    for idx, a in enumerate(tup.matrices):
         scale = norm_scale(a)
-        entry = {"generator": idx + 1, "shift": shifts[idx]}
+        entry = {"generator": idx + 1}
         try:
             sd = eigendecompose_clustered(a, tol=tol)
         except ClusterAmbiguity as exc:
@@ -252,7 +248,7 @@ def check_admissibility(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT):
             )
             ok = False
         per_gen.append(entry)
-    return ok, {"generators": per_gen, "shifts": list(shifts)}
+    return ok, {"generators": per_gen}
 
 
 # --------------------------------------------------------------------------
@@ -276,7 +272,6 @@ class ConditionReport:
     k: int
     mode: str
     seed: int
-    lines: int
     shifts: tuple
     truncated: bool
     detail: str = ""
@@ -290,7 +285,6 @@ def analyze(
     k: int,
     mode: str = "all",
     seed: int = 0,
-    lines: int = None,
     tol: Tolerances = DEFAULT,
 ) -> ConditionReport:
     """Run the full battery and aggregate the outcome.
@@ -299,8 +293,6 @@ def analyze(
     ``seed`` up front, one per check in enumeration order; the adjoint twin
     of an earlier word skips its test and takes that word's verdict.
     """
-    if lines is None:
-        lines = tol.lines
     if tup.m < 2:
         raise ValueError("need at least two generators")
 
@@ -316,7 +308,6 @@ def analyze(
             k=k,
             mode=mode,
             seed=seed,
-            lines=lines,
             shifts=prep.shifts if prep else (),
             truncated=False,
             detail=detail,
@@ -340,9 +331,7 @@ def analyze(
     master = np.random.default_rng(seed)
     sub_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=1 + len(words))]
 
-    full_verdict = kth_power_test(
-        list(shifted.matrices), k, n, lines=lines, seed=sub_seeds[0], tol=tol
-    )
+    full_verdict = kth_power_test(list(shifted.matrices), k, n, seed=sub_seeds[0], tol=tol)
 
     twins = adjoint_twins(words)
     tested = [i for i in range(len(words)) if i not in twins]
@@ -352,7 +341,7 @@ def analyze(
     for row, i in enumerate(tested):
         pencils[row, 1] = realize_word(shifted, spec, words[i])
     seeds = [sub_seeds[1 + i] for i in tested]
-    verdicts = dict(zip(tested, kth_power_batch(pencils, k, n, seeds, lines=lines, tol=tol)))
+    verdicts = dict(zip(tested, kth_power_batch(pencils, k, n, seeds, tol=tol)))
     word_results = tuple((w, verdicts[twins.get(i, i)]) for i, w in enumerate(words))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing
@@ -367,7 +356,6 @@ def analyze(
         k=k,
         mode=mode,
         seed=seed,
-        lines=lines,
         shifts=prep.shifts,
         truncated=truncated,
         detail="" if ok else (full_verdict.failure_reason or f"{len(failing)} failing words"),
@@ -387,7 +375,6 @@ def verify_first_order_identity(
     spec: SpectralData,
     i: int,
     l: int,
-    tol: Tolerances = DEFAULT,
 ) -> float:
     """Residual of the compression identity on one cluster.
 
@@ -402,13 +389,13 @@ def verify_first_order_identity(
         raise IndexOutOfRange(f"cluster index {i} out of range")
     a1 = tup.matrices[0]
     al = tup.matrices[l - 1]
-    slope = branch_derivative([a1, al], spec, i, tol=tol)
+    slope = branch_derivative([a1, al], spec, i)
     c = -float(spec.eigenvalues[i]) * slope
     p = spec.projections[i]
     return float(np.linalg.norm(p @ al @ p - c * p))
 
 
-def verify_cycle_identity(bs, cycle, tol: Tolerances = DEFAULT):
+def verify_cycle_identity(bs, cycle):
     """Check one cycle of block unitaries for unimodular-scalar defect.
 
     ``bs`` is a :class:`~pencilspec.decomposer.BlockStructure`; ``cycle``

@@ -1,6 +1,10 @@
-"""Default tolerances, collected in one place.
+"""The settings that ``analyze``, ``decompose`` and ``corollary`` read, one
+field each; ``--tol NAME=VALUE`` overrides any of them and every report
+echoes the whole block.  Thresholds that only the reference helpers read
+(the coefficient route of :mod:`~pencilspec.charpoly`, the Lagrange
+projection, branch tracking) are constants next to those helpers instead.
 
-``analyze``, ``decompose`` and ``corollary`` run on unit-scale generators:
+The three commands run on unit-scale generators:
 :func:`~pencilspec.linalg.prepare_tuple` divides each one by its spectral
 norm and shifts singular ones, so the spectral bounds below are read
 against norms of order one and verdicts do not depend on the input's scale.
@@ -25,21 +29,15 @@ class Tolerances:
 
     # eigenvalue clustering
     gap_tol: float = 1e-8                 # times max(1, max |eigenvalue|)
-    interpolation_sep_rel: float = 1e-3   # minimum cluster separation for Lagrange
 
     # generator regularization
     singular_eig_rel: float = 1e-10       # below this, shift by ||A|| + 1; span rank cut
 
-    # polynomial machinery
-    prune_rel: float = 5e-12              # drop interpolated coefficients below this
-    degenerate_lead_rel: float = 1e-12    # leading-coefficient cutoff on a line
-    cluster_rel: float = 1e-6             # base root-cluster tolerance, times (1+max|root|)
-
-    # sampling
-    lines: int = 8                        # random lines per power test
+    # sampled k-th-power test
+    cluster_rel: float = 1e-6             # root-cluster tolerance, times (1+max|root|)
+    lines: int = 8                        # random lines per power test (at least 4)
     line_retries: int = 10                # redraws before LineSamplingFailed
     word_cap: int = 10000                 # enumeration cap (flagged, not fatal)
-    branch_eps: float = 1e-4              # step for branch-derivative tracking
 
     # admissibility
     admissible_sep_rel: float = 1e-6      # generator cluster separation

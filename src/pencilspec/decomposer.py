@@ -204,12 +204,13 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
 def extend_closure(bs: BlockStructure, tol: Tolerances = DEFAULT) -> BlockStructure:
     """Close the pair set under ``u_st := u_si u_it`` and verify all cycles.
 
-    New pairs are derived through the lowest available pivot and
-    cross-checked against every other pivot; after the set stabilizes,
-    every 3-cycle inside it must multiply to a unimodular scalar within
-    tolerance (longer cycles telescope through 3-cycles, so this check is
-    complete).  Violations raise :class:`CycleInconsistency` naming the
-    offending cycle with 0-based cluster indices.
+    New pairs are derived through the lowest available pivot; after the
+    set stabilizes, every 3-cycle inside it must multiply to a unimodular
+    scalar within tolerance (longer cycles telescope through 3-cycles, so
+    this check is complete, and it covers every other pivot a pair could
+    have been derived through).  Violations raise
+    :class:`CycleInconsistency` naming the offending 3-cycle with 0-based
+    cluster indices.
     """
     n, k = bs.n, bs.k
     pairs = set(bs.pairs)
@@ -224,17 +225,6 @@ def extend_closure(bs: BlockStructure, tol: Tolerances = DEFAULT) -> BlockStruct
                 if (s, t) in pairs:
                     continue
                 u_st = u[(s, i)] @ u[(i, t)]
-                for p in range(n):
-                    if p == i or (s, p) not in pairs or (p, t) not in pairs:
-                        continue
-                    _, resid = _phase_match(u_st, u[(s, p)] @ u[(p, t)], k)
-                    if resid > tol.structural_tol:
-                        raise CycleInconsistency(
-                            f"pair ({s + 1},{t + 1}) derived through pivots "
-                            f"{i + 1} and {p + 1} disagrees: residual {resid:.3e}",
-                            cycle=(s, i, t, p),
-                            residual=resid,
-                        )
                 pairs.add((s, t))
                 pairs.add((t, s))
                 u[(s, t)] = u_st
@@ -325,19 +315,20 @@ def _scalarize_layer(ul, rotated, n, k):
 def build_block_unitary(
     bs: BlockStructure,
     partition,
-    blocks=None,
-    scales=None,
+    blocks,
+    scales,
     tol: Tolerances = DEFAULT,
 ) -> np.ndarray:
-    """Assemble the block unitary from the closed structure.
+    """Assemble the block unitary from the closed structure and verify it.
 
     Cluster i contributes the diagonal k x k entry ``u[(anchor, i)]``
     (identity on anchors and singletons), where anchor is the largest
     index of i's partition block.  The result is unitary and commutes
-    exactly with the diagonalized first generator.  When the raw
-    ``blocks`` grid and layer ``scales`` are supplied, conjugation is
-    verified to make every block scalar within tolerance; a violation
-    raises :class:`ScalarizationFailed`.
+    exactly with the diagonalized first generator.  Conjugating the raw
+    ``blocks`` grid of :func:`extract_block_structure` by it must turn
+    every k x k block of layer ``l`` into a scalar within
+    ``tol.scalar_block_tol * scales[l]``; a violation raises
+    :class:`ScalarizationFailed`.
     """
     n, k = bs.n, bs.k
     anchor = _anchor_map(partition)
@@ -346,20 +337,16 @@ def build_block_unitary(
         piece = np.eye(k, dtype=np.complex128) if anchor[i] == i else bs.u[(anchor[i], i)]
         udiag[i * k : (i + 1) * k, i * k : (i + 1) * k] = piece
 
-    if blocks is not None:
-        nlayers = blocks.shape[0]
-        if scales is None:
-            scales = [1.0] * nlayers
-        for li in range(nlayers):
-            rot = blocks[li].transpose(0, 2, 1, 3).reshape(n * k, n * k)
-            _, worst, where = _scalarize_layer(udiag, rot, n, k)
-            if worst > tol.scalar_block_tol * scales[li]:
-                raise ScalarizationFailed(
-                    f"generator {li + 2} block ({where[0] + 1},{where[1] + 1}) stays "
-                    f"non-scalar after conjugation: defect {worst:.3e}",
-                    block=(li + 2,) + where,
-                    residual=worst,
-                )
+    for li in range(blocks.shape[0]):
+        rot = blocks[li].transpose(0, 2, 1, 3).reshape(n * k, n * k)
+        _, worst, where = _scalarize_layer(udiag, rot, n, k)
+        if worst > tol.scalar_block_tol * scales[li]:
+            raise ScalarizationFailed(
+                f"generator {li + 2} block ({where[0] + 1},{where[1] + 1}) stays "
+                f"non-scalar after conjugation: defect {worst:.3e}",
+                block=(li + 2,) + where,
+                residual=worst,
+            )
     return udiag
 
 
@@ -428,7 +415,7 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
         bs = unify_layers(blocks, layer_scales, tol=tol)
         bs = extend_closure(bs, tol=tol)
         partition = partition_indices(bs.pairs, n)
-        udiag = build_block_unitary(bs, partition, blocks=blocks, scales=layer_scales, tol=tol)
+        udiag = build_block_unitary(bs, partition, blocks, layer_scales, tol=tol)
         unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
         for a in shifted.matrices[1:]:
             scal, _, _ = _scalarize_layer(udiag, v @ a @ v.conj().T, n, k)

@@ -159,24 +159,20 @@ class SpectralData:
         return self.basis.conj().T
 
 
-def eigendecompose_clustered(a, gap_tol: float = None, tol: Tolerances = DEFAULT) -> SpectralData:
+def eigendecompose_clustered(a, tol: Tolerances = DEFAULT) -> SpectralData:
     """Eigendecompose a Hermitian matrix and cluster its eigenvalues.
 
     Eigenvalues are sorted ascending and split greedily wherever a
-    consecutive gap exceeds ``gap_tol * max(1, ||a||)``.  A gap within a
+    consecutive gap exceeds ``tol.gap_tol * max(1, ||a||)``.  A gap within a
     factor of 10 of that threshold (on either side) makes the clustering
-    ill-defined and raises :class:`ClusterAmbiguity`.
+    ill-defined and raises :class:`ClusterAmbiguity`.  ``a`` must pass the
+    Hermitian check at ``tol.hermitian_rel``.
     """
     a = as_complex_matrix(a)
     _require_hermitian(a, tol)
-    if gap_tol is None:
-        gap_tol = tol.gap_tol
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
-
     w, q = np.linalg.eigh(a)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    threshold = gap_tol * scale
+    threshold = tol.gap_tol * scale
 
     gaps = np.diff(w)
     ambiguous = (gaps > threshold / 10.0) & (gaps < threshold * 10.0)
@@ -209,13 +205,20 @@ def reduced_resolvent(spec: SpectralData, j: int) -> np.ndarray:
     return spec.reduced_resolvents[j]
 
 
-def projection_by_interpolation(a, spec: SpectralData, j: int, tol: Tolerances = DEFAULT) -> np.ndarray:
+# Cluster centers closer than this, times max(1, ||a||), make the Lagrange
+# product formula too ill-conditioned to serve as a cross-check.
+_INTERPOLATION_SEP_REL = 1e-3
+
+
+def projection_by_interpolation(a, spec: SpectralData, j: int) -> np.ndarray:
     """Spectral projection via the Lagrange product formula.
 
     Computes ``prod_{r != j} (a - lam_r I) / prod_{r != j} (lam_j - lam_r)``
     over the cluster centers.  This lives in the algebra generated by ``a``
     itself, unlike the eigenvector construction, and is used as a
-    cross-check of ``spec.projections[j]``.
+    cross-check of ``spec.projections[j]``.  Raises
+    :class:`SeparationTooSmall` when two centers are closer than
+    ``_INTERPOLATION_SEP_REL * max(1, ||a||)``.
     """
     a = as_complex_matrix(a)
     if not 0 <= j < spec.n:
@@ -225,9 +228,9 @@ def projection_by_interpolation(a, spec: SpectralData, j: int, tol: Tolerances =
     if spec.n > 1:
         seps = np.abs(lams[:, None] - lams[None, :])
         min_sep = float(np.min(seps[~np.eye(spec.n, dtype=bool)]))
-        if min_sep < tol.interpolation_sep_rel * scale:
+        if min_sep < _INTERPOLATION_SEP_REL * scale:
             raise SeparationTooSmall(
-                f"cluster separation {min_sep:.3e} below {tol.interpolation_sep_rel * scale:.3e}"
+                f"cluster separation {min_sep:.3e} below {_INTERPOLATION_SEP_REL * scale:.3e}"
             )
     dim = a.shape[0]
     num = np.eye(dim, dtype=np.complex128)

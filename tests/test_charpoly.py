@@ -223,8 +223,9 @@ class TestKthPowerTest:
             kth_power_test([diag(1, 2)], k=2, n=2, seed=0)
 
     def test_needs_four_lines(self):
+        from pencilspec.config import Tolerances
         with pytest.raises(ValueError):
-            kth_power_test([diag(1, 1)], k=2, n=1, lines=2, seed=0)
+            kth_power_test([diag(1, 1)], k=2, n=1, seed=0, tol=Tolerances(lines=2))
 
     def test_deterministic_in_seed(self):
         from pencilspec.instances import gen_decomposable

@@ -174,6 +174,25 @@ class TestAnalyzeCommand:
         assert rep["tolerances"]["cluster_rel"] == 1e-5
         assert rep["tolerances"]["lines"] == 6
 
+    @pytest.mark.parametrize("command", ["analyze", "corollary"])
+    def test_line_count_comes_from_tolerances_only(self, pos_file, tmp_path, command):
+        out = tmp_path / "rep.json"
+        argv = [command, str(pos_file), "--k", "2", "--out", str(out), "--tol", "lines=6"]
+        assert main(argv) == EXIT_PASS
+        rep = json.loads(out.read_text())
+        verdict = rep["full_tuple" if command == "analyze" else "verdict"]
+        assert len(verdict["lines"]) == 6
+        assert "lines" not in rep and "lines" not in rep["parameters"]
+        assert sorted(rep["tolerances"]) == sorted(DEFAULT.as_dict())
+        assert len(rep["tolerances"]) == 12
+
+    def test_admissibility_reports_no_second_shift(self, pos_file, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["analyze", str(pos_file), "--k", "2", "--out", str(out)]) == EXIT_PASS
+        adm = json.loads(out.read_text())["admissibility"]
+        assert list(adm) == ["generators"]
+        assert all("shift" not in entry for entry in adm["generators"])
+
     def test_word_cap_override_truncates(self, pos_file, tmp_path):
         out = tmp_path / "rep.json"
         code = main(
@@ -188,15 +207,20 @@ class TestAnalyzeCommand:
     def test_unknown_tolerance_exits_three(self, pos_file):
         assert main(["analyze", str(pos_file), "--k", "2", "--tol", "bogus=1"]) == EXIT_ERROR
 
-    def test_removed_root_residual_tolerance_exits_three(self, pos_file):
-        argv = ["analyze", str(pos_file), "--k", "2", "--tol", "root_residual_rel=1e-6"]
+    @pytest.mark.parametrize(
+        "name",
+        ["root_residual_rel", "prune_rel", "degenerate_lead_rel", "interpolation_sep_rel",
+         "branch_eps"],
+    )
+    def test_removed_root_residual_tolerance_exits_three(self, pos_file, name):
+        argv = ["analyze", str(pos_file), "--k", "2", "--tol", f"{name}=1e-6"]
         assert main(argv) == EXIT_ERROR
 
     def test_adjoint_twins_listed(self, neg_file, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 4
+        assert rep["version"] == 5
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -435,6 +459,26 @@ class TestArgumentValidation:
         argv = ["corollary", str(pos_file), "--k", "2", "--max-degree", degree, "--out", str(out)]
         assert main(argv) == EXIT_ERROR
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["--k", "two"], ["--k", "2", "--bogus"], ["--k", "2", "--lines", "8"]],
+        ids=["missing-k", "non-integer-k", "unknown-flag", "removed-lines-flag"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
+    def test_usage_error_exits_three(self, pos_file, tmp_path, command, args, capsys):
+        out = tmp_path / "rep.json"
+        assert main([command, str(pos_file), "--out", str(out)] + args) == EXIT_ERROR
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == EXIT_PASS
+        assert "usage:" in capsys.readouterr().out
+
+    def test_missing_subcommand_exits_three(self):
+        assert main([]) == EXIT_ERROR
 
 
 _json_values = st.recursive(

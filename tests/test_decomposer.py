@@ -203,6 +203,22 @@ class TestExtendClosure:
         assert len(err.value.cycle) == 3
         assert err.value.residual == pytest.approx(2.0, abs=1e-9)
 
+    def test_square_cycle_names_a_three_cycle(self):
+        # clusters 0-1-3-2-0 form a square whose holonomy is diag(1, -1), so
+        # no closure of it can consist of unimodular-scalar 3-cycles
+        u02 = haar_unitary(2, 3)
+        edges = {(0, 1): np.eye(2), (0, 2): u02, (1, 3): np.eye(2),
+                 (2, 3): u02.conj().T @ diag(1, -1)}
+        u = {}
+        for (i, j), uij in edges.items():
+            u[(i, j)], u[(j, i)] = uij, uij.conj().T
+        bs = BlockStructure(n=4, k=2, m=2, c=np.zeros((1, 4, 4), dtype=np.complex128),
+                            u=u, pairs=frozenset(u), layer_choice={p: 2 for p in u})
+        with pytest.raises(CycleInconsistency) as err:
+            extend_closure(bs)
+        assert len(err.value.cycle) == 3
+        assert err.value.residual == pytest.approx(2.0, abs=1e-9)
+
     def test_zero_offdiagonal_stays_diagonal(self):
         tup = HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 4, 4)))
         bs, _ = structure_of(tup, close=False)

@@ -94,7 +94,7 @@ class TestEigendecompose:
     def test_ambiguous_gap_raises(self):
         # one gap sits right at the split threshold
         with pytest.raises(ClusterAmbiguity):
-            eigendecompose_clustered(diag(0.0, 1e-8, 1.0), gap_tol=1e-8)
+            eigendecompose_clustered(diag(0.0, 1e-8, 1.0))
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(NotHermitian):

@@ -1,0 +1,62 @@
+"""README's command-line examples, run as written.
+
+Every ``pencilspec ...`` line of the README's command block goes through
+``cli.main`` in a scratch directory, in order, and must exit with the code
+its ``# exits N`` comment states (0 without one).  Every ``--flag`` the
+README names on those lines or in inline code must be one that some
+subcommand accepts.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from pencilspec.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def command_lines():
+    """``(argv, expected exit code)`` per ``pencilspec`` line of the block
+    under the "Command line" heading."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        words = shlex.split(code)
+        if words[:1] != ["pencilspec"]:
+            continue
+        expected = re.match(r"\s*exits (\d)\b", comment)
+        out.append((words[1:], int(expected.group(1)) if expected else 0))
+    return out
+
+
+def test_command_block_is_found():
+    codes = [code for _, code in command_lines()]
+    assert len(codes) >= 6 and {0, 1, 2, 3} <= set(codes)
+
+
+def test_command_block_runs_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in command_lines():
+        assert main(argv) == expected, " ".join(argv)
+        capsys.readouterr()
+
+
+def documented_flags():
+    """Flags on the command lines and in inline code spans of the README."""
+    text = " ".join(re.findall(r"`([^`\n]+)`", README.read_text()))
+    text += " " + " ".join(" ".join(argv) for argv, _ in command_lines())
+    return sorted(set(re.findall(r"--[a-z][a-z-]*", text)))
+
+
+@pytest.mark.parametrize("flag", documented_flags())
+def test_documented_flag_exists(flag, capsys):
+    accepted = set()
+    for command in ("analyze", "decompose", "corollary", "generate"):
+        assert main([command, "--help"]) == 0
+        accepted |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flag in accepted
