@@ -39,7 +39,6 @@ from .conditions import (
     count_words,
     enumerate_words,
     realize_word,
-    verify_cycle_identity,
     verify_first_order_identity,
 )
 from .decomposer import (
@@ -52,6 +51,7 @@ from .decomposer import (
     factor_block,
     partition_indices,
     unify_layers,
+    verify_cycle_identity,
     verify_decomposition,
 )
 from .instances import (

@@ -463,8 +463,6 @@ def kth_power_batch(
         raise ValueError("need one seed per pencil")
     if k < 1 or n < 1 or n * k != dim:
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
-    if tol.lines < 4:
-        raise ValueError("need at least 4 sample lines")
     chunk = max(1, _BATCH_ENTRIES // (tol.lines * dim * dim))
     verdicts = []
     for start in range(0, len(seeds), chunk):

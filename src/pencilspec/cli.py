@@ -5,12 +5,19 @@ Exit codes are a stable contract:
 
 * 0 - conditions hold / command succeeded,
 * 1 - spectral conditions fail (including structural splitting failures),
-* 2 - precondition violated (k does not divide N, wrong spectrum pattern,
-  tuple not admissible),
+* 2 - precondition violated (k does not divide N; for ``analyze`` and
+  ``decompose`` also a first generator without N/k clusters of size k or
+  with an ambiguous eigenvalue gap; for ``analyze`` a tuple that is not
+  admissible); every exit 2 writes a report naming the violation,
 * 3 - I/O trouble, malformed input, numerical breakdown, or invalid
   arguments: usage errors (a missing or unknown flag, a value of the wrong
-  type), ``--k`` or ``--max-degree`` below 1, and tolerances that are not
-  finite and positive.  ``--help`` exits 0.
+  type, ``--k`` or ``--max-degree`` below 1) and tolerances that
+  :class:`~pencilspec.config.Tolerances` rejects.  ``--help`` exits 0.
+
+Each input is checked once, where it enters: arguments by the parser,
+tolerances when :class:`~pencilspec.config.Tolerances` is built, and ``k``
+against the tuple by :func:`~pencilspec.linalg.prepare_tuple` (``corollary``
+needs only ``k | N``, which it checks itself).  An exit 3 writes no report.
 
 ``corollary`` runs the power test on an orthonormal basis of the monomial
 span (at most ``N^2`` matrices), so it has no cap on the family size.
@@ -28,6 +35,7 @@ under ``adjoint_of``.  No environment variable changes the reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -41,20 +49,13 @@ from .charpoly import kth_power_test
 from .conditions import ConditionReport, analyze
 from .config import DEFAULT, Tolerances
 from .decomposer import decompose, verify_decomposition
-from .errors import (
-    ClusterAmbiguity,
-    DecompositionError,
-    LineSamplingFailed,
-    NotHermitian,
-    SpectralError,
-    SpectrumPatternViolation,
-)
+from .errors import ClusterAmbiguity, DecompositionError, SpectralError, SpectrumPatternViolation
 from .instances import gen_commuting, gen_conjugate_negative, gen_decomposable
 from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -206,17 +207,14 @@ def _emit(report, out_path):
 
 
 def _tolerances_from_overrides(pairs):
-    if not pairs:
-        return DEFAULT
-    values = {}
     valid = DEFAULT.as_dict()
-    for item in pairs:
+    values = {}
+    for item in pairs or ():
         key, _, raw = item.partition("=")
         if key not in valid:
             raise ValueError(f"unknown tolerance name {key!r}")
         values[key] = type(valid[key])(raw)
-    merged = {**valid, **values}
-    return Tolerances(**merged)
+    return dataclasses.replace(DEFAULT, **values)
 
 
 def _analyze_report_body(report: ConditionReport):
@@ -241,18 +239,11 @@ def _analyze_report_body(report: ConditionReport):
     }
 
 
-def _k_indivisible(report, verdict_key, tup: HermitianTuple, args) -> bool:
-    """Validate ``--k``.  When k does not divide N, write the
-    precondition-violated report (verdict under ``verdict_key``) and return
-    True."""
-    if args.k < 1:
-        raise ValueError(f"--k must be a positive integer, got {args.k}")
-    if tup.dim % args.k == 0:
-        return False
-    report[verdict_key] = "precondition_violated"
-    report["detail"] = f"k={args.k} does not divide N={tup.dim}"
-    _emit(report, args.out)
-    return True
+def _precondition_violated(report, detail, out) -> int:
+    report["outcome"] = "precondition_violated"
+    report["detail"] = detail
+    _emit(report, out)
+    return EXIT_PRECONDITION
 
 
 def _start(command, parameters, args):
@@ -270,8 +261,6 @@ def cmd_analyze(args) -> int:
     tol, tup, report = _start(
         "analyze", {"k": args.k, "mode": args.mode, "seed": args.seed}, args
     )
-    if _k_indivisible(report, "overall", tup, args):
-        return EXIT_PRECONDITION
     cond = analyze(tup, args.k, mode=args.mode, seed=args.seed, tol=tol)
     report.update(_analyze_report_body(cond))
     _emit(report, args.out)
@@ -284,15 +273,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     tol, tup, report = _start("decompose", {"k": args.k, "seed": args.seed}, args)
-    if _k_indivisible(report, "outcome", tup, args):
-        return EXIT_PRECONDITION
     try:
         result = decompose(tup, args.k, tol=tol)
-    except SpectrumPatternViolation as exc:
-        report["outcome"] = "precondition_violated"
-        report["detail"] = str(exc)
-        _emit(report, args.out)
-        return EXIT_PRECONDITION
+    except (SpectrumPatternViolation, ClusterAmbiguity) as exc:
+        return _precondition_violated(report, str(exc), args.out)
     except DecompositionError as exc:
         report["outcome"] = "conditions_violated"
         report["violated_condition"] = type(exc).__name__
@@ -347,15 +331,17 @@ def _monomial_span(mats, max_degree, tol):
 
 
 def cmd_corollary(args) -> int:
-    if args.max_degree is not None and args.max_degree < 1:
-        raise ValueError(f"--max-degree must be a positive integer, got {args.max_degree}")
     tol, tup, report = _start(
         "corollary",
         {"k": args.k, "seed": args.seed, "max_degree": args.max_degree},
         args,
     )
-    if _k_indivisible(report, "outcome", tup, args):
-        return EXIT_PRECONDITION
+    # k | N is the corollary's only precondition: it has no admissibility
+    # hypothesis, so the first generator's pattern is not required
+    if tup.dim % args.k:
+        return _precondition_violated(
+            report, f"k={args.k} does not divide N={tup.dim}", args.out
+        )
     n = tup.dim // args.k
     degree_bound = n * n - n + 1
     if args.max_degree is not None:
@@ -397,6 +383,17 @@ def cmd_generate(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _positive_int(text):
+    """argparse type of ``--k`` and ``--max-degree``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pencilspec",
@@ -410,7 +407,9 @@ def _build_parser():
 
     def common(p):
         p.add_argument("input", help="tuple file (JSON)")
-        p.add_argument("--k", type=int, required=True, help="number of copies to certify")
+        p.add_argument(
+            "--k", type=_positive_int, required=True, help="number of copies to certify"
+        )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report path (stdout if omitted)")
         p.add_argument(
@@ -436,7 +435,7 @@ def _build_parser():
 
     p_co = sub.add_parser("corollary", help="monomial-family certificate (no admissibility hypothesis)")
     common(p_co)
-    p_co.add_argument("--max-degree", type=int, default=None)
+    p_co.add_argument("--max-degree", type=_positive_int, default=None)
     p_co.set_defaults(func=cmd_corollary)
 
     p_ge = sub.add_parser("generate", help="write a seeded instance to a tuple file")
@@ -459,16 +458,9 @@ def main(argv=None) -> int:
         return EXIT_PASS if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except ClusterAmbiguity as exc:
-        sys.stderr.write(f"precondition violated: {exc}\n")
-        return EXIT_PRECONDITION
-    except (OSError, ValueError, json.JSONDecodeError, NotHermitian) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except LineSamplingFailed as exc:
-        sys.stderr.write(f"numerical breakdown: {exc}\n")
-        return EXIT_ERROR
-    except SpectralError as exc:
+    except (OSError, ValueError, SpectralError) as exc:
+        # json.JSONDecodeError is a ValueError; NotHermitian and
+        # LineSamplingFailed are SpectralErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

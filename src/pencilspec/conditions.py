@@ -32,12 +32,8 @@ import numpy as np
 
 from .charpoly import KPowerVerdict, branch_derivative, kth_power_batch, kth_power_test
 from .config import DEFAULT, Tolerances
-from .errors import (
-    ClusterAmbiguity,
-    IndexOutOfRange,
-    SpectrumPatternViolation,
-    ZeroCoefficientOnCycle,
-)
+from .decomposer import verify_cycle_identity  # re-exported next to the other identity check
+from .errors import ClusterAmbiguity, IndexOutOfRange, SpectrumPatternViolation
 from .linalg import (
     HermitianTuple,
     SpectralData,
@@ -107,21 +103,20 @@ def count_words(n: int, m: int, mode: str = "all") -> int:
     return sum((m - 1) ** (r + 1) * arrangements(n, r) for r in range(n))
 
 
-def enumerate_words(n: int, m: int, mode: str = "all", cap: int = None):
+def enumerate_words(n: int, m: int, mode: str = "all", tol: Tolerances = DEFAULT):
     """All words with r <= n-1 distinct projection labels.
 
     ``mode="all"`` walks every ordered tuple of distinct projections (the
     hypothesis of the splitting theorem); ``mode="proof_core"`` keeps one
     representative per projection subset (strictly increasing labels), the
     words the constructive argument actually consumes.  Returns
-    ``(words, truncated)``; enumeration stops silently at ``cap``.
+    ``(words, truncated)``; enumeration stops at ``tol.word_cap`` words and
+    flags the cut in ``truncated``.
     """
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
     if mode not in ("all", "proof_core"):
         raise ValueError(f"unknown mode {mode!r}")
-    if cap is None:
-        cap = DEFAULT.word_cap
     words = []
     truncated = False
     for r in range(n):
@@ -131,7 +126,7 @@ def enumerate_words(n: int, m: int, mode: str = "all", cap: int = None):
             proj_iter = combinations(range(1, n + 1), r)
         for projections in proj_iter:
             for letters in product(range(2, m + 1), repeat=r + 1):
-                if len(words) >= cap:
+                if len(words) >= tol.word_cap:
                     truncated = True
                     return words, truncated
                 words.append(WordSpec(letters=letters, projections=projections))
@@ -317,9 +312,7 @@ def analyze(
 
     try:
         prep = prepare_tuple(tup, k, tol=tol)
-    except ClusterAmbiguity as exc:
-        return bail(f"first generator: {exc}")
-    except SpectrumPatternViolation as exc:
+    except (ClusterAmbiguity, SpectrumPatternViolation) as exc:
         return bail(str(exc))
     shifted, spec, n = prep.tup, prep.spec, prep.spec.n
 
@@ -327,7 +320,7 @@ def analyze(
     if not admissible_ok:
         return bail("tuple is not admissible", precondition_ok=True, adm=adm, prep=prep)
 
-    words, truncated = enumerate_words(n, tup.m, mode=mode, cap=tol.word_cap)
+    words, truncated = enumerate_words(n, tup.m, mode=mode, tol=tol)
     master = np.random.default_rng(seed)
     sub_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=1 + len(words))]
 
@@ -393,31 +386,3 @@ def verify_first_order_identity(
     c = -float(spec.eigenvalues[i]) * slope
     p = spec.projections[i]
     return float(np.linalg.norm(p @ al @ p - c * p))
-
-
-def verify_cycle_identity(bs, cycle):
-    """Check one cycle of block unitaries for unimodular-scalar defect.
-
-    ``bs`` is a :class:`~pencilspec.decomposer.BlockStructure`; ``cycle``
-    is a sequence of distinct 0-based cluster indices.  Returns
-    ``(theta, residual)`` where ``theta`` is the least-squares phase
-    (argument of the normalized trace) and ``residual`` the Frobenius
-    distance of the cycle product from ``exp(i theta) I``.
-    """
-    cyc = tuple(int(j) for j in cycle)
-    if len(set(cyc)) != len(cyc) or not cyc:
-        raise ValueError("cycle must be a non-empty tuple of distinct indices")
-    k = bs.k
-    prod = np.eye(k, dtype=np.complex128)
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        if a == b:
-            continue
-        if (a, b) not in bs.pairs:
-            raise ZeroCoefficientOnCycle(
-                f"pair of clusters ({a + 1}, {b + 1}) carries no nonzero block"
-            )
-        prod = prod @ bs.u[(a, b)]
-    tr = complex(np.trace(prod)) / k
-    theta = float(np.angle(tr)) if tr != 0 else 0.0
-    residual = float(np.linalg.norm(prod - np.exp(1j * theta) * np.eye(k)))
-    return theta, residual

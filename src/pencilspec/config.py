@@ -14,7 +14,8 @@ read in the input's units.
 The ladder deliberately leaves about two decades between detection
 thresholds (structural tests) and acceptance thresholds (final residuals)
 so one noisy stage cannot cascade into a false failure.  Every value must
-be finite and positive.
+be finite and positive, and ``lines`` at least 4; a :class:`Tolerances`
+that breaks either rule is never built, so no reader checks them again.
 """
 
 import math
@@ -51,6 +52,8 @@ class Tolerances:
         for name, value in asdict(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
+        if self.lines < 4:
+            raise ValueError(f"tolerance lines must be at least 4, got {self.lines}")
 
     def as_dict(self):
         return asdict(self)

@@ -22,7 +22,7 @@ tuple that does not split never produces a silently wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -35,6 +35,7 @@ from .errors import (
     PartitionInconsistency,
     ScalarizationFailed,
     SpectrumPatternViolation,
+    ZeroCoefficientOnCycle,
 )
 from .linalg import HermitianTuple, SpectralData, norm_scale, prepare_tuple
 
@@ -46,6 +47,7 @@ __all__ = [
     "unify_layers",
     "extend_closure",
     "partition_indices",
+    "verify_cycle_identity",
     "build_block_unitary",
     "decompose",
     "verify_decomposition",
@@ -71,6 +73,35 @@ class BlockStructure:
     u: dict
     pairs: frozenset
     layer_choice: dict
+
+
+def verify_cycle_identity(bs: BlockStructure, cycle):
+    """Check one cycle of block unitaries for unimodular-scalar defect.
+
+    ``cycle`` is a sequence of distinct 0-based cluster indices.  Returns
+    ``(theta, residual)`` where ``theta`` is the least-squares phase
+    (argument of the normalized trace) and ``residual`` the Frobenius
+    distance of the cycle product from ``exp(i theta) I``.  Raises
+    :class:`ZeroCoefficientOnCycle` when a step of the cycle carries no
+    block unitary.
+    """
+    cyc = tuple(int(j) for j in cycle)
+    if len(set(cyc)) != len(cyc) or not cyc:
+        raise ValueError("cycle must be a non-empty tuple of distinct indices")
+    k = bs.k
+    prod = np.eye(k, dtype=np.complex128)
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        if a == b:
+            continue
+        if (a, b) not in bs.pairs:
+            raise ZeroCoefficientOnCycle(
+                f"pair of clusters ({a + 1}, {b + 1}) carries no nonzero block"
+            )
+        prod = prod @ bs.u[(a, b)]
+    tr = complex(np.trace(prod)) / k
+    theta = float(np.angle(tr)) if tr != 0 else 0.0
+    residual = float(np.linalg.norm(prod - np.exp(1j * theta) * np.eye(k)))
+    return theta, residual
 
 
 def extract_block_structure(tup: HermitianTuple, spec: SpectralData) -> np.ndarray:
@@ -212,7 +243,7 @@ def extend_closure(bs: BlockStructure, tol: Tolerances = DEFAULT) -> BlockStruct
     :class:`CycleInconsistency` naming the offending 3-cycle with 0-based
     cluster indices.
     """
-    n, k = bs.n, bs.k
+    n = bs.n
     pairs = set(bs.pairs)
     u = dict(bs.u)
 
@@ -231,12 +262,10 @@ def extend_closure(bs: BlockStructure, tol: Tolerances = DEFAULT) -> BlockStruct
                 u[(t, s)] = u_st.conj().T
                 changed = True
 
+    closed = replace(bs, u=u, pairs=frozenset(pairs))
     for i, j, l in combinations(range(n), 3):
         if (i, j) in pairs and (j, l) in pairs and (l, i) in pairs:
-            prod = u[(i, j)] @ u[(j, l)] @ u[(l, i)]
-            tr = complex(np.trace(prod)) / k
-            theta = float(np.angle(tr)) if tr != 0 else 0.0
-            resid = float(np.linalg.norm(prod - np.exp(1j * theta) * np.eye(k)))
+            _, resid = verify_cycle_identity(closed, (i, j, l))
             if resid > tol.structural_tol:
                 raise CycleInconsistency(
                     f"cycle through clusters ({i + 1},{j + 1},{l + 1}) is not a "
@@ -244,16 +273,7 @@ def extend_closure(bs: BlockStructure, tol: Tolerances = DEFAULT) -> BlockStruct
                     cycle=(i, j, l),
                     residual=resid,
                 )
-
-    return BlockStructure(
-        n=n,
-        k=k,
-        m=bs.m,
-        c=bs.c,
-        u=u,
-        pairs=frozenset(pairs),
-        layer_choice=dict(bs.layer_choice),
-    )
+    return closed
 
 
 def partition_indices(pairs, n: int):
@@ -399,27 +419,24 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     The caller is expected to have run the condition analysis; only the
     cheap spectral precondition is re-validated here.  The pipeline runs on
     the prepared (unit-scale, invertible) tuple; the reduced tuple, the
-    eigenvalues and the shifts are returned in the input's units.
+    eigenvalues and the shifts are returned in the input's units.  ``k = 1``
+    takes the same path: every 1 x 1 block is a scalar times a phase, so
+    the block unitary is a diagonal of phases and every such tuple splits.
     """
     prep = prepare_tuple(tup, k, tol=tol)
     shifted, spec, n = prep.tup, prep.spec, prep.spec.n
     v = spec.rotation()
     layer_scales = [norm_scale(a) for a in shifted.matrices[1:]]
 
-    if k == 1:
-        udiag = np.eye(tup.dim, dtype=np.complex128)
-        partition = tuple((i,) for i in range(n))
-        unit_reduced = [_hermitized(v @ a @ v.conj().T) for a in shifted.matrices]
-    else:
-        blocks = extract_block_structure(shifted, spec)
-        bs = unify_layers(blocks, layer_scales, tol=tol)
-        bs = extend_closure(bs, tol=tol)
-        partition = partition_indices(bs.pairs, n)
-        udiag = build_block_unitary(bs, partition, blocks, layer_scales, tol=tol)
-        unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
-        for a in shifted.matrices[1:]:
-            scal, _, _ = _scalarize_layer(udiag, v @ a @ v.conj().T, n, k)
-            unit_reduced.append(_hermitized(scal))
+    blocks = extract_block_structure(shifted, spec)
+    bs = unify_layers(blocks, layer_scales, tol=tol)
+    bs = extend_closure(bs, tol=tol)
+    partition = partition_indices(bs.pairs, n)
+    udiag = build_block_unitary(bs, partition, blocks, layer_scales, tol=tol)
+    unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
+    for a in shifted.matrices[1:]:
+        scal, _, _ = _scalarize_layer(udiag, v @ a @ v.conj().T, n, k)
+        unit_reduced.append(_hermitized(scal))
 
     reduced = HermitianTuple(tuple(
         c * b - mu * np.eye(n) for b, c, mu in zip(unit_reduced, prep.scales, prep.shifts)

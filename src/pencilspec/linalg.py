@@ -6,9 +6,9 @@ Matrices are plain ``numpy`` complex128 arrays throughout; the only wrapped
 type is :class:`HermitianTuple`, which pins down the pencil generators
 ``A_1, ..., A_m`` and validates them once at construction.
 :func:`prepare_tuple` is the one entry of ``analyze``, ``decompose`` and
-``corollary``: it decides scale, invertibility and the first generator's
-spectral pattern in one place.  Everything here is pure and safe to share
-across threads.
+``corollary``: it decides scale, invertibility and, for a split into ``k``
+copies, whether k divides N and the first generator's spectral pattern, in
+one place.  Everything here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -311,8 +311,10 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
     splits into identical copies (``x_l -> x_l / c_l`` keeps a perfect power
     a perfect power), so verdicts do not depend on the generators' scales.
     With ``k``, also check that k divides N and that the first generator has
-    N/k eigenvalue clusters of size k; :class:`SpectrumPatternViolation`
-    otherwise.
+    N/k eigenvalue clusters of size k, raising
+    :class:`SpectrumPatternViolation` otherwise, or :class:`ClusterAmbiguity`
+    when its clusters are ill-defined.  This is the one place those
+    preconditions of ``analyze`` and ``decompose`` are checked.
     """
     if k is not None:
         if k < 1:
@@ -326,7 +328,10 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
     if k is None:
         return PreparedTuple(shifted, scales, shifts)
     n = tup.dim // k
-    spec = eigendecompose_clustered(shifted.matrices[0], tol=tol)
+    try:
+        spec = eigendecompose_clustered(shifted.matrices[0], tol=tol)
+    except ClusterAmbiguity as exc:
+        raise ClusterAmbiguity(f"first generator: {exc}") from None
     if spec.multiplicities != (k,) * n:
         raise SpectrumPatternViolation(
             f"first generator has cluster sizes {list(spec.multiplicities)}, "

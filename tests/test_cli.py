@@ -220,7 +220,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 5
+        assert rep["version"] == 6
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -432,7 +432,79 @@ class TestCorollaryCommand:
         assert rep["verdict"]["is_kth_power"] is False
 
 
+def _tuple_file(tmp_path, *diagonals):
+    path = tmp_path / "t.json"
+    save_tuple(str(path), HermitianTuple(tuple(np.diag(np.array(d, float)) for d in diagonals)))
+    return path
+
+
+_VIOLATIONS = {
+    # N = 4 with k = 3
+    "k-does-not-divide-N": ((1, 1, 2, 2), (3, 3, 4, 4)),
+    # first generator clusters of sizes 1, 1, 2
+    "wrong-first-pattern": ((1, 2, 3, 3), (3, 3, 4, 4)),
+    # a gap of 1e-8 after scaling, at the clustering threshold
+    "ambiguous-gap": ((1, 1 + 2e-8, 2, 2), (3, 3, 4, 4)),
+    # second generator clusters of sizes 1, 1, 2
+    "not-admissible": ((1, 1, 2, 2), (3, 4, 5, 5)),
+}
+
+
+class TestPreconditionReports:
+    @pytest.mark.parametrize(
+        "command, violation",
+        [(c, "k-does-not-divide-N") for c in ("analyze", "decompose", "corollary")]
+        + [(c, v) for c in ("analyze", "decompose")
+           for v in ("wrong-first-pattern", "ambiguous-gap")]
+        + [("analyze", "not-admissible")],
+    )
+    def test_every_exit_two_writes_a_report(self, pos_file, tmp_path, command, violation):
+        path = _tuple_file(tmp_path, *_VIOLATIONS[violation])
+        k = "3" if violation == "k-does-not-divide-N" else "2"
+        out = tmp_path / "rep.json"
+        assert main([command, str(path), "--k", k, "--out", str(out)]) == EXIT_PRECONDITION
+        rep = json.loads(out.read_text())
+        verdict = rep["overall" if command == "analyze" else "outcome"]
+        assert verdict == "precondition_violated"
+        assert rep["detail"]
+        if command == "analyze":
+            # the same body as a passing analyze report
+            passing = tmp_path / "pass.json"
+            assert main(["analyze", str(pos_file), "--k", "2", "--out", str(passing)]) == 0
+            assert sorted(rep) == sorted(json.loads(passing.read_text()))
+
+    def test_ambiguous_gap_names_the_first_generator(self, tmp_path):
+        path = _tuple_file(tmp_path, *_VIOLATIONS["ambiguous-gap"])
+        details = []
+        for command in ("analyze", "decompose"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, str(path), "--k", "2", "--out", str(out)]) == EXIT_PRECONDITION
+            details.append(json.loads(out.read_text())["detail"])
+        assert details[0] == details[1]
+        assert details[0].startswith("first generator: eigenvalue gap")
+
+
 class TestArgumentValidation:
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
+    @pytest.mark.parametrize("violation", [None, "not-admissible"])
+    def test_too_few_lines_exits_three(self, pos_file, tmp_path, command, violation):
+        path = _tuple_file(tmp_path, *_VIOLATIONS[violation]) if violation else pos_file
+        out = tmp_path / "rep.json"
+        argv = [command, str(path), "--k", "2", "--tol", "lines=3", "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("analyze", "--k"), ("decompose", "--k"), ("corollary", "--k"),
+         ("corollary", "--max-degree")],
+    )
+    def test_nonpositive_integer_is_a_usage_error(self, tmp_path, command, flag, capsys):
+        # rejected by the parser, before the (missing) input file is opened
+        argv = [command, str(tmp_path / "missing.json"), "--k", "2", flag, "0"]
+        assert main(argv) == EXIT_ERROR
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
     @pytest.mark.parametrize(
         "override",

@@ -16,6 +16,7 @@ from pencilspec.conditions import (
     verify_cycle_identity,
     verify_first_order_identity,
 )
+from pencilspec.config import Tolerances
 from pencilspec.decomposer import extract_block_structure, unify_layers
 from pencilspec.errors import IndexOutOfRange, ZeroCoefficientOnCycle
 from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
@@ -68,7 +69,7 @@ class TestEnumeration:
         for n in range(1, 6):
             for m in range(2, 5):
                 for mode in ("all", "proof_core"):
-                    words, truncated = enumerate_words(n, m, mode=mode, cap=10**6)
+                    words, truncated = enumerate_words(n, m, mode=mode, tol=Tolerances(word_cap=10**6))
                     assert not truncated
                     assert len(words) == count_words(n, m, mode)
         with pytest.raises(ValueError):
@@ -80,7 +81,7 @@ class TestEnumeration:
         assert got == {((2,), ()), ((2, 2), (1,)), ((2, 2), (2,))}
 
     def test_cap_flags_truncation(self):
-        words, truncated = enumerate_words(3, 3, mode="all", cap=10)
+        words, truncated = enumerate_words(3, 3, mode="all", tol=Tolerances(word_cap=10))
         assert len(words) == 10 and truncated
 
     def test_counts_match_closed_form_battery(self):

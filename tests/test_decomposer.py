@@ -323,10 +323,16 @@ class TestDecompose:
         assert len(err.value.cycle) == 3
 
     def test_degenerate_k1(self):
+        # k = 1 runs the general pipeline: each 1 x 1 block is a phase
         tup, _ = gen_decomposable(3, 1, 2, seed=37)
         res = decompose(tup, 1)
-        assert np.allclose(res.block_unitary, np.eye(3))
+        u = res.block_unitary
+        assert np.array_equal(u, np.diag(np.diag(u)))
+        assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
+        lam = np.diag(res.eigenvalues + res.shifts[0])
+        assert np.linalg.norm(u @ lam - lam @ u) <= 1e-9
         assert res.residual <= 1e-8
+        assert verify_decomposition(tup, res)["ok"]
 
     def test_wrong_k_rejected(self):
         tup, _ = gen_decomposable(3, 2, 2, seed=1)

@@ -4,7 +4,8 @@ Every ``pencilspec ...`` line of the README's command block goes through
 ``cli.main`` in a scratch directory, in order, and must exit with the code
 its ``# exits N`` comment states (0 without one).  Every ``--flag`` the
 README names on those lines or in inline code must be one that some
-subcommand accepts.
+subcommand accepts, and the report version README states must be the
+one the program writes.
 """
 
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pencilspec.cli import main
+from pencilspec.cli import FORMAT_VERSION, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -60,3 +61,8 @@ def test_documented_flag_exists(flag, capsys):
         assert main([command, "--help"]) == 0
         accepted |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert flag in accepted
+
+
+def test_stated_report_version_is_current():
+    stated = re.findall(r'"version": (\d+)', README.read_text())
+    assert stated and {int(v) for v in stated} == {FORMAT_VERSION}
