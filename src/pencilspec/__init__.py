@@ -7,12 +7,10 @@ from .linalg import (
     HermitianTuple,
     SpectralData,
     apply_tuple_map,
-    conjugate,
     direct_sum_k_copies,
     eigendecompose_clustered,
     prepare_tuple,
     projection_by_interpolation,
-    reduced_resolvent,
     shift_to_invertible,
 )
 from .charpoly import (
@@ -35,7 +33,6 @@ from .conditions import (
     adjoint_twins,
     analyze,
     check_admissibility,
-    check_word_condition,
     count_words,
     enumerate_words,
     realize_word,

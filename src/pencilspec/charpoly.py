@@ -69,13 +69,6 @@ class UniPoly:
             raise ValueError("coefficients must be a non-empty 1-d array")
         object.__setattr__(self, "coeffs", c)
 
-    @classmethod
-    def from_roots(cls, roots, leading=1.0):
-        c = np.atleast_1d(np.asarray([leading], dtype=np.complex128))
-        for r in np.atleast_1d(np.asarray(roots, dtype=np.complex128)):
-            c = np.convolve(c, np.array([-r, 1.0], dtype=np.complex128))
-        return cls(c)
-
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
@@ -318,8 +311,11 @@ def cluster_roots(roots, tol: float):
 class KPowerVerdict:
     """Outcome of the sampled perfect-power test.
 
-    ``per_line_clusters`` records, per sampled line, the integer seed it was
-    drawn from, the cluster sizes found, and the worst intra-cluster spread.
+    ``per_line_clusters`` records, per sampled line, ``(redraws,
+    cluster_sizes, spread)``: how many times the line was redrawn because its
+    direction pencil was too ill-conditioned, the cluster sizes found, and
+    the worst intra-cluster spread.  With the pencil's seed, the redraw
+    counts pin every line (see :func:`kth_power_batch`).
     """
 
     is_kth_power: bool
@@ -330,10 +326,12 @@ class KPowerVerdict:
     failure_reason: str = ""
 
 
-def _draw_line(rng, m):
-    a = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-    d = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-    return a, d
+def _draw_lines(rng, lines, m):
+    """``(bases, dirs)`` of ``lines`` random complex lines in m variables,
+    each ``(lines, m)`` with standard complex Gaussian entries, from one
+    call of ``rng``."""
+    z = rng.standard_normal((2, 2, lines, m))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
 # A direction pencil this ill-conditioned effectively meets the variety's
@@ -375,22 +373,17 @@ def _line_roots_via_pencil(gens, bases, dirs):
 def _verdict_chunk(gens, k, n, seeds, tol):
     """Power-test verdicts for one chunk of pencils (see :func:`kth_power_batch`)."""
     m, dim, lines = gens.shape[1], gens.shape[-1], tol.lines
-    line_seeds = [
-        [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=lines)]
-        for seed in seeds
-    ]
-    rngs = [[np.random.default_rng(s) for s in row] for row in line_seeds]
-    draws = [[_draw_line(r, m) for r in row] for row in rngs]
-    bases = np.array([[a for a, _ in row] for row in draws])
-    dirs = np.array([[d for _, d in row] for row in draws])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    bases, dirs = np.stack([_draw_lines(rng, lines, m) for rng in rngs], axis=1)
     roots, good = _line_roots_via_pencil(gens, bases, dirs)
 
+    redraws = np.zeros(good.shape, dtype=int)
     for p, li in zip(*np.nonzero(~good)):
-        for _ in range(tol.line_retries):
-            a, d = _draw_line(rngs[p][li], m)
-            redraw, ok = _line_roots_via_pencil(gens[p : p + 1], a[None, None], d[None, None])
+        for tries in range(1, tol.line_retries + 1):
+            a, d = _draw_lines(rngs[p], 1, m)
+            redraw, ok = _line_roots_via_pencil(gens[p : p + 1], a[None], d[None])
             if ok[0, 0]:
-                roots[p, li] = redraw[0, 0]
+                roots[p, li], redraws[p, li] = redraw[0, 0], tries
                 break
         else:
             raise LineSamplingFailed(
@@ -416,7 +409,7 @@ def _verdict_chunk(gens, k, n, seeds, tol):
             else:
                 clusters = _ordered_clusters(roots[p, li], same[p, li])
                 profile = tuple(int(c.size) for c in clusters)
-            records.append((line_seeds[p][li], profile, float(spreads[p, li])))
+            records.append((int(redraws[p, li]), profile, float(spreads[p, li])))
         bad = np.flatnonzero(~line_ok[p])
         reason = ""
         if bad.size:
@@ -447,13 +440,15 @@ def kth_power_batch(
 
     ``gens`` holds P pencils of m generators each, shape ``(P, m, N, N)``,
     and ``seeds`` one seed per pencil.  Each pencil is restricted to
-    ``tol.lines`` random complex lines (sub-seed per line fixed up front from
-    its seed, so the outcome does not depend on evaluation order or on the
-    rest of the stack), and every line must show root clusters whose sizes
-    are all multiples of k, with intra-cluster spread below the cluster
-    tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
-    every ``e_j``, so a base with repeated factors passes.  Returns one
-    :class:`KPowerVerdict` per pencil.
+    ``tol.lines`` random complex lines drawn from one generator seeded with
+    its seed: all first lines in one draw, then each redraw of a line whose
+    direction pencil is too ill-conditioned, in line order, from the same
+    generator.  The outcome therefore depends neither on evaluation order
+    nor on the rest of the stack.  Every line must show root clusters whose
+    sizes are all multiples of k, with intra-cluster spread below the
+    cluster tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k
+    divides every ``e_j``, so a base with repeated factors passes.  Returns
+    one :class:`KPowerVerdict` per pencil.
     """
     gens = np.asarray(gens, dtype=np.complex128)
     if gens.ndim != 4 or gens.shape[-1] != gens.shape[-2]:

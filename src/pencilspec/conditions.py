@@ -16,10 +16,11 @@ them on the tuple as :func:`~pencilspec.linalg.prepare_tuple` leaves it (unit
 scale, invertible), which also checks the precondition.  The words are
 realized up front and tested in one call of
 :func:`~pencilspec.charpoly.kth_power_batch`, each on its own sub-seed drawn
-from the master seed, so a verdict does not depend on the rest of the
-battery; no environment variable (thread count or other) affects them.  A
-word whose adjoint comes earlier in the enumeration shares that word's
-verdict instead of being tested (see :func:`adjoint_twins`).
+from the master seed.  A word's lines, redraws included, all come from one
+generator seeded with its sub-seed, so a verdict does not depend on the
+rest of the battery; no environment variable (thread count or other)
+affects them.  A word whose adjoint comes earlier in the enumeration shares
+that word's verdict instead of being tested (see :func:`adjoint_twins`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "count_words",
     "realize_word",
     "adjoint_twins",
-    "check_word_condition",
     "check_admissibility",
     "analyze",
     "verify_first_order_identity",
@@ -165,23 +165,6 @@ def adjoint_twins(words) -> dict:
         else:
             twins[i] = j
     return twins
-
-
-def check_word_condition(
-    tup: HermitianTuple,
-    spec: SpectralData,
-    w: WordSpec,
-    k: int,
-    n: int,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT,
-) -> KPowerVerdict:
-    """Perfect-power test for the pair pencil of (first generator, word).
-
-    The word need not be Hermitian; the test is purely polynomial.
-    """
-    word = realize_word(tup, spec, w)
-    return kth_power_test([tup.matrices[0], word], k, n, seed=seed, tol=tol)
 
 
 # --------------------------------------------------------------------------

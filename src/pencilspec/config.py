@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Hermiticity / unitarity admission checks
+    # Hermiticity admission check; unitarity of a decomposition's transform
     hermitian_rel: float = 1e-12          # times ||A||, on the input
     unitary_rel: float = 1e-10            # times N
 

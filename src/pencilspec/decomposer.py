@@ -338,7 +338,7 @@ def build_block_unitary(
     blocks,
     scales,
     tol: Tolerances = DEFAULT,
-) -> np.ndarray:
+) -> tuple:
     """Assemble the block unitary from the closed structure and verify it.
 
     Cluster i contributes the diagonal k x k entry ``u[(anchor, i)]``
@@ -348,7 +348,9 @@ def build_block_unitary(
     ``blocks`` grid of :func:`extract_block_structure` by it must turn
     every k x k block of layer ``l`` into a scalar within
     ``tol.scalar_block_tol * scales[l]``; a violation raises
-    :class:`ScalarizationFailed`.
+    :class:`ScalarizationFailed`.  Returns ``(udiag, scalars)``: the block
+    unitary and, per layer, the n x n matrix of the block scalars it
+    verified.
     """
     n, k = bs.n, bs.k
     anchor = _anchor_map(partition)
@@ -357,9 +359,10 @@ def build_block_unitary(
         piece = np.eye(k, dtype=np.complex128) if anchor[i] == i else bs.u[(anchor[i], i)]
         udiag[i * k : (i + 1) * k, i * k : (i + 1) * k] = piece
 
+    scalars = []
     for li in range(blocks.shape[0]):
         rot = blocks[li].transpose(0, 2, 1, 3).reshape(n * k, n * k)
-        _, worst, where = _scalarize_layer(udiag, rot, n, k)
+        scal, worst, where = _scalarize_layer(udiag, rot, n, k)
         if worst > tol.scalar_block_tol * scales[li]:
             raise ScalarizationFailed(
                 f"generator {li + 2} block ({where[0] + 1},{where[1] + 1}) stays "
@@ -367,7 +370,8 @@ def build_block_unitary(
                 block=(li + 2,) + where,
                 residual=worst,
             )
-    return udiag
+        scalars.append(scal)
+    return udiag, scalars
 
 
 @dataclass(frozen=True)
@@ -432,11 +436,9 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     bs = unify_layers(blocks, layer_scales, tol=tol)
     bs = extend_closure(bs, tol=tol)
     partition = partition_indices(bs.pairs, n)
-    udiag = build_block_unitary(bs, partition, blocks, layer_scales, tol=tol)
+    udiag, scalars = build_block_unitary(bs, partition, blocks, layer_scales, tol=tol)
     unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
-    for a in shifted.matrices[1:]:
-        scal, _, _ = _scalarize_layer(udiag, v @ a @ v.conj().T, n, k)
-        unit_reduced.append(_hermitized(scal))
+    unit_reduced += [_hermitized(scal) for scal in scalars]
 
     reduced = HermitianTuple(tuple(
         c * b - mu * np.eye(n) for b, c, mu in zip(unit_reduced, prep.scales, prep.shifts)

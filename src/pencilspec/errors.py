@@ -18,10 +18,6 @@ class NotHermitian(SpectralError):
     pass
 
 
-class NotUnitary(SpectralError):
-    pass
-
-
 class ClusterAmbiguity(SpectralError):
     """An eigenvalue gap falls too close to the clustering threshold."""
 

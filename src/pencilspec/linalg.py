@@ -14,7 +14,6 @@ one place.  Everything here is pure and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     ClusterAmbiguity,
     NotHermitian,
-    NotUnitary,
     SeparationTooSmall,
     SpectrumPatternViolation,
 )
@@ -35,11 +33,8 @@ __all__ = [
     "spectral_norm",
     "norm_scale",
     "hermitian_defect",
-    "unitarity_defect",
     "eigendecompose_clustered",
     "projection_by_interpolation",
-    "reduced_resolvent",
-    "conjugate",
     "direct_sum_k_copies",
     "shift_to_invertible",
     "prepare_tuple",
@@ -68,11 +63,6 @@ def norm_scale(a) -> float:
 
 def hermitian_defect(a) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
-def unitarity_defect(u) -> float:
-    n = u.shape[0]
-    return float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
 
 
 def _require_hermitian(a, tol: Tolerances):
@@ -137,23 +127,6 @@ class SpectralData:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    @cached_property
-    def reduced_resolvents(self) -> tuple:
-        """Scaled reduced resolvents ``sum_{i != j} lam_j / (lam_i - lam_j) * P_i``.
-
-        The j-th one has range orthogonal to the range of ``projections[j]``.
-        Diagnostic only, so built on first access.
-        """
-        lams = self.eigenvalues
-        out = []
-        for j in range(self.n):
-            r = np.zeros_like(self.basis)
-            for i, p in enumerate(self.projections):
-                if i != j:
-                    r += lams[j] / (lams[i] - lams[j]) * p
-            out.append(r)
-        return tuple(out)
-
     def rotation(self) -> np.ndarray:
         """Unitary V with V A V* diagonal (rows are eigenvectors)."""
         return self.basis.conj().T
@@ -198,13 +171,6 @@ def eigendecompose_clustered(a, tol: Tolerances = DEFAULT) -> SpectralData:
     )
 
 
-def reduced_resolvent(spec: SpectralData, j: int) -> np.ndarray:
-    """Scaled reduced resolvent at the j-th cluster (0-based)."""
-    if not 0 <= j < spec.n:
-        raise ValueError(f"cluster index {j} out of range for n={spec.n}")
-    return spec.reduced_resolvents[j]
-
-
 # Cluster centers closer than this, times max(1, ||a||), make the Lagrange
 # product formula too ill-conditioned to serve as a cross-check.
 _INTERPOLATION_SEP_REL = 1e-3
@@ -241,19 +207,6 @@ def projection_by_interpolation(a, spec: SpectralData, j: int) -> np.ndarray:
         num = num @ (a - lams[r] * np.eye(dim))
         den *= lams[j] - lams[r]
     return num / den
-
-
-def conjugate(a, u, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Return ``u a u*`` after validating that ``u`` is unitary."""
-    a = as_complex_matrix(a)
-    u = as_complex_matrix(u)
-    if u.shape != a.shape:
-        raise ValueError("matrix and unitary must have equal shapes")
-    defect = unitarity_defect(u)
-    bound = tol.unitary_rel * a.shape[0]
-    if defect > bound:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds {bound:.3e}")
-    return u @ a @ u.conj().T
 
 
 def direct_sum_k_copies(tup: HermitianTuple, k: int) -> HermitianTuple:

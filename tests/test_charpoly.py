@@ -180,14 +180,14 @@ class TestKthPowerTest:
         v = kth_power_test([diag(1, 1, 1, 2), diag(3, 3, 3, 5)], k=2, n=2, seed=0)
         assert not v.is_kth_power
         assert v.per_line_clusters == (
-            (5874934615388537134, (1, 3), 0.0),
-            (2488343231644625808, (3, 1), 0.0),
-            (377914054924498011, (1, 3), 0.0),
-            (152440531369162766, (3, 1), 0.0),
-            (7501093982645987484, (1, 3), 0.0),
-            (8418684267946577446, (3, 1), 0.0),
-            (5595227450766711102, (3, 1), 0.0),
-            (6728418181561535777, (3, 1), 0.0),
+            (0, (1, 3), 0.0),
+            (0, (1, 3), 0.0),
+            (0, (3, 1), 0.0),
+            (0, (1, 3), 0.0),
+            (0, (1, 3), 0.0),
+            (0, (1, 3), 0.0),
+            (0, (3, 1), 0.0),
+            (0, (1, 3), 0.0),
         )
         assert v.failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
 
@@ -245,18 +245,21 @@ class TestKthPowerTest:
 
 def reference_verdict(mats, k, n, seed, lines=8):
     """The per-line loop the batched test replaced, kept as its reference:
-    one pencil, one line at a time, redraws from the line's own generator."""
-    from pencilspec.charpoly import _DIRECTION_COND_CAP, KPowerVerdict, _draw_line
+    one pencil, one line at a time.  The pencil's one generator gives all
+    first lines in one draw, then each line's redraws, in line order."""
+    from pencilspec.charpoly import _DIRECTION_COND_CAP, KPowerVerdict, _draw_lines
     from pencilspec.config import DEFAULT
 
     gen = np.stack(mats)
     m, dim = gen.shape[0], gen.shape[-1]
-    line_seeds = [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=lines)]
+    rng = np.random.default_rng(seed)
+    bases, dirs = _draw_lines(rng, lines, m)
     records, reason, worst = [], "", 0.0
-    for li, line_seed in enumerate(line_seeds):
-        rng = np.random.default_rng(line_seed)
-        for _ in range(1 + DEFAULT.line_retries):
-            a, d = _draw_line(rng, m)
+    for li in range(lines):
+        a, d = bases[li], dirs[li]
+        for redraws in range(1 + DEFAULT.line_retries):
+            if redraws:
+                (a,), (d,) = _draw_lines(rng, 1, m)
             m0 = np.einsum("lm,mij->lij", a[None], gen) - np.eye(dim)
             m1 = np.einsum("lm,mij->lij", d[None], gen)
             if np.linalg.cond(m1[0]) < _DIRECTION_COND_CAP:
@@ -267,7 +270,7 @@ def reference_verdict(mats, k, n, seed, lines=8):
         sizes = tuple(c.size for c in clusters)
         spread = max(float(np.max(np.abs(c[:, None] - c[None, :]))) for c in clusters)
         worst = max(worst, spread)
-        records.append((line_seed, sizes, spread))
+        records.append((redraws, sizes, spread))
         if not reason and not (all(x % k == 0 for x in sizes) and spread <= ctol):
             reason = f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"
     return KPowerVerdict(not reason, k, n, tuple(records), worst, reason)
@@ -276,20 +279,20 @@ def reference_verdict(mats, k, n, seed, lines=8):
 class TestKthPowerBatch:
     GOLDEN = [diag(1, 1, 1, 2), diag(3, 3, 3, 5)]
     GOLDEN_LINES = (
-        (5874934615388537134, (1, 3), 0.0),
-        (2488343231644625808, (3, 1), 0.0),
-        (377914054924498011, (1, 3), 0.0),
-        (152440531369162766, (3, 1), 0.0),
-        (7501093982645987484, (1, 3), 0.0),
-        (8418684267946577446, (3, 1), 0.0),
-        (5595227450766711102, (3, 1), 0.0),
-        (6728418181561535777, (3, 1), 0.0),
+        (0, (1, 3), 0.0),
+        (0, (1, 3), 0.0),
+        (0, (3, 1), 0.0),
+        (0, (1, 3), 0.0),
+        (0, (1, 3), 0.0),
+        (0, (1, 3), 0.0),
+        (0, (3, 1), 0.0),
+        (0, (1, 3), 0.0),
     )
 
     def stack(self):
         # passing pencils, the failing golden pencil (unequal cluster sizes)
         # and a rotated pencil whose direction generator is singular, so that
-        # six of its eight first lines are too ill-conditioned and are redrawn
+        # seven of its eight first lines are too ill-conditioned and are redrawn
         from pencilspec.instances import gen_decomposable, haar_unitary
 
         q = haar_unitary(4, 3)
@@ -318,16 +321,34 @@ class TestKthPowerBatch:
 
         monkeypatch.setattr(charpoly, "_line_roots_via_pencil", spy)
         batched = kth_power_batch(gens, k=2, n=2, seeds=seeds)
-        assert first_draws[0] == 6 and len(first_draws) > 1  # redraws happened
+        assert first_draws[0] == 7 and len(first_draws) > 1  # redraws happened
         assert batched == reference
         assert batched == [kth_power_test(list(g), k=2, n=2, seed=s) for g, s in zip(gens, seeds)]
         assert [v.is_kth_power for v in batched] == [True, True, False, True, True]
         assert batched[2].per_line_clusters == self.GOLDEN_LINES
         assert batched[2].failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
         assert batched[3].worst_spread > 0.0  # spreads depend on the redrawn lines
+        assert [r for r, _, _ in batched[3].per_line_clusters] == [6, 2, 6, 3, 5, 0, 3, 1]
         for budget in (1, 2 * 8 * 16, 3 * 8 * 16):
             monkeypatch.setattr(charpoly, "_BATCH_ENTRIES", budget)
             assert kth_power_batch(gens, k=2, n=2, seeds=seeds) == reference
+
+    def test_one_generator_per_pencil(self, monkeypatch):
+        # without redraws, P pencils need exactly P generators, whatever the
+        # number of lines
+        gens, seeds = self.stack()
+        keep = [0, 1, 2, 4]
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        verdicts = kth_power_batch(gens[keep], k=2, n=2, seeds=[seeds[i] for i in keep])
+        assert all(r == 0 for v in verdicts for r, _, _ in v.per_line_clusters)
+        assert built == [seeds[i] for i in keep]
 
     def test_rejects_bad_stack(self):
         gens, seeds = self.stack()
@@ -403,8 +424,8 @@ class TestBranchDerivative:
 
 
 class TestUniPoly:
-    def test_from_roots_and_eval(self):
-        p = UniPoly.from_roots([1.0, 2.0], leading=3.0)
+    def test_eval(self):
+        p = UniPoly([6.0, -9.0, 3.0])  # 3 (t - 1) (t - 2)
         assert p(1.0) == pytest.approx(0.0)
         assert p(0.0) == pytest.approx(6.0)
         assert p.degree == 2

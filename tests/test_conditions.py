@@ -9,7 +9,6 @@ from pencilspec.conditions import (
     adjoint_twins,
     analyze,
     check_admissibility,
-    check_word_condition,
     count_words,
     enumerate_words,
     realize_word,
@@ -131,7 +130,8 @@ class TestWordCondition:
         sd = eigendecompose_clustered(tup.matrices[0])
         words, _ = enumerate_words(2, 2, mode="all")
         for i, w in enumerate(words):
-            v = check_word_condition(tup, sd, w, k=2, n=2, seed=100 + i)
+            v = kth_power_test([tup.matrices[0], realize_word(tup, sd, w)], k=2, n=2,
+                               seed=100 + i)
             assert v.is_kth_power
 
     def test_decomposable_all_words_pass(self):
@@ -140,7 +140,8 @@ class TestWordCondition:
         sd = eigendecompose_clustered(shifted.matrices[0])
         words, _ = enumerate_words(3, 2, mode="all")
         for i, w in enumerate(words):
-            v = check_word_condition(shifted, sd, w, k=2, n=3, seed=i)
+            v = kth_power_test([shifted.matrices[0], realize_word(shifted, sd, w)], k=2, n=3,
+                               seed=i)
             assert v.is_kth_power, (w, v.failure_reason)
 
     def test_negative_cycle_word_fails(self):
@@ -148,7 +149,8 @@ class TestWordCondition:
         shifted, _ = shift_to_invertible(tup)
         sd = eigendecompose_clustered(shifted.matrices[0])
         w = WordSpec(**desc.failing_word)
-        v = check_word_condition(shifted, sd, w, k=2, n=3, seed=0)
+        v = kth_power_test([shifted.matrices[0], realize_word(shifted, sd, w)], k=2, n=3,
+                           seed=0)
         assert not v.is_kth_power
 
 

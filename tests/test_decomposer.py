@@ -249,7 +249,7 @@ class TestBuildBlockUnitary:
         tup = HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 4, 4)))
         bs, blocks = structure_of(tup)
         partition = partition_indices(bs.pairs, bs.n)
-        u = build_block_unitary(bs, partition, blocks=blocks, scales=[norm_scale(tup.matrices[1])])
+        u, _ = build_block_unitary(bs, partition, blocks=blocks, scales=[norm_scale(tup.matrices[1])])
         assert np.allclose(u, np.eye(4))
 
     def test_hand_example_scalarizes(self):
@@ -260,20 +260,22 @@ class TestBuildBlockUnitary:
         tup = HermitianTuple((a1, a2))
         bs, blocks = structure_of(tup)
         partition = partition_indices(bs.pairs, bs.n)
-        u = build_block_unitary(bs, partition, blocks=blocks, scales=[norm_scale(a2)])
+        u, scalars = build_block_unitary(bs, partition, blocks=blocks, scales=[norm_scale(a2)])
         want = np.zeros((4, 4), dtype=np.complex128)
         want[:2, :2] = u01.conj().T
         want[2:, 2:] = np.eye(2)
         assert np.allclose(u, want)
         conj = u @ a2 @ u.conj().T
         assert np.allclose(conj[:2, 2:], np.eye(2))
+        # the verified block scalars are the reduced second generator
+        assert len(scalars) == 1 and np.allclose(scalars[0], [[0, 1], [1, 0]])
 
     def test_decomposable_all_blocks_scalar(self):
         tup, _ = gen_decomposable(3, 2, 3, seed=23)
         bs, blocks = structure_of(tup)
         partition = partition_indices(bs.pairs, bs.n)
         scales = [norm_scale(a) for a in tup.matrices[1:]]
-        u = build_block_unitary(bs, partition, blocks=blocks, scales=scales)
+        u, _ = build_block_unitary(bs, partition, blocks=blocks, scales=scales)
         assert np.linalg.norm(u @ u.conj().T - np.eye(6)) <= 1e-10 * 6
 
     def test_scalarization_failure_reported(self):

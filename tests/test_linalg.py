@@ -7,19 +7,16 @@ from pencilspec.decomposer import decompose
 from pencilspec.errors import (
     ClusterAmbiguity,
     NotHermitian,
-    NotUnitary,
     SeparationTooSmall,
     SpectrumPatternViolation,
 )
 from pencilspec.linalg import (
     HermitianTuple,
     apply_tuple_map,
-    conjugate,
     direct_sum_k_copies,
     eigendecompose_clustered,
     prepare_tuple,
     projection_by_interpolation,
-    reduced_resolvent,
     shift_to_invertible,
 )
 
@@ -132,50 +129,6 @@ class TestProjectionByInterpolation:
         sd = eigendecompose_clustered(a)
         with pytest.raises(SeparationTooSmall):
             projection_by_interpolation(a, sd, 0)
-
-
-class TestReducedResolvent:
-    def test_two_cluster_values(self):
-        sd = eigendecompose_clustered(diag(1, 2))
-        assert np.allclose(reduced_resolvent(sd, 0), diag(0, 1))
-        assert np.allclose(reduced_resolvent(sd, 1), diag(-2, 0))
-
-    def test_single_cluster_is_zero(self):
-        sd = eigendecompose_clustered(diag(3, 3))
-        assert np.allclose(reduced_resolvent(sd, 0), np.zeros((2, 2)))
-
-    def test_range_orthogonal_to_projection(self):
-        a = rand_hermitian(6, np.random.default_rng(5), gap=0.05)
-        sd = eigendecompose_clustered(a)
-        for j in range(sd.n):
-            t = sd.reduced_resolvents[j]
-            p = sd.projections[j]
-            assert np.linalg.norm(p @ t) <= 1e-10 * 6
-            assert np.linalg.norm(t @ p) <= 1e-10 * 6
-
-
-class TestConjugate:
-    def test_identity(self):
-        a = rand_hermitian(4, np.random.default_rng(0))
-        assert np.allclose(conjugate(a, np.eye(4)), a)
-
-    def test_permutation(self):
-        u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        assert np.allclose(conjugate(diag(1, 2), u), diag(2, 1))
-
-    def test_spectrum_preserved(self):
-        from pencilspec.instances import haar_unitary
-
-        rng = np.random.default_rng(9)
-        a = rand_hermitian(5, rng)
-        u = haar_unitary(5, 123)
-        w_before = np.linalg.eigvalsh(a)
-        w_after = np.linalg.eigvalsh(conjugate(a, u))
-        assert np.max(np.abs(w_before - w_after)) <= 1e-10
-
-    def test_rejects_nonunitary(self):
-        with pytest.raises(NotUnitary):
-            conjugate(diag(1, 2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestDirectSum:

@@ -1,11 +1,12 @@
-"""README's command-line examples, run as written.
+"""README's command-line and library examples, run as written.
 
 Every ``pencilspec ...`` line of the README's command block goes through
 ``cli.main`` in a scratch directory, in order, and must exit with the code
 its ``# exits N`` comment states (0 without one).  Every ``--flag`` the
 README names on those lines or in inline code must be one that some
 subcommand accepts, and the report version README states must be the
-one the program writes.
+one the program writes.  The python block under "Library" runs line by
+line, and each line's comment is a claim that must evaluate true after it.
 """
 
 import re
@@ -66,3 +67,22 @@ def test_documented_flag_exists(flag, capsys):
 def test_stated_report_version_is_current():
     stated = re.findall(r'"version": (\d+)', README.read_text())
     assert stated and {int(v) for v in stated} == {FORMAT_VERSION}
+
+
+def library_snippet():
+    """The lines of the python block under the "Library" heading."""
+    section = README.read_text().split("## Library", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0].strip().splitlines()
+
+
+def test_library_snippet_runs_as_documented():
+    namespace = {}
+    claims = []
+    for line in library_snippet():
+        code, _, claim = line.partition("#")
+        exec(code, namespace)
+        if claim.strip():
+            claims.append(claim.strip())
+            assert eval(claim.strip(), namespace), claim
+    assert 'report.overall == "pass"' in claims
+    assert any(c.startswith("result.residual <") for c in claims)
