@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,29 @@ class TestKthPowerBatch:
         verdicts = kth_power_batch(gens[keep], k=2, n=2, seeds=[seeds[i] for i in keep])
         assert all(r == 0 for v in verdicts for r, _, _ in v.per_line_clusters)
         assert built == [seeds[i] for i in keep]
+
+    def test_stack_order_does_not_change_verdicts(self):
+        gens, seeds = self.stack()
+        forward = kth_power_batch(gens, k=2, n=2, seeds=seeds)
+        backward = kth_power_batch(gens[::-1], k=2, n=2, seeds=seeds[::-1])
+        assert backward[::-1] == forward
+
+    def test_redraw_counts_stay_within_retries(self):
+        # redraws come from the pencil's generator in line order, so any
+        # retry budget that covers the largest count gives the same records
+        from pencilspec.config import DEFAULT
+        from pencilspec.errors import LineSamplingFailed
+
+        gens, seeds = self.stack()
+        mats, seed = list(gens[3]), seeds[3]
+        full = kth_power_test(mats, k=2, n=2, seed=seed)
+        most = max(r for r, _, _ in full.per_line_clusters)
+        assert 0 < most <= DEFAULT.line_retries
+        tight = dataclasses.replace(DEFAULT, line_retries=most)
+        assert kth_power_test(mats, k=2, n=2, seed=seed, tol=tight) == full
+        with pytest.raises(LineSamplingFailed):
+            kth_power_test(mats, k=2, n=2, seed=seed,
+                           tol=dataclasses.replace(DEFAULT, line_retries=most - 1))
 
     def test_rejects_bad_stack(self):
         gens, seeds = self.stack()

@@ -586,6 +586,19 @@ class TestGenerateCommand:
         assert code == EXIT_ERROR
         assert "invalid choice: 'nope'" in capsys.readouterr().err
 
+    def test_help_lists_every_family(self, capsys):
+        assert main(["generate", "--help"]) == EXIT_PASS
+        out = capsys.readouterr().out
+        assert all(f in out for f in ("decomposable", "conjugate_negative", "commuting"))
+
+    @pytest.mark.parametrize("family", ["decomposable", "conjugate_negative"])
+    def test_family_writes_its_descriptor(self, tmp_path, family):
+        path = tmp_path / "t.json"
+        assert main(["generate", "--family", family, "--seed", "3", "--out", str(path)]) == EXIT_PASS
+        tup, meta = load_tuple(str(path))
+        assert meta["descriptor"]["family"] == family
+        assert tup.dim == meta["descriptor"]["n"] * meta["descriptor"]["k"]
+
     def test_commuting_family(self, tmp_path):
         path = tmp_path / "c.json"
         assert main(

@@ -278,6 +278,21 @@ class TestBuildBlockUnitary:
         u, _ = build_block_unitary(bs, partition, blocks=blocks, scales=scales)
         assert np.linalg.norm(u @ u.conj().T - np.eye(6)) <= 1e-10 * 6
 
+    def test_scalars_are_the_conjugated_blocks(self):
+        # each returned layer, tensored with the k x k identity, is the
+        # layer's rotated grid conjugated by the block unitary
+        tup, _ = gen_decomposable(3, 2, 3, seed=23)
+        bs, blocks = structure_of(tup)
+        partition = partition_indices(bs.pairs, bs.n)
+        scales = [norm_scale(a) for a in tup.matrices[1:]]
+        u, scalars = build_block_unitary(bs, partition, blocks=blocks, scales=scales)
+        assert len(scalars) == len(tup.matrices) - 1
+        for layer, scal in zip(blocks, scalars):
+            rot = layer.transpose(0, 2, 1, 3).reshape(6, 6)
+            conj = (u @ rot @ u.conj().T).reshape(3, 2, 3, 2).transpose(0, 2, 1, 3)
+            assert scal.shape == (3, 3)
+            assert np.allclose(conj, scal[:, :, None, None] * np.eye(2), atol=1e-10)
+
     def test_scalarization_failure_reported(self):
         # hand the builder a wrong unitary for the pair
         u01 = diag(1j, -1j)
