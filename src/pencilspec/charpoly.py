@@ -8,9 +8,14 @@ The k-th-power certificate never factors anything symbolically: a degree-N
 polynomial is a perfect k-th power of a degree-n polynomial exactly when a
 generic line meets its zero set in n points of multiplicity k each, so the
 test samples seeded random complex lines and inspects root multiplicity
-profiles.  On the line ``t -> M0 + t M1`` the roots are the eigenvalues of
-``-M1^{-1} M0`` (see :func:`_line_roots_via_pencil`); no polynomial
-coefficient is ever formed on that route.
+profiles.  The lines pass through the origin: the polynomial is the affine
+chart of the homogeneous ``det(x_1 A_1 + ... + x_m A_m - x_0 I)``, and on
+``x = t q`` it reads ``det(t (q . A) - I)``, whose roots are ``1/lambda``
+for the eigenvalues ``lambda`` of ``q . A``.  A zero eigenvalue is the root
+at infinity (the ``x_0`` factor), and ``det(-I) = +-1`` keeps the origin
+off every component, so a generic such line separates the components just
+as a generic affine line does.  The test clusters the eigenvalues
+themselves; no polynomial coefficient is ever formed on that route.
 
 The coefficient route is the reference the tests compare against: full
 expansion by tensor interpolation on roots of unity (:func:`pencil_charpoly`,
@@ -32,7 +37,6 @@ from .errors import (
     BranchTrackingLost,
     DegenerateDirection,
     GridTooLarge,
-    LineSamplingFailed,
     SingularTransform,
 )
 
@@ -311,11 +315,10 @@ def cluster_roots(roots, tol: float):
 class KPowerVerdict:
     """Outcome of the sampled perfect-power test.
 
-    ``per_line_clusters`` records, per sampled line, ``(redraws,
-    cluster_sizes, spread)``: how many times the line was redrawn because its
-    direction pencil was too ill-conditioned, the cluster sizes found, and
-    the worst intra-cluster spread.  With the pencil's seed, the redraw
-    counts pin every line (see :func:`kth_power_batch`).
+    ``per_line_clusters`` records, per sampled line, ``(cluster_sizes,
+    spread)``: the eigenvalue cluster sizes found and the worst
+    intra-cluster spread.  The pencil's seed pins every line (see
+    :func:`kth_power_batch`).
     """
 
     is_kth_power: bool
@@ -326,18 +329,11 @@ class KPowerVerdict:
     failure_reason: str = ""
 
 
-def _draw_lines(rng, lines, m):
-    """``(bases, dirs)`` of ``lines`` random complex lines in m variables,
-    each ``(lines, m)`` with standard complex Gaussian entries, from one
-    call of ``rng``."""
-    z = rng.standard_normal((2, 2, lines, m))
-    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-
-
-# A direction pencil this ill-conditioned effectively meets the variety's
-# part at infinity; the line is redrawn, as for a vanishing leading
-# coefficient in the interpolation route.
-_DIRECTION_COND_CAP = 1e8
+def _draw_directions(rng, lines, m):
+    """``lines`` random complex directions in m variables, ``(lines, m)``
+    with standard complex Gaussian entries, from one call of ``rng``."""
+    z = rng.standard_normal((2, lines, m))
+    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
 # Working-set budget of the batched power test: pencils are cut into chunks
@@ -346,52 +342,17 @@ _DIRECTION_COND_CAP = 1e8
 _BATCH_ENTRIES = 20_000
 
 
-def _line_roots_via_pencil(gens, bases, dirs):
-    """Roots of ``det(sum (a_i + t d_i) A_i - I)`` for a stack of pencils and lines.
-
-    ``gens`` is ``(P, m, N, N)``, ``bases`` and ``dirs`` are ``(P, L, m)``.
-    Roots are the eigenvalues of ``-M1^{-1} M0`` rather than roots of the
-    polynomial coefficients: a multiplicity-k root of a pencil that splits
-    into k identical blocks is a semisimple eigenvalue here, so rounding
-    perturbs it linearly instead of by eps**(1/k) as a root finder working
-    from the coefficients would.  Returns ``(roots, good)`` of shapes
-    ``(P, L, N)`` and ``(P, L)``; ``good`` is False (and the roots row
-    unset) where the direction pencil is too ill-conditioned to trust.
-    """
-    dim = gens.shape[-1]
-    m0 = np.einsum("plm,pmij->plij", bases, gens)
-    m0 -= np.eye(dim)
-    m1 = np.einsum("plm,pmij->plij", dirs, gens)
-    conds = np.linalg.cond(m1)
-    good = np.isfinite(conds) & (conds < _DIRECTION_COND_CAP)
-    roots = np.zeros(good.shape + (dim,), dtype=np.complex128)
-    if np.any(good):
-        roots[good] = np.linalg.eigvals(-np.linalg.solve(m1[good], m0[good]))
-    return roots, good
-
-
 def _verdict_chunk(gens, k, n, seeds, tol):
     """Power-test verdicts for one chunk of pencils (see :func:`kth_power_batch`)."""
     m, dim, lines = gens.shape[1], gens.shape[-1], tol.lines
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    bases, dirs = np.stack([_draw_lines(rng, lines, m) for rng in rngs], axis=1)
-    roots, good = _line_roots_via_pencil(gens, bases, dirs)
+    dirs = np.stack([_draw_directions(np.random.default_rng(seed), lines, m) for seed in seeds])
+    # A multiplicity-k component of a pencil that splits into k identical
+    # blocks gives a semisimple eigenvalue of q . A, so rounding moves it
+    # linearly, not by eps**(1/k) as a root finder on coefficients would.
+    lams = np.linalg.eigvals(np.einsum("plm,pmij->plij", dirs, gens))
 
-    redraws = np.zeros(good.shape, dtype=int)
-    for p, li in zip(*np.nonzero(~good)):
-        for tries in range(1, tol.line_retries + 1):
-            a, d = _draw_lines(rngs[p], 1, m)
-            redraw, ok = _line_roots_via_pencil(gens[p : p + 1], a[None], d[None])
-            if ok[0, 0]:
-                roots[p, li], redraws[p, li] = redraw[0, 0], tries
-                break
-        else:
-            raise LineSamplingFailed(
-                f"line {li} stayed degenerate after {tol.line_retries} redraws"
-            )
-
-    ctol = tol.cluster_rel * (1.0 + np.max(np.abs(roots), axis=-1))
-    dists, same = _closure(roots, ctol)
+    ctol = tol.cluster_rel * (1.0 + np.max(np.abs(lams), axis=-1))
+    dists, same = _closure(lams, ctol)
     spreads = np.max(dists, where=same, initial=0.0, axis=(-2, -1))
     # Row sums of the closed relation are the cluster sizes of its points,
     # so a line needs the mean-ordered clusters only when they differ.
@@ -407,13 +368,13 @@ def _verdict_chunk(gens, k, n, seeds, tol):
                 size = int(sizes[p, li, 0])
                 profile = (size,) * (dim // size)
             else:
-                clusters = _ordered_clusters(roots[p, li], same[p, li])
+                clusters = _ordered_clusters(lams[p, li], same[p, li])
                 profile = tuple(int(c.size) for c in clusters)
-            records.append((int(redraws[p, li]), profile, float(spreads[p, li])))
+            records.append((profile, float(spreads[p, li])))
         bad = np.flatnonzero(~line_ok[p])
         reason = ""
         if bad.size:
-            _, profile, spread = records[bad[0]]
+            profile, spread = records[bad[0]]
             reason = f"line {bad[0]}: cluster sizes {profile}, spread {spread:.3e}"
         verdicts.append(
             KPowerVerdict(
@@ -440,15 +401,15 @@ def kth_power_batch(
 
     ``gens`` holds P pencils of m generators each, shape ``(P, m, N, N)``,
     and ``seeds`` one seed per pencil.  Each pencil is restricted to
-    ``tol.lines`` random complex lines drawn from one generator seeded with
-    its seed: all first lines in one draw, then each redraw of a line whose
-    direction pencil is too ill-conditioned, in line order, from the same
-    generator.  The outcome therefore depends neither on evaluation order
-    nor on the rest of the stack.  Every line must show root clusters whose
-    sizes are all multiples of k, with intra-cluster spread below the
-    cluster tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k
-    divides every ``e_j``, so a base with repeated factors passes.  Returns
-    one :class:`KPowerVerdict` per pencil.
+    ``tol.lines`` random complex lines ``x = t q`` through the origin, all
+    directions ``q`` drawn in one call of a generator seeded with its seed,
+    so the outcome depends neither on evaluation order nor on the rest of
+    the stack.  On every line the eigenvalues of ``q . A`` (the reciprocal
+    roots, zero for the root at infinity) must form clusters whose sizes are
+    all multiples of k, with intra-cluster spread below the cluster
+    tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
+    every ``e_j``, so a base with repeated factors passes.  Returns one
+    :class:`KPowerVerdict` per pencil.
     """
     gens = np.asarray(gens, dtype=np.complex128)
     if gens.ndim != 4 or gens.shape[-1] != gens.shape[-2]:

@@ -30,9 +30,8 @@ with identical inputs reproduces a report byte for byte except for its
 pre-drawn sub-seed per word, and lists every word in its report: a word
 whose adjoint was tested earlier carries that word's verdict and its index
 under ``adjoint_of``.  Each power test draws its lines from one generator
-seeded with its seed; a verdict's ``lines`` give, per line, its
-``redraws`` (how often an ill-conditioned direction was drawn again),
-``cluster_sizes`` and ``spread``.  No environment variable changes the
+seeded with its seed, in one draw; a verdict's ``lines`` give, per line,
+its ``cluster_sizes`` and ``spread``.  No environment variable changes the
 reports.
 """
 
@@ -59,7 +58,7 @@ from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -161,20 +160,20 @@ def _verdict_to_json(v):
         "worst_spread": v.worst_spread,
         "failure_reason": v.failure_reason,
         "lines": [
-            {"redraws": redraws, "cluster_sizes": list(sizes), "spread": spread}
-            for redraws, sizes, spread in v.per_line_clusters
+            {"cluster_sizes": list(sizes), "spread": spread}
+            for sizes, spread in v.per_line_clusters
         ],
     }
 
 
 def _word_summary(w, v, adjoint_of=None):
-    bad = [rec for rec in v.per_line_clusters if any(s % v.k for s in rec[1])]
+    bad = [rec for rec in v.per_line_clusters if any(s % v.k for s in rec[0])]
     sample = bad[0] if bad else v.per_line_clusters[0]
     entry = {
         "letters": list(w.letters),
         "projections": list(w.projections),
         "is_kth_power": v.is_kth_power,
-        "cluster_profile": list(sample[1]),
+        "cluster_profile": list(sample[0]),
         "worst_spread": v.worst_spread,
     }
     if adjoint_of is not None:
@@ -458,8 +457,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, SpectralError) as exc:
-        # json.JSONDecodeError is a ValueError; NotHermitian and
-        # LineSamplingFailed are SpectralErrors
+        # json.JSONDecodeError is a ValueError; NotHermitian is a
+        # SpectralError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -16,11 +16,11 @@ them on the tuple as :func:`~pencilspec.linalg.prepare_tuple` leaves it (unit
 scale, invertible), which also checks the precondition.  The words are
 realized up front and tested in one call of
 :func:`~pencilspec.charpoly.kth_power_batch`, each on its own sub-seed drawn
-from the master seed.  A word's lines, redraws included, all come from one
-generator seeded with its sub-seed, so a verdict does not depend on the
-rest of the battery; no environment variable (thread count or other)
-affects them.  A word whose adjoint comes earlier in the enumeration shares
-that word's verdict instead of being tested (see :func:`adjoint_twins`).
+from the master seed.  A word's lines all come from one generator seeded
+with its sub-seed, so a verdict does not depend on the rest of the
+battery; no environment variable (thread count or other) affects them.
+A word whose adjoint comes earlier in the enumeration shares that word's
+verdict instead of being tested (see :func:`adjoint_twins`).
 """
 
 from __future__ import annotations

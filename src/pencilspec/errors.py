@@ -37,10 +37,6 @@ class DegenerateDirection(SpectralError):
     """Line restriction lost its top-degree coefficient."""
 
 
-class LineSamplingFailed(SpectralError):
-    """Could not draw a non-degenerate line after repeated retries."""
-
-
 class SingularTransform(SpectralError):
     pass
 

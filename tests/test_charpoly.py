@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,7 +172,7 @@ class TestKthPowerTest:
     def test_explicit_square(self):
         v = kth_power_test([diag(1, 1, 2, 2), diag(3, 3, 4, 4)], k=2, n=2, seed=0)
         assert v.is_kth_power
-        assert all(sizes == (2, 2) for _, sizes, _ in v.per_line_clusters)
+        assert all(sizes == (2, 2) for sizes, _ in v.per_line_clusters)
 
     def test_failing_pencil_golden(self):
         # Line profiles mix (1, 3) and (3, 1), so both the per-line records
@@ -182,14 +180,14 @@ class TestKthPowerTest:
         v = kth_power_test([diag(1, 1, 1, 2), diag(3, 3, 3, 5)], k=2, n=2, seed=0)
         assert not v.is_kth_power
         assert v.per_line_clusters == (
-            (0, (1, 3), 0.0),
-            (0, (1, 3), 0.0),
-            (0, (3, 1), 0.0),
-            (0, (1, 3), 0.0),
-            (0, (1, 3), 0.0),
-            (0, (1, 3), 0.0),
-            (0, (3, 1), 0.0),
-            (0, (1, 3), 0.0),
+            ((1, 3), 0.0),
+            ((3, 1), 0.0),
+            ((3, 1), 0.0),
+            ((3, 1), 0.0),
+            ((1, 3), 0.0),
+            ((1, 3), 0.0),
+            ((1, 3), 0.0),
+            ((1, 3), 0.0),
         )
         assert v.failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
 
@@ -237,42 +235,41 @@ class TestKthPowerTest:
         v2 = kth_power_test(list(tup.matrices), k=2, n=2, seed=9)
         assert v1 == v2
 
-    def test_shared_kernel_exhausts_line_retries(self):
-        # every direction pencil is singular: no usable line exists
-        from pencilspec.errors import LineSamplingFailed
+    # A shared kernel puts a root at infinity on every line: a zero
+    # eigenvalue of q . A, clustered like any other.
+    def test_shared_kernel_simple_root_at_infinity(self):
+        v = kth_power_test([diag(1, 0), diag(2, 0)], k=1, n=2, seed=0)
+        assert v.is_kth_power
 
-        with pytest.raises(LineSamplingFailed):
-            kth_power_test([diag(1, 0), diag(2, 0)], k=1, n=2, seed=0)
+    def test_shared_kernel_double_root_at_infinity(self):
+        v = kth_power_test([diag(1, 1, 0, 0), diag(2, 2, 0, 0)], k=2, n=2, seed=0)
+        assert v.is_kth_power
+        assert all(sizes == (2, 2) for sizes, _ in v.per_line_clusters)
+
+    def test_shared_kernel_simple_root_at_infinity_is_not_square(self):
+        v = kth_power_test([diag(1, 1, 1, 0), diag(2, 2, 2, 0)], k=2, n=2, seed=0)
+        assert not v.is_kth_power
+        assert all(sorted(sizes) == [1, 3] for sizes, _ in v.per_line_clusters)
 
 
 def reference_verdict(mats, k, n, seed, lines=8):
     """The per-line loop the batched test replaced, kept as its reference:
-    one pencil, one line at a time.  The pencil's one generator gives all
-    first lines in one draw, then each line's redraws, in line order."""
-    from pencilspec.charpoly import _DIRECTION_COND_CAP, KPowerVerdict, _draw_lines
+    one pencil, one line at a time, every direction from one draw of the
+    pencil's generator."""
+    from pencilspec.charpoly import KPowerVerdict, _draw_directions
     from pencilspec.config import DEFAULT
 
     gen = np.stack(mats)
-    m, dim = gen.shape[0], gen.shape[-1]
-    rng = np.random.default_rng(seed)
-    bases, dirs = _draw_lines(rng, lines, m)
+    dirs = _draw_directions(np.random.default_rng(seed), lines, gen.shape[0])
     records, reason, worst = [], "", 0.0
     for li in range(lines):
-        a, d = bases[li], dirs[li]
-        for redraws in range(1 + DEFAULT.line_retries):
-            if redraws:
-                (a,), (d,) = _draw_lines(rng, 1, m)
-            m0 = np.einsum("lm,mij->lij", a[None], gen) - np.eye(dim)
-            m1 = np.einsum("lm,mij->lij", d[None], gen)
-            if np.linalg.cond(m1[0]) < _DIRECTION_COND_CAP:
-                break
-        roots = np.linalg.eigvals(-np.linalg.solve(m1, m0))[0]
-        ctol = DEFAULT.cluster_rel * (1.0 + float(np.max(np.abs(roots))))
-        clusters = cluster_roots(roots, ctol)
+        lams = np.linalg.eigvals(np.einsum("lm,mij->lij", dirs[li : li + 1], gen))[0]
+        ctol = DEFAULT.cluster_rel * (1.0 + float(np.max(np.abs(lams))))
+        clusters = cluster_roots(lams, ctol)
         sizes = tuple(c.size for c in clusters)
         spread = max(float(np.max(np.abs(c[:, None] - c[None, :]))) for c in clusters)
         worst = max(worst, spread)
-        records.append((redraws, sizes, spread))
+        records.append((sizes, spread))
         if not reason and not (all(x % k == 0 for x in sizes) and spread <= ctol):
             reason = f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"
     return KPowerVerdict(not reason, k, n, tuple(records), worst, reason)
@@ -281,29 +278,29 @@ def reference_verdict(mats, k, n, seed, lines=8):
 class TestKthPowerBatch:
     GOLDEN = [diag(1, 1, 1, 2), diag(3, 3, 3, 5)]
     GOLDEN_LINES = (
-        (0, (1, 3), 0.0),
-        (0, (1, 3), 0.0),
-        (0, (3, 1), 0.0),
-        (0, (1, 3), 0.0),
-        (0, (1, 3), 0.0),
-        (0, (1, 3), 0.0),
-        (0, (3, 1), 0.0),
-        (0, (1, 3), 0.0),
+        ((1, 3), 0.0),
+        ((3, 1), 0.0),
+        ((3, 1), 0.0),
+        ((3, 1), 0.0),
+        ((1, 3), 0.0),
+        ((1, 3), 0.0),
+        ((1, 3), 0.0),
+        ((1, 3), 0.0),
     )
 
     def stack(self):
         # passing pencils, the failing golden pencil (unequal cluster sizes)
-        # and a rotated pencil whose direction generator is singular, so that
-        # seven of its eight first lines are too ill-conditioned and are redrawn
+        # and a rotated pencil whose generators share a two-dimensional
+        # kernel, so every line has a double root at infinity
         from pencilspec.instances import gen_decomposable, haar_unitary
 
         q = haar_unitary(4, 3)
-        redraw = [q @ diag(1, 1, 2, 2) @ q.conj().T, q @ diag(3e8, 3e8, 0, 0) @ q.conj().T]
+        kernel = [q @ diag(1, 1, 0, 0) @ q.conj().T, q @ diag(3, 3, 0, 0) @ q.conj().T]
         pencils = [
             [diag(1, 1, 2, 2), diag(3, 3, 4, 4)],
             list(gen_decomposable(2, 2, 2, seed=1)[0].matrices),
             self.GOLDEN,
-            [(a + a.conj().T) / 2 for a in redraw],
+            [(a + a.conj().T) / 2 for a in kernel],
             list(gen_decomposable(2, 2, 2, seed=2)[0].matrices),
         ]
         return np.stack([np.stack(p) for p in pencils]), [7, 5, 0, 0, 11]
@@ -313,33 +310,20 @@ class TestKthPowerBatch:
 
         gens, seeds = self.stack()
         reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(gens, seeds)]
-        first_draws = []
-        route = charpoly._line_roots_via_pencil
-
-        def spy(g, bases, dirs):
-            roots, good = route(g, bases, dirs)
-            first_draws.append(int(np.sum(~good)))
-            return roots, good
-
-        monkeypatch.setattr(charpoly, "_line_roots_via_pencil", spy)
         batched = kth_power_batch(gens, k=2, n=2, seeds=seeds)
-        assert first_draws[0] == 7 and len(first_draws) > 1  # redraws happened
         assert batched == reference
         assert batched == [kth_power_test(list(g), k=2, n=2, seed=s) for g, s in zip(gens, seeds)]
         assert [v.is_kth_power for v in batched] == [True, True, False, True, True]
         assert batched[2].per_line_clusters == self.GOLDEN_LINES
         assert batched[2].failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
-        assert batched[3].worst_spread > 0.0  # spreads depend on the redrawn lines
-        assert [r for r, _, _ in batched[3].per_line_clusters] == [6, 2, 6, 3, 5, 0, 3, 1]
+        assert batched[3].worst_spread > 0.0  # the rotation leaves rounding in the roots
         for budget in (1, 2 * 8 * 16, 3 * 8 * 16):
             monkeypatch.setattr(charpoly, "_BATCH_ENTRIES", budget)
             assert kth_power_batch(gens, k=2, n=2, seeds=seeds) == reference
 
     def test_one_generator_per_pencil(self, monkeypatch):
-        # without redraws, P pencils need exactly P generators, whatever the
-        # number of lines
+        # P pencils need exactly P generators, whatever the number of lines
         gens, seeds = self.stack()
-        keep = [0, 1, 2, 4]
         built = []
         default_rng = np.random.default_rng
 
@@ -348,32 +332,14 @@ class TestKthPowerBatch:
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
-        verdicts = kth_power_batch(gens[keep], k=2, n=2, seeds=[seeds[i] for i in keep])
-        assert all(r == 0 for v in verdicts for r, _, _ in v.per_line_clusters)
-        assert built == [seeds[i] for i in keep]
+        kth_power_batch(gens, k=2, n=2, seeds=seeds)
+        assert built == seeds
 
     def test_stack_order_does_not_change_verdicts(self):
         gens, seeds = self.stack()
         forward = kth_power_batch(gens, k=2, n=2, seeds=seeds)
         backward = kth_power_batch(gens[::-1], k=2, n=2, seeds=seeds[::-1])
         assert backward[::-1] == forward
-
-    def test_redraw_counts_stay_within_retries(self):
-        # redraws come from the pencil's generator in line order, so any
-        # retry budget that covers the largest count gives the same records
-        from pencilspec.config import DEFAULT
-        from pencilspec.errors import LineSamplingFailed
-
-        gens, seeds = self.stack()
-        mats, seed = list(gens[3]), seeds[3]
-        full = kth_power_test(mats, k=2, n=2, seed=seed)
-        most = max(r for r, _, _ in full.per_line_clusters)
-        assert 0 < most <= DEFAULT.line_retries
-        tight = dataclasses.replace(DEFAULT, line_retries=most)
-        assert kth_power_test(mats, k=2, n=2, seed=seed, tol=tight) == full
-        with pytest.raises(LineSamplingFailed):
-            kth_power_test(mats, k=2, n=2, seed=seed,
-                           tol=dataclasses.replace(DEFAULT, line_retries=most - 1))
 
     def test_rejects_bad_stack(self):
         gens, seeds = self.stack()

@@ -140,7 +140,7 @@ class TestAnalyzeCommand:
         assert rep["overall"] == "pass"
         assert rep["full_tuple"]["is_kth_power"] is True
         assert len(rep["words"]) == 10
-        assert rep["tolerances"]["cluster_rel"] == 1e-6
+        assert rep["tolerances"]["cluster_rel"] == 1e-8
 
     def test_negative_exits_one_and_names_words(self, neg_file, tmp_path):
         out = tmp_path / "rep.json"
@@ -181,10 +181,10 @@ class TestAnalyzeCommand:
         rep = json.loads(out.read_text())
         verdict = rep["full_tuple" if command == "analyze" else "verdict"]
         assert len(verdict["lines"]) == 6
-        assert all(sorted(rec) == ["cluster_sizes", "redraws", "spread"] for rec in verdict["lines"])
+        assert all(sorted(rec) == ["cluster_sizes", "spread"] for rec in verdict["lines"])
         assert "lines" not in rep and "lines" not in rep["parameters"]
         assert sorted(rep["tolerances"]) == sorted(DEFAULT.as_dict())
-        assert len(rep["tolerances"]) == 12
+        assert len(rep["tolerances"]) == 11
 
     def test_admissibility_reports_no_second_shift(self, pos_file, tmp_path):
         out = tmp_path / "rep.json"
@@ -210,7 +210,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize(
         "name",
         ["root_residual_rel", "prune_rel", "degenerate_lead_rel", "interpolation_sep_rel",
-         "branch_eps"],
+         "branch_eps", "line_retries"],
     )
     def test_removed_root_residual_tolerance_exits_three(self, pos_file, name):
         argv = ["analyze", str(pos_file), "--k", "2", "--tol", f"{name}=1e-6"]
@@ -220,7 +220,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 7
+        assert rep["version"] == 8
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -509,7 +509,7 @@ class TestArgumentValidation:
     @pytest.mark.parametrize(
         "override",
         ["cluster_rel=nan", "hermitian_rel=nan", "gap_tol=inf", "structural_tol=-1e-7",
-         "word_cap=0", "line_retries=0"],
+         "word_cap=0"],
     )
     def test_nonfinite_or_nonpositive_tolerance_exits_three(self, pos_file, tmp_path,
                                                            command, override):

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -264,19 +262,10 @@ class TestAnalyze:
         assert rep.overall == "precondition_violated"
         assert rep.precondition_ok and not rep.admissible_ok
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_rerun(self):
         tup, _ = gen_decomposable(3, 2, 2, seed=11)
-        old = os.environ.get("PENCIL_THREADS")
-        try:
-            os.environ["PENCIL_THREADS"] = "1"
-            rep1 = analyze(tup, 2, seed=7)
-            os.environ["PENCIL_THREADS"] = "4"
-            rep2 = analyze(tup, 2, seed=7)
-        finally:
-            if old is None:
-                os.environ.pop("PENCIL_THREADS", None)
-            else:
-                os.environ["PENCIL_THREADS"] = old
+        rep1 = analyze(tup, 2, seed=7)
+        rep2 = analyze(tup, 2, seed=7)
         assert rep1 == rep2
 
 
