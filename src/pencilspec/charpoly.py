@@ -7,15 +7,18 @@ of the) joint spectrum of the tuple.
 The k-th-power certificate never factors anything symbolically: a degree-N
 polynomial is a perfect k-th power of a degree-n polynomial exactly when a
 generic line meets its zero set in n points of multiplicity k each, so the
-test samples seeded random complex lines and inspects root multiplicity
-profiles.  The lines pass through the origin: the polynomial is the affine
-chart of the homogeneous ``det(x_1 A_1 + ... + x_m A_m - x_0 I)``, and on
-``x = t q`` it reads ``det(t (q . A) - I)``, whose roots are ``1/lambda``
-for the eigenvalues ``lambda`` of ``q . A``.  A zero eigenvalue is the root
-at infinity (the ``x_0`` factor), and ``det(-I) = +-1`` keeps the origin
-off every component, so a generic such line separates the components just
-as a generic affine line does.  The test clusters the eigenvalues
-themselves; no polynomial coefficient is ever formed on that route.
+test samples seeded random real lines and inspects root multiplicity
+profiles (a polynomial vanishing at every real point vanishes identically,
+so real lines are as generic as complex ones).  The lines pass through the
+origin: the polynomial is the affine chart of the homogeneous
+``det(x_1 A_1 + ... + x_m A_m - x_0 I)``, and on ``x = t q`` it reads
+``det(t (q . A) - I)``, whose roots are ``1/lambda`` for the eigenvalues
+``lambda`` of ``q . A``.  A zero eigenvalue is the root at infinity (the
+``x_0`` factor), and ``det(-I) = +-1`` keeps the origin off every
+component, so a generic such line separates the components just as a
+generic affine line does.  The generators are Hermitian, so ``q . A`` is
+too: ``eigvalsh`` returns its spectrum real and sorted, and the test
+clusters it by its gaps; no polynomial coefficient is ever formed.
 
 The coefficient route is the reference the tests compare against: full
 expansion by tensor interpolation on roots of unity (:func:`pencil_charpoly`,
@@ -216,22 +219,6 @@ def pencil_charpoly(mats, grid_cap: int = 10**6) -> MultiPoly:
     return _interpolate_grid(_det_chunked(pencil), npts, m, dim)
 
 
-def _line_coeff_rows(gen, dim, bases, dirs):
-    """Coefficient rows of ``det(sum (a_i + t d_i) A_i - I)`` for many lines.
-
-    bases, dirs: (L, m) complex arrays.  Returns (L, N+1) ascending
-    coefficients obtained by FFT through the N+1 unit roots.
-    """
-    npts = dim + 1
-    nodes = np.exp(2j * np.pi * np.arange(npts) / npts)
-    m0 = np.einsum("lm,mij->lij", bases, gen)
-    m0 -= np.eye(dim)
-    m1 = np.einsum("lm,mij->lij", dirs, gen)
-    stack = m0[:, None, :, :] + nodes[None, :, None, None] * m1[:, None, :, :]
-    vals = _det_chunked(stack)
-    return np.fft.fft(vals, axis=1) / npts
-
-
 # A line restriction whose leading coefficient is below this fraction of the
 # largest one has lost degree: its direction meets the part at infinity.
 _DEGENERATE_LEAD_REL = 1e-12
@@ -245,13 +232,17 @@ def restrict_pencil_to_line(mats, base, direction) -> UniPoly:
     when the chosen direction meets the variety's part at infinity.
     """
     gen, dim = _as_generator_stack(mats)
-    base = np.asarray(base, dtype=np.complex128).reshape(1, -1)
-    direction = np.asarray(direction, dtype=np.complex128).reshape(1, -1)
-    if base.shape[1] != gen.shape[0] or direction.shape[1] != gen.shape[0]:
+    base = np.asarray(base, dtype=np.complex128).ravel()
+    direction = np.asarray(direction, dtype=np.complex128).ravel()
+    if base.size != gen.shape[0] or direction.size != gen.shape[0]:
         raise ValueError("base and direction must have one entry per generator")
     if not np.any(direction):
         raise ValueError("direction must be nonzero")
-    coeffs = _line_coeff_rows(gen, dim, base, direction)[0]
+    # values at the N+1 unit roots, turned into ascending coefficients by one FFT
+    nodes = np.exp(2j * np.pi * np.arange(dim + 1) / (dim + 1))
+    m0 = np.einsum("m,mij->ij", base, gen) - np.eye(dim)
+    m1 = np.einsum("m,mij->ij", direction, gen)
+    coeffs = np.fft.fft(_det_chunked(m0 + nodes[:, None, None] * m1)) / (dim + 1)
     lead = abs(coeffs[-1])
     if lead < _DEGENERATE_LEAD_REL * float(np.max(np.abs(coeffs))):
         raise DegenerateDirection(
@@ -263,32 +254,6 @@ def restrict_pencil_to_line(mats, base, direction) -> UniPoly:
 # --------------------------------------------------------------------------
 # roots and clusters
 # --------------------------------------------------------------------------
-
-
-def _closure(pts, tol):
-    """Single-linkage relation of each row of complex points at distance ``tol``.
-
-    ``pts`` has shape ``(..., N)`` and ``tol`` one entry per row.  The
-    reflexive ``<= tol`` adjacency of every row is closed transitively by
-    batched boolean squaring.  Returns ``(dists, same)``: the pairwise
-    distances and the closed relation, both ``(..., N, N)``.
-    """
-    dists = np.abs(pts[..., :, None] - pts[..., None, :])
-    same = (dists <= np.asarray(tol)[..., None, None]) | np.eye(pts.shape[-1], dtype=bool)
-    grown = same @ same
-    while not np.array_equal(grown, same):
-        same, grown = grown, grown @ grown
-    return dists, same
-
-
-def _ordered_clusters(pts, same):
-    """The classes of one closed relation as ascending index arrays, ordered
-    by cluster mean (real part, then imaginary part, each rounded to 12
-    decimals)."""
-    clusters = [np.flatnonzero(same[i]) for i in np.unique(np.argmax(same, axis=1))]
-    clusters.sort(key=lambda idx: (round(float(pts[idx].real.sum()) / idx.size, 12),
-                                   round(float(pts[idx].imag.sum()) / idx.size, 12)))
-    return clusters
 
 
 def cluster_roots(roots, tol: float):
@@ -303,7 +268,13 @@ def cluster_roots(roots, tol: float):
     pts = np.atleast_1d(np.asarray(roots, dtype=np.complex128))
     if pts.size == 0:
         return []
-    return [pts[idx] for idx in _ordered_clusters(pts, _closure(pts, tol)[1])]
+    same = np.abs(pts[:, None] - pts[None, :]) <= tol
+    grown = same @ same
+    while not np.array_equal(grown, same):
+        same, grown = grown, grown @ grown
+    clusters = [pts[same[i]] for i in np.unique(np.argmax(same, axis=1))]
+    clusters.sort(key=lambda c: (round(float(c.real.mean()), 12), round(float(c.imag.mean()), 12)))
+    return clusters
 
 
 # --------------------------------------------------------------------------
@@ -316,9 +287,10 @@ class KPowerVerdict:
     """Outcome of the sampled perfect-power test.
 
     ``per_line_clusters`` records, per sampled line, ``(cluster_sizes,
-    spread)``: the eigenvalue cluster sizes found and the worst
-    intra-cluster spread.  The pencil's seed pins every line (see
-    :func:`kth_power_batch`).
+    spread)``: the eigenvalue cluster sizes found, in ascending order of
+    the eigenvalues, and the worst intra-cluster spread.  ``failing_line``
+    is the index of the first line that failed, ``None`` when all passed.
+    The pencil's seed pins every line (see :func:`kth_power_batch`).
     """
 
     is_kth_power: bool
@@ -327,13 +299,13 @@ class KPowerVerdict:
     per_line_clusters: tuple
     worst_spread: float
     failure_reason: str = ""
+    failing_line: int | None = None
 
 
 def _draw_directions(rng, lines, m):
-    """``lines`` random complex directions in m variables, ``(lines, m)``
-    with standard complex Gaussian entries, from one call of ``rng``."""
-    z = rng.standard_normal((2, lines, m))
-    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    """``lines`` random real directions in m variables, ``(lines, m)``
+    with standard Gaussian entries, from one call of ``rng``."""
+    return rng.standard_normal((lines, m))
 
 
 # Working-set budget of the batched power test: pencils are cut into chunks
@@ -344,48 +316,41 @@ _BATCH_ENTRIES = 20_000
 
 def _verdict_chunk(gens, k, n, seeds, tol):
     """Power-test verdicts for one chunk of pencils (see :func:`kth_power_batch`)."""
-    m, dim, lines = gens.shape[1], gens.shape[-1], tol.lines
+    (p_count, m, dim), lines = gens.shape[:3], tol.lines
+    defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
+    if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
+        raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
     dirs = np.stack([_draw_directions(np.random.default_rng(seed), lines, m) for seed in seeds])
-    # A multiplicity-k component of a pencil that splits into k identical
-    # blocks gives a semisimple eigenvalue of q . A, so rounding moves it
-    # linearly, not by eps**(1/k) as a root finder on coefficients would.
-    lams = np.linalg.eigvals(np.einsum("plm,pmij->plij", dirs, gens))
+    # q . A for every line as one real matmul on the (re, im) view; real q
+    # keeps it Hermitian.  A pencil split into k identical blocks gives
+    # k-fold eigenvalues, which rounding moves linearly (Weyl), not by
+    # eps**(1/k) as a root finder on coefficients would.
+    flat = np.ascontiguousarray(gens).view(np.float64).reshape(p_count, m, -1)
+    lams = np.linalg.eigvalsh((dirs @ flat).view(np.complex128).reshape(p_count, lines, dim, dim))
 
-    ctol = tol.cluster_rel * (1.0 + np.max(np.abs(lams), axis=-1))
-    dists, same = _closure(lams, ctol)
-    spreads = np.max(dists, where=same, initial=0.0, axis=(-2, -1))
-    # Row sums of the closed relation are the cluster sizes of its points,
-    # so a line needs the mean-ordered clusters only when they differ.
-    sizes = same.sum(axis=-1)
-    uniform = sizes.min(axis=-1) == sizes.max(axis=-1)
-    line_ok = np.all(sizes % k == 0, axis=-1) & (spreads <= ctol)
+    # The eigenvalues come sorted, so single linkage at ctol splits each row
+    # where a gap exceeds ctol: clusters are runs, their spread the run's range.
+    ctol = tol.cluster_rel * (1.0 + np.maximum(-lams[..., 0], lams[..., -1]))
+    cut = np.diff(lams, axis=-1) > ctol[..., None]
+    edge = np.ones(cut.shape[:-1] + (1,), dtype=bool)
+    first = np.flatnonzero(np.concatenate([edge, cut], axis=-1))
+    last = np.flatnonzero(np.concatenate([cut, edge], axis=-1))
+    # rows are (pencil, line) pairs; starts[r] is row r's first cluster
+    starts = np.concatenate([[0], np.cumsum(cut.sum(axis=-1).ravel() + 1)])
+    sizes = last - first + 1
+    odd = np.logical_or.reduceat(sizes % k != 0, starts[:-1])
+    sizes = sizes.tolist()
+    profiles = [tuple(sizes[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    spreads = np.maximum.reduceat(lams.ravel()[last] - lams.ravel()[first], starts[:-1])
+    line_ok = (~odd & (spreads <= ctol.ravel())).reshape(p_count, lines).tolist()
 
     verdicts = []
-    for p in range(len(seeds)):
-        records = []
-        for li in range(lines):
-            if uniform[p, li]:
-                size = int(sizes[p, li, 0])
-                profile = (size,) * (dim // size)
-            else:
-                clusters = _ordered_clusters(lams[p, li], same[p, li])
-                profile = tuple(int(c.size) for c in clusters)
-            records.append((profile, float(spreads[p, li])))
-        bad = np.flatnonzero(~line_ok[p])
-        reason = ""
-        if bad.size:
-            profile, spread = records[bad[0]]
-            reason = f"line {bad[0]}: cluster sizes {profile}, spread {spread:.3e}"
-        verdicts.append(
-            KPowerVerdict(
-                is_kth_power=not bad.size,
-                k=k,
-                n=n,
-                per_line_clusters=tuple(records),
-                worst_spread=float(np.max(spreads[p])),
-                failure_reason=reason,
-            )
-        )
+    for p, row in enumerate(spreads.reshape(p_count, lines).tolist()):
+        records = tuple(zip(profiles[p * lines : (p + 1) * lines], row))
+        bad = line_ok[p].index(False) if False in line_ok[p] else None
+        reason = "" if bad is None else (
+            f"line {bad}: cluster sizes {records[bad][0]}, spread {records[bad][1]:.3e}")
+        verdicts.append(KPowerVerdict(bad is None, k, n, records, max(row), reason, bad))
     return verdicts
 
 
@@ -396,19 +361,23 @@ def kth_power_batch(
     seeds,
     tol: Tolerances = DEFAULT,
 ) -> list:
-    """Decide, for each pencil of a stack, whether its determinant is a
-    perfect k-th power.
+    """Decide, for each pencil of a stack of Hermitian generators, whether
+    its determinant is a perfect k-th power.
 
-    ``gens`` holds P pencils of m generators each, shape ``(P, m, N, N)``,
-    and ``seeds`` one seed per pencil.  Each pencil is restricted to
-    ``tol.lines`` random complex lines ``x = t q`` through the origin, all
-    directions ``q`` drawn in one call of a generator seeded with its seed,
-    so the outcome depends neither on evaluation order nor on the rest of
-    the stack.  On every line the eigenvalues of ``q . A`` (the reciprocal
-    roots, zero for the root at infinity) must form clusters whose sizes are
-    all multiples of k, with intra-cluster spread below the cluster
-    tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
-    every ``e_j``, so a base with repeated factors passes.  Returns one
+    ``gens`` holds P pencils of m Hermitian generators each, shape
+    ``(P, m, N, N)``, and ``seeds`` one seed per pencil.  A generator ``G``
+    with ``max|G - G^H| > tol.hermitian_rel * max|G|`` raises
+    :class:`ValueError`: the eigensolver reads one triangle only.  Each
+    pencil is restricted to ``tol.lines`` random real lines ``x = t q``
+    through the origin, all directions ``q`` drawn in one call of a
+    generator seeded with its seed, so the outcome depends neither on
+    evaluation order nor on the rest of the stack.  On every line the
+    eigenvalues of the Hermitian ``q . A`` (the reciprocal roots, zero for
+    the root at infinity) must form clusters whose sizes are all multiples
+    of k, with intra-cluster spread below the cluster tolerance: single
+    linkage splits the sorted spectrum where a gap exceeds that tolerance.
+    ``prod f_j^e_j`` is a k-th power exactly when k divides every ``e_j``,
+    so a base with repeated factors passes.  Returns one
     :class:`KPowerVerdict` per pencil.
     """
     gens = np.asarray(gens, dtype=np.complex128)

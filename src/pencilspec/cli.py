@@ -19,14 +19,15 @@ tolerances when :class:`~pencilspec.config.Tolerances` is built, and ``k``
 against the tuple by :func:`~pencilspec.linalg.prepare_tuple` (``corollary``
 needs only ``k | N``, which it checks itself).  An exit 3 writes no report.
 
-``corollary`` runs the power test on an orthonormal basis of the monomial
-span (at most ``N^2`` matrices), so it has no cap on the family size.
+``corollary`` runs the power test on the Hermitian parts of an orthonormal
+basis of the monomial span (at most ``2 N^2`` matrices), so it has no cap on
+the family size.
 
 Files are JSON.  Complex numbers are stored as ``[re, im]`` pairs with
 full shortest-round-trip decimal digits, so a load/save cycle is lossless.
 Reports echo the inputs, the seeds and the whole tolerance block; rerunning
 with identical inputs reproduces a report byte for byte except for its
-``timestamp`` field.  ``analyze`` tests its words in one batched call, one
+``timestamp`` field.  ``analyze`` tests its words in batched calls, one
 pre-drawn sub-seed per word, and lists every word in its report: a word
 whose adjoint was tested earlier carries that word's verdict and its index
 under ``adjoint_of``.  Each power test draws its lines from one generator
@@ -49,7 +50,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .charpoly import kth_power_test
-from .conditions import ConditionReport, analyze
+from .conditions import ConditionReport, analyze, hermitian_parts
 from .config import DEFAULT, Tolerances
 from .decomposer import decompose, verify_decomposition
 from .errors import ClusterAmbiguity, DecompositionError, SpectralError, SpectrumPatternViolation
@@ -58,7 +59,7 @@ from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -167,8 +168,8 @@ def _verdict_to_json(v):
 
 
 def _word_summary(w, v, adjoint_of=None):
-    bad = [rec for rec in v.per_line_clusters if any(s % v.k for s in rec[0])]
-    sample = bad[0] if bad else v.per_line_clusters[0]
+    # the profile of the line that failure_reason names, else of line 0
+    sample = v.per_line_clusters[v.failing_line or 0]
     entry = {
         "letters": list(w.letters),
         "projections": list(w.projections),
@@ -334,6 +335,13 @@ def _monomial_span(mats, max_degree, tol):
 
 
 def cmd_corollary(args) -> int:
+    """Power-test the monomial span through Hermitian generators.
+
+    The span is *-closed (a monomial's adjoint is its reversal), so
+    ``V + V*`` and ``i (V - V*)`` over its orthonormal basis ``V`` span it
+    over the reals.  Their polynomial is the span's composed with a
+    surjective linear map, hence a k-th power exactly when the span's is.
+    """
     tol, tup, report = _start(
         "corollary",
         {"k": args.k, "seed": args.seed, "max_degree": args.max_degree},
@@ -355,7 +363,8 @@ def cmd_corollary(args) -> int:
     prep = prepare_tuple(tup, tol=tol)
     report["shifts"] = list(prep.shifts)
     span = _monomial_span(prep.tup.matrices, degree_bound, tol)
-    verdict = kth_power_test(span, args.k, n, seed=args.seed, tol=tol)
+    gens = hermitian_parts(span).reshape(-1, tup.dim, tup.dim)
+    verdict = kth_power_test(gens, args.k, n, seed=args.seed, tol=tol)
     report["verdict"] = _verdict_to_json(verdict)
     report["outcome"] = "pass" if verdict.is_kth_power else "fail"
     _emit(report, args.out)

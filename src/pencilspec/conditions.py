@@ -8,15 +8,17 @@ The certificate has three layers:
    well-separated centers (the regularity the construction leans on);
 3. the word conditions: for every word ``A_s1 P_j1 A_s2 ... P_jr A_s(r+1)``
    built from generators interleaved with distinct spectral projections of
-   the first generator (r <= n-1), the pair pencil with the first generator
-   must pass the perfect k-th power test.
+   the first generator (r <= n-1), the pencil of the Hermitian triple
+   ``(A_1, W + W*, i (W - W*))`` must pass the perfect k-th power test.  The
+   pair pencil ``x A_1 + y W`` is this triple on a plane, so a triple that is
+   a k-th power has a pair that is one too; a split tuple splits every triple.
 
 ``analyze`` aggregates all three into a :class:`ConditionReport`.  It runs
 them on the tuple as :func:`~pencilspec.linalg.prepare_tuple` leaves it (unit
 scale, invertible), which also checks the precondition.  The words are
-realized up front and tested in one call of
-:func:`~pencilspec.charpoly.kth_power_batch`, each on its own sub-seed drawn
-from the master seed.  A word's lines all come from one generator seeded
+realized and tested a slice at a time, one call of
+:func:`~pencilspec.charpoly.kth_power_batch` per slice, each word on its own
+sub-seed drawn from the master seed.  A word's lines all come from one generator seeded
 with its sub-seed, so a verdict does not depend on the rest of the
 battery; no environment variable (thread count or other) affects them.
 A word whose adjoint comes earlier in the enumeration shares that word's
@@ -49,6 +51,7 @@ __all__ = [
     "enumerate_words",
     "count_words",
     "realize_word",
+    "hermitian_parts",
     "adjoint_twins",
     "check_admissibility",
     "analyze",
@@ -145,6 +148,15 @@ def realize_word(tup: HermitianTuple, spec: SpectralData, w: WordSpec) -> np.nda
     for jlab, s in zip(w.projections, w.letters[1:]):
         out = out @ spec.projections[jlab - 1] @ tup.matrices[s - 1]
     return out
+
+
+def hermitian_parts(w) -> np.ndarray:
+    """``(W + W*, i (W - W*))`` stacked on a new first axis, for a matrix or
+    a stack of them: Hermitian to the last bit, as the power test requires.
+    ``x A_1 + (y/2) (W + W*) - (i y/2) i (W - W*)`` is ``x A_1 + y W``.
+    """
+    adj = np.swapaxes(w, -1, -2).conj()
+    return np.stack([w + adj, 1j * (w - adj)])
 
 
 def adjoint_twins(words) -> dict:
@@ -258,6 +270,11 @@ class ConditionReport:
     adjoint_of: dict = field(default_factory=dict)  # word index -> certifying word index
 
 
+# Words whose pencils are stacked per call of the power test; verdicts do not
+# depend on it, and it bounds the stack at 128 * 3 * N^2 complex entries.
+_WORD_SLICE = 128
+
+
 def analyze(
     tup: HermitianTuple,
     k: int,
@@ -311,13 +328,16 @@ def analyze(
 
     twins = adjoint_twins(words)
     tested = [i for i in range(len(words)) if i not in twins]
-    # filled in place: the stack is the battery's largest array
-    pencils = np.empty((len(tested), 2, tup.dim, tup.dim), dtype=np.complex128)
+    verdicts = {}
+    # the battery's largest array, filled in place a slice of words at a time
+    pencils = np.empty((min(_WORD_SLICE, len(tested)), 3, tup.dim, tup.dim), dtype=complex)
     pencils[:, 0] = shifted.matrices[0]
-    for row, i in enumerate(tested):
-        pencils[row, 1] = realize_word(shifted, spec, words[i])
-    seeds = [sub_seeds[1 + i] for i in tested]
-    verdicts = dict(zip(tested, kth_power_batch(pencils, k, n, seeds, tol=tol)))
+    for start in range(0, len(tested), _WORD_SLICE):
+        rows = tested[start : start + _WORD_SLICE]
+        for row, i in enumerate(rows):
+            pencils[row, 1:] = hermitian_parts(realize_word(shifted, spec, words[i]))
+        seeds = [sub_seeds[1 + i] for i in rows]
+        verdicts.update(zip(rows, kth_power_batch(pencils[: len(rows)], k, n, seeds, tol=tol)))
     word_results = tuple((w, verdicts[twins.get(i, i)]) for i, w in enumerate(words))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing

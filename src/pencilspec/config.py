@@ -35,9 +35,10 @@ class Tolerances:
     singular_eig_rel: float = 1e-10       # below this, shift by ||A|| + 1; span rank cut
 
     # sampled k-th-power test.  Margin of cluster_rel: over decomposable and
-    # commuting tuples (8 shapes x 4 seeds) the worst root spread is 1.1e-14,
-    # a millionth of the tolerance, and the epsilon-phase twins of
-    # tests/test_resolution.py fail at every epsilon down to 1e-6.
+    # commuting tuples (12 shapes x 4 seeds, every word's Hermitian triple)
+    # the worst eigenvalue spread is 2.1e-14, 2e-6 of the tolerance, and
+    # the epsilon-phase twins of tests/test_resolution.py fail at every
+    # epsilon down to 1e-6.
     cluster_rel: float = 1e-8             # eigenvalue-cluster tolerance, times (1+max|lambda|)
     lines: int = 8                        # random lines per power test (at least 4)
     word_cap: int = 10000                 # enumeration cap (flagged, not fatal)

@@ -16,6 +16,7 @@ from pencilspec.charpoly import (
     restrict_pencil_to_line,
     transform_tuple_vars,
 )
+from pencilspec.config import DEFAULT
 from pencilspec.errors import (
     DegenerateDirection,
     GridTooLarge,
@@ -255,24 +256,34 @@ class TestKthPowerTest:
 def reference_verdict(mats, k, n, seed, lines=8):
     """The per-line loop the batched test replaced, kept as its reference:
     one pencil, one line at a time, every direction from one draw of the
-    pencil's generator."""
+    pencil's generator.  ``q . A`` is formed as the batch forms it, one
+    pencil at a time; each line then gets its own ``eigvalsh`` and its
+    clusters are the runs between sorted gaps above the cluster tolerance."""
     from pencilspec.charpoly import KPowerVerdict, _draw_directions
     from pencilspec.config import DEFAULT
 
-    gen = np.stack(mats)
-    dirs = _draw_directions(np.random.default_rng(seed), lines, gen.shape[0])
-    records, reason, worst = [], "", 0.0
+    gen = np.stack(mats).astype(np.complex128)
+    m, dim = gen.shape[0], gen.shape[-1]
+    dirs = _draw_directions(np.random.default_rng(seed), lines, m)
+    line_mats = (dirs @ gen.view(np.float64).reshape(m, -1)).view(np.complex128)
+    records, reason, failing, worst = [], "", None, 0.0
     for li in range(lines):
-        lams = np.linalg.eigvals(np.einsum("lm,mij->lij", dirs[li : li + 1], gen))[0]
+        lams = np.linalg.eigvalsh(line_mats[li].reshape(dim, dim))
         ctol = DEFAULT.cluster_rel * (1.0 + float(np.max(np.abs(lams))))
-        clusters = cluster_roots(lams, ctol)
-        sizes = tuple(c.size for c in clusters)
-        spread = max(float(np.max(np.abs(c[:, None] - c[None, :]))) for c in clusters)
+        runs = [[lams[0]]]
+        for lo, hi in zip(lams[:-1], lams[1:]):
+            if hi - lo > ctol:
+                runs.append([hi])
+            else:
+                runs[-1].append(hi)
+        sizes = tuple(len(r) for r in runs)
+        spread = max(float(r[-1] - r[0]) for r in runs)
         worst = max(worst, spread)
         records.append((sizes, spread))
-        if not reason and not (all(x % k == 0 for x in sizes) and spread <= ctol):
+        if failing is None and not (all(x % k == 0 for x in sizes) and spread <= ctol):
+            failing = li
             reason = f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"
-    return KPowerVerdict(not reason, k, n, tuple(records), worst, reason)
+    return KPowerVerdict(failing is None, k, n, tuple(records), worst, reason, failing)
 
 
 class TestKthPowerBatch:
@@ -340,6 +351,40 @@ class TestKthPowerBatch:
         forward = kth_power_batch(gens, k=2, n=2, seeds=seeds)
         backward = kth_power_batch(gens[::-1], k=2, n=2, seeds=seeds[::-1])
         assert backward[::-1] == forward
+
+    def test_rejects_a_non_hermitian_generator(self):
+        gens, seeds = self.stack()
+        gens[3, 1, 0, 2] += 1e-6  # one entry off its conjugate partner
+        with pytest.raises(ValueError, match="Hermitian"):
+            kth_power_batch(gens, k=2, n=2, seeds=seeds)
+
+    def test_accepts_a_rotated_hermitian_generator(self):
+        # a Haar rotation leaves a defect at rounding level, which the
+        # relative admission bound lets through
+        from pencilspec.instances import haar_unitary
+
+        u = haar_unitary(4, 8)
+        gens = [u @ g @ u.conj().T for g in (diag(1, 1, 2, 2), diag(3, 3, 4, 4))]
+        defect = max(float(np.max(np.abs(g - g.conj().T))) for g in gens)
+        assert 0.0 < defect <= 1e-14
+        assert kth_power_batch(np.stack(gens)[None], k=2, n=2, seeds=[3])[0].is_kth_power
+
+    def test_chain_merges_transitively(self):
+        # Relative to cluster_rel (1 + max|lambda|), consecutive points of the
+        # chain sit 0.6 ctol apart on every line, so sorted-gap linkage joins
+        # all four although the ends are 1.8 ctol apart; the spread is the
+        # chain's range, which fails the test.
+        from pencilspec.charpoly import _draw_directions
+
+        top, step = 1e8, 0.6e8 * DEFAULT.cluster_rel
+        chain = [top - 3 * step, top - 2 * step, top - step, top]
+        v = kth_power_test([diag(5e7, 5e7, *chain)], k=2, n=3, seed=4)
+        q = _draw_directions(np.random.default_rng(4), DEFAULT.lines, 1)[:, 0]
+        for qi, (sizes, spread) in zip(q, v.per_line_clusters):
+            assert sizes == ((2, 4) if qi > 0 else (4, 2))
+            assert spread == pytest.approx(3 * step * abs(qi), rel=1e-6)
+        assert not v.is_kth_power
+        assert v.failing_line == 0
 
     def test_rejects_bad_stack(self):
         gens, seeds = self.stack()

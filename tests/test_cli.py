@@ -13,6 +13,7 @@ from pencilspec.cli import (
     EXIT_PASS,
     EXIT_PRECONDITION,
     _monomial_span,
+    _word_summary,
     load_tuple,
     main,
     save_tuple,
@@ -220,7 +221,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 8
+        assert rep["version"] == 9
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -263,6 +264,20 @@ class TestAnalyzeCommand:
         assert code == EXIT_PASS
         rep = json.loads(capsys.readouterr().out)
         assert rep["overall"] == "pass"
+
+    def test_word_summary_samples_the_failing_line(self):
+        # every size is even, so only line 1's spread fails it; the summary
+        # shows that line's profile, the one failure_reason names
+        from pencilspec.charpoly import KPowerVerdict
+        from pencilspec.conditions import WordSpec
+
+        lines = (((2, 2), 0.0), ((4,), 3e-3), ((2, 2), 0.0))
+        v = KPowerVerdict(False, 2, 2, lines, 3e-3,
+                          "line 1: cluster sizes (4,), spread 3.000e-03", 1)
+        entry = _word_summary(WordSpec((2,), ()), v)
+        assert entry["cluster_profile"] == [4]
+        passing = KPowerVerdict(True, 2, 2, lines[::2], 0.0)
+        assert _word_summary(WordSpec((2,), ()), passing)["cluster_profile"] == [2, 2]
 
 
 class TestDecomposeCommand:

@@ -9,6 +9,7 @@ from pencilspec.conditions import (
     check_admissibility,
     count_words,
     enumerate_words,
+    hermitian_parts,
     realize_word,
     verify_cycle_identity,
     verify_first_order_identity,
@@ -138,8 +139,8 @@ class TestWordCondition:
         sd = eigendecompose_clustered(shifted.matrices[0])
         words, _ = enumerate_words(3, 2, mode="all")
         for i, w in enumerate(words):
-            v = kth_power_test([shifted.matrices[0], realize_word(shifted, sd, w)], k=2, n=3,
-                               seed=i)
+            parts = hermitian_parts(realize_word(shifted, sd, w))
+            v = kth_power_test([shifted.matrices[0], *parts], k=2, n=3, seed=i)
             assert v.is_kth_power, (w, v.failure_reason)
 
     def test_negative_cycle_word_fails(self):
@@ -147,9 +148,25 @@ class TestWordCondition:
         shifted, _ = shift_to_invertible(tup)
         sd = eigendecompose_clustered(shifted.matrices[0])
         w = WordSpec(**desc.failing_word)
-        v = kth_power_test([shifted.matrices[0], realize_word(shifted, sd, w)], k=2, n=3,
-                           seed=0)
+        parts = hermitian_parts(realize_word(shifted, sd, w))
+        v = kth_power_test([shifted.matrices[0], *parts], k=2, n=3, seed=0)
         assert not v.is_kth_power
+
+    def test_hermitian_parts_carry_the_pair_pencil(self):
+        # both parts are Hermitian to the last bit, the adjoint negates the
+        # second, and the plane (x, y/2, -i y/2) gives back x A_1 + y W
+        tup, _ = gen_conjugate_negative(seed=2)
+        prep = prepare_tuple(tup, 2)
+        w = realize_word(prep.tup, prep.spec, WordSpec(letters=(2, 2), projections=(1,)))
+        h1, h2 = hermitian_parts(w)
+        for h in (h1, h2):
+            assert np.array_equal(h, h.conj().T)
+        adj1, adj2 = hermitian_parts(w.conj().T)
+        assert np.array_equal(adj1, h1) and np.array_equal(adj2, -h2)
+        a1 = prep.tup.matrices[0]
+        x, y = 0.3 - 1.1j, 0.7 + 0.4j
+        triple = x * a1 + (y / 2) * h1 + (-0.5j * y) * h2
+        assert np.allclose(triple, x * a1 + y * w, atol=1e-14)
 
 
 class TestAdjointTwins:
@@ -186,8 +203,9 @@ class TestAdjointTwins:
         for i, j in twins.items():
             w, w_adj = (realize_word(prep.tup, prep.spec, words[x]) for x in (j, i))
             assert np.linalg.norm(w_adj - w.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(w))
-            v = kth_power_test([a1, w], 2, prep.spec.n, seed=seed + 100 * j)
-            v_adj = kth_power_test([a1, w_adj], 2, prep.spec.n, seed=seed + 100 * i + 1)
+            v = kth_power_test([a1, *hermitian_parts(w)], 2, prep.spec.n, seed=seed + 100 * j)
+            v_adj = kth_power_test([a1, *hermitian_parts(w_adj)], 2, prep.spec.n,
+                                   seed=seed + 100 * i + 1)
             assert v.is_kth_power == v_adj.is_kth_power, (words[j], words[i])
 
     def test_analyze_shares_verdicts(self):
