@@ -290,7 +290,7 @@ class KPowerVerdict:
     spread)``: the eigenvalue cluster sizes found, in ascending order of
     the eigenvalues, and the worst intra-cluster spread.  ``failing_line``
     is the index of the first line that failed, ``None`` when all passed.
-    The pencil's seed pins every line (see :func:`kth_power_batch`).
+    The pencil's directions pin every line (see :func:`kth_power_batch`).
     """
 
     is_kth_power: bool
@@ -302,10 +302,12 @@ class KPowerVerdict:
     failing_line: int | None = None
 
 
-def _draw_directions(rng, lines, m):
-    """``lines`` random real directions in m variables, ``(lines, m)``
-    with standard Gaussian entries, from one call of ``rng``."""
-    return rng.standard_normal((lines, m))
+def _draw_directions(rng, lines, m, pencils=None):
+    """``lines`` random real directions in m variables with standard
+    Gaussian entries, from one call of ``rng``: ``(lines, m)``, or
+    ``(pencils, lines, m)`` for a stack of pencils.  Row i of a stack is the
+    same whatever ``pencils`` is, as the generator fills it in order."""
+    return rng.standard_normal((lines, m) if pencils is None else (pencils, lines, m))
 
 
 # Working-set budget of the batched power test: pencils are cut into chunks
@@ -314,13 +316,12 @@ def _draw_directions(rng, lines, m):
 _BATCH_ENTRIES = 20_000
 
 
-def _verdict_chunk(gens, k, n, seeds, tol):
+def _verdict_chunk(gens, k, n, dirs, tol):
     """Power-test verdicts for one chunk of pencils (see :func:`kth_power_batch`)."""
     (p_count, m, dim), lines = gens.shape[:3], tol.lines
     defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
     if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
         raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
-    dirs = np.stack([_draw_directions(np.random.default_rng(seed), lines, m) for seed in seeds])
     # q . A for every line as one real matmul on the (re, im) view; real q
     # keeps it Hermitian.  A pencil split into k identical blocks gives
     # k-fold eigenvalues, which rounding moves linearly (Weyl), not by
@@ -358,41 +359,45 @@ def kth_power_batch(
     gens,
     k: int,
     n: int,
-    seeds,
+    dirs,
     tol: Tolerances = DEFAULT,
 ) -> list:
     """Decide, for each pencil of a stack of Hermitian generators, whether
     its determinant is a perfect k-th power.
 
     ``gens`` holds P pencils of m Hermitian generators each, shape
-    ``(P, m, N, N)``, and ``seeds`` one seed per pencil.  A generator ``G``
-    with ``max|G - G^H| > tol.hermitian_rel * max|G|`` raises
-    :class:`ValueError`: the eigensolver reads one triangle only.  Each
-    pencil is restricted to ``tol.lines`` random real lines ``x = t q``
-    through the origin, all directions ``q`` drawn in one call of a
-    generator seeded with its seed, so the outcome depends neither on
-    evaluation order nor on the rest of the stack.  On every line the
-    eigenvalues of the Hermitian ``q . A`` (the reciprocal roots, zero for
-    the root at infinity) must form clusters whose sizes are all multiples
-    of k, with intra-cluster spread below the cluster tolerance: single
-    linkage splits the sorted spectrum where a gap exceeds that tolerance.
-    ``prod f_j^e_j`` is a k-th power exactly when k divides every ``e_j``,
-    so a base with repeated factors passes.  Returns one
+    ``(P, m, N, N)``, and ``dirs`` the real directions of their lines, shape
+    ``(P, tol.lines, m)``: pencil p is restricted to the lines ``x = t q``
+    through the origin for the rows ``q`` of ``dirs[p]``, so its verdict
+    depends on its generators and its directions alone, neither on
+    evaluation order nor on the rest of the stack.  A generator ``G`` with
+    ``max|G - G^H| > tol.hermitian_rel * max|G|`` raises
+    :class:`ValueError`: the eigensolver reads one triangle only.  On every
+    line the eigenvalues of the Hermitian ``q . A`` (the reciprocal roots,
+    zero for the root at infinity) must form clusters whose sizes are all
+    multiples of k, with intra-cluster spread below the cluster tolerance:
+    single linkage splits the sorted spectrum where a gap exceeds that
+    tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
+    every ``e_j``, so a base with repeated factors passes.  Returns one
     :class:`KPowerVerdict` per pencil.
     """
     gens = np.asarray(gens, dtype=np.complex128)
     if gens.ndim != 4 or gens.shape[-1] != gens.shape[-2]:
         raise ValueError("pencils must be stacked as (P, m, N, N)")
     dim = gens.shape[-1]
-    if len(seeds) != gens.shape[0]:
-        raise ValueError("need one seed per pencil")
+    dirs = np.asarray(dirs, dtype=np.float64)
+    if dirs.shape != (gens.shape[0], tol.lines, gens.shape[1]):
+        raise ValueError(
+            f"need directions of shape {(gens.shape[0], tol.lines, gens.shape[1])}, "
+            f"got {dirs.shape}"
+        )
     if k < 1 or n < 1 or n * k != dim:
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
     chunk = max(1, _BATCH_ENTRIES // (tol.lines * dim * dim))
     verdicts = []
-    for start in range(0, len(seeds), chunk):
+    for start in range(0, len(gens), chunk):
         verdicts += _verdict_chunk(
-            gens[start : start + chunk], k, n, seeds[start : start + chunk], tol
+            gens[start : start + chunk], k, n, dirs[start : start + chunk], tol
         )
     return verdicts
 
@@ -405,9 +410,11 @@ def kth_power_test(
     tol: Tolerances = DEFAULT,
 ) -> KPowerVerdict:
     """Decide whether the pencil determinant of ``mats`` is a perfect k-th
-    power: :func:`kth_power_batch` on a stack of one pencil."""
+    power: :func:`kth_power_batch` on a stack of one pencil, its directions
+    drawn in one call of a generator seeded with ``seed``."""
     gen, _ = _as_generator_stack(mats)
-    return kth_power_batch(gen[None], k, n, [seed], tol=tol)[0]
+    dirs = _draw_directions(np.random.default_rng(seed), tol.lines, len(gen))
+    return kth_power_batch(gen[None], k, n, dirs[None], tol=tol)[0]
 
 
 # --------------------------------------------------------------------------

@@ -23,17 +23,19 @@ needs only ``k | N``, which it checks itself).  An exit 3 writes no report.
 basis of the monomial span (at most ``2 N^2`` matrices), so it has no cap on
 the family size.
 
-Files are JSON.  Complex numbers are stored as ``[re, im]`` pairs with
-full shortest-round-trip decimal digits, so a load/save cycle is lossless.
-Reports echo the inputs, the seeds and the whole tolerance block; rerunning
-with identical inputs reproduces a report byte for byte except for its
-``timestamp`` field.  ``analyze`` tests its words in batched calls, one
-pre-drawn sub-seed per word, and lists every word in its report: a word
-whose adjoint was tested earlier carries that word's verdict and its index
-under ``adjoint_of``.  Each power test draws its lines from one generator
-seeded with its seed, in one draw; a verdict's ``lines`` give, per line,
-its ``cluster_sizes`` and ``spread``.  No environment variable changes the
-reports.
+Files are JSON, one line per top-level key (sorted), so the ``timestamp``
+line can be dropped with a line filter.  Complex numbers are stored as
+``[re, im]`` pairs with full shortest-round-trip decimal digits, so a
+load/save cycle is lossless.  Reports echo the inputs, the seeds and the
+whole tolerance block; rerunning with identical inputs reproduces a report
+byte for byte except for its ``timestamp`` line.  ``analyze`` draws every
+line of its battery from one generator seeded with ``--seed`` (the full
+tuple's first, then one block per word), tests its words in batched calls,
+and lists every word in its report: a word whose adjoint was tested
+earlier carries that word's verdict and its index under ``adjoint_of``.
+``corollary`` draws its lines from a generator seeded with ``--seed``, in
+one draw; a verdict's ``lines`` give, per line, its ``cluster_sizes`` and
+``spread``.  No environment variable changes the reports.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -106,7 +108,11 @@ def _atomic_write(path, text):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """``obj`` with one line per top-level key, in sorted order, each value
+    on one line through the C encoder (``indent`` would force the pure-Python
+    one).  A scalar such as ``timestamp`` thus sits on a line of its own."""
+    lines = (f" {json.dumps(key)}: {json.dumps(obj[key], sort_keys=True)}" for key in sorted(obj))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def save_tuple(path, tup: HermitianTuple, metadata=None):

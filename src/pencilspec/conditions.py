@@ -15,14 +15,18 @@ The certificate has three layers:
 
 ``analyze`` aggregates all three into a :class:`ConditionReport`.  It runs
 them on the tuple as :func:`~pencilspec.linalg.prepare_tuple` leaves it (unit
-scale, invertible), which also checks the precondition.  The words are
-realized and tested a slice at a time, one call of
-:func:`~pencilspec.charpoly.kth_power_batch` per slice, each word on its own
-sub-seed drawn from the master seed.  A word's lines all come from one generator seeded
-with its sub-seed, so a verdict does not depend on the rest of the
-battery; no environment variable (thread count or other) affects them.
-A word whose adjoint comes earlier in the enumeration shares that word's
-verdict instead of being tested (see :func:`adjoint_twins`).
+scale, invertible), which also checks the precondition.  One generator,
+seeded with the master seed, draws every line: first the full tuple's
+directions, then, in one call, a block of directions per word, word i
+taking row i.  So a verdict depends on the seed and the word's index
+alone, not on how the battery is sliced or ordered; no environment
+variable (thread count or other) affects them.  The words are realized
+level by level through k-column blocks of the first generator's
+eigenbasis (see :class:`_BlockWords`; :func:`realize_word` is the
+reference) and tested a slice at a time, one call of
+:func:`~pencilspec.charpoly.kth_power_batch` per slice.  A word whose
+adjoint comes earlier in the enumeration shares that word's verdict
+instead of being tested (see :func:`adjoint_twins`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .charpoly import KPowerVerdict, branch_derivative, kth_power_batch, kth_power_test
+from .charpoly import KPowerVerdict, _draw_directions, branch_derivative, kth_power_batch
 from .config import DEFAULT, Tolerances
 from .decomposer import verify_cycle_identity  # re-exported next to the other identity check
 from .errors import ClusterAmbiguity, IndexOutOfRange, SpectrumPatternViolation
@@ -150,13 +154,20 @@ def realize_word(tup: HermitianTuple, spec: SpectralData, w: WordSpec) -> np.nda
     return out
 
 
-def hermitian_parts(w) -> np.ndarray:
+def hermitian_parts(w, out=None) -> np.ndarray:
     """``(W + W*, i (W - W*))`` stacked on a new first axis, for a matrix or
     a stack of them: Hermitian to the last bit, as the power test requires.
     ``x A_1 + (y/2) (W + W*) - (i y/2) i (W - W*)`` is ``x A_1 + y W``.
+    With ``out`` (shape ``(2,) + W.shape``, not overlapping ``w``), the
+    parts are written there, with no temporary.
     """
-    adj = np.swapaxes(w, -1, -2).conj()
-    return np.stack([w + adj, 1j * (w - adj)])
+    if out is None:
+        out = np.empty((2,) + np.shape(w), dtype=complex)
+    adj = np.conjugate(np.swapaxes(w, -1, -2), out=out[1])
+    np.add(w, adj, out=out[0])
+    np.subtract(w, adj, out=adj)
+    adj *= 1j
+    return out
 
 
 def adjoint_twins(words) -> dict:
@@ -177,6 +188,80 @@ def adjoint_twins(words) -> dict:
         else:
             twins[i] = j
     return twins
+
+
+class _BlockWords:
+    """Word matrices through k-column blocks of the first generator's eigenbasis.
+
+    With ``U_j`` the N x k eigenvector block of cluster j, ``P_j = U_j U_j*``,
+    so a word is ``(A_s0 U_j1)(U_j1* A_s1 U_j2) ... (U_jr* A_sr)``.  Its
+    prefix, everything before the last ``U_jr* A_sr``, is one N x k matrix,
+    and the prefixes of the next level (one more projection) are the
+    previous ones times the k x k blocks ``U_j* A_s U_i``: one batched
+    product per level.  ``words`` must be an :func:`enumerate_words` list
+    (levels ascending; per level, projection tuples in order, each with all
+    its letter tuples in order, only the last one possibly cut short).
+    ``matrices`` must be asked for word indices in ascending order across
+    calls, so only the current level's prefixes are kept, next to the ones
+    they are built from.
+    """
+
+    def __init__(self, tup: HermitianTuple, spec: SpectralData, words):
+        dim, n = tup.dim, spec.n
+        u = spec.basis.reshape(dim, n, dim // n).transpose(1, 0, 2)  # U_j, (n, N, k)
+        self.gens = np.stack(tup.matrices[1:])                       # A_s, s = 2..m
+        self.letters = len(self.gens)
+        self.left = self.gens[:, None] @ u                           # A_s U_j
+        self.right = self.left.conj().swapaxes(-1, -2)               # U_j* A_s
+        self.blocks = self.right[:, :, None] @ u                     # [s, j, i]: U_j* A_s U_i
+        self.words = words
+        self.starts = np.searchsorted([w.r for w in words], np.arange(n + 1))
+        self.level = 0
+        self.prefixes = self.last = self.ranks = None
+
+    def _advance(self, level):
+        """Build the prefixes of every level up to ``level``, dropping older ones.
+
+        Prefix f of level r has projection tuple ``f // letters**r`` and, as
+        index ``f % letters**r``, the word's letters but the last; so word t
+        of the level is prefix ``t // letters`` times ``U_jr* A_s`` for its
+        last letter ``s = t % letters``.
+        """
+        letters = self.letters
+        while self.level < level:
+            self.level += 1
+            start, stop = self.starts[self.level], self.starts[self.level + 1]
+            per = letters**self.level
+            tuples = [self.words[i].projections for i in range(start, stop, per * letters)]
+            f = np.arange(-(-(stop - start) // letters))
+            q, s = f // per, f % letters
+            j_new = np.array([p[-1] - 1 for p in tuples])
+            if self.level == 1:
+                prefixes = self.left[s, j_new[q]]
+            else:
+                parent = np.array([self.ranks[p[:-1]] for p in tuples])[q] * (per // letters)
+                j_old = np.array([p[-2] - 1 for p in tuples])[q]
+                prefixes = self.prefixes[parent + f % per // letters] @ self.blocks[
+                    s, j_old, j_new[q]
+                ]
+            self.prefixes, self.last = prefixes, j_new
+            self.ranks = {p: a for a, p in enumerate(tuples)}
+
+    def matrices(self, indices) -> np.ndarray:
+        """The realized words at ``indices``, stacked as ``(len, N, N)``."""
+        indices = np.asarray(indices)
+        out = np.empty((len(indices),) + self.gens.shape[1:], dtype=complex)
+        levels = np.searchsorted(self.starts, indices, side="right") - 1
+        for level in sorted(set(levels.tolist())):
+            rows = np.flatnonzero(levels == level)
+            t = indices[rows] - self.starts[level]
+            if level == 0:
+                out[rows] = self.gens[t]
+                continue
+            self._advance(level)
+            j = self.last[t // self.letters ** (level + 1)]
+            out[rows] = self.prefixes[t // self.letters] @ self.right[t % self.letters, j]
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -284,9 +369,9 @@ def analyze(
 ) -> ConditionReport:
     """Run the full battery and aggregate the outcome.
 
-    Sub-seeds for the full-tuple test and every word are derived from
-    ``seed`` up front, one per check in enumeration order; the adjoint twin
-    of an earlier word skips its test and takes that word's verdict.
+    One generator seeded with ``seed`` draws the full tuple's directions,
+    then one block of directions per word in enumeration order; the adjoint
+    twin of an earlier word skips its test and takes that word's verdict.
     """
     if tup.m < 2:
         raise ValueError("need at least two generators")
@@ -322,22 +407,25 @@ def analyze(
 
     words, truncated = enumerate_words(n, tup.m, mode=mode, tol=tol)
     master = np.random.default_rng(seed)
-    sub_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=1 + len(words))]
+    full_dirs = _draw_directions(master, tol.lines, tup.m)
+    word_dirs = _draw_directions(master, tol.lines, 3, pencils=len(words))
 
-    full_verdict = kth_power_test(list(shifted.matrices), k, n, seed=sub_seeds[0], tol=tol)
+    full_verdict = kth_power_batch(
+        np.stack(shifted.matrices)[None], k, n, full_dirs[None], tol=tol
+    )[0]
 
     twins = adjoint_twins(words)
-    tested = [i for i in range(len(words)) if i not in twins]
+    tested = np.array([i for i in range(len(words)) if i not in twins])
+    realized = _BlockWords(shifted, spec, words)
     verdicts = {}
     # the battery's largest array, filled in place a slice of words at a time
     pencils = np.empty((min(_WORD_SLICE, len(tested)), 3, tup.dim, tup.dim), dtype=complex)
     pencils[:, 0] = shifted.matrices[0]
     for start in range(0, len(tested), _WORD_SLICE):
         rows = tested[start : start + _WORD_SLICE]
-        for row, i in enumerate(rows):
-            pencils[row, 1:] = hermitian_parts(realize_word(shifted, spec, words[i]))
-        seeds = [sub_seeds[1 + i] for i in rows]
-        verdicts.update(zip(rows, kth_power_batch(pencils[: len(rows)], k, n, seeds, tol=tol)))
+        stack = pencils[: len(rows)]
+        hermitian_parts(realized.matrices(rows), out=stack[:, 1:].swapaxes(0, 1))
+        verdicts.update(zip(rows.tolist(), kth_power_batch(stack, k, n, word_dirs[rows], tol=tol)))
     word_results = tuple((w, verdicts[twins.get(i, i)]) for i, w in enumerate(words))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing

@@ -316,12 +316,21 @@ class TestKthPowerBatch:
         ]
         return np.stack([np.stack(p) for p in pencils]), [7, 5, 0, 0, 11]
 
+    @staticmethod
+    def dirs(seeds, m=2):
+        # each pencil's directions as kth_power_test draws them for its seed
+        from pencilspec.charpoly import _draw_directions
+
+        return np.stack([_draw_directions(np.random.default_rng(s), DEFAULT.lines, m)
+                         for s in seeds])
+
     def test_batch_equals_per_line_reference(self, monkeypatch):
         import pencilspec.charpoly as charpoly
 
         gens, seeds = self.stack()
+        dirs = self.dirs(seeds)
         reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(gens, seeds)]
-        batched = kth_power_batch(gens, k=2, n=2, seeds=seeds)
+        batched = kth_power_batch(gens, k=2, n=2, dirs=dirs)
         assert batched == reference
         assert batched == [kth_power_test(list(g), k=2, n=2, seed=s) for g, s in zip(gens, seeds)]
         assert [v.is_kth_power for v in batched] == [True, True, False, True, True]
@@ -330,11 +339,13 @@ class TestKthPowerBatch:
         assert batched[3].worst_spread > 0.0  # the rotation leaves rounding in the roots
         for budget in (1, 2 * 8 * 16, 3 * 8 * 16):
             monkeypatch.setattr(charpoly, "_BATCH_ENTRIES", budget)
-            assert kth_power_batch(gens, k=2, n=2, seeds=seeds) == reference
+            assert kth_power_batch(gens, k=2, n=2, dirs=dirs) == reference
 
-    def test_one_generator_per_pencil(self, monkeypatch):
-        # P pencils need exactly P generators, whatever the number of lines
+    def test_kth_power_test_builds_one_generator(self, monkeypatch):
+        # one generator per call, whatever the number of lines; the batch
+        # itself draws nothing
         gens, seeds = self.stack()
+        dirs = self.dirs(seeds)
         built = []
         default_rng = np.random.default_rng
 
@@ -343,20 +354,23 @@ class TestKthPowerBatch:
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", counting)
-        kth_power_batch(gens, k=2, n=2, seeds=seeds)
-        assert built == seeds
+        kth_power_test(list(gens[0]), k=2, n=2, seed=seeds[0])
+        assert built == seeds[:1]
+        kth_power_batch(gens, k=2, n=2, dirs=dirs)
+        assert built == seeds[:1]
 
     def test_stack_order_does_not_change_verdicts(self):
         gens, seeds = self.stack()
-        forward = kth_power_batch(gens, k=2, n=2, seeds=seeds)
-        backward = kth_power_batch(gens[::-1], k=2, n=2, seeds=seeds[::-1])
+        dirs = self.dirs(seeds)
+        forward = kth_power_batch(gens, k=2, n=2, dirs=dirs)
+        backward = kth_power_batch(gens[::-1], k=2, n=2, dirs=dirs[::-1])
         assert backward[::-1] == forward
 
     def test_rejects_a_non_hermitian_generator(self):
         gens, seeds = self.stack()
         gens[3, 1, 0, 2] += 1e-6  # one entry off its conjugate partner
         with pytest.raises(ValueError, match="Hermitian"):
-            kth_power_batch(gens, k=2, n=2, seeds=seeds)
+            kth_power_batch(gens, k=2, n=2, dirs=self.dirs(seeds))
 
     def test_accepts_a_rotated_hermitian_generator(self):
         # a Haar rotation leaves a defect at rounding level, which the
@@ -367,7 +381,7 @@ class TestKthPowerBatch:
         gens = [u @ g @ u.conj().T for g in (diag(1, 1, 2, 2), diag(3, 3, 4, 4))]
         defect = max(float(np.max(np.abs(g - g.conj().T))) for g in gens)
         assert 0.0 < defect <= 1e-14
-        assert kth_power_batch(np.stack(gens)[None], k=2, n=2, seeds=[3])[0].is_kth_power
+        assert kth_power_batch(np.stack(gens)[None], k=2, n=2, dirs=self.dirs([3]))[0].is_kth_power
 
     def test_chain_merges_transitively(self):
         # Relative to cluster_rel (1 + max|lambda|), consecutive points of the
@@ -388,10 +402,15 @@ class TestKthPowerBatch:
 
     def test_rejects_bad_stack(self):
         gens, seeds = self.stack()
+        dirs = self.dirs(seeds)
         with pytest.raises(ValueError):
-            kth_power_batch(gens[0], k=2, n=2, seeds=seeds[:1])
+            kth_power_batch(gens[0], k=2, n=2, dirs=dirs[:1])
         with pytest.raises(ValueError):
-            kth_power_batch(gens, k=2, n=2, seeds=seeds[:-1])
+            kth_power_batch(gens, k=2, n=2, dirs=dirs[:-1])
+        with pytest.raises(ValueError):  # one direction short on every pencil
+            kth_power_batch(gens, k=2, n=2, dirs=dirs[:, :-1])
+        with pytest.raises(ValueError):  # directions in three variables
+            kth_power_batch(gens, k=2, n=2, dirs=self.dirs(seeds, m=3))
 
 
 class TestTransformVars:
@@ -428,6 +447,21 @@ class TestBranchDerivative:
         sd = eigendecompose_clustered(a1)
         assert branch_derivative([a1, a2], sd, 0) == pytest.approx(-3.0, abs=1e-10)
         assert branch_derivative([a1, a2], sd, 1) == pytest.approx(-2.0, abs=1e-10)
+
+    def test_clusters_too_close_to_track(self):
+        # A_1's eigenvalues 1 and 1 + 1e-6 are two clusters (the gap is 100
+        # times the split threshold), but at the step 1e-4 the branches
+        # through 1 and 1/(1 + 1e-6) sit 1e-4 apart, closer than three steps
+        from pencilspec.errors import BranchTrackingLost
+
+        a2 = diag(3, 4)
+        sd = eigendecompose_clustered(diag(1, 1 + 1e-6))
+        assert sd.multiplicities == (1, 1)
+        with pytest.raises(BranchTrackingLost, match="not separated"):
+            branch_derivative([diag(1, 1 + 1e-6), a2], sd, 0)
+        # a step small against the gap tracks the same branch
+        slope = branch_derivative([diag(1, 1 + 1e-6), a2], sd, 0, eps=1e-9)
+        assert slope == pytest.approx(-3.0, rel=1e-5)
 
     def test_random_commuting_pairs(self):
         rng = np.random.default_rng(31)

@@ -221,7 +221,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 9
+        assert rep["version"] == 10
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -638,3 +638,56 @@ class TestDeterminism:
         argv = ["decompose", str(pos_file), "--k", "2", "--seed", "5", "--out"]
         assert main(argv + [str(o1)]) == main(argv + [str(o2)])
         assert strip_timestamp(o1.read_text()) == strip_timestamp(o2.read_text())
+
+
+class TestReportLayout:
+    # perfbench/run.py's pattern for the line it drops before digesting reports
+    TIMESTAMP_LINE = re.compile(rb'\n *"timestamp": "[^"\n]*",?')
+
+    def reports(self, pos_file, neg_file, tmp_path):
+        runs = [
+            ("analyze", pos_file), ("analyze", neg_file), ("decompose", pos_file),
+            ("decompose", neg_file), ("corollary", pos_file),
+        ]
+        for i, (command, src) in enumerate(runs):
+            out = tmp_path / f"r{i}.json"
+            main([command, str(src), "--k", "2", "--out", str(out)])
+            yield out.read_bytes()
+
+    def test_one_line_per_top_level_key(self, pos_file, neg_file, tmp_path):
+        for data in self.reports(pos_file, neg_file, tmp_path):
+            text = data.decode()
+            rep = json.loads(text)
+            lines = text.split("\n")
+            assert lines[0] == "{" and lines[-2:] == ["}", ""]
+            body = lines[1:-2]
+            assert len(body) == len(rep)
+            for key, line in zip(sorted(rep), body):
+                head = f' "{key}": '
+                assert line.startswith(head)
+                assert json.loads(line[len(head):].rstrip(",")) == rep[key]
+            assert sum(line.startswith(' "timestamp": ') for line in body) == 1
+
+    def test_timestamp_pattern_leaves_the_rest(self, pos_file, neg_file, tmp_path):
+        for data in self.reports(pos_file, neg_file, tmp_path):
+            rep = json.loads(data)
+            stripped = self.TIMESTAMP_LINE.sub(b"", data)
+            assert stripped.count(b"\n") == data.count(b"\n") - 1
+            del rep["timestamp"]
+            assert json.loads(stripped) == rep
+
+    def test_tuple_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mats = []
+        for scale in (1.0, 1e-300, 3e7):
+            g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            mats.append(scale * (g + g.conj().T) / 3.0)
+        tup = HermitianTuple(tuple(mats))
+        path = tmp_path / "t.json"
+        save_tuple(str(path), tup, metadata={"note": "round trip"})
+        loaded, meta = load_tuple(str(path))
+        assert meta == {"note": "round trip"}
+        for a, b in zip(tup.matrices, loaded.matrices):
+            assert a.tobytes() == b.tobytes()
+        text = path.read_text()
+        assert text.count("\n") == 2 + len(json.loads(text))

@@ -123,6 +123,117 @@ class TestRealizeWord:
             realize_word(tup, sd, WordSpec(letters=(2, 2), projections=(5,)))
 
 
+class TestBlockWords:
+    # (n, k, m), mode, word_cap: k = 3, n = 1 (no projections), m = 3, both
+    # modes, and caps that cut a level inside a projection tuple's block
+    # (82 of 96 words at level 2 in "all", 34 of 64 at level 3 in "proof_core")
+    CASES = [
+        ((3, 3, 2), "all", None),
+        ((1, 2, 3), "all", None),
+        ((3, 2, 3), "all", None),
+        ((3, 2, 3), "proof_core", None),
+        ((4, 2, 3), "all", 100),
+        ((4, 2, 3), "proof_core", 100),
+        ((2, 3, 4), "proof_core", None),
+    ]
+
+    @pytest.mark.parametrize("shape, mode, cap", CASES)
+    @pytest.mark.parametrize("step", [1, 7, 1000])
+    def test_matches_realize_word(self, shape, mode, cap, step):
+        from pencilspec.conditions import _BlockWords
+
+        n, k, m = shape
+        prep = prepare_tuple(gen_decomposable(n, k, m, seed=4)[0], k)
+        tol = Tolerances(word_cap=cap) if cap else Tolerances()
+        words, truncated = enumerate_words(n, m, mode=mode, tol=tol)
+        assert truncated == (cap is not None)
+        realized = _BlockWords(prep.tup, prep.spec, words)
+        for start in range(0, len(words), step):
+            rows = list(range(start, min(start + step, len(words))))
+            for i, w in zip(rows, realized.matrices(rows)):
+                ref = realize_word(prep.tup, prep.spec, words[i])
+                assert np.max(np.abs(w - ref)) <= 1e-13, words[i]
+
+    def test_skipped_words_do_not_shift_the_rest(self):
+        # analyze asks only for the words it tests; the prefixes of the
+        # skipped ones are still built, since longer words extend them
+        from pencilspec.conditions import _BlockWords
+
+        prep = prepare_tuple(gen_conjugate_negative(seed=3)[0], 2)
+        words, _ = enumerate_words(3, 2, mode="all")
+        rows = [i for i in range(len(words)) if i % 3 == 2]
+        got = _BlockWords(prep.tup, prep.spec, words).matrices(rows)
+        for i, w in zip(rows, got):
+            assert np.max(np.abs(w - realize_word(prep.tup, prep.spec, words[i]))) <= 1e-13
+
+
+
+class TestAnalyzeDraws:
+    def test_lines_come_from_the_seed_and_the_word_index(self):
+        # the full tuple's (lines, m) block first, then (words, lines, 3) in
+        # one call; word i is tested on row i, twins skipped or not
+        from pencilspec.charpoly import kth_power_batch
+        from pencilspec.conditions import _BlockWords
+
+        tup, _ = gen_decomposable(3, 2, 3, seed=4)
+        rep = analyze(tup, 2, seed=12)
+        prep = prepare_tuple(tup, 2)
+        lines = Tolerances().lines
+        rng = np.random.default_rng(12)
+        full = rng.standard_normal((lines, 3))
+        word_dirs = rng.standard_normal((len(rep.word_results), lines, 3))
+        gens = np.stack(prep.tup.matrices)
+        assert kth_power_batch(gens[None], 2, 3, full[None]) == [rep.full_tuple]
+        words = [w for w, _ in rep.word_results]
+        mats = _BlockWords(prep.tup, prep.spec, words).matrices(range(len(words)))
+        tested = [i for i in range(len(words)) if i not in rep.adjoint_of]
+        # twins come before tested words, and rounding leaves nonzero
+        # spreads, so a word on another word's row would show
+        assert tested[-1] > len(tested)
+        assert all(rep.word_results[i][1].worst_spread > 0 for i in tested)
+        for i in tested:
+            pencil = np.concatenate([gens[:1], hermitian_parts(mats[i])])
+            assert kth_power_batch(pencil[None], 2, 3, word_dirs[i : i + 1]) == [
+                rep.word_results[i][1]
+            ]
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda: gen_conjugate_negative(seed=2)[0], 2),
+            (lambda: gen_decomposable(3, 2, 3, seed=5)[0], 2),
+            (lambda: gen_commuting(2, 3, 3, seed=1)[0], 3),
+        ],
+        ids=["conjugate_negative", "decomposable", "commuting"],
+    )
+    def test_analyze_does_not_depend_on_slicing(self, monkeypatch, make, k):
+        import pencilspec.charpoly as charpoly
+        import pencilspec.conditions as conditions
+
+        tup = make()
+        reference = analyze(tup, k, seed=9)
+        assert len(reference.word_results) > 7
+        for word_slice in (1, 7, 128):
+            monkeypatch.setattr(conditions, "_WORD_SLICE", word_slice)
+            assert analyze(tup, k, seed=9) == reference
+        monkeypatch.setattr(charpoly, "_BATCH_ENTRIES", 1)
+        assert analyze(tup, k, seed=9) == reference
+
+    def test_analyze_builds_one_generator(self, monkeypatch):
+        tup, _ = gen_decomposable(3, 2, 3, seed=2)
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        rep = analyze(tup, 2, seed=6)
+        assert len(rep.word_results) == 62
+        assert built == [6]
+
+
 class TestWordCondition:
     def test_commuting_tuple_all_words_pass(self):
         tup = HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 4, 4)))
