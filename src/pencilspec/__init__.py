@@ -43,10 +43,8 @@ from .decomposer import (
     DecompositionResult,
     build_block_unitary,
     decompose,
-    extend_closure,
     extract_block_structure,
     factor_block,
-    partition_indices,
     unify_layers,
     verify_cycle_identity,
     verify_decomposition,

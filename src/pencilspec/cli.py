@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -61,7 +62,7 @@ from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -74,13 +75,9 @@ EXIT_ERROR = 3
 # --------------------------------------------------------------------------
 
 
-def _complex_to_json(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _matrix_to_json(a):
-    return [[_complex_to_json(z) for z in row] for row in np.asarray(a)]
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _matrix_from_json(rows):
@@ -407,6 +404,7 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pencilspec",

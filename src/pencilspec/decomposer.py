@@ -7,13 +7,13 @@ Pipeline, in the eigenbasis of the first generator (n clusters of size k):
    (diagonal blocks must be real scalars);
 3. unify layers: one shared unitary per index pair, phases absorbed into
    the per-generator scalars;
-4. close the pair set: ``u_st := u_si u_it`` whenever both factors exist,
-   then verify every 3-cycle multiplies to a unimodular scalar;
-5. partition the cluster indices into the lattices of the closed pair set;
-6. assemble the block unitary (anchor row of each partition block), which
-   commutes with the diagonalized first generator and turns every k x k
-   block of every generator into a scalar;
-7. gather the k interleaved invariant subspaces with a permutation and
+4. derive one unitary per cluster along a breadth-first spanning forest of
+   the pair graph, rooted at the largest index of each component, and
+   verify that every pair closes its triangle with the root to a
+   unimodular scalar; the block unitary of these pieces commutes with the
+   diagonalized first generator and turns every k x k block of every
+   generator into a scalar, and the components partition the indices;
+5. gather the k interleaved invariant subspaces with a permutation and
    read off the reduced n x n tuple.
 
 Structural failures raise typed errors naming the violated relation; a
@@ -32,7 +32,6 @@ from .errors import (
     CycleInconsistency,
     LayerInconsistency,
     NotUnitaryScalar,
-    PartitionInconsistency,
     ScalarizationFailed,
     SpectrumPatternViolation,
     ZeroCoefficientOnCycle,
@@ -45,8 +44,6 @@ __all__ = [
     "extract_block_structure",
     "factor_block",
     "unify_layers",
-    "extend_closure",
-    "partition_indices",
     "verify_cycle_identity",
     "build_block_unitary",
     "decompose",
@@ -63,7 +60,6 @@ class BlockStructure:
     scalar is guaranteed real non-negative, the others are complex with the
     cross-layer phase absorbed.  ``u[(i, j)]`` is the shared block unitary
     for pairs in ``pairs`` (symmetric, ``u[(j, i)] = u[(i, j)]*``).
-    ``layer_choice[(i, j)]`` records which generator donated the unitary.
     """
 
     n: int
@@ -72,7 +68,6 @@ class BlockStructure:
     c: np.ndarray
     u: dict
     pairs: frozenset
-    layer_choice: dict
 
 
 def verify_cycle_identity(bs: BlockStructure, cycle):
@@ -176,7 +171,6 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
     c = np.zeros((nlayers, n, n), dtype=np.complex128)
     u = {}
     pairs = set()
-    layer_choice = {}
 
     for li in range(nlayers):
         for i in range(n):
@@ -224,98 +218,57 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
             pairs.add((j, i))
             u[(i, j)] = u_shared
             u[(j, i)] = u_shared.conj().T
-            layer_choice[(i, j)] = chosen + 2
-            layer_choice[(j, i)] = chosen + 2
 
-    return BlockStructure(
-        n=n, k=k, m=nlayers + 1, c=c, u=u, pairs=frozenset(pairs), layer_choice=layer_choice
-    )
+    return BlockStructure(n=n, k=k, m=nlayers + 1, c=c, u=u, pairs=frozenset(pairs))
 
 
-def extend_closure(bs: BlockStructure, tol: Tolerances = DEFAULT) -> BlockStructure:
-    """Close the pair set under ``u_st := u_si u_it`` and verify all cycles.
+def _spanning_forest(bs: BlockStructure, tol: Tolerances):
+    """One k x k piece per cluster and the partition, in one breadth-first pass.
 
-    New pairs are derived through the lowest available pivot; after the
-    set stabilizes, every 3-cycle inside it must multiply to a unimodular
-    scalar within tolerance (longer cycles telescope through 3-cycles, so
-    this check is complete, and it covers every other pivot a pair could
-    have been derived through).  Violations raise
-    :class:`CycleInconsistency` naming the offending 3-cycle with 0-based
-    cluster indices.
+    Each component of the pair graph is rooted at its largest index ``a``,
+    whose piece is the identity.  A direct neighbour ``j`` of ``a`` gets
+    ``u[(a, j)]`` itself, a deeper one its parent's piece times
+    ``u[(parent, j)]``: the pieces are the derived ``u[(a, j)]``.  Every pair
+    ``(i, j)`` of non-roots must then close the triangle ``(i, j, a)`` to a
+    unimodular scalar within tolerance, else :class:`CycleInconsistency`
+    names it with 0-based cluster indices.  The check is complete: a
+    pair's triangle is its fundamental cycle, through the tree and the root,
+    and fundamental cycles generate every cycle.  The partition lists the
+    components, each sorted, in the order of their smallest index.
     """
     n = bs.n
-    pairs = set(bs.pairs)
-    u = dict(bs.u)
+    pieces = [None] * n
+    u, pairs = dict(bs.u), set(bs.pairs)
+    components = []
+    for a in range(n - 1, -1, -1):
+        if pieces[a] is not None:
+            continue
+        pieces[a] = np.eye(bs.k, dtype=np.complex128)
+        comp = [a]
+        for i in comp:
+            for j in range(n):
+                if (i, j) in bs.pairs and pieces[j] is None:
+                    pieces[j] = bs.u[(a, j)] if i == a else pieces[i] @ bs.u[(i, j)]
+                    u[(a, j)], u[(j, a)] = pieces[j], pieces[j].conj().T
+                    pairs |= {(a, j), (j, a)}
+                    comp.append(j)
+        components.append(sorted(comp))
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            neighbors = sorted(j for j in range(n) if (i, j) in pairs)
-            for s, t in combinations(neighbors, 2):
-                if (s, t) in pairs:
-                    continue
-                u_st = u[(s, i)] @ u[(i, t)]
-                pairs.add((s, t))
-                pairs.add((t, s))
-                u[(s, t)] = u_st
-                u[(t, s)] = u_st.conj().T
-                changed = True
-
-    closed = replace(bs, u=u, pairs=frozenset(pairs))
-    for i, j, l in combinations(range(n), 3):
-        if (i, j) in pairs and (j, l) in pairs and (l, i) in pairs:
-            _, resid = verify_cycle_identity(closed, (i, j, l))
+    derived = replace(bs, u=u, pairs=frozenset(pairs))
+    for comp in components:
+        a = comp[-1]
+        for i, j in combinations(comp[:-1], 2):
+            if (i, j) not in bs.pairs:
+                continue
+            _, resid = verify_cycle_identity(derived, (i, j, a))
             if resid > tol.structural_tol:
                 raise CycleInconsistency(
-                    f"cycle through clusters ({i + 1},{j + 1},{l + 1}) is not a "
+                    f"cycle through clusters ({i + 1},{j + 1},{a + 1}) is not a "
                     f"unimodular scalar: residual {resid:.3e}",
-                    cycle=(i, j, l),
+                    cycle=(i, j, a),
                     residual=resid,
                 )
-    return closed
-
-
-def partition_indices(pairs, n: int):
-    """Partition {0..n-1} into the lattices of a closed pair set.
-
-    Greedy, as the closure structure dictates: the smallest index carrying
-    any off-diagonal pair collects all its partners as one block; indices
-    in no pair become singletons.  Raises
-    :class:`PartitionInconsistency` if the set is not a disjoint union of
-    complete lattices (unreachable after :func:`extend_closure`).
-    """
-    remaining = set(range(n))
-    out = []
-    while remaining:
-        i0 = min(remaining)
-        partners = {j for (i, j) in pairs if i == i0}
-        if not partners:
-            out.append((i0,))
-            remaining.remove(i0)
-            continue
-        block = {i0} | partners
-        if not block <= remaining:
-            raise PartitionInconsistency(
-                f"index block {sorted(block)} overlaps an earlier block"
-            )
-        for a in block:
-            if {b for (x, b) in pairs if x == a} != block - {a}:
-                raise PartitionInconsistency(
-                    f"pair set is not a full lattice on {sorted(block)}"
-                )
-        out.append(tuple(sorted(block)))
-        remaining -= block
-    return tuple(out)
-
-
-def _anchor_map(partition):
-    anchor = {}
-    for block in partition:
-        a = max(block)
-        for i in block:
-            anchor[i] = a
-    return anchor
+    return pieces, tuple(sorted(tuple(comp) for comp in components))
 
 
 def _scalarize_layer(ul, rotated, n, k):
@@ -332,31 +285,25 @@ def _scalarize_layer(ul, rotated, n, k):
     return scal, float(norms[worst]), worst
 
 
-def build_block_unitary(
-    bs: BlockStructure,
-    partition,
-    blocks,
-    scales,
-    tol: Tolerances = DEFAULT,
-) -> tuple:
-    """Assemble the block unitary from the closed structure and verify it.
+def build_block_unitary(bs: BlockStructure, blocks, scales, tol: Tolerances = DEFAULT) -> tuple:
+    """Assemble the block unitary over a spanning forest and verify it.
 
-    Cluster i contributes the diagonal k x k entry ``u[(anchor, i)]``
-    (identity on anchors and singletons), where anchor is the largest
-    index of i's partition block.  The result is unitary and commutes
-    exactly with the diagonalized first generator.  Conjugating the raw
-    ``blocks`` grid of :func:`extract_block_structure` by it must turn
-    every k x k block of layer ``l`` into a scalar within
+    Cluster i contributes the diagonal k x k entry ``u[(a, i)]``, derived
+    along the forest from the largest index ``a`` of i's component (the
+    identity on ``a`` itself); a pair that closes no unimodular triangle
+    with ``a`` raises :class:`CycleInconsistency`.  The result is unitary
+    and commutes exactly with the diagonalized first generator.
+    Conjugating the raw ``blocks`` grid of :func:`extract_block_structure`
+    by it must turn every k x k block of layer ``l`` into a scalar within
     ``tol.scalar_block_tol * scales[l]``; a violation raises
-    :class:`ScalarizationFailed`.  Returns ``(udiag, scalars)``: the block
-    unitary and, per layer, the n x n matrix of the block scalars it
-    verified.
+    :class:`ScalarizationFailed`.  Returns ``(udiag, scalars, partition)``:
+    the block unitary, per layer the n x n matrix of the block scalars it
+    verified, and the components as sorted index tuples.
     """
     n, k = bs.n, bs.k
-    anchor = _anchor_map(partition)
+    pieces, partition = _spanning_forest(bs, tol)
     udiag = np.zeros((n * k, n * k), dtype=np.complex128)
-    for i in range(n):
-        piece = np.eye(k, dtype=np.complex128) if anchor[i] == i else bs.u[(anchor[i], i)]
+    for i, piece in enumerate(pieces):
         udiag[i * k : (i + 1) * k, i * k : (i + 1) * k] = piece
 
     scalars = []
@@ -371,7 +318,7 @@ def build_block_unitary(
                 residual=worst,
             )
         scalars.append(scal)
-    return udiag, scalars
+    return udiag, scalars, partition
 
 
 @dataclass(frozen=True)
@@ -434,9 +381,7 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
 
     blocks = extract_block_structure(shifted, spec)
     bs = unify_layers(blocks, layer_scales, tol=tol)
-    bs = extend_closure(bs, tol=tol)
-    partition = partition_indices(bs.pairs, n)
-    udiag, scalars = build_block_unitary(bs, partition, blocks, layer_scales, tol=tol)
+    udiag, scalars, partition = build_block_unitary(bs, blocks, layer_scales, tol=tol)
     unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
     unit_reduced += [_hermitized(scal) for scal in scalars]
 

@@ -97,10 +97,6 @@ class CycleInconsistency(DecompositionError):
         self.residual = residual
 
 
-class PartitionInconsistency(DecompositionError):
-    """Closed pair set is not a disjoint union of full index lattices."""
-
-
 class ScalarizationFailed(DecompositionError):
     """Conjugated generator kept a non-scalar block."""
 

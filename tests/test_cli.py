@@ -221,7 +221,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 10
+        assert rep["version"] == 11
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -566,6 +566,19 @@ class TestArgumentValidation:
 
     def test_missing_subcommand_exits_three(self):
         assert main([]) == EXIT_ERROR
+
+    def test_consecutive_calls_share_no_state(self, pos_file, tmp_path, capsys):
+        # the parser is built once per process: an override given to one
+        # call must not reach the next
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = ["decompose", str(pos_file), "--k", "2"]
+        assert main(argv + ["--out", str(first), "--tol", "lines=6"]) == EXIT_PASS
+        assert main(argv + ["--out", str(second)]) == EXIT_PASS
+        assert json.loads(first.read_text())["tolerances"]["lines"] == 6
+        assert json.loads(second.read_text())["tolerances"]["lines"] == DEFAULT.lines
+        assert main(["--help"]) == EXIT_PASS
+        assert main(["--help"]) == EXIT_PASS
+        assert capsys.readouterr().out.count("usage:") == 2
 
 
 _json_values = st.recursive(

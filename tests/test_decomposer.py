@@ -6,20 +6,19 @@ import pytest
 from pencilspec.decomposer import (
     BlockStructure,
     DecompositionResult,
+    _spanning_forest,
     build_block_unitary,
     decompose,
-    extend_closure,
     extract_block_structure,
     factor_block,
-    partition_indices,
     unify_layers,
     verify_decomposition,
 )
+from pencilspec.config import DEFAULT
 from pencilspec.errors import (
     CycleInconsistency,
     LayerInconsistency,
     NotUnitaryScalar,
-    PartitionInconsistency,
     ScalarizationFailed,
     SpectrumPatternViolation,
 )
@@ -36,18 +35,40 @@ from pencilspec.linalg import (
     shift_to_invertible,
 )
 
+from test_resolution import eps_phase_twin
+
 
 def diag(*vals):
     return np.diag(np.asarray(vals, dtype=np.complex128))
 
 
-def structure_of(tup, close=True):
+def structure_of(tup):
     shifted, _ = shift_to_invertible(tup)
     sd = eigendecompose_clustered(shifted.matrices[0])
     blocks = extract_block_structure(shifted, sd)
     scales = [norm_scale(a) for a in shifted.matrices[1:]]
-    bs = unify_layers(blocks, scales)
-    return (extend_closure(bs), blocks) if close else (bs, blocks)
+    return unify_layers(blocks, scales), blocks
+
+
+def donor(bs, i, j):
+    """Layer index that donated the unitary of pair (i, j): the largest
+    block scalar, ties to the lowest layer."""
+    return int(np.argmax(np.abs(bs.c[:, i, j])))
+
+
+def manual_structure(n, edges, k=2):
+    """Block structure on the pairs ``edges`` with ``u[(j, i)] = u[(i, j)]*``."""
+    u = {}
+    for (i, j), uij in edges.items():
+        u[(i, j)], u[(j, i)] = uij, uij.conj().T
+    return BlockStructure(n=n, k=k, m=2, c=np.zeros((1, n, n), dtype=np.complex128),
+                          u=u, pairs=frozenset(u))
+
+
+def consistent_structure(n, edges, k=2):
+    """Pairs ``u[(i, j)] = w_i* w_j``: every cycle multiplies to the identity."""
+    w = [haar_unitary(k, 100 + i) for i in range(n)]
+    return manual_structure(n, {(i, j): w[i].conj().T @ w[j] for i, j in edges}, k)
 
 
 class TestExtract:
@@ -111,16 +132,16 @@ class TestFactorBlock:
 class TestUnifyLayers:
     def test_two_generators_passthrough(self):
         tup, _ = gen_decomposable(2, 2, 2, seed=11)
-        bs, blocks = structure_of(tup, close=False)
+        bs, blocks = structure_of(tup)
         assert bs.m == 2 and bs.n == 2 and bs.k == 2
         for (i, j) in bs.pairs:
-            li = bs.layer_choice[(i, j)] - 2
+            li = donor(bs, i, j)
             resid = np.linalg.norm(blocks[li, i, j] - bs.c[li, i, j] * bs.u[(i, j)])
             assert resid <= 1e-7 * norm_scale(tup.matrices[li + 1])
 
     def test_three_generators_share_unitaries(self):
         tup, _ = gen_decomposable(2, 2, 3, seed=13)
-        bs, blocks = structure_of(tup, close=False)
+        bs, blocks = structure_of(tup)
         for (i, j) in bs.pairs:
             for li in range(bs.m - 1):
                 resid = np.linalg.norm(blocks[li, i, j] - bs.c[li, i, j] * bs.u[(i, j)])
@@ -128,17 +149,17 @@ class TestUnifyLayers:
 
     def test_chosen_layer_scalar_nonnegative(self):
         tup, _ = gen_decomposable(3, 2, 3, seed=17)
-        bs, _ = structure_of(tup, close=False)
+        bs, _ = structure_of(tup)
         for (i, j) in bs.pairs:
             if i < j:
-                li = bs.layer_choice[(i, j)] - 2
+                li = donor(bs, i, j)
                 val = bs.c[li, i, j]
                 assert val.imag == pytest.approx(0.0, abs=1e-12)
                 assert val.real >= 0.0
 
     def test_adjoint_symmetry(self):
         tup, _ = gen_decomposable(3, 2, 2, seed=19)
-        bs, _ = structure_of(tup, close=False)
+        bs, _ = structure_of(tup)
         for (i, j) in bs.pairs:
             assert np.allclose(bs.u[(j, i)], bs.u[(i, j)].conj().T)
 
@@ -167,90 +188,75 @@ class TestUnifyLayers:
             unify_layers(blocks, [norm_scale(a2)])
 
 
-class TestExtendClosure:
-    def _manual_structure(self, u01, u02, n=3, k=2):
-        u = {
-            (0, 1): u01,
-            (1, 0): u01.conj().T,
-            (0, 2): u02,
-            (2, 0): u02.conj().T,
-        }
-        c = np.zeros((1, n, n), dtype=np.complex128)
-        c[0, 0, 1] = c[0, 1, 0] = c[0, 0, 2] = c[0, 2, 0] = 1.0
-        return BlockStructure(
-            n=n,
-            k=k,
-            m=2,
-            c=c,
-            u=u,
-            pairs=frozenset({(0, 1), (1, 0), (0, 2), (2, 0)}),
-            layer_choice={p: 2 for p in ((0, 1), (1, 0), (0, 2), (2, 0))},
-        )
-
-    def test_one_step_amendment(self):
+class TestSpanningForest:
+    def test_derived_pair(self):
+        # the path 1-0-2 rooted at 2: cluster 1 sits at depth 2 and gets the
+        # derived u[(2, 1)] = u[(2, 0)] u[(0, 1)]
         u01 = diag(1j, -1j)
         u02 = haar_unitary(2, 3)
-        bs = extend_closure(self._manual_structure(u01, u02))
-        assert (1, 2) in bs.pairs and (2, 1) in bs.pairs
-        want = u01.conj().T @ u02
-        assert np.allclose(bs.u[(1, 2)], want)
+        pieces, partition = _spanning_forest(manual_structure(3, {(0, 1): u01, (0, 2): u02}), DEFAULT)
+        assert partition == ((0, 1, 2),)
+        assert np.array_equal(pieces[2], np.eye(2))
+        assert np.array_equal(pieces[0], u02.conj().T)
+        assert np.allclose(pieces[1], u02.conj().T @ u01)
 
     def test_negative_cycle_detected(self):
         tup, _ = gen_conjugate_negative(seed=1)
-        bs, _ = structure_of(tup, close=False)
+        bs, _ = structure_of(tup)
         with pytest.raises(CycleInconsistency) as err:
-            extend_closure(bs)
+            _spanning_forest(bs, DEFAULT)
         assert len(err.value.cycle) == 3
         assert err.value.residual == pytest.approx(2.0, abs=1e-9)
 
     def test_square_cycle_names_a_three_cycle(self):
-        # clusters 0-1-3-2-0 form a square whose holonomy is diag(1, -1), so
-        # no closure of it can consist of unimodular-scalar 3-cycles
+        # clusters 0-1-3-2-0 form a square whose holonomy is diag(1, -1):
+        # the triangle of the pair (0, 2) through the root 3 carries it
         u02 = haar_unitary(2, 3)
-        edges = {(0, 1): np.eye(2), (0, 2): u02, (1, 3): np.eye(2),
-                 (2, 3): u02.conj().T @ diag(1, -1)}
-        u = {}
-        for (i, j), uij in edges.items():
-            u[(i, j)], u[(j, i)] = uij, uij.conj().T
-        bs = BlockStructure(n=4, k=2, m=2, c=np.zeros((1, 4, 4), dtype=np.complex128),
-                            u=u, pairs=frozenset(u), layer_choice={p: 2 for p in u})
+        bs = manual_structure(4, {(0, 1): np.eye(2), (0, 2): u02, (1, 3): np.eye(2),
+                                  (2, 3): u02.conj().T @ diag(1, -1)})
         with pytest.raises(CycleInconsistency) as err:
-            extend_closure(bs)
-        assert len(err.value.cycle) == 3
+            _spanning_forest(bs, DEFAULT)
+        assert err.value.cycle == (0, 2, 3)
         assert err.value.residual == pytest.approx(2.0, abs=1e-9)
 
-    def test_zero_offdiagonal_stays_diagonal(self):
+    def test_zero_offdiagonal_gives_singletons(self):
         tup = HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 4, 4)))
-        bs, _ = structure_of(tup, close=False)
-        closed = extend_closure(bs)
-        assert closed.pairs == frozenset()
+        bs, _ = structure_of(tup)
+        assert bs.pairs == frozenset()
+        pieces, partition = _spanning_forest(bs, DEFAULT)
+        assert partition == ((0,), (1,))
+        assert all(np.array_equal(p, np.eye(2)) for p in pieces)
 
-
-class TestPartition:
     def test_single_pair_plus_singletons(self):
-        pairs = frozenset({(0, 1), (1, 0)})
-        assert partition_indices(pairs, 4) == ((0, 1), (2,), (3,))
+        _, partition = _spanning_forest(consistent_structure(4, [(0, 1)]), DEFAULT)
+        assert partition == ((0, 1), (2,), (3,))
 
     def test_complete_lattice(self):
-        pairs = frozenset((i, j) for i in range(3) for j in range(3) if i != j)
-        assert partition_indices(pairs, 3) == ((0, 1, 2),)
+        bs = consistent_structure(3, [(0, 1), (0, 2), (1, 2)])
+        _, partition = _spanning_forest(bs, DEFAULT)
+        assert partition == ((0, 1, 2),)
 
-    def test_incomplete_lattice_rejected(self):
-        pairs = frozenset({(0, 1), (1, 0), (1, 2), (2, 1)})
-        with pytest.raises(PartitionInconsistency):
-            partition_indices(pairs, 3)
+    def test_path_is_one_block(self):
+        bs = consistent_structure(3, [(0, 1), (1, 2)])
+        pieces, partition = _spanning_forest(bs, DEFAULT)
+        assert partition == ((0, 1, 2),)
+        # every piece carries its cluster onto the root's frame
+        for i, j in [(0, 1), (1, 2)]:
+            assert np.allclose(pieces[i] @ bs.u[(i, j)], pieces[j])
 
-    def test_empty(self):
-        assert partition_indices(frozenset(), 3) == ((0,), (1,), (2,))
+    def test_components_ordered_by_smallest_index(self):
+        bs = consistent_structure(5, [(0, 3), (1, 4), (1, 2)])
+        _, partition = _spanning_forest(bs, DEFAULT)
+        assert partition == ((0, 3), (1, 2, 4))
 
 
 class TestBuildBlockUnitary:
     def test_commuting_gives_identity(self):
         tup = HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 4, 4)))
         bs, blocks = structure_of(tup)
-        partition = partition_indices(bs.pairs, bs.n)
-        u, _ = build_block_unitary(bs, partition, blocks=blocks, scales=[norm_scale(tup.matrices[1])])
+        u, _, partition = build_block_unitary(bs, blocks=blocks, scales=[norm_scale(tup.matrices[1])])
         assert np.allclose(u, np.eye(4))
+        assert partition == ((0,), (1,))
 
     def test_hand_example_scalarizes(self):
         u01 = diag(1j, -1j)
@@ -259,8 +265,7 @@ class TestBuildBlockUnitary:
         a2 = np.block([[z, u01], [u01.conj().T, z]])
         tup = HermitianTuple((a1, a2))
         bs, blocks = structure_of(tup)
-        partition = partition_indices(bs.pairs, bs.n)
-        u, scalars = build_block_unitary(bs, partition, blocks=blocks, scales=[norm_scale(a2)])
+        u, scalars, _ = build_block_unitary(bs, blocks=blocks, scales=[norm_scale(a2)])
         want = np.zeros((4, 4), dtype=np.complex128)
         want[:2, :2] = u01.conj().T
         want[2:, 2:] = np.eye(2)
@@ -273,9 +278,8 @@ class TestBuildBlockUnitary:
     def test_decomposable_all_blocks_scalar(self):
         tup, _ = gen_decomposable(3, 2, 3, seed=23)
         bs, blocks = structure_of(tup)
-        partition = partition_indices(bs.pairs, bs.n)
         scales = [norm_scale(a) for a in tup.matrices[1:]]
-        u, _ = build_block_unitary(bs, partition, blocks=blocks, scales=scales)
+        u, _, _ = build_block_unitary(bs, blocks=blocks, scales=scales)
         assert np.linalg.norm(u @ u.conj().T - np.eye(6)) <= 1e-10 * 6
 
     def test_scalars_are_the_conjugated_blocks(self):
@@ -283,9 +287,8 @@ class TestBuildBlockUnitary:
         # layer's rotated grid conjugated by the block unitary
         tup, _ = gen_decomposable(3, 2, 3, seed=23)
         bs, blocks = structure_of(tup)
-        partition = partition_indices(bs.pairs, bs.n)
         scales = [norm_scale(a) for a in tup.matrices[1:]]
-        u, scalars = build_block_unitary(bs, partition, blocks=blocks, scales=scales)
+        u, scalars, _ = build_block_unitary(bs, blocks=blocks, scales=scales)
         assert len(scalars) == len(tup.matrices) - 1
         for layer, scal in zip(blocks, scalars):
             rot = layer.transpose(0, 2, 1, 3).reshape(6, 6)
@@ -305,9 +308,8 @@ class TestBuildBlockUnitary:
         bad_u[(0, 1)] = np.eye(2, dtype=np.complex128)
         bad_u[(1, 0)] = np.eye(2, dtype=np.complex128)
         bad = dataclasses.replace(bs, u=bad_u)
-        partition = partition_indices(bad.pairs, bad.n)
         with pytest.raises(ScalarizationFailed):
-            build_block_unitary(bad, partition, blocks=blocks, scales=[norm_scale(a2)])
+            build_block_unitary(bad, blocks=blocks, scales=[norm_scale(a2)])
 
 
 class TestDecompose:
@@ -371,9 +373,43 @@ class TestDecompose:
         assert np.array_equal(r1.eigenbasis, r2.eigenbasis)
         assert r1.residual == r2.residual
 
+    def test_path_coupling_derives_deep_pieces(self):
+        # A_2 = I_2 (x) T with T tridiagonal couples cluster i only to i +- 1,
+        # so the forest reaches cluster 0 at depth 3 from the root 3
+        n = 4
+        rng = np.random.default_rng(61)
+        d = np.diag(np.arange(1.0, n + 1))
+        off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        t = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off.conj(), -1)
+        w = haar_unitary(2 * n, 62)
+        tup = HermitianTuple(tuple(w @ np.kron(np.eye(2), a) @ w.conj().T for a in (d, t)))
+        bs, _ = structure_of(tup)
+        assert {(i, j) for i, j in bs.pairs if i < j} == {(0, 1), (1, 2), (2, 3)}
+        res = decompose(tup, 2)
+        assert res.partition == ((0, 1, 2, 3),)
+        assert res.residual <= DEFAULT.residual_tol * tup.max_norm()
+        assert verify_decomposition(tup, res)["ok"]
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 3e-7, 1e-7, 3e-8, 1e-8, 1e-10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (3, 3), (4, 3), (5, 2)])
+    def test_eps_phase_twin_resolution(self, n, m, seed, eps):
+        # the twin's 3-cycle phase defect is sqrt(2) eps in Frobenius norm;
+        # structural_tol = 1e-7 separates the failing twins from the ones
+        # that split
+        tup = eps_phase_twin(n, m, seed, eps)
+        if eps >= 1e-7:
+            with pytest.raises(CycleInconsistency) as err:
+                decompose(tup, 2)
+            assert len(err.value.cycle) == 3 and err.value.cycle[-1] == n - 1
+            assert err.value.residual == pytest.approx(np.sqrt(2.0) * eps, rel=1e-2)
+        else:
+            res = decompose(tup, 2)
+            assert res.residual <= DEFAULT.residual_tol * tup.max_norm()
+
     def test_generic_coupling_gives_single_partition_block(self):
         # generic rotated direct sums have no vanishing block scalars, so
-        # every cluster index lands in one lattice
+        # every cluster index lands in one component
         tup, _ = gen_decomposable(3, 2, 2, seed=59)
         res = decompose(tup, 2)
         assert res.partition == ((0, 1, 2),)
