@@ -62,7 +62,7 @@ from .linalg import HermitianTuple, prepare_tuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -81,14 +81,14 @@ def _matrix_to_json(a):
 
 
 def _matrix_from_json(rows):
+    # each cell exactly an [re, im] pair of JSON numbers; a bool is an int to Python
     try:
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-            dtype=np.complex128,
-        )
-    except (TypeError, IndexError, KeyError, ValueError, OverflowError) as exc:
+        if not all(type(c) is list and len(c) == 2 and {type(c[0]), type(c[1])} <= {int, float}
+                   for row in rows for c in row):
+            raise ValueError("a cell is not an [re, im] pair of numbers")
+        return np.array([[complex(*c) for c in row] for row in rows], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from None
-    return arr
 
 
 def _atomic_write(path, text):

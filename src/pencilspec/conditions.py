@@ -41,13 +41,7 @@ from .charpoly import KPowerVerdict, _draw_directions, branch_derivative, kth_po
 from .config import DEFAULT, Tolerances
 from .decomposer import verify_cycle_identity  # re-exported next to the other identity check
 from .errors import ClusterAmbiguity, IndexOutOfRange, SpectrumPatternViolation
-from .linalg import (
-    HermitianTuple,
-    SpectralData,
-    eigendecompose_clustered,
-    norm_scale,
-    prepare_tuple,
-)
+from .linalg import HermitianTuple, PreparedTuple, SpectralData, _cluster_groups, prepare_tuple
 
 __all__ = [
     "WordSpec",
@@ -269,56 +263,54 @@ class _BlockWords:
 # --------------------------------------------------------------------------
 
 
-def check_admissibility(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT):
+def check_admissibility(prep: PreparedTuple, k: int, tol: Tolerances = DEFAULT):
     """Each generator must show n = N/k clusters of size k, separated centers.
 
     This is the specialization of regular intersection with the coordinate
     lines to the single-component perfect-power premise: on the j-th
     coordinate line the spectrum is the reciprocal spectrum of the j-th
     generator, and regularity of the reduced polynomial there means n
-    simple, hence separated, reduced roots.  The generators are inspected
-    as given; :func:`analyze` passes them unit-scale and invertible, as
-    :func:`~pencilspec.linalg.prepare_tuple` leaves them (a scalar shift
-    moves the intersection points but not their multiplicity pattern).
+    simple, hence separated, reduced roots.  The spectra are read from
+    ``prep.eigenvalues``, those of the unit-scale, invertible generators
+    :func:`~pencilspec.linalg.prepare_tuple` leaves (a scalar shift moves
+    the intersection points but not their multiplicity pattern); they are
+    clustered by the rule of
+    :func:`~pencilspec.linalg.eigendecompose_clustered`, and the separation
+    threshold is relative to each generator's largest eigenvalue modulus.
 
     Returns ``(ok, diagnostics)``; never raises on a failing tuple.
     """
-    if tup.dim % k:
-        return False, {"reason": f"k={k} does not divide N={tup.dim}"}
-    n = tup.dim // k
+    dim = prep.tup.dim
+    if dim % k:
+        return False, {"reason": f"k={k} does not divide N={dim}"}
+    n = dim // k
     per_gen = []
     ok = True
-    for idx, a in enumerate(tup.matrices):
-        scale = norm_scale(a)
+    for idx, w in enumerate(prep.eigenvalues):
         entry = {"generator": idx + 1}
         try:
-            sd = eigendecompose_clustered(a, tol=tol)
+            groups = _cluster_groups(w, tol)
         except ClusterAmbiguity as exc:
             entry.update(ok=False, reason=f"ambiguous clustering: {exc}")
             per_gen.append(entry)
             ok = False
             continue
-        centers = sd.eigenvalues
-        min_sep = (
-            float(np.min(np.abs(np.subtract.outer(centers, centers))[~np.eye(sd.n, dtype=bool)]))
-            if sd.n > 1
-            else float("inf")
-        )
-        gen_ok = (
-            sd.n == n
-            and all(mu == k for mu in sd.multiplicities)
-            and min_sep >= tol.admissible_sep_rel * scale
-        )
+        centers = np.array([float(np.mean(w[g])) for g in groups])
+        mults = [len(g) for g in groups]
+        # ascending centers: the closest pair is adjacent
+        min_sep = float(np.min(np.diff(centers))) if len(centers) > 1 else float("inf")
+        pattern_ok = mults == [k] * n
+        gen_ok = pattern_ok and min_sep >= tol.admissible_sep_rel * float(np.max(np.abs(w)))
         entry.update(
             ok=gen_ok,
-            clusters=[float(c) for c in centers],
-            multiplicities=list(sd.multiplicities),
+            clusters=centers.tolist(),
+            multiplicities=mults,
             min_separation=min_sep if np.isfinite(min_sep) else None,
         )
         if not gen_ok:
             entry["reason"] = (
-                f"wanted {n} clusters of size {k}, got sizes {list(sd.multiplicities)}"
-                if sd.n != n or any(mu != k for mu in sd.multiplicities)
+                f"wanted {n} clusters of size {k}, got sizes {mults}"
+                if not pattern_ok
                 else f"cluster separation {min_sep:.3e} below threshold"
             )
             ok = False
@@ -401,7 +393,7 @@ def analyze(
         return bail(str(exc))
     shifted, spec, n = prep.tup, prep.spec, prep.spec.n
 
-    admissible_ok, adm = check_admissibility(shifted, k, tol=tol)
+    admissible_ok, adm = check_admissibility(prep, k, tol=tol)
     if not admissible_ok:
         return bail("tuple is not admissible", precondition_ok=True, adm=adm, prep=prep)
 

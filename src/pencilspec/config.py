@@ -19,7 +19,7 @@ that breaks either rule is never built, so no reader checks them again.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,15 @@ class Tolerances:
     residual_tol: float = 1e-6            # final decomposition residual, times max ||A_l||
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
+        for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
         if self.lines < 4:
             raise ValueError(f"tolerance lines must be at least 4, got {self.lines}")
 
     def as_dict(self):
-        return asdict(self)
+        # a shallow copy: every field is a number, so nothing needs deep copying
+        return dict(vars(self))
 
 
 DEFAULT = Tolerances()

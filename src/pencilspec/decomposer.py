@@ -36,7 +36,7 @@ from .errors import (
     SpectrumPatternViolation,
     ZeroCoefficientOnCycle,
 )
-from .linalg import HermitianTuple, SpectralData, norm_scale, prepare_tuple
+from .linalg import HermitianTuple, SpectralData, prepare_tuple
 
 __all__ = [
     "BlockStructure",
@@ -377,7 +377,8 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     prep = prepare_tuple(tup, k, tol=tol)
     shifted, spec, n = prep.tup, prep.spec, prep.spec.n
     v = spec.rotation()
-    layer_scales = [norm_scale(a) for a in shifted.matrices[1:]]
+    # every prepared generator's largest eigenvalue modulus is at least 1
+    layer_scales = np.max(np.abs(prep.eigenvalues[1:]), axis=1).tolist()
 
     blocks = extract_block_structure(shifted, spec)
     bs = unify_layers(blocks, layer_scales, tol=tol)
@@ -395,7 +396,7 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
         for a, b in zip(tup.matrices, reduced.matrices)
     )
     # an all-zero tuple, like a zero generator, has scale 1
-    bound = tol.residual_tol * (tup.max_norm() or 1.0)
+    bound = tol.residual_tol * (prep.norm or 1.0)
     if residual > bound:
         raise ScalarizationFailed(
             f"final residual {residual:.3e} exceeds {bound:.3e}", residual=residual

@@ -61,7 +61,13 @@ class ZeroCoefficientOnCycle(SpectralError):
 
 class DecompositionError(SpectralError):
     """Base for structural failures: the tuple provably violates the
-    block pattern required for a split into identical copies."""
+    block pattern required for a split into identical copies.  Keyword
+    details (``block``, ``pair``, ``layer``, ``cycle``, ``residual``) are
+    kept as attributes."""
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.__dict__.update(details)
 
 
 class SpectrumPatternViolation(DecompositionError):
@@ -71,37 +77,15 @@ class SpectrumPatternViolation(DecompositionError):
 class NotUnitaryScalar(DecompositionError):
     """An off-diagonal block is neither zero nor a scalar times a unitary."""
 
-    def __init__(self, message, block=None, residual=None):
-        super().__init__(message)
-        self.block = block
-        self.residual = residual
-
 
 class LayerInconsistency(DecompositionError):
     """Block unitaries of two generators differ by more than a phase."""
-
-    def __init__(self, message, pair=None, layer=None, residual=None):
-        super().__init__(message)
-        self.pair = pair
-        self.layer = layer
-        self.residual = residual
 
 
 class CycleInconsistency(DecompositionError):
     """A product of block unitaries around a cycle is not a unimodular
     scalar times the identity."""
 
-    def __init__(self, message, cycle=None, residual=None):
-        super().__init__(message)
-        self.cycle = cycle
-        self.residual = residual
-
 
 class ScalarizationFailed(DecompositionError):
     """Conjugated generator kept a non-scalar block."""
-
-    def __init__(self, message, block=None, residual=None):
-        super().__init__(message)
-        self.block = block
-        self.residual = residual
-

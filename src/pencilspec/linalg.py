@@ -6,14 +6,15 @@ Matrices are plain ``numpy`` complex128 arrays throughout; the only wrapped
 type is :class:`HermitianTuple`, which pins down the pencil generators
 ``A_1, ..., A_m`` and validates them once at construction.
 :func:`prepare_tuple` is the one entry of ``analyze``, ``decompose`` and
-``corollary``: it decides scale, invertibility and, for a split into ``k``
-copies, whether k divides N and the first generator's spectral pattern, in
-one place.  Everything here is pure and safe to share across threads.
+``corollary``: from one eigendecomposition per generator it derives scale,
+invertibility, the spectra admissibility and ``decompose`` read and, for a
+split into ``k`` copies, the first generator's spectral pattern.
+Everything here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, replace
 
 import numpy as np
 
@@ -143,10 +144,13 @@ def eigendecompose_clustered(a, tol: Tolerances = DEFAULT) -> SpectralData:
     """
     a = as_complex_matrix(a)
     _require_hermitian(a, tol)
-    w, q = np.linalg.eigh(a)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    threshold = tol.gap_tol * scale
+    return _clustered(*np.linalg.eigh(a), tol)
 
+
+def _cluster_groups(w, tol: Tolerances):
+    """Index groups of the ascending eigenvalues ``w``, split at every gap
+    above ``tol.gap_tol * max(1, max |w|)``; see :func:`eigendecompose_clustered`."""
+    threshold = tol.gap_tol * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     gaps = np.diff(w)
     ambiguous = (gaps > threshold / 10.0) & (gaps < threshold * 10.0)
     if np.any(ambiguous):
@@ -154,19 +158,16 @@ def eigendecompose_clustered(a, tol: Tolerances = DEFAULT) -> SpectralData:
         raise ClusterAmbiguity(
             f"eigenvalue gap {g:.3e} lies within a factor 10 of the split threshold {threshold:.3e}"
         )
+    return np.split(np.arange(len(w)), np.flatnonzero(gaps > threshold) + 1)
 
-    splits = np.flatnonzero(gaps > threshold) + 1
-    groups = np.split(np.arange(len(w)), splits)
 
-    centers = np.array([float(np.mean(w[g])) for g in groups])
-    mults = tuple(len(g) for g in groups)
-    projections = tuple(
-        q[:, g] @ q[:, g].conj().T for g in groups
-    )
+def _clustered(w, q, tol: Tolerances) -> SpectralData:
+    """:class:`SpectralData` of the eigenpairs ``(w, q)`` of one Hermitian matrix."""
+    groups = _cluster_groups(w, tol)
     return SpectralData(
-        eigenvalues=centers,
-        multiplicities=mults,
-        projections=projections,
+        eigenvalues=np.array([float(np.mean(w[g])) for g in groups]),
+        multiplicities=tuple(len(g) for g in groups),
+        projections=tuple(q[:, g] @ q[:, g].conj().T for g in groups),
         basis=q,
     )
 
@@ -216,6 +217,15 @@ def direct_sum_k_copies(tup: HermitianTuple, k: int) -> HermitianTuple:
     return HermitianTuple(tuple(np.kron(np.eye(k), a) for a in tup.matrices))
 
 
+def _invertible_shift(w, tol: Tolerances) -> float:
+    """``||A|| + 1`` for a Hermitian ``A`` with eigenvalues ``w`` whose
+    smallest modulus is below ``tol.singular_eig_rel * max(1, ||A||)``, else 0."""
+    nrm = float(np.max(np.abs(w))) if w.size else 0.0
+    if w.size and float(np.min(np.abs(w))) < tol.singular_eig_rel * max(1.0, nrm):
+        return nrm + 1.0
+    return 0.0
+
+
 def shift_to_invertible(tup: HermitianTuple, tol: Tolerances = DEFAULT):
     """Shift singular generators by ``||A|| + 1`` times the identity.
 
@@ -225,46 +235,45 @@ def shift_to_invertible(tup: HermitianTuple, tol: Tolerances = DEFAULT):
     Returns ``(shifted_tuple, shifts)`` where ``shifts[l]`` is the amount
     added to generator l (0.0 if untouched).
     """
-    mats = []
-    shifts = []
-    dim = tup.dim
-    for a in tup.matrices:
-        w = np.linalg.eigvalsh(a)
-        nrm = float(np.max(np.abs(w))) if w.size else 0.0
-        if w.size and float(np.min(np.abs(w))) < tol.singular_eig_rel * max(1.0, nrm):
-            mu = nrm + 1.0
-            mats.append(a + mu * np.eye(dim))
-            shifts.append(mu)
-        else:
-            mats.append(a)
-            shifts.append(0.0)
-    return HermitianTuple(tuple(mats)), tuple(shifts)
+    shifts = tuple(_invertible_shift(np.linalg.eigvalsh(a), tol) for a in tup.matrices)
+    eye = np.eye(tup.dim)
+    mats = tuple(a + mu * eye if mu else a for a, mu in zip(tup.matrices, shifts))
+    return HermitianTuple(mats), shifts
 
 
 @dataclass(frozen=True)
 class PreparedTuple:
-    """A tuple brought to unit scale and made invertible.
+    """A tuple brought to unit scale and made invertible, with its spectra.
 
     ``tup.matrices[l]`` is ``(A_l + shifts[l] I) / scales[l]``, so
-    ``shifts`` are in the input's units.  When prepared for a split into
-    ``k`` copies, ``spec`` is the clustered eigendecomposition of the first
-    prepared generator, with N/k clusters of size ``k``.
+    ``shifts`` are in the input's units; its eigenpairs are
+    ``eigenvalues[l]`` (ascending, largest modulus at least 1) and the
+    columns of ``eigenvectors[l]``.  ``norm`` is the input's largest
+    spectral norm.  When prepared for a split into ``k`` copies, ``spec``
+    is the clustered eigendecomposition of the first prepared generator,
+    with N/k clusters of size ``k``.
     """
 
     tup: HermitianTuple
     scales: tuple
     shifts: tuple
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    norm: float
     spec: SpectralData = None
 
 
 def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT) -> PreparedTuple:
     """Divide each generator by its spectral norm, then shift singular ones.
 
-    A zero generator keeps scale 1.  Neither step changes whether the tuple
-    splits into identical copies (``x_l -> x_l / c_l`` keeps a perfect power
-    a perfect power), so verdicts do not depend on the generators' scales.
-    With ``k``, also check that k divides N and that the first generator has
-    N/k eigenvalue clusters of size k, raising
+    One batched ``eigh`` gives everything: the scale ``max |w_l|`` (a zero
+    generator keeps 1), the shift of the unit spectrum ``w_l / scale_l`` by
+    the rule of :func:`shift_to_invertible`, and the prepared eigenpairs
+    (same eigenvectors).  Neither step changes whether the tuple splits
+    into identical copies (``x_l -> x_l / c_l`` keeps a perfect power a
+    perfect power), so verdicts do not depend on the generators' scales.
+    With ``k``, also check that k divides N and that the first generator
+    has N/k eigenvalue clusters of size k, raising
     :class:`SpectrumPatternViolation` otherwise, or :class:`ClusterAmbiguity`
     when its clusters are ill-defined.  This is the one place those
     preconditions of ``analyze`` and ``decompose`` are checked.
@@ -274,15 +283,20 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
             raise ValueError("k must be a positive integer")
         if tup.dim % k:
             raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
-    scales = tuple(spectral_norm(a) or 1.0 for a in tup.matrices)
-    unit = HermitianTuple(tuple(a / c for a, c in zip(tup.matrices, scales)))
-    shifted, unit_shifts = shift_to_invertible(unit, tol=tol)
-    shifts = tuple(mu * c for mu, c in zip(unit_shifts, scales))
+    w, q = np.linalg.eigh(np.stack(tup.matrices))
+    norms = np.max(np.abs(w), axis=1)
+    scales = np.where(norms > 0, norms, 1.0)
+    unit = w / scales[:, None]
+    mus = np.array([_invertible_shift(u, tol) for u in unit])
+    eye = np.eye(tup.dim)
+    mats = tuple(a / c + mu * eye for a, c, mu in zip(tup.matrices, scales, mus))
+    prep = PreparedTuple(HermitianTuple(mats), tuple(scales.tolist()), tuple((mus * scales).tolist()),
+                         unit + mus[:, None], q, float(np.max(norms)))
     if k is None:
-        return PreparedTuple(shifted, scales, shifts)
+        return prep
     n = tup.dim // k
     try:
-        spec = eigendecompose_clustered(shifted.matrices[0], tol=tol)
+        spec = _clustered(prep.eigenvalues[0], q[0], tol)
     except ClusterAmbiguity as exc:
         raise ClusterAmbiguity(f"first generator: {exc}") from None
     if spec.multiplicities != (k,) * n:
@@ -290,7 +304,7 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
             f"first generator has cluster sizes {list(spec.multiplicities)}, "
             f"wanted {n} clusters of size {k}"
         )
-    return PreparedTuple(shifted, scales, shifts, spec)
+    return replace(prep, spec=spec)
 
 
 def apply_tuple_map(tup: HermitianTuple, c) -> HermitianTuple:

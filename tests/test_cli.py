@@ -99,6 +99,16 @@ class TestTupleFiles:
             load_tuple(str(path))
         assert main(["analyze", str(path), "--k", "2"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("cell", [[1, 0, 5], [True, False], ["1", "0"]])
+    def test_cell_must_be_a_pair_of_numbers(self, pos_file, tmp_path, cell):
+        doc = json.loads(pos_file.read_text())
+        doc["matrices"][0][0][0] = cell
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rep.json"
+        assert main(["analyze", str(path), "--k", "2", "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+
     def test_allow_nonhermitian_projects(self, tmp_path):
         path = tmp_path / "nh.json"
         doc = {
@@ -221,7 +231,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 11
+        assert rep["version"] == 12
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]

@@ -333,27 +333,26 @@ class TestAdjointTwins:
 
 class TestAdmissibility:
     def test_commuting_positive(self):
-        ok, diagnostics = check_admissibility(
-            HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 4, 4))), k=2
-        )
+        tup = HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 4, 4)))
+        ok, diagnostics = check_admissibility(prepare_tuple(tup, 2), k=2)
         assert ok
         assert all(e["ok"] for e in diagnostics["generators"])
 
     def test_scalar_generator_fails(self):
-        ok, diagnostics = check_admissibility(
-            HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 3, 3))), k=2
-        )
+        tup = HermitianTuple((diag(1, 1, 2, 2), diag(3, 3, 3, 3)))
+        ok, diagnostics = check_admissibility(prepare_tuple(tup, 2), k=2)
         assert not ok
         assert diagnostics["generators"][1]["ok"] is False
 
     def test_decomposable_instances_admissible(self):
         for seed in range(3):
             tup, _ = gen_decomposable(2, 2, 2, seed=seed)
-            ok, _ = check_admissibility(tup, k=2)
+            ok, _ = check_admissibility(prepare_tuple(tup, 2), k=2)
             assert ok
 
     def test_nondividing_k(self):
-        ok, diagnostics = check_admissibility(HermitianTuple((diag(1, 2, 3),)), k=2)
+        prep = prepare_tuple(HermitianTuple((diag(1, 2, 3),)))
+        ok, diagnostics = check_admissibility(prep, k=2)
         assert not ok and "divide" in diagnostics["reason"]
 
 

@@ -18,7 +18,9 @@ from pencilspec.linalg import (
     prepare_tuple,
     projection_by_interpolation,
     shift_to_invertible,
+    spectral_norm,
 )
+from pencilspec.instances import gen_commuting, gen_decomposable
 
 from conftest import rand_hermitian, hermitian_with_spectrum
 
@@ -209,6 +211,47 @@ class TestPrepareTuple:
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ValueError):
             prepare_tuple(HermitianTuple((diag(1, 1),)), 0)
+
+
+def _singular_first(tup):
+    a1 = tup.matrices[0]
+    return HermitianTuple((a1 - np.linalg.eigvalsh(a1)[0] * np.eye(tup.dim),) + tup.matrices[1:])
+
+
+def _rescaled(tup):
+    factors = np.logspace(-6, 6, tup.m)
+    return HermitianTuple(tuple(c * a for c, a in zip(factors, tup.matrices)))
+
+
+_PREPARED_CASES = {
+    "decomposable": lambda: gen_decomposable(3, 2, 3, seed=1)[0],
+    "commuting": lambda: gen_commuting(3, 2, 2, seed=2)[0],
+    "zero generator": lambda: HermitianTuple(
+        (gen_decomposable(3, 2, 2, seed=0)[0].matrices[0], np.zeros((6, 6)))
+    ),
+    "singular generator": lambda: _singular_first(gen_decomposable(3, 2, 2, seed=3)[0]),
+    "scales 1e-6 to 1e6": lambda: _rescaled(gen_decomposable(2, 2, 5, seed=4)[0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PREPARED_CASES))
+def test_prepared_spectra_match_independent_routes(case):
+    """Every piece of a PreparedTuple, derived from one batched eigh, against
+    a route that does not share it."""
+    tup = _PREPARED_CASES[case]()
+    prep = prepare_tuple(tup, 2)
+    norms = [spectral_norm(a) for a in tup.matrices]
+    for c, nrm in zip(prep.scales, norms):
+        assert c == pytest.approx(nrm or 1.0, rel=1e-14, abs=0)
+    assert prep.norm == pytest.approx(max(norms), rel=1e-14, abs=0)
+    unit = HermitianTuple(tuple(a / c for a, c in zip(tup.matrices, prep.scales)))
+    _, unit_shifts = shift_to_invertible(unit)
+    assert prep.shifts == pytest.approx([mu * c for mu, c in zip(unit_shifts, prep.scales)])
+    for a, w, q in zip(prep.tup.matrices, prep.eigenvalues, prep.eigenvectors):
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13
+        assert np.max(np.abs(q.conj().T @ a @ q - np.diag(w))) <= 1e-13
+        assert np.max(np.abs(w)) >= 1.0 - 1e-15
+    assert prep.spec.multiplicities == (2,) * (tup.dim // 2)
 
 
 def test_apply_tuple_map_mixes_generators():
