@@ -11,10 +11,14 @@ Pipeline, in the eigenbasis of the first generator (n clusters of size k):
    the pair graph, rooted at the largest index of each component, and
    verify that every pair closes its triangle with the root to a
    unimodular scalar; the block unitary of these pieces commutes with the
-   diagonalized first generator and turns every k x k block of every
-   generator into a scalar, and the components partition the indices;
+   diagonalized first generator, and conjugating the grid of step 1 block
+   by block, ``piece_i B_ij piece_j*``, must leave every k x k block a
+   scalar; the components partition the indices;
 5. gather the k interleaved invariant subspaces with a permutation and
-   read off the reduced n x n tuple.
+   read off the reduced n x n tuple;
+6. audit the result on the input with :func:`verify_decomposition`; its
+   largest residual decides the final check.  Only steps 1 and 6 conjugate
+   a whole generator.
 
 Structural failures raise typed errors naming the violated relation; a
 tuple that does not split never produces a silently wrong answer.
@@ -156,14 +160,15 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
     """Factor all blocks and share one unitary per index pair across layers.
 
     ``blocks`` is the (m-1, n, n, k, k) grid from
-    :func:`extract_block_structure`; ``scales`` the per-layer
-    ``max(1, ||A_l||)`` factors (the pipeline passes unit-scale generators,
-    so these are of order one).  For each pair the layer with the largest
-    block scalar donates the unitary (ties to the lowest layer); every
-    other nonzero layer must match it up to a unimodular scalar, which is
-    absorbed into that layer's ``c``.  A mismatch beyond tolerance raises
-    :class:`LayerInconsistency`: the cross-layer 2-cycle relation fails and
-    the tuple cannot split into identical copies.
+    :func:`extract_block_structure`; ``scales`` holds one factor per layer,
+    which multiplies ``tol.structural_tol`` in that layer's block checks.
+    :func:`decompose` passes each prepared generator's largest eigenvalue
+    modulus, at least 1 and of order one.  For each pair the layer with the
+    largest block scalar donates the unitary (ties to the lowest layer);
+    every other nonzero layer must match it up to a unimodular scalar,
+    which is absorbed into that layer's ``c``.  A mismatch beyond tolerance
+    raises :class:`LayerInconsistency`: the cross-layer 2-cycle relation
+    fails and the tuple cannot split into identical copies.
     """
     nlayers, n, _, k, _ = blocks.shape
     if len(scales) != nlayers:
@@ -271,20 +276,6 @@ def _spanning_forest(bs: BlockStructure, tol: Tolerances):
     return pieces, tuple(sorted(tuple(comp) for comp in components))
 
 
-def _scalarize_layer(ul, rotated, n, k):
-    """Conjugate one generator and compress each k x k block to a scalar.
-
-    Returns (scalar matrix, worst off-scalar Frobenius defect, worst block).
-    """
-    s = ul @ rotated @ ul.conj().T
-    view = s.reshape(n, k, n, k).transpose(0, 2, 1, 3)
-    scal = np.trace(view, axis1=2, axis2=3) / k
-    defects = view - scal[:, :, None, None] * np.eye(k)
-    norms = np.linalg.norm(defects, axis=(2, 3))
-    worst = np.unravel_index(int(np.argmax(norms)), norms.shape)
-    return scal, float(norms[worst]), worst
-
-
 def build_block_unitary(bs: BlockStructure, blocks, scales, tol: Tolerances = DEFAULT) -> tuple:
     """Assemble the block unitary over a spanning forest and verify it.
 
@@ -294,22 +285,27 @@ def build_block_unitary(bs: BlockStructure, blocks, scales, tol: Tolerances = DE
     with ``a`` raises :class:`CycleInconsistency`.  The result is unitary
     and commutes exactly with the diagonalized first generator.
     Conjugating the raw ``blocks`` grid of :func:`extract_block_structure`
-    by it must turn every k x k block of layer ``l`` into a scalar within
-    ``tol.scalar_block_tol * scales[l]``; a violation raises
-    :class:`ScalarizationFailed`.  Returns ``(udiag, scalars, partition)``:
-    the block unitary, per layer the n x n matrix of the block scalars it
-    verified, and the components as sorted index tuples.
+    by it, block by block as ``piece_i @ B_ij @ piece_j*``, must turn every
+    k x k block of layer ``l`` into a scalar within
+    ``tol.scalar_block_tol * scales[l]``; the first layer that does not
+    raises :class:`ScalarizationFailed` naming its worst block.  Returns
+    ``(udiag, scalars, partition)``: the block unitary, the (m-1, n, n)
+    array of the block scalars it verified, and the components as sorted
+    index tuples.
     """
     n, k = bs.n, bs.k
     pieces, partition = _spanning_forest(bs, tol)
+    pieces = np.stack(pieces)
     udiag = np.zeros((n * k, n * k), dtype=np.complex128)
     for i, piece in enumerate(pieces):
         udiag[i * k : (i + 1) * k, i * k : (i + 1) * k] = piece
 
-    scalars = []
-    for li in range(blocks.shape[0]):
-        rot = blocks[li].transpose(0, 2, 1, 3).reshape(n * k, n * k)
-        scal, worst, where = _scalarize_layer(udiag, rot, n, k)
+    conj = pieces[None, :, None] @ blocks @ pieces.conj().transpose(0, 2, 1)[None, None, :]
+    scalars = np.trace(conj, axis1=3, axis2=4) / k
+    norms = np.linalg.norm(conj - scalars[..., None, None] * np.eye(k), axis=(3, 4))
+    for li, layer in enumerate(norms):
+        where = np.unravel_index(int(np.argmax(layer)), layer.shape)
+        worst = float(layer[where])
         if worst > tol.scalar_block_tol * scales[li]:
             raise ScalarizationFailed(
                 f"generator {li + 2} block ({where[0] + 1},{where[1] + 1}) stays "
@@ -317,7 +313,6 @@ def build_block_unitary(bs: BlockStructure, blocks, scales, tol: Tolerances = DE
                 block=(li + 2,) + where,
                 residual=worst,
             )
-        scalars.append(scal)
     return udiag, scalars, partition
 
 
@@ -332,6 +327,9 @@ class DecompositionResult:
     subspaces.  ``reduced`` and ``eigenvalues`` are in the input's units;
     ``shifts`` records, also in the input's units, the scalar added to each
     singular generator before analysis (already subtracted from ``reduced``).
+    ``verification`` is the :func:`verify_decomposition` report that
+    :func:`decompose` took its verdict from, and ``residual`` that report's
+    ``max_residual``; a hand-built result may leave it ``None``.
     """
 
     n: int
@@ -344,24 +342,11 @@ class DecompositionResult:
     partition: tuple
     shifts: tuple
     residual: float
+    verification: dict | None = None
 
     def transform(self) -> np.ndarray:
         p = np.eye(self.eigenbasis.shape[0], dtype=np.complex128)[self.permutation]
         return p @ self.block_unitary @ self.eigenbasis
-
-
-def _interleave_permutation(n, k):
-    # new index s*n + i picks up old index i*k + s: subspace s collects the
-    # s-th vector of every cluster.
-    old_of_new = np.empty(n * k, dtype=np.intp)
-    for s in range(k):
-        for i in range(n):
-            old_of_new[s * n + i] = i * k + s
-    return old_of_new
-
-
-def _hermitized(a):
-    return (a + a.conj().T) / 2.0
 
 
 def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> DecompositionResult:
@@ -373,10 +358,12 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     eigenvalues and the shifts are returned in the input's units.  ``k = 1``
     takes the same path: every 1 x 1 block is a scalar times a phase, so
     the block unitary is a diagonal of phases and every such tuple splits.
+    The final check is :func:`verify_decomposition` on the input: a
+    ``max_residual`` above ``tol.residual_tol`` times the input's largest
+    spectral norm raises :class:`ScalarizationFailed`.
     """
     prep = prepare_tuple(tup, k, tol=tol)
     shifted, spec, n = prep.tup, prep.spec, prep.spec.n
-    v = spec.rotation()
     # every prepared generator's largest eigenvalue modulus is at least 1
     layer_scales = np.max(np.abs(prep.eigenvalues[1:]), axis=1).tolist()
 
@@ -384,35 +371,33 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     bs = unify_layers(blocks, layer_scales, tol=tol)
     udiag, scalars, partition = build_block_unitary(bs, blocks, layer_scales, tol=tol)
     unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
-    unit_reduced += [_hermitized(scal) for scal in scalars]
+    unit_reduced += list((scalars + scalars.conj().transpose(0, 2, 1)) / 2.0)
 
-    reduced = HermitianTuple(tuple(
-        c * b - mu * np.eye(n) for b, c, mu in zip(unit_reduced, prep.scales, prep.shifts)
-    ))
-    perm = _interleave_permutation(n, k)
-    t = np.eye(tup.dim, dtype=np.complex128)[perm] @ udiag @ v
-    residual = max(
-        float(np.linalg.norm(t @ a @ t.conj().T - np.kron(np.eye(k), b)))
-        for a, b in zip(tup.matrices, reduced.matrices)
+    result = DecompositionResult(
+        n=n,
+        k=k,
+        eigenbasis=spec.rotation(),
+        block_unitary=udiag,
+        # new index s*n + i picks up old index i*k + s: subspace s collects
+        # the s-th vector of every cluster
+        permutation=np.arange(n * k).reshape(n, k).T.ravel(),
+        reduced=HermitianTuple(tuple(
+            c * b - mu * np.eye(n) for b, c, mu in zip(unit_reduced, prep.scales, prep.shifts)
+        )),
+        eigenvalues=spec.eigenvalues * prep.scales[0] - prep.shifts[0],
+        partition=partition,
+        shifts=prep.shifts,
+        residual=None,
     )
+    audit = verify_decomposition(tup, result, tol=tol)
+    residual = audit["max_residual"]
     # an all-zero tuple, like a zero generator, has scale 1
     bound = tol.residual_tol * (prep.norm or 1.0)
     if residual > bound:
         raise ScalarizationFailed(
             f"final residual {residual:.3e} exceeds {bound:.3e}", residual=residual
         )
-    return DecompositionResult(
-        n=n,
-        k=k,
-        eigenbasis=v,
-        block_unitary=udiag,
-        permutation=perm,
-        reduced=reduced,
-        eigenvalues=spec.eigenvalues * prep.scales[0] - prep.shifts[0],
-        partition=partition,
-        shifts=prep.shifts,
-        residual=residual,
-    )
+    return replace(result, residual=residual, verification=audit)
 
 
 def verify_decomposition(tup: HermitianTuple, result: DecompositionResult, tol: Tolerances = DEFAULT) -> dict:
@@ -420,31 +405,37 @@ def verify_decomposition(tup: HermitianTuple, result: DecompositionResult, tol: 
 
     Never raises; returns a report with per-generator residuals, unitarity
     defects, the commutation defect with the diagonalized first generator,
-    and an overall ``ok`` flag at the standard tolerances.
+    and an overall ``ok`` flag at the standard tolerances.  It never reads
+    the stored ``residual`` or ``verification``.  Residuals and the
+    commutation and ``b1`` defects are taken on matrices divided by the
+    input's largest spectral norm, then multiplied back, so squared entries
+    neither overflow nor underflow at extreme scales.
     """
-    n, k = result.n, result.k
+    k = result.k
     t = result.transform()
     v = result.eigenbasis
     udiag = result.block_unitary
     dim = tup.dim
+    max_norm = tup.max_norm() or 1.0
+    mats = [a / max_norm for a in tup.matrices]
+    reduced = [b / max_norm for b in result.reduced.matrices]
 
     residuals = [
-        float(np.linalg.norm(t @ a @ t.conj().T - np.kron(np.eye(k), b)))
-        for a, b in zip(tup.matrices, result.reduced.matrices)
+        float(np.linalg.norm(t @ a @ t.conj().T - np.kron(np.eye(k), b))) * max_norm
+        for a, b in zip(mats, reduced)
     ]
-    d1 = v @ tup.matrices[0] @ v.conj().T
+    d1 = v @ mats[0] @ v.conj().T
     report = {
         "residuals": residuals,
         "max_residual": max(residuals),
         "unitarity_eigenbasis": float(np.linalg.norm(v @ v.conj().T - np.eye(dim))),
         "unitarity_block": float(np.linalg.norm(udiag @ udiag.conj().T - np.eye(dim))),
         "unitarity_transform": float(np.linalg.norm(t @ t.conj().T - np.eye(dim))),
-        "commutation_defect": float(np.linalg.norm(udiag @ d1 - d1 @ udiag)),
+        "commutation_defect": float(np.linalg.norm(udiag @ d1 - d1 @ udiag)) * max_norm,
         "b1_diagonal_defect": float(
-            np.linalg.norm(result.reduced.matrices[0] - np.diag(result.eigenvalues))
-        ),
+            np.linalg.norm(reduced[0] - np.diag(result.eigenvalues / max_norm))
+        ) * max_norm,
     }
-    max_norm = tup.max_norm() or 1.0
     report["ok"] = bool(
         report["max_residual"] <= tol.residual_tol * max_norm
         and report["unitarity_transform"] <= tol.unitary_rel * dim

@@ -231,7 +231,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 12
+        assert rep["version"] == 13
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -311,6 +311,16 @@ class TestDecomposeCommand:
         assert rep["outcome"] == "conditions_violated"
         assert rep["violated_condition"] == "CycleInconsistency"
         assert len(rep["cycle"]) == 3
+
+    def test_final_residual_above_bound_fails(self, tmp_path):
+        path, out = tmp_path / "t.json", tmp_path / "dec.json"
+        save_tuple(str(path), gen_decomposable(3, 2, 2, seed=1)[0])
+        argv = ["decompose", str(path), "--k", "2", "--tol", "residual_tol=1e-20", "--out", str(out)]
+        assert main(argv) == EXIT_FAIL
+        rep = json.loads(out.read_text())
+        assert rep["outcome"] == "conditions_violated"
+        assert rep["violated_condition"] == "ScalarizationFailed"
+        assert rep["detail"].startswith("final residual")
 
     def test_indivisible_k(self, neg_file, tmp_path):
         out = tmp_path / "dec.json"

@@ -7,11 +7,13 @@ command must give its ground-truth exit code at every scale.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from pencilspec.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, main, save_tuple
+from pencilspec.config import DEFAULT
 from pencilspec.decomposer import decompose, verify_decomposition
 from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import HermitianTuple
@@ -24,7 +26,7 @@ CASES = {
     "commuting-3-2-2": (gen_commuting(3, 2, 2, seed=1)[0], EXIT_PASS),
 }
 
-WHOLE = (1e-9, 1e-6, 1e-3, 1e3, 1e6)
+WHOLE = (1e-300, 1e-200, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e200, 1e300)
 # per-generator scale vectors 10^U(-6, 6), long enough for any case
 PER_GENERATOR = tuple(10.0 ** np.random.default_rng(s).uniform(-6, 6, 3) for s in (1, 2, 3))
 SCALES = [pytest.param(c, id=f"x{c:g}") for c in WHOLE] + [
@@ -64,11 +66,35 @@ def test_identity_pair(tmp_path):
     assert run_all(tmp_path, tup) == (EXIT_PRECONDITION, EXIT_PRECONDITION, EXIT_PASS)
 
 
-def test_tampered_block_unitary_rejected_at_small_scale():
-    tup = scaled(gen_decomposable(2, 2, 2, seed=53)[0], 1e-7)
+@pytest.mark.parametrize("scale", [1e-7, 1e-200])
+def test_tampered_block_unitary_rejected_at_small_scale(scale):
+    tup = scaled(gen_decomposable(2, 2, 2, seed=53)[0], scale)
     res = decompose(tup, 2)
     assert verify_decomposition(tup, res)["ok"]
     tampered = res.block_unitary.copy()
     tampered[:2, :2] *= -1.0
     rep = verify_decomposition(tup, dataclasses.replace(res, block_unitary=tampered))
     assert not rep["ok"]
+
+
+SPLITTING = {"decomposable": gen_decomposable, "commuting": gen_commuting}
+
+
+@pytest.mark.parametrize("scale", WHOLE, ids=lambda c: f"x{c:g}")
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3)], ids=lambda s: "-".join(map(str, s)))
+@pytest.mark.parametrize("family", list(SPLITTING))
+def test_decompose_residual_within_bound(tmp_path, family, shape, seed, scale):
+    # decompose never returns a residual above its bound, and the residual it
+    # returns, in process and in a report, is its own audit's max_residual
+    n, k, m = shape
+    tup = scaled(SPLITTING[family](n, k, m, seed=seed)[0], scale)
+    res = decompose(tup, k)
+    assert res.residual == res.verification["max_residual"] <= DEFAULT.residual_tol * tup.max_norm()
+    assert res.verification["ok"]
+    assert verify_decomposition(tup, res) == res.verification
+    path, out = tmp_path / "t.json", tmp_path / "dec.json"
+    save_tuple(str(path), tup)
+    assert main(["decompose", str(path), "--k", str(k), "--out", str(out)]) == EXIT_PASS
+    rep = json.loads(out.read_text())
+    assert rep["residual"] == rep["verification"]["max_residual"]
