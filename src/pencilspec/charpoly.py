@@ -316,19 +316,29 @@ def _draw_directions(rng, lines, m, pencils=None):
 _BATCH_ENTRIES = 20_000
 
 
-def _verdict_chunk(gens, k, n, dirs, tol):
-    """Power-test verdicts for one chunk of pencils (see :func:`kth_power_batch`)."""
+def _line_spectra(gens, dirs, tol):
+    """Hermitian admission and the sorted line spectra ``(P, lines, N)`` of
+    one chunk of pencils (see :func:`kth_power_batch`)."""
     (p_count, m, dim), lines = gens.shape[:3], tol.lines
-    defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
-    if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
-        raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
+    # Exact first: every pencil analyze and corollary build is Hermitian to
+    # the last bit, so the defect and the norms are only formed when some
+    # entry differs (a NaN entry differs too, and goes on as before).
+    adj = np.swapaxes(gens, -1, -2).conj()
+    if not np.array_equal(gens, adj):
+        defect = np.max(np.abs(gens - adj), axis=(-2, -1))
+        if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
+            raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
     # q . A for every line as one real matmul on the (re, im) view; real q
     # keeps it Hermitian.  A pencil split into k identical blocks gives
     # k-fold eigenvalues, which rounding moves linearly (Weyl), not by
     # eps**(1/k) as a root finder on coefficients would.
     flat = np.ascontiguousarray(gens).view(np.float64).reshape(p_count, m, -1)
-    lams = np.linalg.eigvalsh((dirs @ flat).view(np.complex128).reshape(p_count, lines, dim, dim))
+    return np.linalg.eigvalsh((dirs @ flat).view(np.complex128).reshape(p_count, lines, dim, dim))
 
+
+def _verdicts(lams, k, n, tol):
+    """Power-test verdicts from the line spectra of a stack of pencils."""
+    p_count, lines = lams.shape[:2]
     # The eigenvalues come sorted, so single linkage at ctol splits each row
     # where a gap exceeds ctol: clusters are runs, their spread the run's range.
     ctol = tol.cluster_rel * (1.0 + np.maximum(-lams[..., 0], lams[..., -1]))
@@ -337,21 +347,26 @@ def _verdict_chunk(gens, k, n, dirs, tol):
     first = np.flatnonzero(np.concatenate([edge, cut], axis=-1))
     last = np.flatnonzero(np.concatenate([cut, edge], axis=-1))
     # rows are (pencil, line) pairs; starts[r] is row r's first cluster
-    starts = np.concatenate([[0], np.cumsum(cut.sum(axis=-1).ravel() + 1)])
+    counts = cut.sum(axis=-1).ravel() + 1
+    starts = np.concatenate([[0], np.cumsum(counts)])
     sizes = last - first + 1
     odd = np.logical_or.reduceat(sizes % k != 0, starts[:-1])
-    sizes = sizes.tolist()
-    profiles = [tuple(sizes[a:b]) for a, b in zip(starts[:-1], starts[1:])]
     spreads = np.maximum.reduceat(lams.ravel()[last] - lams.ravel()[first], starts[:-1])
-    line_ok = (~odd & (spreads <= ctol.ravel())).reshape(p_count, lines).tolist()
+    line_ok = (~odd & (spreads <= ctol.ravel())).reshape(p_count, lines)
+    # n clusters with sizes divisible by k are n clusters of size k: those
+    # rows share one profile, and only the others slice theirs out
+    profiles = [(k,) * n] * len(counts)
+    for r in np.flatnonzero(odd | (counts != n)).tolist():
+        profiles[r] = tuple(sizes[starts[r] : starts[r + 1]].tolist())
+    records = list(zip(profiles, spreads.tolist()))
 
     verdicts = []
-    for p, row in enumerate(spreads.reshape(p_count, lines).tolist()):
-        records = tuple(zip(profiles[p * lines : (p + 1) * lines], row))
-        bad = line_ok[p].index(False) if False in line_ok[p] else None
-        reason = "" if bad is None else (
-            f"line {bad}: cluster sizes {records[bad][0]}, spread {records[bad][1]:.3e}")
-        verdicts.append(KPowerVerdict(bad is None, k, n, records, max(row), reason, bad))
+    rows = zip(line_ok.all(axis=1).tolist(), np.argmin(line_ok, axis=1).tolist(),
+               spreads.reshape(p_count, lines).tolist())
+    for p, (ok, bad, row) in enumerate(rows):
+        rec = tuple(records[p * lines : (p + 1) * lines])
+        reason = "" if ok else f"line {bad}: cluster sizes {rec[bad][0]}, spread {row[bad]:.3e}"
+        verdicts.append(KPowerVerdict(ok, k, n, rec, max(row), reason, None if ok else bad))
     return verdicts
 
 
@@ -393,13 +408,15 @@ def kth_power_batch(
         )
     if k < 1 or n < 1 or n * k != dim:
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
+    if not len(gens):
+        return []
+    # the spectra, P * lines * N reals, are smaller than the generators
     chunk = max(1, _BATCH_ENTRIES // (tol.lines * dim * dim))
-    verdicts = []
-    for start in range(0, len(gens), chunk):
-        verdicts += _verdict_chunk(
-            gens[start : start + chunk], k, n, dirs[start : start + chunk], tol
-        )
-    return verdicts
+    spectra = [
+        _line_spectra(gens[start : start + chunk], dirs[start : start + chunk], tol)
+        for start in range(0, len(gens), chunk)
+    ]
+    return _verdicts(np.concatenate(spectra), k, n, tol)
 
 
 def kth_power_test(

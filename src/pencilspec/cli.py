@@ -81,12 +81,15 @@ def _matrix_to_json(a):
 
 
 def _matrix_from_json(rows):
-    # each cell exactly an [re, im] pair of JSON numbers; a bool is an int to Python
+    # each cell exactly an [re, im] pair of JSON numbers; a bool is an int to
+    # Python, and numpy would read a string or a bool as a number, so the
+    # types are checked on the object array first (ragged rows fail there)
     try:
-        if not all(type(c) is list and len(c) == 2 and {type(c[0]), type(c[1])} <= {int, float}
-                   for row in rows for c in row):
+        cells = np.array(rows, dtype=object)
+        pairs = cells.ndim == 3 and cells.shape[2] == 2
+        if not pairs or not set(map(type, cells.ravel())) <= {int, float}:
             raise ValueError("a cell is not an [re, im] pair of numbers")
-        return np.array([[complex(*c) for c in row] for row in rows], dtype=np.complex128)
+        return cells.astype(np.float64).view(np.complex128)[..., 0]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from None
 
@@ -107,8 +110,13 @@ def _atomic_write(path, text):
 def _dump_json(obj) -> str:
     """``obj`` with one line per top-level key, in sorted order, each value
     on one line through the C encoder (``indent`` would force the pure-Python
-    one).  A scalar such as ``timestamp`` thus sits on a line of its own."""
-    lines = (f" {json.dumps(key)}: {json.dumps(obj[key], sort_keys=True)}" for key in sorted(obj))
+    one).  A scalar such as ``timestamp`` thus sits on a line of its own.
+    Every document is a tree built afresh, so the encoder skips its cycle
+    check."""
+    lines = (
+        f" {json.dumps(key)}: {json.dumps(obj[key], sort_keys=True, check_circular=False)}"
+        for key in sorted(obj)
+    )
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
@@ -125,15 +133,19 @@ def save_tuple(path, tup: HermitianTuple, metadata=None):
     _atomic_write(path, _dump_json(doc))
 
 
-def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT):
+def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT, data=None):
     """Read a tuple file.  Returns ``(HermitianTuple, metadata dict)``.
 
     Matrices are stored as their Hermitian parts.  A Hermitian defect above
     ``tol.hermitian_rel`` times the matrix's spectral norm is rejected unless
-    ``allow_nonhermitian`` is set.
+    ``allow_nonhermitian`` is set.  ``data``, when given, is the file's
+    bytes as already read (and hashed) by the caller; ``path`` then only
+    names the file in error messages.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict) or doc.get("format") != TUPLE_FORMAT:
         raise ValueError(f"{path}: not a {TUPLE_FORMAT} file")
     m, dim, matrices = doc.get("m"), doc.get("dim"), doc.get("matrices")
@@ -145,13 +157,6 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     if allow_nonhermitian:
         mats = [(a + a.conj().T) / 2.0 for a in mats]
     return HermitianTuple(tuple(mats), tol=tol), doc.get("metadata", {})
-
-
-def _file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 
 
 def _verdict_to_json(v):
@@ -185,7 +190,7 @@ def _word_summary(w, v, adjoint_of=None):
     return entry
 
 
-def _report_skeleton(command, args, input_path, tol: Tolerances):
+def _report_skeleton(command, args, input_path, digest, tol: Tolerances):
     return {
         "format": REPORT_FORMAT,
         "version": FORMAT_VERSION,
@@ -193,7 +198,7 @@ def _report_skeleton(command, args, input_path, tol: Tolerances):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "input": {
             "path": str(input_path),
-            "sha256": _file_digest(input_path),
+            "sha256": digest,
         },
         "parameters": args,
         "tolerances": tol.as_dict(),
@@ -255,10 +260,15 @@ def _precondition_violated(report, detail, out) -> int:
 
 def _start(command, parameters, args):
     """Shared start of the certifying commands: the tolerances, the loaded
-    tuple and the report skeleton (with the tuple file's metadata)."""
+    tuple and the report skeleton (with the tuple file's metadata).  The
+    file is read once, so ``input.sha256`` is the digest of the bytes that
+    were analyzed."""
     tol = _tolerances_from_overrides(args.tol)
-    tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol)
-    report = _report_skeleton(command, parameters, args.input, tol)
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    tup, meta = load_tuple(args.input, args.allow_nonhermitian, tol, data=data)
+    digest = hashlib.sha256(data).hexdigest()
+    report = _report_skeleton(command, parameters, args.input, digest, tol)
     if meta:
         report["input"]["metadata"] = meta
     return tol, tup, report
@@ -366,6 +376,11 @@ def cmd_corollary(args) -> int:
     prep = prepare_tuple(tup, tol=tol)
     report["shifts"] = list(prep.shifts)
     span = _monomial_span(prep.tup.matrices, degree_bound, tol)
+    if not len(span):
+        raise ValueError(
+            f"no monomial direction is above singular_eig_rel={tol.singular_eig_rel}: "
+            "the span is empty"
+        )
     gens = hermitian_parts(span).reshape(-1, tup.dim, tup.dim)
     verdict = kth_power_test(gens, args.k, n, seed=args.seed, tol=tol)
     report["verdict"] = _verdict_to_json(verdict)
@@ -473,6 +488,10 @@ def main(argv=None) -> int:
         # json.JSONDecodeError is a ValueError; NotHermitian is a
         # SpectralError
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except MemoryError as exc:
+        # numpy's message names the allocation; a bare MemoryError has none
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'no detail'}\n")
         return EXIT_ERROR
 
 

@@ -85,6 +85,14 @@ class WordSpec:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "projections", projections)
 
+    @classmethod
+    def _valid(cls, letters, projections):
+        """The word of int tuples already known to be valid labels, built
+        without :meth:`__post_init__` re-converting and re-checking them."""
+        word = object.__new__(cls)
+        word.__dict__.update(letters=letters, projections=projections)
+        return word
+
     @property
     def r(self) -> int:
         return len(self.projections)
@@ -118,20 +126,16 @@ def enumerate_words(n: int, m: int, mode: str = "all", tol: Tolerances = DEFAULT
         raise ValueError("need n >= 1 and m >= 2")
     if mode not in ("all", "proof_core"):
         raise ValueError(f"unknown mode {mode!r}")
+    arrange = permutations if mode == "all" else combinations
     words = []
-    truncated = False
     for r in range(n):
-        if mode == "all":
-            proj_iter = permutations(range(1, n + 1), r)
-        else:
-            proj_iter = combinations(range(1, n + 1), r)
-        for projections in proj_iter:
-            for letters in product(range(2, m + 1), repeat=r + 1):
+        letter_tuples = list(product(range(2, m + 1), repeat=r + 1))
+        for projections in arrange(range(1, n + 1), r):
+            for letters in letter_tuples:
                 if len(words) >= tol.word_cap:
-                    truncated = True
-                    return words, truncated
-                words.append(WordSpec(letters=letters, projections=projections))
-    return words, truncated
+                    return words, True
+                words.append(WordSpec._valid(letters, projections))
+    return words, False
 
 
 def realize_word(tup: HermitianTuple, spec: SpectralData, w: WordSpec) -> np.ndarray:

@@ -15,6 +15,7 @@ Everything here is pure and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, InitVar, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -113,20 +114,26 @@ class HermitianTuple:
 class SpectralData:
     """Clustered eigendecomposition of one Hermitian matrix.
 
-    ``eigenvalues`` holds the ascending cluster centers, ``projections[j]``
-    the orthogonal projection onto the j-th cluster's eigenspace, and
-    ``basis`` the unitary whose columns are the eigenvectors grouped by
-    cluster.
+    ``eigenvalues`` holds the ascending cluster centers, ``multiplicities``
+    the cluster sizes, and ``basis`` the unitary whose columns are the
+    eigenvectors grouped by cluster.  ``projections[j]``, the orthogonal
+    projection onto the j-th cluster's eigenspace, is formed on first
+    access: only the reference routes read it.
     """
 
     eigenvalues: np.ndarray
     multiplicities: tuple
-    projections: tuple
     basis: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def projections(self) -> tuple:
+        ends = np.cumsum(self.multiplicities)
+        groups = (np.arange(end - size, end) for end, size in zip(ends, self.multiplicities))
+        return tuple(self.basis[:, g] @ self.basis[:, g].conj().T for g in groups)
 
     def rotation(self) -> np.ndarray:
         """Unitary V with V A V* diagonal (rows are eigenvectors)."""
@@ -167,7 +174,6 @@ def _clustered(w, q, tol: Tolerances) -> SpectralData:
     return SpectralData(
         eigenvalues=np.array([float(np.mean(w[g])) for g in groups]),
         multiplicities=tuple(len(g) for g in groups),
-        projections=tuple(q[:, g] @ q[:, g].conj().T for g in groups),
         basis=q,
     )
 

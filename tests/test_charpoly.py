@@ -383,6 +383,47 @@ class TestKthPowerBatch:
         assert 0.0 < defect <= 1e-14
         assert kth_power_batch(np.stack(gens)[None], k=2, n=2, dirs=self.dirs([3]))[0].is_kth_power
 
+    def test_exact_first_admission_keeps_verdicts_and_message(self):
+        # the exact G == G* test only skips forming the defect: exact and
+        # rounding-level stacks get the reference verdicts, and a stack
+        # above the bound the defect bound's own message
+        from pencilspec.instances import haar_unitary
+
+        gens, seeds = self.stack()
+        dirs = self.dirs(seeds)
+        assert np.array_equal(gens, np.swapaxes(gens, -1, -2).conj())
+        u = haar_unitary(4, 8)
+        rotated = u @ gens @ u.conj().T
+        defect = np.max(np.abs(rotated - np.swapaxes(rotated, -1, -2).conj()), axis=(-2, -1))
+        assert 0.0 < np.max(defect) <= 1e-14
+        for stack in (gens, rotated):
+            reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(stack, seeds)]
+            assert kth_power_batch(stack, k=2, n=2, dirs=dirs) == reference
+        rotated[3, 1, 0, 2] += 1e-6
+        defect = np.max(np.abs(rotated - np.swapaxes(rotated, -1, -2).conj()), axis=(-2, -1))
+        assert np.max(defect) > DEFAULT.hermitian_rel * np.max(np.abs(rotated))
+        with pytest.raises(ValueError) as raised:
+            kth_power_batch(rotated, k=2, n=2, dirs=dirs)
+        assert str(raised.value) == (
+            f"pencil generators must be Hermitian, defect {np.max(defect):.3e}"
+        )
+
+    def test_nan_entry_passes_admission(self):
+        # NaN differs from itself, so the defect is formed; a NaN defect
+        # exceeds no bound, and the pencil reaches the eigensolver as
+        # before.  LAPACK either gives up on it or returns NaN spectra,
+        # which fail every line while the other pencils keep their verdicts.
+        gens, seeds = self.stack()
+        dirs = self.dirs(seeds)
+        reference = kth_power_batch(gens, k=2, n=2, dirs=dirs)
+        gens[1, 1, 0, 1] = gens[1, 1, 1, 0] = np.nan
+        try:
+            verdicts = kth_power_batch(gens, k=2, n=2, dirs=dirs)
+        except np.linalg.LinAlgError:
+            return
+        assert not verdicts[1].is_kth_power and np.isnan(verdicts[1].worst_spread)
+        assert verdicts[:1] + verdicts[2:] == reference[:1] + reference[2:]
+
     def test_chain_merges_transitively(self):
         # Relative to cluster_rel (1 + max|lambda|), consecutive points of the
         # chain sit 0.6 ctol apart on every line, so sorted-gap linkage joins

@@ -90,6 +90,8 @@ class TestTupleFiles:
             {"format": "pencilspec-tuple", "dim": True, "m": True, "matrices": [[[[1.0, 0.0]]]]},
             {"format": "pencilspec-tuple", "dim": 1, "m": 1, "matrices": [[[{"re": 1}]]]},
             {"format": "pencilspec-tuple", "dim": 1, "m": 1, "matrices": [[[[10**400, 0]]]]},
+            {"format": "pencilspec-tuple", "dim": 2, "m": 1,
+             "matrices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]]},
         ],
     )
     def test_malformed_document_rejected(self, tmp_path, doc):
@@ -99,7 +101,7 @@ class TestTupleFiles:
             load_tuple(str(path))
         assert main(["analyze", str(path), "--k", "2"]) == EXIT_ERROR
 
-    @pytest.mark.parametrize("cell", [[1, 0, 5], [True, False], ["1", "0"]])
+    @pytest.mark.parametrize("cell", [[1, 0, 5], [True, False], ["1", "0"], [1.0, True], [[1], 0]])
     def test_cell_must_be_a_pair_of_numbers(self, pos_file, tmp_path, cell):
         doc = json.loads(pos_file.read_text())
         doc["matrices"][0][0][0] = cell
@@ -135,6 +137,39 @@ class TestTupleFiles:
         argv = [command, str(path), "--k", "2", "--out", str(tmp_path / "rep.json")]
         assert main(argv) == EXIT_ERROR
         assert main(argv + ["--tol", "hermitian_rel=1e-9"]) == EXIT_PASS
+
+    def test_bulk_decode_matches_the_per_cell_reference(self):
+        # the decoder reads every cell as complex(re, im) did, to the bit
+        from pencilspec.cli import _matrix_from_json
+
+        rows = [[[-0.0, 1e-300], [5e-324, -0.0], [3, -7]],
+                [[1.7976931348623157e308, 0.1], [-2.5, 0], [0.0, -1e-300]]]
+        got = _matrix_from_json(rows)
+        want = np.array([[complex(*c) for c in row] for row in rows], dtype=np.complex128)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 0].real) and np.signbit(got[0, 1].imag)
+
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
+    def test_report_digest_is_of_the_analyzed_bytes(self, pos_file, tmp_path, monkeypatch,
+                                                    command):
+        # the file is read once: rewritten after loading, the report still
+        # carries the digest of the bytes that were analyzed
+        import hashlib
+
+        import pencilspec.cli as cli
+
+        data = pos_file.read_bytes()
+        load = cli.load_tuple
+
+        def load_then_rewrite(*args, **kwargs):
+            loaded = load(*args, **kwargs)
+            pos_file.write_text("{}")
+            return loaded
+
+        monkeypatch.setattr(cli, "load_tuple", load_then_rewrite)
+        out = tmp_path / "rep.json"
+        assert main([command, str(pos_file), "--k", "2", "--out", str(out)]) == EXIT_PASS
+        assert json.loads(out.read_text())["input"]["sha256"] == hashlib.sha256(data).hexdigest()
 
     def test_generate_embeds_descriptor(self, pos_file):
         _, meta = load_tuple(str(pos_file))
@@ -458,6 +493,16 @@ class TestCorollaryCommand:
         assert main(["corollary", str(path), "--k", str(k_cert), "--out", str(out)]) == EXIT_PASS
         assert json.loads(out.read_text())["outcome"] == "pass"
 
+    def test_empty_span_exits_three(self, pos_file, tmp_path, capsys):
+        # a rank cut above every singular value keeps no direction
+        out = tmp_path / "cor.json"
+        argv = ["corollary", str(pos_file), "--k", "2", "--tol", "singular_eig_rel=10",
+                "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "singular_eig_rel" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_negative_instance_fails(self, neg_file, tmp_path):
         out = tmp_path / "cor.json"
         code = main(["corollary", str(neg_file), "--k", "2", "--out", str(out)])
@@ -578,6 +623,22 @@ class TestArgumentValidation:
         assert main([command, str(pos_file), "--out", str(out)] + args) == EXIT_ERROR
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc", [MemoryError("Unable to allocate 5.96 TiB for an array"), MemoryError()]
+    )
+    def test_memory_error_exits_three(self, pos_file, tmp_path, monkeypatch, capsys, exc):
+        import pencilspec.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "analyze", exhausted)
+        out = tmp_path / "rep.json"
+        assert main(["analyze", str(pos_file), "--k", "2", "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
     def test_help_exits_zero(self, argv, capsys):

@@ -88,6 +88,52 @@ class TestEnumeration:
                 words, _ = enumerate_words(n, m, mode="all")
                 assert len(words) == count_words(n, m, "all")
 
+    @staticmethod
+    def validated_words(n, m, mode, cap):
+        # the enumeration loop that built every word through WordSpec(...)
+        from itertools import combinations, permutations, product
+
+        words = []
+        for r in range(n):
+            arrange = permutations if mode == "all" else combinations
+            for projections in arrange(range(1, n + 1), r):
+                for letters in product(range(2, m + 1), repeat=r + 1):
+                    if len(words) >= cap:
+                        return words, True
+                    words.append(WordSpec(letters=letters, projections=projections))
+        return words, False
+
+    @pytest.mark.parametrize("mode", ["all", "proof_core"])
+    def test_words_equal_validated_words(self, mode):
+        # caps at and around level ends and inside a projection tuple's
+        # block of letter tuples, e.g. 100 cuts level 2 of (4, 3) after 82
+        # of its 96 words, 10 whole blocks of 8 and two words of the next
+        for n in range(1, 6):
+            for m in (2, 3):
+                total = count_words(n, m, mode)
+                for cap in sorted({1, 2, 3, 7, 18, 19, 100, max(1, total - 1), total, 10**6}):
+                    tol = Tolerances(word_cap=cap)
+                    words, truncated = enumerate_words(n, m, mode=mode, tol=tol)
+                    assert words == [WordSpec(w.letters, w.projections) for w in words]
+                    assert (words, truncated) == self.validated_words(n, m, mode, cap)
+                    assert all(type(i) is int for w in words for i in w.letters + w.projections)
+
+    def test_analyze_validates_no_word(self, monkeypatch):
+        calls = []
+        post_init = WordSpec.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(WordSpec, "__post_init__", counting)
+        WordSpec((2,), ())  # a public construction still validates
+        assert len(calls) == 1
+        tup, _ = gen_decomposable(3, 2, 3, seed=2)
+        rep = analyze(tup, 2, mode="all", seed=1)
+        assert len(rep.word_results) == count_words(3, 3, "all")
+        assert len(calls) == 1
+
 
 class TestRealizeWord:
     def test_single_letter(self):
