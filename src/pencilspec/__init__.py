@@ -3,40 +3,18 @@ and the explicit unitary splitting a passing tuple into k identical copies.
 """
 
 from .config import DEFAULT, Tolerances
-from .linalg import (
-    HermitianTuple,
-    SpectralData,
-    apply_tuple_map,
-    direct_sum_k_copies,
-    eigendecompose_clustered,
-    prepare_tuple,
-    projection_by_interpolation,
-    shift_to_invertible,
-)
-from .charpoly import (
-    KPowerVerdict,
-    MultiPoly,
-    UniPoly,
-    axis_derivative_closed_form,
-    branch_derivative,
-    cluster_roots,
-    coefficient_distance,
-    kth_power_batch,
-    kth_power_test,
-    pencil_charpoly,
-    restrict_pencil_to_line,
-    transform_tuple_vars,
-)
+from .linalg import HermitianTuple, SpectralData, direct_sum_k_copies, prepare_tuple
+from .charpoly import KPowerVerdict, kth_power_batch, kth_power_test
 from .conditions import (
     ConditionReport,
+    CorollaryReport,
     WordSpec,
     adjoint_twins,
     analyze,
     check_admissibility,
+    corollary,
     count_words,
     enumerate_words,
-    realize_word,
-    verify_first_order_identity,
 )
 from .decomposer import (
     BlockStructure,

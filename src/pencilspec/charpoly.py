@@ -20,13 +20,8 @@ generic affine line does.  The generators are Hermitian, so ``q . A`` is
 too: ``eigvalsh`` returns its spectrum real and sorted, and the test
 clusters it by its gaps; no polynomial coefficient is ever formed.
 
-The coefficient route is the reference the tests compare against: full
-expansion by tensor interpolation on roots of unity (:func:`pencil_charpoly`,
-inverse DFT per axis, radius 1, which keeps the Vandermonde system perfectly
-conditioned), line restriction ``t -> det(M0 + t M1)`` evaluated at N+1 unit
-roots and recovered by a single FFT (:func:`restrict_pencil_to_line`), and
-the variable transformation law (:func:`transform_tuple_vars`).  Its
-thresholds are the module constants below, not :class:`Tolerances` fields.
+The coefficient route that the tests compare against lives in
+:mod:`pencilspec.reference`; its old names here load that module on first use.
 """
 
 from __future__ import annotations
@@ -36,118 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    BranchTrackingLost,
-    DegenerateDirection,
-    GridTooLarge,
-    SingularTransform,
-)
 
-__all__ = [
-    "UniPoly",
-    "MultiPoly",
-    "KPowerVerdict",
-    "pencil_charpoly",
-    "restrict_pencil_to_line",
-    "cluster_roots",
-    "kth_power_test",
-    "kth_power_batch",
-    "transform_tuple_vars",
-    "branch_derivative",
-    "axis_derivative_closed_form",
-    "coefficient_distance",
-]
+__all__ = ["KPowerVerdict", "kth_power_test", "kth_power_batch"]
 
 
-# --------------------------------------------------------------------------
-# polynomial containers
-# --------------------------------------------------------------------------
+def __getattr__(name):
+    if name not in ("UniPoly", "MultiPoly", "coefficient_distance", "pencil_charpoly",
+                    "restrict_pencil_to_line", "cluster_roots", "transform_tuple_vars",
+                    "branch_derivative", "axis_derivative_closed_form"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
 
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Dense univariate polynomial, coefficients ascending in degree."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d array")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, self.coeffs)
-
-    def derivative(self) -> "UniPoly":
-        if self.degree == 0:
-            return UniPoly(np.zeros(1, dtype=np.complex128))
-        d = self.coeffs[1:] * np.arange(1, self.coeffs.size)
-        return UniPoly(d)
-
-
-@dataclass(frozen=True)
-class MultiPoly:
-    """Sparse multivariate polynomial: exponent tuple -> complex coefficient."""
-
-    nvars: int
-    terms: dict
-
-    def __post_init__(self):
-        clean = {}
-        for exps, c in self.terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for nvars={self.nvars}")
-            c = complex(c)
-            if c != 0:
-                clean[exps] = c
-        object.__setattr__(self, "terms", clean)
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    @property
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def constant_term(self) -> complex:
-        return self.terms.get((0,) * self.nvars, 0.0 + 0.0j)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Evaluate at points of shape (..., nvars)."""
-        pts = np.asarray(points, dtype=np.complex128)
-        flat = pts.reshape(-1, self.nvars)
-        out = np.zeros(flat.shape[0], dtype=np.complex128)
-        for exps, c in self.terms.items():
-            mono = np.full(flat.shape[0], c, dtype=np.complex128)
-            for v, e in enumerate(exps):
-                if e:
-                    mono *= flat[:, v] ** e
-            out += mono
-        return out.reshape(pts.shape[:-1])
-
-
-def coefficient_distance(p: MultiPoly, q: MultiPoly) -> float:
-    """Max coefficient difference relative to max(1, largest coefficient)."""
-    if p.nvars != q.nvars:
-        raise ValueError("polynomials have a different number of variables")
-    keys = set(p.terms) | set(q.terms)
-    diff = max(
-        (abs(p.terms.get(k, 0.0) - q.terms.get(k, 0.0)) for k in keys), default=0.0
-    )
-    scale = max(1.0, p.max_abs_coeff, q.max_abs_coeff)
-    return diff / scale
-
-
-# --------------------------------------------------------------------------
-# pencil evaluation and interpolation
-# --------------------------------------------------------------------------
+    return getattr(reference, name)
 
 
 def _as_generator_stack(mats):
@@ -157,129 +52,6 @@ def _as_generator_stack(mats):
         if a.shape != (dim, dim):
             raise ValueError("all pencil generators must be square and equal-sized")
     return np.stack(arrs), dim
-
-
-def _det_chunked(stack):
-    """Determinants of a (..., N, N) stack, bounded working memory."""
-    flat = stack.reshape(-1, stack.shape[-2], stack.shape[-1])
-    n = flat.shape[-1]
-    chunk = max(1, int(4e6 / (n * n)))
-    if flat.shape[0] <= chunk:
-        dets = np.linalg.det(flat)
-    else:
-        dets = np.concatenate(
-            [np.linalg.det(flat[i : i + chunk]) for i in range(0, flat.shape[0], chunk)]
-        )
-    return dets.reshape(stack.shape[:-2])
-
-
-def _unit_root_grid(npts: int, m: int) -> np.ndarray:
-    """The tensor grid of ``npts``-th roots of unity in m variables, (G, m)."""
-    nodes = np.exp(2j * np.pi * np.arange(npts) / npts)
-    axes = np.meshgrid(*([nodes] * m), indexing="ij")
-    return np.stack([ax.reshape(-1) for ax in axes], axis=-1)
-
-
-# Interpolated coefficients at or below this fraction of the largest one are
-# rounding noise and are dropped.
-_PRUNE_REL = 5e-12
-
-
-def _interpolate_grid(vals, npts: int, m: int, degree: int) -> MultiPoly:
-    """Polynomial of total degree <= ``degree`` from its values on the grid.
-
-    Inverts the DFT axis by axis and prunes coefficients at or below
-    ``_PRUNE_REL`` times the largest one.
-    """
-    coeff_grid = np.fft.fftn(vals.reshape((npts,) * m)) / npts**m
-    cut = _PRUNE_REL * float(np.max(np.abs(coeff_grid)))
-    terms = {}
-    for idx in np.argwhere(np.abs(coeff_grid) > cut):
-        exps = tuple(int(e) for e in idx)
-        if sum(exps) <= degree:
-            terms[exps] = complex(coeff_grid[tuple(idx)])
-    return MultiPoly(nvars=m, terms=terms)
-
-
-def pencil_charpoly(mats, grid_cap: int = 10**6) -> MultiPoly:
-    """Expand ``det(x_1 A_1 + ... + x_m A_m - I)`` in full.
-
-    Interpolates on the tensor grid of (N+1)-st roots of unity per axis and
-    inverts the DFT axis by axis.  Limited to m <= 3 and (N+1)**m grid
-    points below ``grid_cap``; use line restrictions beyond that.
-    """
-    gen, dim = _as_generator_stack(mats)
-    m = gen.shape[0]
-    npts = dim + 1
-    if m > 3 or npts**m > grid_cap:
-        raise GridTooLarge(f"grid of {npts}**{m} points exceeds the cap {grid_cap}")
-
-    pencil = np.einsum("gm,mij->gij", _unit_root_grid(npts, m), gen)
-    pencil -= np.eye(dim)
-    return _interpolate_grid(_det_chunked(pencil), npts, m, dim)
-
-
-# A line restriction whose leading coefficient is below this fraction of the
-# largest one has lost degree: its direction meets the part at infinity.
-_DEGENERATE_LEAD_REL = 1e-12
-
-
-def restrict_pencil_to_line(mats, base, direction) -> UniPoly:
-    """Univariate restriction ``q(t) = det(sum (base_i + t dir_i) A_i - I)``.
-
-    Raises :class:`DegenerateDirection` when the leading coefficient
-    (``det`` of the direction pencil) is negligible, which happens exactly
-    when the chosen direction meets the variety's part at infinity.
-    """
-    gen, dim = _as_generator_stack(mats)
-    base = np.asarray(base, dtype=np.complex128).ravel()
-    direction = np.asarray(direction, dtype=np.complex128).ravel()
-    if base.size != gen.shape[0] or direction.size != gen.shape[0]:
-        raise ValueError("base and direction must have one entry per generator")
-    if not np.any(direction):
-        raise ValueError("direction must be nonzero")
-    # values at the N+1 unit roots, turned into ascending coefficients by one FFT
-    nodes = np.exp(2j * np.pi * np.arange(dim + 1) / (dim + 1))
-    m0 = np.einsum("m,mij->ij", base, gen) - np.eye(dim)
-    m1 = np.einsum("m,mij->ij", direction, gen)
-    coeffs = np.fft.fft(_det_chunked(m0 + nodes[:, None, None] * m1)) / (dim + 1)
-    lead = abs(coeffs[-1])
-    if lead < _DEGENERATE_LEAD_REL * float(np.max(np.abs(coeffs))):
-        raise DegenerateDirection(
-            f"leading coefficient {lead:.3e} is negligible for this direction"
-        )
-    return UniPoly(coeffs)
-
-
-# --------------------------------------------------------------------------
-# roots and clusters
-# --------------------------------------------------------------------------
-
-
-def cluster_roots(roots, tol: float):
-    """Single-linkage clustering of points in the complex plane.
-
-    Two roots within distance ``tol`` land in the same cluster (transitively).
-    Returns a list of arrays, ordered by cluster mean (real part, then
-    imaginary part); their concatenation is a permutation of the input.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    pts = np.atleast_1d(np.asarray(roots, dtype=np.complex128))
-    if pts.size == 0:
-        return []
-    same = np.abs(pts[:, None] - pts[None, :]) <= tol
-    grown = same @ same
-    while not np.array_equal(grown, same):
-        same, grown = grown, grown @ grown
-    clusters = [pts[same[i]] for i in np.unique(np.argmax(same, axis=1))]
-    clusters.sort(key=lambda c: (round(float(c.real.mean()), 12), round(float(c.imag.mean()), 12)))
-    return clusters
-
-
-# --------------------------------------------------------------------------
-# k-th power certificate
-# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -322,11 +94,17 @@ def _line_spectra(gens, dirs, tol):
     (p_count, m, dim), lines = gens.shape[:3], tol.lines
     # Exact first: every pencil analyze and corollary build is Hermitian to
     # the last bit, so the defect and the norms are only formed when some
-    # entry differs (a NaN entry differs too, and goes on as before).
-    adj = np.swapaxes(gens, -1, -2).conj()
-    if not np.array_equal(gens, adj):
-        defect = np.max(np.abs(gens - adj), axis=(-2, -1))
-        if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
+    # entry of G - G^H is nonzero.  A NaN or an infinite entry always leaves
+    # one (inf - inf is NaN), and then makes its generator's bound non-finite.
+    diff = np.swapaxes(gens, -1, -2).conj()
+    with np.errstate(invalid="ignore"):
+        differs = np.subtract(gens, diff, out=diff).any()
+    if differs:
+        bound = tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))
+        if not np.all(np.isfinite(bound)):
+            raise ValueError("pencil generators must be finite")
+        defect = np.max(np.abs(diff), axis=(-2, -1))
+        if np.any(defect > bound):
             raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
     # q . A for every line as one real matmul on the (re, im) view; real q
     # keeps it Hermitian.  A pencil split into k identical blocks gives
@@ -387,7 +165,8 @@ def kth_power_batch(
     depends on its generators and its directions alone, neither on
     evaluation order nor on the rest of the stack.  A generator ``G`` with
     ``max|G - G^H| > tol.hermitian_rel * max|G|`` raises
-    :class:`ValueError`: the eigensolver reads one triangle only.  On every
+    :class:`ValueError`: the eigensolver reads one triangle only.  So does
+    a generator with a NaN or infinite entry, wherever it sits.  On every
     line the eigenvalues of the Hermitian ``q . A`` (the reciprocal roots,
     zero for the root at infinity) must form clusters whose sizes are all
     multiples of k, with intra-cluster spread below the cluster tolerance:
@@ -432,91 +211,3 @@ def kth_power_test(
     gen, _ = _as_generator_stack(mats)
     dirs = _draw_directions(np.random.default_rng(seed), tol.lines, len(gen))
     return kth_power_batch(gen[None], k, n, dirs[None], tol=tol)[0]
-
-
-# --------------------------------------------------------------------------
-# variable transformation and branch tracking
-# --------------------------------------------------------------------------
-
-
-def transform_tuple_vars(p: MultiPoly, c) -> MultiPoly:
-    """Substitute ``x -> C^T x``: the polynomial of the mixed tuple ``C A``.
-
-    For an invertible mixing matrix C this satisfies
-    ``pencil_charpoly(apply_tuple_map(A, C)) == transform_tuple_vars(pencil_charpoly(A), C)``.
-    """
-    c = np.asarray(c, dtype=np.complex128)
-    if c.shape != (p.nvars, p.nvars):
-        raise ValueError(f"mixing matrix must be {p.nvars}x{p.nvars}")
-    if abs(np.linalg.det(c)) <= 1e-10:
-        raise SingularTransform("mixing matrix is numerically singular")
-
-    deg = p.total_degree
-    pts = _unit_root_grid(deg + 1, p.nvars)
-    return _interpolate_grid(p.evaluate(pts @ c), deg + 1, p.nvars, deg)
-
-
-def branch_derivative(
-    mats,
-    spec,
-    j: int,
-    var: int = 1,
-    eps: float = 1e-4,
-):
-    """Slope of the tracked x_1-root branch through ``1/lambda_j``.
-
-    The pencil determinant of ``mats`` vanishes along a branch
-    ``x_1 = b(x_var)`` with ``b(0) = 1/lambda_j`` (first generator assumed
-    Hermitian with invertible spectrum, clusters given by ``spec``).  The
-    root cluster of multiplicity ``l_j`` near ``1/lambda_j`` is tracked at
-    ``x_var = +-eps, +-2 eps`` and the fourth-order central difference of
-    its center is returned.  Cluster centers are used rather than implicit
-    differentiation of the determinant because on a multiplicity-k variety
-    both partial derivatives vanish, leaving 0/0; the x_1-roots themselves
-    come from the eigenvalues of ``A_1^{-1} (I - s A_var)``, which keeps
-    multiple roots semisimple.
-    """
-    gen, dim = _as_generator_stack(mats)
-    m = gen.shape[0]
-    if not 1 <= var < m:
-        raise ValueError(f"direction variable index {var} out of range")
-    if not 0 <= j < spec.n:
-        raise ValueError(f"cluster index {j} out of range")
-    lam = float(spec.eigenvalues[j])
-    if lam == 0.0:
-        raise ValueError("branch point 1/lambda undefined for a zero eigenvalue")
-    mult = spec.multiplicities[j]
-    target = 1.0 / lam
-
-    steps = np.array([eps, -eps, 2.0 * eps, -2.0 * eps])
-    stack = np.eye(dim) - steps[:, None, None] * gen[var][None, :, :]
-    roots_rows = np.linalg.eigvals(np.linalg.solve(gen[0][None, :, :], stack))
-
-    centers = []
-    for s, roots in zip(steps, roots_rows):
-        order = np.argsort(np.abs(roots - target))
-        picked = roots[order[:mult]]
-        d_in = float(np.abs(picked[-1] - target))
-        if mult < roots.size:
-            d_out = float(np.abs(roots[order[mult]] - target))
-            if d_out < 3.0 * max(d_in, abs(s)):
-                raise BranchTrackingLost(
-                    f"root cluster near {target:.6g} not separated at step {s:+.1e}"
-                )
-        centers.append(complex(np.mean(picked)))
-    c1, c1m, c2, c2m = centers
-    return (8.0 * (c1 - c1m) - (c2 - c2m)) / (12.0 * eps)
-
-
-def axis_derivative_closed_form(eigenvalues, j: int) -> float:
-    """d/dx of ``prod_l (lambda_l x - 1)`` at ``x = 1/lambda_j``.
-
-    Equals ``lambda_j * prod_{l != j} (lambda_l / lambda_j - 1)``: the slope
-    of the reduced axis restriction at its j-th root when all roots are
-    simple.
-    """
-    lams = np.asarray(eigenvalues, dtype=np.float64)
-    if not 0 <= j < lams.size:
-        raise ValueError("index out of range")
-    others = np.delete(lams, j)
-    return float(lams[j] * np.prod(others / lams[j] - 1.0))

@@ -17,11 +17,8 @@ Exit codes are a stable contract:
 Each input is checked once, where it enters: arguments by the parser,
 tolerances when :class:`~pencilspec.config.Tolerances` is built, and ``k``
 against the tuple by :func:`~pencilspec.linalg.prepare_tuple` (``corollary``
-needs only ``k | N``, which it checks itself).  An exit 3 writes no report.
-
-``corollary`` runs the power test on the Hermitian parts of an orthonormal
-basis of the monomial span (at most ``2 N^2`` matrices), so it has no cap on
-the family size.
+needs only ``k | N``, which :func:`~pencilspec.conditions.corollary` checks).
+An exit 3 writes no report.
 
 Files are JSON, one line per top-level key (sorted), so the ``timestamp``
 line can be dropped with a line filter.  Complex numbers are stored as
@@ -52,13 +49,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .charpoly import kth_power_test
-from .conditions import ConditionReport, analyze, hermitian_parts
+from .conditions import ConditionReport, analyze, corollary
 from .config import DEFAULT, Tolerances
 from .decomposer import decompose
 from .errors import ClusterAmbiguity, DecompositionError, SpectralError, SpectrumPatternViolation
 from .instances import gen_commuting, gen_conjugate_negative, gen_decomposable
-from .linalg import HermitianTuple, prepare_tuple
+from .linalg import HermitianTuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
@@ -319,74 +315,22 @@ def cmd_decompose(args) -> int:
     return EXIT_PASS
 
 
-def _monomial_span(mats, max_degree, tol):
-    """Orthonormal basis, in the Frobenius inner product, of the span of the
-    monomials in ``mats`` of degrees 1..max_degree.
-
-    The span up to degree d+1 is the span up to degree d plus the directions
-    that degree d added, times the generators (unit-scale ones, as
-    :func:`~pencilspec.linalg.prepare_tuple` leaves them).  Those products
-    are projected off the basis twice, and a thin SVD keeps the residual
-    directions above ``tol.singular_eig_rel``.  A degree that adds none
-    closes the span.  Equal weight on every direction makes the verdict
-    depend on the span alone, not on the generators' scale.
-    """
-    gen = np.stack(mats)
-    dim = gen.shape[1]
-    span = np.zeros((0, dim * dim), dtype=np.complex128)
-    added = np.eye(dim).reshape(1, -1)
-    for _ in range(max_degree):
-        rows = np.matmul(added.reshape(-1, 1, dim, dim), gen).reshape(-1, dim * dim)
-        for _ in range(2):
-            rows = rows - (rows @ span.conj().T) @ span
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        added = vh[s > tol.singular_eig_rel]
-        if not len(added):
-            break
-        span = np.concatenate([span, added])
-    return span.reshape(-1, dim, dim)
-
-
 def cmd_corollary(args) -> int:
-    """Power-test the monomial span through Hermitian generators.
-
-    The span is *-closed (a monomial's adjoint is its reversal), so
-    ``V + V*`` and ``i (V - V*)`` over its orthonormal basis ``V`` span it
-    over the reals.  Their polynomial is the span's composed with a
-    surjective linear map, hence a k-th power exactly when the span's is.
-    """
     tol, tup, report = _start(
         "corollary",
         {"k": args.k, "seed": args.seed, "max_degree": args.max_degree},
         args,
     )
-    # k | N is the corollary's only precondition: it has no admissibility
-    # hypothesis, so the first generator's pattern is not required
-    if tup.dim % args.k:
-        return _precondition_violated(
-            report, f"k={args.k} does not divide N={tup.dim}", args.out
-        )
-    n = tup.dim // args.k
-    degree_bound = n * n - n + 1
-    if args.max_degree is not None:
-        degree_bound = min(degree_bound, args.max_degree)
-    report["degree_bound"] = degree_bound
-    report["family_size"] = sum(tup.m**d for d in range(1, degree_bound + 1))
-
-    prep = prepare_tuple(tup, tol=tol)
-    report["shifts"] = list(prep.shifts)
-    span = _monomial_span(prep.tup.matrices, degree_bound, tol)
-    if not len(span):
-        raise ValueError(
-            f"no monomial direction is above singular_eig_rel={tol.singular_eig_rel}: "
-            "the span is empty"
-        )
-    gens = hermitian_parts(span).reshape(-1, tup.dim, tup.dim)
-    verdict = kth_power_test(gens, args.k, n, seed=args.seed, tol=tol)
-    report["verdict"] = _verdict_to_json(verdict)
-    report["outcome"] = "pass" if verdict.is_kth_power else "fail"
+    try:
+        result = corollary(tup, args.k, max_degree=args.max_degree, seed=args.seed, tol=tol)
+    except SpectrumPatternViolation as exc:
+        return _precondition_violated(report, str(exc), args.out)
+    passed = result.verdict.is_kth_power
+    report.update(degree_bound=result.degree_bound, family_size=result.family_size,
+                  shifts=list(result.shifts), verdict=_verdict_to_json(result.verdict),
+                  outcome="pass" if passed else "fail")
     _emit(report, args.out)
-    return EXIT_PASS if verdict.is_kth_power else EXIT_FAIL
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 _FAMILIES = ("decomposable", "conjugate_negative", "commuting")

@@ -22,11 +22,18 @@ taking row i.  So a verdict depends on the seed and the word's index
 alone, not on how the battery is sliced or ordered; no environment
 variable (thread count or other) affects them.  The words are realized
 level by level through k-column blocks of the first generator's
-eigenbasis (see :class:`_BlockWords`; :func:`realize_word` is the
-reference) and tested a slice at a time, one call of
-:func:`~pencilspec.charpoly.kth_power_batch` per slice.  A word whose
-adjoint comes earlier in the enumeration shares that word's verdict
-instead of being tested (see :func:`adjoint_twins`).
+eigenbasis (see :class:`_BlockWords`;
+:func:`~pencilspec.reference.realize_word` is the reference) and tested a
+slice at a time, one call of :func:`~pencilspec.charpoly.kth_power_batch`
+per slice.  A word whose adjoint comes earlier in the enumeration shares
+that word's verdict instead of being tested (see :func:`adjoint_twins`).
+
+:func:`corollary` needs neither the precondition nor admissibility: it runs
+the power test on the Hermitian parts of an orthonormal basis of the
+monomial span (at most ``2 N^2`` matrices), so it has no cap on the family
+size.  The identity checks the tests compare against live in
+:mod:`pencilspec.reference`; their old names here load that module on first
+use.
 """
 
 from __future__ import annotations
@@ -37,10 +44,10 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .charpoly import KPowerVerdict, _draw_directions, branch_derivative, kth_power_batch
+from .charpoly import KPowerVerdict, _draw_directions, kth_power_batch, kth_power_test
 from .config import DEFAULT, Tolerances
-from .decomposer import verify_cycle_identity  # re-exported next to the other identity check
-from .errors import ClusterAmbiguity, IndexOutOfRange, SpectrumPatternViolation
+from .decomposer import verify_cycle_identity  # re-exported: callers import it from here
+from .errors import ClusterAmbiguity, SpectrumPatternViolation
 from .linalg import HermitianTuple, PreparedTuple, SpectralData, _cluster_groups, prepare_tuple
 
 __all__ = [
@@ -48,14 +55,22 @@ __all__ = [
     "ConditionReport",
     "enumerate_words",
     "count_words",
-    "realize_word",
     "hermitian_parts",
     "adjoint_twins",
     "check_admissibility",
     "analyze",
-    "verify_first_order_identity",
+    "CorollaryReport",
+    "corollary",
     "verify_cycle_identity",
 ]
+
+
+def __getattr__(name):
+    if name not in ("realize_word", "verify_first_order_identity"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+
+    return getattr(reference, name)
 
 
 @dataclass(frozen=True)
@@ -136,20 +151,6 @@ def enumerate_words(n: int, m: int, mode: str = "all", tol: Tolerances = DEFAULT
                     return words, True
                 words.append(WordSpec._valid(letters, projections))
     return words, False
-
-
-def realize_word(tup: HermitianTuple, spec: SpectralData, w: WordSpec) -> np.ndarray:
-    """Multiply out the word as a matrix in the tuple's algebra."""
-    if max(w.letters) > tup.m:
-        raise IndexOutOfRange(f"letter {max(w.letters)} exceeds tuple length {tup.m}")
-    if w.projections and max(w.projections) > spec.n:
-        raise IndexOutOfRange(
-            f"projection label {max(w.projections)} exceeds cluster count {spec.n}"
-        )
-    out = tup.matrices[w.letters[0] - 1]
-    for jlab, s in zip(w.projections, w.letters[1:]):
-        out = out @ spec.projections[jlab - 1] @ tup.matrices[s - 1]
-    return out
 
 
 def hermitian_parts(w, out=None) -> np.ndarray:
@@ -323,7 +324,7 @@ def check_admissibility(prep: PreparedTuple, k: int, tol: Tolerances = DEFAULT):
 
 
 # --------------------------------------------------------------------------
-# aggregate analysis
+# aggregate analysis and the monomial corollary
 # --------------------------------------------------------------------------
 
 
@@ -445,31 +446,88 @@ def analyze(
     )
 
 
-# --------------------------------------------------------------------------
-# local identities
-# --------------------------------------------------------------------------
+def _monomial_span(mats, max_degree, tol):
+    """Orthonormal basis, in the Frobenius inner product, of the span of the
+    monomials in ``mats`` of degrees 1..max_degree.
 
-
-def verify_first_order_identity(
-    tup: HermitianTuple,
-    spec: SpectralData,
-    i: int,
-    l: int,
-) -> float:
-    """Residual of the compression identity on one cluster.
-
-    The compression of generator ``l`` (label in {2..m}) to the range of the
-    i-th projection must be the scalar ``c = -lambda_i * d(branch)/dx``
-    where the branch through ``1/lambda_i`` of the pair pencil is tracked
-    numerically.  Returns ``||P_i A_l P_i - c P_i||_F``.
+    The span up to degree d+1 is the span up to degree d plus the directions
+    that degree d added, times the generators (unit-scale ones, as
+    :func:`~pencilspec.linalg.prepare_tuple` leaves them).  Those products
+    are projected off the basis twice, and a thin SVD keeps the residual
+    directions above ``tol.singular_eig_rel``.  A degree that adds none
+    closes the span.  Equal weight on every direction makes the verdict
+    depend on the span alone, not on the generators' scale.
     """
-    if not 2 <= l <= tup.m:
-        raise IndexOutOfRange(f"generator label {l} out of range 2..{tup.m}")
-    if not 0 <= i < spec.n:
-        raise IndexOutOfRange(f"cluster index {i} out of range")
-    a1 = tup.matrices[0]
-    al = tup.matrices[l - 1]
-    slope = branch_derivative([a1, al], spec, i)
-    c = -float(spec.eigenvalues[i]) * slope
-    p = spec.projections[i]
-    return float(np.linalg.norm(p @ al @ p - c * p))
+    gen = np.stack(mats)
+    dim = gen.shape[1]
+    span = np.zeros((0, dim * dim), dtype=np.complex128)
+    added = np.eye(dim).reshape(1, -1)
+    for _ in range(max_degree):
+        rows = np.matmul(added.reshape(-1, 1, dim, dim), gen).reshape(-1, dim * dim)
+        for _ in range(2):
+            rows = rows - (rows @ span.conj().T) @ span
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        added = vh[s > tol.singular_eig_rel]
+        if not len(added):
+            break
+        span = np.concatenate([span, added])
+    return span.reshape(-1, dim, dim)
+
+
+@dataclass(frozen=True)
+class CorollaryReport:
+    """Outcome of :func:`corollary`: the monomial degree bound, the number of
+    monomials up to it, the prepared tuple's shifts and the power test's
+    verdict, which passes exactly when the span's polynomial is a k-th power."""
+
+    degree_bound: int
+    family_size: int
+    shifts: tuple
+    verdict: KPowerVerdict
+
+
+def corollary(
+    tup: HermitianTuple,
+    k: int,
+    *,
+    max_degree: int = None,
+    seed: int = 0,
+    tol: Tolerances = DEFAULT,
+) -> CorollaryReport:
+    """Power-test the monomial span through Hermitian generators.
+
+    The span of the monomials of degree 1 to ``n^2 - n + 1`` (or
+    ``max_degree``, when smaller) is *-closed (a monomial's adjoint is its
+    reversal), so ``V + V*`` and ``i (V - V*)`` over its orthonormal basis
+    ``V`` span it over the reals.  Their polynomial is the span's composed
+    with a surjective linear map, hence a k-th power exactly when the
+    span's is.  The lines are drawn in one call of a generator seeded with
+    ``seed``.  Raises :class:`SpectrumPatternViolation` when k does not
+    divide N, and :class:`ValueError` when k or ``max_degree`` is below 1
+    or the span is empty.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if max_degree is not None and max_degree < 1:
+        raise ValueError("max_degree must be a positive integer")
+    # k | N is the corollary's only precondition: it has no admissibility
+    # hypothesis, so the first generator's pattern is not required
+    if tup.dim % k:
+        raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
+    n = tup.dim // k
+    degree_bound = n * n - n + 1
+    degree_bound = degree_bound if max_degree is None else min(degree_bound, max_degree)
+    prep = prepare_tuple(tup, tol=tol)
+    span = _monomial_span(prep.tup.matrices, degree_bound, tol)
+    if not len(span):
+        raise ValueError(
+            f"no monomial direction is above singular_eig_rel={tol.singular_eig_rel}: "
+            "the span is empty"
+        )
+    gens = hermitian_parts(span).reshape(-1, tup.dim, tup.dim)
+    return CorollaryReport(
+        degree_bound=degree_bound,
+        family_size=sum(tup.m**d for d in range(1, degree_bound + 1)),
+        shifts=prep.shifts,
+        verdict=kth_power_test(gens, k, n, seed=seed, tol=tol),
+    )

@@ -1,8 +1,8 @@
 """The settings that ``analyze``, ``decompose`` and ``corollary`` read, one
 field each; ``--tol NAME=VALUE`` overrides any of them and every report
-echoes the whole block.  Thresholds that only the reference helpers read
-(the coefficient route of :mod:`~pencilspec.charpoly`, the Lagrange
-projection, branch tracking) are constants next to those helpers instead.
+echoes the whole block.  Thresholds that only the reference routes read
+(the coefficient route, the Lagrange projection, branch tracking) are
+constants next to them in :mod:`~pencilspec.reference` instead.
 
 The three commands run on unit-scale generators:
 :func:`~pencilspec.linalg.prepare_tuple` divides each one by its spectral
@@ -14,8 +14,9 @@ read in the input's units.
 The ladder deliberately leaves about two decades between detection
 thresholds (structural tests) and acceptance thresholds (final residuals)
 so one noisy stage cannot cascade into a false failure.  Every value must
-be finite and positive, and ``lines`` at least 4; a :class:`Tolerances`
-that breaks either rule is never built, so no reader checks them again.
+be finite and positive, ``lines`` and ``word_cap`` integers, and ``lines``
+at least 4; a :class:`Tolerances` that breaks a rule is never built, so no
+reader checks them again.
 """
 
 import math
@@ -52,6 +53,10 @@ class Tolerances:
     residual_tol: float = 1e-6            # final decomposition residual, times max ||A_l||
 
     def __post_init__(self):
+        for name in ("lines", "word_cap"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"tolerance {name} must be an integer, got {value!r}")
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value}")

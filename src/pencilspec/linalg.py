@@ -9,7 +9,9 @@ type is :class:`HermitianTuple`, which pins down the pencil generators
 ``corollary``: from one eigendecomposition per generator it derives scale,
 invertibility, the spectra admissibility and ``decompose`` read and, for a
 split into ``k`` copies, the first generator's spectral pattern.
-Everything here is pure and safe to share across threads.
+Everything here is pure and safe to share across threads.  The per-matrix
+routes the tests compare against live in :mod:`pencilspec.reference`; their
+old names here load that module on first use.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    ClusterAmbiguity,
-    NotHermitian,
-    SeparationTooSmall,
-    SpectrumPatternViolation,
-)
+from .errors import ClusterAmbiguity, NotHermitian, SpectrumPatternViolation
 
 __all__ = [
     "HermitianTuple",
@@ -33,15 +30,19 @@ __all__ = [
     "PreparedTuple",
     "as_complex_matrix",
     "spectral_norm",
-    "norm_scale",
     "hermitian_defect",
-    "eigendecompose_clustered",
-    "projection_by_interpolation",
     "direct_sum_k_copies",
-    "shift_to_invertible",
     "prepare_tuple",
-    "apply_tuple_map",
 ]
+
+
+def __getattr__(name):
+    if name not in ("norm_scale", "eigendecompose_clustered", "projection_by_interpolation",
+                    "shift_to_invertible", "apply_tuple_map"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import reference
+
+    return getattr(reference, name)
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -56,11 +57,6 @@ def as_complex_matrix(a) -> np.ndarray:
 
 def spectral_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
-
-
-def norm_scale(a) -> float:
-    """max(1, ||a||_2): the scale factor used by relative tolerances."""
-    return max(1.0, spectral_norm(a))
 
 
 def hermitian_defect(a) -> float:
@@ -140,23 +136,11 @@ class SpectralData:
         return self.basis.conj().T
 
 
-def eigendecompose_clustered(a, tol: Tolerances = DEFAULT) -> SpectralData:
-    """Eigendecompose a Hermitian matrix and cluster its eigenvalues.
-
-    Eigenvalues are sorted ascending and split greedily wherever a
-    consecutive gap exceeds ``tol.gap_tol * max(1, ||a||)``.  A gap within a
-    factor of 10 of that threshold (on either side) makes the clustering
-    ill-defined and raises :class:`ClusterAmbiguity`.  ``a`` must pass the
-    Hermitian check at ``tol.hermitian_rel``.
-    """
-    a = as_complex_matrix(a)
-    _require_hermitian(a, tol)
-    return _clustered(*np.linalg.eigh(a), tol)
-
-
 def _cluster_groups(w, tol: Tolerances):
     """Index groups of the ascending eigenvalues ``w``, split at every gap
-    above ``tol.gap_tol * max(1, max |w|)``; see :func:`eigendecompose_clustered`."""
+    above ``tol.gap_tol * max(1, max |w|)``.  A gap within a factor of 10 of
+    that threshold (on either side) makes the clustering ill-defined and
+    raises :class:`ClusterAmbiguity`."""
     threshold = tol.gap_tol * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     gaps = np.diff(w)
     ambiguous = (gaps > threshold / 10.0) & (gaps < threshold * 10.0)
@@ -178,44 +162,6 @@ def _clustered(w, q, tol: Tolerances) -> SpectralData:
     )
 
 
-# Cluster centers closer than this, times max(1, ||a||), make the Lagrange
-# product formula too ill-conditioned to serve as a cross-check.
-_INTERPOLATION_SEP_REL = 1e-3
-
-
-def projection_by_interpolation(a, spec: SpectralData, j: int) -> np.ndarray:
-    """Spectral projection via the Lagrange product formula.
-
-    Computes ``prod_{r != j} (a - lam_r I) / prod_{r != j} (lam_j - lam_r)``
-    over the cluster centers.  This lives in the algebra generated by ``a``
-    itself, unlike the eigenvector construction, and is used as a
-    cross-check of ``spec.projections[j]``.  Raises
-    :class:`SeparationTooSmall` when two centers are closer than
-    ``_INTERPOLATION_SEP_REL * max(1, ||a||)``.
-    """
-    a = as_complex_matrix(a)
-    if not 0 <= j < spec.n:
-        raise ValueError(f"cluster index {j} out of range for n={spec.n}")
-    lams = spec.eigenvalues
-    scale = norm_scale(a)
-    if spec.n > 1:
-        seps = np.abs(lams[:, None] - lams[None, :])
-        min_sep = float(np.min(seps[~np.eye(spec.n, dtype=bool)]))
-        if min_sep < _INTERPOLATION_SEP_REL * scale:
-            raise SeparationTooSmall(
-                f"cluster separation {min_sep:.3e} below {_INTERPOLATION_SEP_REL * scale:.3e}"
-            )
-    dim = a.shape[0]
-    num = np.eye(dim, dtype=np.complex128)
-    den = 1.0
-    for r in range(spec.n):
-        if r == j:
-            continue
-        num = num @ (a - lams[r] * np.eye(dim))
-        den *= lams[j] - lams[r]
-    return num / den
-
-
 def direct_sum_k_copies(tup: HermitianTuple, k: int) -> HermitianTuple:
     """Block-diagonal tuple with k copies of every generator."""
     if k < 1:
@@ -230,21 +176,6 @@ def _invertible_shift(w, tol: Tolerances) -> float:
     if w.size and float(np.min(np.abs(w))) < tol.singular_eig_rel * max(1.0, nrm):
         return nrm + 1.0
     return 0.0
-
-
-def shift_to_invertible(tup: HermitianTuple, tol: Tolerances = DEFAULT):
-    """Shift singular generators by ``||A|| + 1`` times the identity.
-
-    Adding a real multiple of the identity changes neither the lattice of
-    invariant subspaces nor any of the block relations the construction
-    tests, so analyses run on the shifted tuple transfer back verbatim.
-    Returns ``(shifted_tuple, shifts)`` where ``shifts[l]`` is the amount
-    added to generator l (0.0 if untouched).
-    """
-    shifts = tuple(_invertible_shift(np.linalg.eigvalsh(a), tol) for a in tup.matrices)
-    eye = np.eye(tup.dim)
-    mats = tuple(a + mu * eye if mu else a for a, mu in zip(tup.matrices, shifts))
-    return HermitianTuple(mats), shifts
 
 
 @dataclass(frozen=True)
@@ -274,7 +205,7 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
 
     One batched ``eigh`` gives everything: the scale ``max |w_l|`` (a zero
     generator keeps 1), the shift of the unit spectrum ``w_l / scale_l`` by
-    the rule of :func:`shift_to_invertible`, and the prepared eigenpairs
+    the rule of :func:`_invertible_shift`, and the prepared eigenpairs
     (same eigenvectors).  Neither step changes whether the tuple splits
     into identical copies (``x_l -> x_l / c_l`` keeps a perfect power a
     perfect power), so verdicts do not depend on the generators' scales.
@@ -311,14 +242,3 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
             f"wanted {n} clusters of size {k}"
         )
     return replace(prep, spec=spec)
-
-
-def apply_tuple_map(tup: HermitianTuple, c) -> HermitianTuple:
-    """New tuple with generators ``sum_s c[j, s] * A_s`` (real mixing matrix)."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (tup.m, tup.m):
-        raise ValueError(f"mixing matrix must be {tup.m}x{tup.m}")
-    mats = tuple(
-        sum(c[j, s] * tup.matrices[s] for s in range(tup.m)) for j in range(tup.m)
-    )
-    return HermitianTuple(mats)

@@ -408,21 +408,32 @@ class TestKthPowerBatch:
             f"pencil generators must be Hermitian, defect {np.max(defect):.3e}"
         )
 
-    def test_nan_entry_passes_admission(self):
-        # NaN differs from itself, so the defect is formed; a NaN defect
-        # exceeds no bound, and the pencil reaches the eigensolver as
-        # before.  LAPACK either gives up on it or returns NaN spectra,
-        # which fail every line while the other pencils keep their verdicts.
+    def test_nan_entry_is_rejected(self):
+        # NaN differs from itself, so G - G* holds a NaN and the generator's
+        # bound is NaN: the stack is refused before the eigensolver, which
+        # reads one triangle only and would ignore or mangle the entry.
         gens, seeds = self.stack()
-        dirs = self.dirs(seeds)
-        reference = kth_power_batch(gens, k=2, n=2, dirs=dirs)
         gens[1, 1, 0, 1] = gens[1, 1, 1, 0] = np.nan
-        try:
-            verdicts = kth_power_batch(gens, k=2, n=2, dirs=dirs)
-        except np.linalg.LinAlgError:
-            return
-        assert not verdicts[1].is_kth_power and np.isnan(verdicts[1].worst_spread)
-        assert verdicts[:1] + verdicts[2:] == reference[:1] + reference[2:]
+        with pytest.raises(ValueError, match="^pencil generators must be finite$"):
+            kth_power_batch(gens, k=2, n=2, dirs=self.dirs(seeds))
+
+    @pytest.mark.parametrize(
+        "value, entries",
+        [(np.nan, [(0, 1)]), (np.nan, [(0, 0)]), (np.nan, [(1, 0)]),
+         (np.inf, [(0, 1), (1, 0)]), (np.inf, [(0, 1)]), (-np.inf, [(2, 2)]),
+         (complex(1.0, np.inf), [(3, 2)])],
+        ids=["nan-upper", "nan-diagonal", "nan-lower", "inf-hermitian-pair", "inf-upper",
+             "inf-diagonal", "inf-imaginary-lower"],
+    )
+    def test_non_finite_entry_is_rejected(self, value, entries):
+        # before, these passed, failed with a NaN spread or raised
+        # LinAlgError, by where the entry sat; an exactly Hermitian inf pair
+        # leaves inf - inf = NaN in G - G*
+        second = diag(3, 3, 4, 4)
+        for entry in entries:
+            second[entry] = value
+        with pytest.raises(ValueError, match="^pencil generators must be finite$"):
+            kth_power_test([diag(1, 1, 2, 2), second], k=2, n=2, seed=1)
 
     def test_chain_merges_transitively(self):
         # Relative to cluster_rel (1 + max|lambda|), consecutive points of the

@@ -12,12 +12,12 @@ from pencilspec.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_PRECONDITION,
-    _monomial_span,
     _word_summary,
     load_tuple,
     main,
     save_tuple,
 )
+from pencilspec.conditions import _monomial_span
 from pencilspec.config import DEFAULT
 from pencilspec.instances import gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import HermitianTuple
