@@ -4,17 +4,19 @@ Subcommands: ``analyze``, ``decompose``, ``corollary``, ``generate``.
 Exit codes are a stable contract:
 
 * 0 - conditions hold / command succeeded,
-* 1 - spectral conditions fail (including structural splitting failures),
+* 1 - spectral conditions fail (including structural splitting failures;
+  ``decompose`` exits 0 exactly when its report's ``verification.ok`` holds),
 * 2 - precondition violated (k does not divide N; for ``analyze`` and
   ``decompose`` also a first generator without N/k clusters of size k or
   with an ambiguous eigenvalue gap; for ``analyze`` a tuple that is not
-  admissible); every exit 2 writes a report naming the violation,
+  admissible, or a word battery larger than ``word_cap``, of which no
+  prefix is tested); every exit 2 writes a report naming the violation,
 * 3 - I/O trouble, malformed input, numerical breakdown, or invalid
   arguments: usage errors (a missing or unknown flag, a value of the wrong
-  type, ``--k`` or ``--max-degree`` below 1), a ``--tol`` name other than
-  ``resolution``, ``lines`` and ``word_cap`` (the other thresholds are
-  derived from ``resolution``) and values that
-  :class:`~pencilspec.config.Tolerances` rejects.  ``--help`` exits 0.
+  type, ``--k`` below 1), a ``--tol`` name other than ``resolution``,
+  ``lines`` and ``word_cap`` (the other thresholds are derived from
+  ``resolution``) and values that :class:`~pencilspec.config.Tolerances`
+  rejects.  ``--help`` exits 0.
 
 Each input is checked once, where it enters: arguments by the parser,
 tolerances when :class:`~pencilspec.config.Tolerances` is built, and ``k``
@@ -60,7 +62,7 @@ from .linalg import HermitianTuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 14
+FORMAT_VERSION = 15
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -243,7 +245,6 @@ def _analyze_report_body(report: ConditionReport):
         "mode": report.mode,
         "shifts": list(report.shifts),
         "scales": list(report.scales),
-        "word_enumeration_truncated": report.truncated,
         "full_tuple": _verdict_to_json(report.full_tuple),
         "words": [
             _word_summary(w, v, report.adjoint_of.get(i))
@@ -322,13 +323,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_corollary(args) -> int:
-    tol, tup, report = _start(
-        "corollary",
-        {"k": args.k, "seed": args.seed, "max_degree": args.max_degree},
-        args,
-    )
+    tol, tup, report = _start("corollary", {"k": args.k, "seed": args.seed}, args)
     try:
-        result = corollary(tup, args.k, max_degree=args.max_degree, seed=args.seed, tol=tol)
+        result = corollary(tup, args.k, seed=args.seed, tol=tol)
     except SpectrumPatternViolation as exc:
         return _precondition_violated(report, str(exc), args.out)
     passed = result.verdict.is_kth_power
@@ -359,7 +356,7 @@ def cmd_generate(args) -> int:
 
 
 def _positive_int(text):
-    """argparse type of ``--k`` and ``--max-degree``: an integer of at least 1."""
+    """argparse type of ``--k``: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -411,7 +408,6 @@ def _build_parser():
 
     p_co = sub.add_parser("corollary", help="monomial-family certificate (no admissibility hypothesis)")
     common(p_co)
-    p_co.add_argument("--max-degree", type=_positive_int, default=None)
     p_co.set_defaults(func=cmd_corollary)
 
     p_ge = sub.add_parser("generate", help="write a seeded instance to a tuple file")

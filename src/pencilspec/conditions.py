@@ -343,9 +343,7 @@ class ConditionReport:
     n: int
     k: int
     mode: str
-    seed: int
     shifts: tuple
-    truncated: bool
     detail: str = ""
     admissibility: dict = None
     scales: tuple = ()
@@ -369,6 +367,8 @@ def analyze(
     One generator seeded with ``seed`` draws the full tuple's directions,
     then one block of directions per word in enumeration order; the adjoint
     twin of an earlier word skips its test and takes that word's verdict.
+    A battery of more than ``tol.word_cap`` words is refused, like a failed
+    precondition, before any of it is tested.
     """
     if tup.m < 2:
         raise ValueError("need at least two generators")
@@ -384,9 +384,7 @@ def analyze(
             n=tup.dim // k if tup.dim % k == 0 else 0,
             k=k,
             mode=mode,
-            seed=seed,
             shifts=prep.shifts if prep else (),
-            truncated=False,
             detail=detail,
             admissibility=adm,
             scales=prep.scales if prep else (),
@@ -401,8 +399,13 @@ def analyze(
     admissible_ok, adm = check_admissibility(prep, k, tol=tol)
     if not admissible_ok:
         return bail("tuple is not admissible", precondition_ok=True, adm=adm, prep=prep)
+    # no prefix is tested: Kippenhahn-type negatives fail only on some words
+    count = count_words(n, tup.m, mode)
+    if count > tol.word_cap:
+        return bail(f"mode {mode!r} has {count} words, more than word_cap={tol.word_cap}",
+                    precondition_ok=True, admissible_ok=True, adm=adm, prep=prep)
 
-    words, truncated = enumerate_words(n, tup.m, mode=mode, tol=tol)
+    words, _ = enumerate_words(n, tup.m, mode=mode, tol=tol)
     master = np.random.default_rng(seed)
     full_dirs = _draw_directions(master, tol.lines, tup.m)
     word_dirs = _draw_directions(master, tol.lines, 3, pencils=len(words))
@@ -436,9 +439,7 @@ def analyze(
         n=n,
         k=k,
         mode=mode,
-        seed=seed,
         shifts=prep.shifts,
-        truncated=truncated,
         detail="" if ok else (full_verdict.failure_reason or f"{len(failing)} failing words"),
         admissibility=adm,
         scales=prep.scales,
@@ -446,9 +447,9 @@ def analyze(
     )
 
 
-def _monomial_span(mats, max_degree, tol):
+def _monomial_span(mats, degree_bound, tol):
     """Orthonormal basis, in the Frobenius inner product, of the span of the
-    monomials in ``mats`` of degrees 1..max_degree.
+    monomials in ``mats`` of degrees 1..degree_bound.
 
     The span up to degree d+1 is the span up to degree d plus the directions
     that degree d added, times the generators (unit-scale ones, as
@@ -462,7 +463,7 @@ def _monomial_span(mats, max_degree, tol):
     dim = gen.shape[1]
     span = np.zeros((0, dim * dim), dtype=np.complex128)
     added = np.eye(dim).reshape(1, -1)
-    for _ in range(max_degree):
+    for _ in range(degree_bound):
         rows = np.matmul(added.reshape(-1, 1, dim, dim), gen).reshape(-1, dim * dim)
         for _ in range(2):
             rows = rows - (rows @ span.conj().T) @ span
@@ -490,33 +491,28 @@ def corollary(
     tup: HermitianTuple,
     k: int,
     *,
-    max_degree: int = None,
     seed: int = 0,
     tol: Tolerances = DEFAULT,
 ) -> CorollaryReport:
     """Power-test the monomial span through Hermitian generators.
 
-    The span of the monomials of degree 1 to ``n^2 - n + 1`` (or
-    ``max_degree``, when smaller) is *-closed (a monomial's adjoint is its
-    reversal), so ``V + V*`` and ``i (V - V*)`` over its orthonormal basis
-    ``V`` span it over the reals.  Their polynomial is the span's composed
-    with a surjective linear map, hence a k-th power exactly when the
-    span's is.  The lines are drawn in one call of a generator seeded with
-    ``seed``.  Raises :class:`SpectrumPatternViolation` when k does not
-    divide N, and :class:`ValueError` when k or ``max_degree`` is below 1
-    or the span is empty.
+    The span of the monomials of degree 1 to ``n^2 - n + 1`` is *-closed
+    (a monomial's adjoint is its reversal), so ``V + V*`` and ``i (V - V*)``
+    over its orthonormal basis ``V`` span it over the reals.  Their
+    polynomial is the span's composed with a surjective linear map, hence a
+    k-th power exactly when the span's is.  The lines are drawn in one call
+    of a generator seeded with ``seed``.  Raises
+    :class:`SpectrumPatternViolation` when k does not divide N, and
+    :class:`ValueError` when k is below 1 or the span is empty.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if max_degree is not None and max_degree < 1:
-        raise ValueError("max_degree must be a positive integer")
     # k | N is the corollary's only precondition: it has no admissibility
     # hypothesis, so the first generator's pattern is not required
     if tup.dim % k:
         raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
     n = tup.dim // k
     degree_bound = n * n - n + 1
-    degree_bound = degree_bound if max_degree is None else min(degree_bound, max_degree)
     prep = prepare_tuple(tup, tol=tol)
     span = _monomial_span(prep.tup.matrices, degree_bound, tol)
     if not len(span):

@@ -2,7 +2,8 @@
 
 Three are set: ``resolution``, the relative size below which the commands
 cannot tell a spectrum from a perfect power, and the counts ``lines`` and
-``word_cap``; ``--tol NAME=VALUE`` sets any of them.  Every threshold is
+``word_cap`` (the largest word battery ``analyze`` runs; it refuses a larger
+one); ``--tol NAME=VALUE`` sets any of them.  Every threshold is
 derived from ``resolution`` by :data:`LADDER`: its value at the reference
 resolution ``1e-8`` times ``resolution / 1e-8``, so the default gives those
 values bit for bit.  Every report echoes the three values and the derived
@@ -14,7 +15,7 @@ The commands run on unit-scale generators
 and shifts singular ones), so the spectral thresholds are read against
 norms of order one and verdicts do not depend on the input's scale.  The
 Hermitian admission check is relative to each input matrix's norm; only
-the final residual bounds of a decomposition are read in the input's units.
+the bounds of a decomposition's audit are read in the input's units.
 Every value, derived ones included, must be finite and positive (a huge or
 tiny ``resolution`` can overflow or underflow a rung), ``lines`` and
 ``word_cap`` integers, and ``lines`` at least 4; a :class:`Tolerances` that
@@ -67,7 +68,7 @@ class Tolerances:
 
     resolution: float = REFERENCE_RESOLUTION
     lines: int = 8                        # random lines per power test (at least 4)
-    word_cap: int = 10000                 # enumeration cap (flagged, not fatal)
+    word_cap: int = 10000                 # largest word battery analyze runs
 
     def __post_init__(self):
         for name in ("lines", "word_cap"):

@@ -17,8 +17,7 @@ Pipeline, in the eigenbasis of the first generator (n clusters of size k):
 5. gather the k interleaved invariant subspaces with a permutation and
    read off the reduced n x n tuple;
 6. audit the result on the input with :func:`verify_decomposition`; its
-   largest residual decides the final check.  Only steps 1 and 6 conjugate
-   a whole generator.
+   ``ok`` decides.  Only steps 1 and 6 conjugate a whole generator.
 
 Structural failures raise typed errors naming the violated relation; a
 tuple that does not split never produces a silently wrong answer.
@@ -131,7 +130,8 @@ def factor_block(b, tol: float):
     Returns ``(0.0, None)`` for a numerically zero block.  Raises
     :class:`NotUnitaryScalar` when ``b b*`` is not a scalar matrix within
     ``tol * ||b b*||``, i.e. the block cannot come from a tuple that splits
-    into identical copies.
+    into identical copies.  ``u`` is ``b``'s unitary polar factor, unitary
+    to rounding whatever defect ``tol`` admits.
     """
     b = np.asarray(b, dtype=np.complex128)
     k = b.shape[0]
@@ -145,8 +145,8 @@ def factor_block(b, tol: float):
             f"block is not scalar-times-unitary: ||bb* - sI|| = {defect:.3e}",
             residual=defect,
         )
-    c = float(np.sqrt(s))
-    return c, b / c
+    w, _, vh = np.linalg.svd(b)
+    return float(np.sqrt(s)), w @ vh
 
 
 def _phase_match(u_ref, u_other, k):
@@ -358,9 +358,9 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     eigenvalues and the shifts are returned in the input's units.  ``k = 1``
     takes the same path: every 1 x 1 block is a scalar times a phase, so
     the block unitary is a diagonal of phases and every such tuple splits.
-    The final check is :func:`verify_decomposition` on the input: a
-    ``max_residual`` above ``tol.residual_tol`` times the input's largest
-    spectral norm raises :class:`ScalarizationFailed`.
+    The verdict is :func:`verify_decomposition` on the input: unless its
+    ``ok`` holds, :class:`ScalarizationFailed` names the first quantity
+    that exceeds its bound.
     """
     prep = prepare_tuple(tup, k, tol=tol)
     shifted, spec, n = prep.tup, prep.spec, prep.spec.n
@@ -390,14 +390,26 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
         residual=None,
     )
     audit = verify_decomposition(tup, result, tol=tol)
-    residual = audit["max_residual"]
-    # an all-zero tuple, like a zero generator, has scale 1
-    bound = tol.residual_tol * (prep.norm or 1.0)
-    if residual > bound:
+    if not audit["ok"]:
+        bounds = _audit_bounds(tup.max_norm() or 1.0, tup.dim, tol)
+        name = next(key for key, bound in bounds.items() if not audit[key] <= bound)
+        label = "final residual" if name == "max_residual" else name.replace("_", " ")
         raise ScalarizationFailed(
-            f"final residual {residual:.3e} exceeds {bound:.3e}", residual=residual
+            f"{label} {audit[name]:.3e} exceeds {bounds[name]:.3e}", residual=audit[name]
         )
-    return replace(result, residual=residual, verification=audit)
+    return replace(result, residual=audit["max_residual"], verification=audit)
+
+
+def _audit_bounds(max_norm: float, dim: int, tol: Tolerances) -> dict:
+    """The bounds :func:`verify_decomposition`'s ``ok`` reads, in order."""
+    return {
+        "max_residual": tol.residual_tol * max_norm,
+        "unitarity_transform": tol.unitary_rel * dim,
+        # clustering joins only gaps below gap_tol / 10 (the lower edge of its
+        # ambiguity window), so a block unitary commutes with A_1 to about that
+        "commutation_defect": tol.gap_tol / 10 * max_norm,
+        "b1_diagonal_defect": tol.residual_tol * max_norm,
+    }
 
 
 def verify_decomposition(tup: HermitianTuple, result: DecompositionResult, tol: Tolerances = DEFAULT) -> dict:
@@ -436,10 +448,6 @@ def verify_decomposition(tup: HermitianTuple, result: DecompositionResult, tol: 
             np.linalg.norm(reduced[0] - np.diag(result.eigenvalues / max_norm))
         ) * max_norm,
     }
-    report["ok"] = bool(
-        report["max_residual"] <= tol.residual_tol * max_norm
-        and report["unitarity_transform"] <= tol.unitary_rel * dim
-        and report["commutation_defect"] <= 1e-9 * max_norm
-        and report["b1_diagonal_defect"] <= tol.residual_tol * max_norm
-    )
+    bounds = _audit_bounds(max_norm, dim, tol)
+    report["ok"] = all(report[key] <= bound for key, bound in bounds.items())
     return report

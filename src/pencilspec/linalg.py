@@ -185,10 +185,9 @@ class PreparedTuple:
     ``tup.matrices[l]`` is ``(A_l + shifts[l] I) / scales[l]``, so
     ``shifts`` are in the input's units; its eigenpairs are
     ``eigenvalues[l]`` (ascending, largest modulus at least 1) and the
-    columns of ``eigenvectors[l]``.  ``norm`` is the input's largest
-    spectral norm.  When prepared for a split into ``k`` copies, ``spec``
-    is the clustered eigendecomposition of the first prepared generator,
-    with N/k clusters of size ``k``.
+    columns of ``eigenvectors[l]``.  When prepared for a split into ``k``
+    copies, ``spec`` is the clustered eigendecomposition of the first
+    prepared generator, with N/k clusters of size ``k``.
     """
 
     tup: HermitianTuple
@@ -196,7 +195,6 @@ class PreparedTuple:
     shifts: tuple
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    norm: float
     spec: SpectralData = None
 
 
@@ -228,7 +226,7 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
     eye = np.eye(tup.dim)
     mats = tuple(a / c + mu * eye for a, c, mu in zip(tup.matrices, scales, mus))
     prep = PreparedTuple(HermitianTuple(mats), tuple(scales.tolist()), tuple((mus * scales).tolist()),
-                         unit + mus[:, None], q, float(np.max(norms)))
+                         unit + mus[:, None], q)
     if k is None:
         return prep
     n = tup.dim // k

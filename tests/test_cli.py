@@ -242,16 +242,34 @@ class TestAnalyzeCommand:
         assert list(adm) == ["generators"]
         assert all("shift" not in entry for entry in adm["generators"])
 
-    def test_word_cap_override_truncates(self, pos_file, tmp_path):
+    def test_word_cap_below_battery_is_refused(self, pos_file, tmp_path):
+        # (3, 2, 2) in mode all has 1 + 3 + 6 = 10 words; no prefix is tested
         out = tmp_path / "rep.json"
         code = main(
             ["analyze", str(pos_file), "--k", "2", "--out", str(out), "--tol", "word_cap=3"]
         )
-        assert code == EXIT_PASS
+        assert code == EXIT_PRECONDITION
         rep = json.loads(out.read_text())
         assert rep["tolerances"]["word_cap"] == 3
-        assert len(rep["words"]) == 3
-        assert rep["word_enumeration_truncated"] is True
+        assert rep["overall"] == "precondition_violated"
+        assert rep["detail"] == "mode 'all' has 10 words, more than word_cap=3"
+        assert rep["precondition_ok"] and rep["admissible_ok"]
+        assert rep["words"] == [] and rep["full_tuple"] is None
+        assert "word_enumeration_truncated" not in rep
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_word_cap_never_passes_conjugate_negative(self, tmp_path, seed):
+        path = tmp_path / "neg.json"
+        main(["generate", "--family", "conjugate_negative", "--seed", str(seed),
+              "--out", str(path)])
+        for cap in range(1, 10):
+            out = tmp_path / f"cap{cap}.json"
+            argv = ["analyze", str(path), "--k", "2", "--tol", f"word_cap={cap}",
+                    "--out", str(out)]
+            assert main(argv) == EXIT_PRECONDITION
+            rep = json.loads(out.read_text())
+            assert rep["overall"] == "precondition_violated"
+            assert "10 words" in rep["detail"] and f"word_cap={cap}" in rep["detail"]
 
     def test_unknown_tolerance_exits_three(self, pos_file):
         assert main(["analyze", str(pos_file), "--k", "2", "--tol", "bogus=1"]) == EXIT_ERROR
@@ -275,7 +293,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 14
+        assert rep["version"] == 15
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -477,15 +495,16 @@ class TestCorollaryCommand:
         norms = np.linalg.norm(span, axis=1)
         assert np.max(np.linalg.norm(outside, axis=1)) <= 1e-10 * np.max(norms)
 
-    def test_max_degree_cap(self, tmp_path):
+    def test_span_runs_to_the_degree_bound(self, tmp_path):
+        # n = 2: the bound n^2 - n + 1 = 3 has 2 + 4 + 8 monomials; no flag cuts it
         path = tmp_path / "t.json"
         main(["generate", "--family", "decomposable", "--n", "2", "--k", "2", "--m", "2",
               "--seed", "1", "--out", str(path)])
         out = tmp_path / "cor.json"
-        code = main(["corollary", str(path), "--k", "2", "--max-degree", "2", "--out", str(out)])
-        assert code == EXIT_PASS
+        assert main(["corollary", str(path), "--k", "2", "--out", str(out)]) == EXIT_PASS
         rep = json.loads(out.read_text())
-        assert rep["degree_bound"] == 2 and rep["family_size"] == 6
+        assert rep["degree_bound"] == 3 and rep["family_size"] == 14
+        assert rep["parameters"] == {"k": 2, "seed": 0}
 
     def test_indivisible_k(self, neg_file, tmp_path):
         out = tmp_path / "cor.json"
@@ -594,8 +613,7 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("analyze", "--k"), ("decompose", "--k"), ("corollary", "--k"),
-         ("corollary", "--max-degree")],
+        [("analyze", "--k"), ("decompose", "--k"), ("corollary", "--k")],
     )
     def test_nonpositive_integer_is_a_usage_error(self, tmp_path, command, flag, capsys):
         # rejected by the parser, before the (missing) input file is opened
@@ -629,12 +647,15 @@ class TestArgumentValidation:
         assert main([command, str(pos_file), "--k", k, "--out", str(out)]) == EXIT_ERROR
         assert not out.exists()
 
-    @pytest.mark.parametrize("degree", ["0", "-1"])
-    def test_nonpositive_max_degree_exits_three(self, pos_file, tmp_path, degree):
+    @pytest.mark.parametrize("degree", ["0", "-1", "1", "2"])
+    def test_max_degree_is_an_unknown_flag(self, pos_file, tmp_path, capsys, degree):
+        # --max-degree is gone: the span always runs to n^2 - n + 1, so the
+        # flag is unknown whatever its value
         out = tmp_path / "cor.json"
         argv = ["corollary", str(pos_file), "--k", "2", "--max-degree", degree, "--out", str(out)]
         assert main(argv) == EXIT_ERROR
         assert not out.exists()
+        assert "unrecognized arguments: --max-degree" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",

@@ -54,10 +54,15 @@ def test_count_fields_must_be_ints(name, value):
 
 
 def test_integer_counts_build_and_run():
-    tol = Tolerances(lines=5, word_cap=2)
-    report = analyze(gen_decomposable(2, 2, 2, seed=0)[0], 2, tol=tol)
-    assert report.overall == "pass" and report.truncated
+    # (2, 2, 2) in mode all has 1 + 2 = 3 words: a cap of 3 runs them all,
+    # a cap of 2 refuses the battery
+    tup = gen_decomposable(2, 2, 2, seed=0)[0]
+    report = analyze(tup, 2, tol=Tolerances(lines=5, word_cap=3))
+    assert report.overall == "pass" and len(report.word_results) == 3
     assert all(len(v.per_line_clusters) == 5 for _, v in report.word_results)
+    refused = analyze(tup, 2, tol=Tolerances(lines=5, word_cap=2))
+    assert refused.overall == "precondition_violated" and not refused.word_results
+    assert not hasattr(refused, "truncated")
 
 
 @pytest.mark.parametrize("override", ["lines=8.5", "word_cap=100.5"])

@@ -6,6 +6,7 @@ import pytest
 from pencilspec.decomposer import (
     BlockStructure,
     DecompositionResult,
+    _audit_bounds,
     _spanning_forest,
     build_block_unitary,
     decompose,
@@ -14,9 +15,11 @@ from pencilspec.decomposer import (
     unify_layers,
     verify_decomposition,
 )
-from pencilspec.config import DEFAULT
+from pencilspec.config import DEFAULT, Tolerances
 from pencilspec.errors import (
+    ClusterAmbiguity,
     CycleInconsistency,
+    DecompositionError,
     LayerInconsistency,
     NotUnitaryScalar,
     ScalarizationFailed,
@@ -413,6 +416,60 @@ class TestDecompose:
         tup, _ = gen_decomposable(3, 2, 2, seed=59)
         res = decompose(tup, 2)
         assert res.partition == ((0, 1, 2),)
+
+
+def noised_decomposable(n, k, m, seed, delta):
+    """``gen_decomposable`` plus ``delta H_l / ||H_l||`` on every generator,
+    ``H_l`` a random Hermitian matrix."""
+    tup, _ = gen_decomposable(n, k, m, seed)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for a in tup.matrices:
+        g = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+        h = g + g.conj().T
+        mats.append(a + delta * h / np.linalg.norm(h, 2))
+    return HermitianTuple(tuple(mats))
+
+
+class TestAuditDecides:
+    @pytest.mark.parametrize("delta", [1e-10, 1e-9, 3e-9])
+    @pytest.mark.parametrize("n, k, m", [(3, 2, 2), (4, 2, 2), (3, 3, 3)])
+    def test_decompose_returns_exactly_when_the_audit_is_ok(self, monkeypatch, n, k, m,
+                                                            delta):
+        audits = []
+
+        def recorded(*args, **kwargs):
+            audits.append(verify_decomposition(*args, **kwargs))
+            return audits[-1]
+
+        monkeypatch.setattr("pencilspec.decomposer.verify_decomposition", recorded)
+        for seed in range(6):
+            audits.clear()
+            tup = noised_decomposable(n, k, m, seed, delta)
+            try:
+                res = decompose(tup, k)
+            except ScalarizationFailed as exc:
+                # only the audit raises it here: the construction's own checks held
+                (audit,) = audits
+                assert not audit["ok"]
+                bounds = _audit_bounds(tup.max_norm(), n * k, DEFAULT)
+                first = next(key for key in bounds if not audit[key] <= bounds[key])
+                label = "final residual" if first == "max_residual" else first.replace("_", " ")
+                assert str(exc).startswith(f"{label} {audit[first]:.3e} exceeds ")
+                continue
+            except (ClusterAmbiguity, DecompositionError):
+                # refused before any audit
+                assert not audits
+                continue
+            assert res.verification is audits[-1] and res.verification["ok"]
+            u = res.block_unitary
+            assert np.linalg.norm(u @ u.conj().T - np.eye(n * k)) <= 1e-13 * n * k
+
+    def test_commutation_bound_follows_resolution(self):
+        # the bound is gap_tol / 10, bit-equal to the old literal at the default
+        assert _audit_bounds(1.0, 6, DEFAULT)["commutation_defect"] == 1e-9
+        coarse = Tolerances(resolution=1e-6)
+        assert _audit_bounds(2.0, 6, coarse)["commutation_defect"] == coarse.gap_tol / 10 * 2.0
 
 
 class TestVerifyDecomposition:
