@@ -20,8 +20,13 @@ generic affine line does.  The generators are Hermitian, so ``q . A`` is
 too: ``eigvalsh`` returns its spectrum real and sorted, and the test
 clusters it by its gaps; no polynomial coefficient is ever formed.
 
-The coefficient route that the tests compare against lives in
-:mod:`pencilspec.reference`; its old names here load that module on first use.
+Error model: a pencil fails when any line fails.  An algebraic miss has
+probability zero: the lines on which a non-power restricts to a power form
+a proper algebraic set, which Gaussian directions avoid.  A numerical miss
+happens when a failing line's spread falls under ``ctol``, the cluster
+tolerance of that line.  Measured at commit d12df1f on 53 negatives, line 0
+alone missed 654 of 6888 failing words (9.5%), and each of the 53 tuples
+still had a word that fails on line 0.
 """
 
 from __future__ import annotations
@@ -33,16 +38,6 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 
 __all__ = ["KPowerVerdict", "kth_power_test", "kth_power_batch"]
-
-
-def __getattr__(name):
-    if name not in ("UniPoly", "MultiPoly", "coefficient_distance", "pencil_charpoly",
-                    "restrict_pencil_to_line", "cluster_roots", "transform_tuple_vars",
-                    "branch_derivative", "axis_derivative_closed_form"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-
-    return getattr(reference, name)
 
 
 def _as_generator_stack(mats):

@@ -63,6 +63,7 @@ from .linalg import HermitianTuple
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
 FORMAT_VERSION = 15
+TUPLE_VERSION = 15  # versioned apart, so a report-format bump leaves tuple bytes alone
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,7 +124,7 @@ def _dump_json(obj) -> str:
 def save_tuple(path, tup: HermitianTuple, metadata=None):
     doc = {
         "format": TUPLE_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": TUPLE_VERSION,
         "dim": tup.dim,
         "m": tup.m,
         "matrices": [_matrix_to_json(a) for a in tup.matrices],

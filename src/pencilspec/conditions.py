@@ -31,9 +31,7 @@ that word's verdict instead of being tested (see :func:`adjoint_twins`).
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
 monomial span (at most ``2 N^2`` matrices), so it has no cap on the family
-size.  The identity checks the tests compare against live in
-:mod:`pencilspec.reference`; their old names here load that module on first
-use.
+size.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ import numpy as np
 
 from .charpoly import KPowerVerdict, _draw_directions, kth_power_batch, kth_power_test
 from .config import DEFAULT, Tolerances
-from .decomposer import verify_cycle_identity  # re-exported: callers import it from here
 from .errors import ClusterAmbiguity, SpectrumPatternViolation
 from .linalg import HermitianTuple, PreparedTuple, SpectralData, _cluster_groups, prepare_tuple
 
@@ -61,16 +58,7 @@ __all__ = [
     "analyze",
     "CorollaryReport",
     "corollary",
-    "verify_cycle_identity",
 ]
-
-
-def __getattr__(name):
-    if name not in ("realize_word", "verify_first_order_identity"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-
-    return getattr(reference, name)
 
 
 @dataclass(frozen=True)
@@ -280,7 +268,7 @@ def check_admissibility(prep: PreparedTuple, k: int, tol: Tolerances = DEFAULT):
     :func:`~pencilspec.linalg.prepare_tuple` leaves (a scalar shift moves
     the intersection points but not their multiplicity pattern); they are
     clustered by the rule of
-    :func:`~pencilspec.linalg.eigendecompose_clustered`, and the separation
+    :func:`~pencilspec.reference.eigendecompose_clustered`, and the separation
     threshold is relative to each generator's largest eigenvalue modulus.
 
     Returns ``(ok, diagnostics)``; never raises on a failing tuple.

@@ -3,7 +3,8 @@
 Every failure mode gets its own class so callers (and the CLI exit-code
 mapper) can tell a structural verdict ("this tuple is not a direct sum of
 identical copies, and here is the violated relation") from a numerical or
-usage problem.
+usage problem.  The errors only the reference routes raise live in
+:mod:`pencilspec.reference`.
 """
 
 
@@ -22,41 +23,11 @@ class ClusterAmbiguity(SpectralError):
     """An eigenvalue gap falls too close to the clustering threshold."""
 
 
-class SeparationTooSmall(SpectralError):
-    """Cluster centers too close for stable Lagrange interpolation."""
-
-
-# -------------------------------------------------------------- charpoly
-
-
-class GridTooLarge(SpectralError):
-    """Full tensor interpolation grid would exceed the evaluation cap."""
-
-
-class DegenerateDirection(SpectralError):
-    """Line restriction lost its top-degree coefficient."""
-
-
-class SingularTransform(SpectralError):
-    pass
-
-
-class BranchTrackingLost(SpectralError):
-    """Root cluster near a tracked branch point is not uniquely identifiable."""
-
-
-# ------------------------------------------------------------ conditions
-
-
-class IndexOutOfRange(SpectralError):
-    pass
+# ------------------------------------------------------------ decomposer
 
 
 class ZeroCoefficientOnCycle(SpectralError):
     pass
-
-
-# ------------------------------------------------------------ decomposer
 
 
 class DecompositionError(SpectralError):

@@ -9,9 +9,7 @@ type is :class:`HermitianTuple`, which pins down the pencil generators
 ``corollary``: from one eigendecomposition per generator it derives scale,
 invertibility, the spectra admissibility and ``decompose`` read and, for a
 split into ``k`` copies, the first generator's spectral pattern.
-Everything here is pure and safe to share across threads.  The per-matrix
-routes the tests compare against live in :mod:`pencilspec.reference`; their
-old names here load that module on first use.
+Everything here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -34,15 +32,6 @@ __all__ = [
     "direct_sum_k_copies",
     "prepare_tuple",
 ]
-
-
-def __getattr__(name):
-    if name not in ("norm_scale", "eigendecompose_clustered", "projection_by_interpolation",
-                    "shift_to_invertible", "apply_tuple_map"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import reference
-
-    return getattr(reference, name)
 
 
 def as_complex_matrix(a) -> np.ndarray:

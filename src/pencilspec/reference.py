@@ -5,9 +5,10 @@ inverse DFT per axis, radius 1, which keeps the Vandermonde system perfectly
 conditioned), restricts it to a line ``t -> det(M0 + t M1)`` evaluated at
 N+1 unit roots and recovered by a single FFT (:func:`restrict_pencil_to_line`),
 and gives the variable transformation law (:func:`transform_tuple_vars`).
-Thresholds are the module constants below, not :class:`Tolerances` fields.
-The modules these names came from still resolve them, importing this module
-on first access.
+Thresholds are the module constants below, not :class:`Tolerances` fields,
+and the errors only these routes raise are defined here.  The dependency is
+one way: this module imports the production modules, and none of them
+imports it.
 """
 
 from __future__ import annotations
@@ -19,10 +20,33 @@ import numpy as np
 from .charpoly import _as_generator_stack
 from .conditions import WordSpec
 from .config import DEFAULT, Tolerances
-from .errors import (BranchTrackingLost, DegenerateDirection, GridTooLarge, IndexOutOfRange,
-                     SeparationTooSmall, SingularTransform)
+from .errors import SpectralError
 from .linalg import (HermitianTuple, SpectralData, _clustered, _invertible_shift,
                      _require_hermitian, as_complex_matrix, spectral_norm)
+
+
+class GridTooLarge(SpectralError):
+    """Full tensor interpolation grid would exceed the evaluation cap."""
+
+
+class DegenerateDirection(SpectralError):
+    """Line restriction lost its top-degree coefficient."""
+
+
+class SingularTransform(SpectralError):
+    pass
+
+
+class BranchTrackingLost(SpectralError):
+    """Root cluster near a tracked branch point is not uniquely identifiable."""
+
+
+class SeparationTooSmall(SpectralError):
+    """Cluster centers too close for stable Lagrange interpolation."""
+
+
+class IndexOutOfRange(SpectralError):
+    pass
 
 
 @dataclass(frozen=True)

@@ -13,33 +13,31 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pencilspec.charpoly import (
+from pencilspec.charpoly import kth_power_test
+from pencilspec.cli import main as cli_main
+from pencilspec.conditions import analyze, count_words, enumerate_words
+from pencilspec.decomposer import (
+    decompose,
+    extract_block_structure,
+    unify_layers,
+    verify_cycle_identity,
+)
+from pencilspec.errors import CycleInconsistency
+from pencilspec.instances import gen_conjugate_negative, gen_decomposable, haar_unitary
+from pencilspec.linalg import HermitianTuple
+from pencilspec.reference import (
+    apply_tuple_map,
     axis_derivative_closed_form,
     branch_derivative,
     coefficient_distance,
-    kth_power_test,
-    pencil_charpoly,
-    restrict_pencil_to_line,
-    transform_tuple_vars,
-)
-from pencilspec.cli import main as cli_main
-from pencilspec.conditions import (
-    analyze,
-    count_words,
-    enumerate_words,
-    verify_cycle_identity,
-    verify_first_order_identity,
-)
-from pencilspec.decomposer import decompose, extract_block_structure, unify_layers
-from pencilspec.errors import CycleInconsistency
-from pencilspec.instances import gen_conjugate_negative, gen_decomposable, haar_unitary
-from pencilspec.linalg import (
-    HermitianTuple,
-    apply_tuple_map,
     eigendecompose_clustered,
     norm_scale,
+    pencil_charpoly,
     projection_by_interpolation,
+    restrict_pencil_to_line,
     shift_to_invertible,
+    transform_tuple_vars,
+    verify_first_order_identity,
 )
 
 from conftest import rand_hermitian

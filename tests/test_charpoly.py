@@ -3,26 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilspec.charpoly import (
+from pencilspec.charpoly import kth_power_batch, kth_power_test
+from pencilspec.config import DEFAULT
+from pencilspec.linalg import HermitianTuple
+from pencilspec.reference import (
+    DegenerateDirection,
+    GridTooLarge,
     MultiPoly,
+    SingularTransform,
     UniPoly,
+    apply_tuple_map,
     axis_derivative_closed_form,
     branch_derivative,
     cluster_roots,
     coefficient_distance,
-    kth_power_batch,
-    kth_power_test,
+    eigendecompose_clustered,
     pencil_charpoly,
     restrict_pencil_to_line,
     transform_tuple_vars,
 )
-from pencilspec.config import DEFAULT
-from pencilspec.errors import (
-    DegenerateDirection,
-    GridTooLarge,
-    SingularTransform,
-)
-from pencilspec.linalg import apply_tuple_map, HermitianTuple, eigendecompose_clustered
 
 from conftest import rand_hermitian
 
@@ -513,7 +512,7 @@ class TestBranchDerivative:
         # A_1's eigenvalues 1 and 1 + 1e-6 are two clusters (the gap is 100
         # times the split threshold), but at the step 1e-4 the branches
         # through 1 and 1/(1 + 1e-6) sit 1e-4 apart, closer than three steps
-        from pencilspec.errors import BranchTrackingLost
+        from pencilspec.reference import BranchTrackingLost
 
         a2 = diag(3, 4)
         sd = eigendecompose_clustered(diag(1, 1 + 1e-6))

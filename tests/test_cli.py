@@ -830,3 +830,13 @@ class TestReportLayout:
             assert a.tobytes() == b.tobytes()
         text = path.read_text()
         assert text.count("\n") == 2 + len(json.loads(text))
+
+    def test_tuple_bytes_do_not_follow_the_report_version(self, tmp_path, monkeypatch):
+        import pencilspec.cli as cli
+
+        tup = gen_decomposable(2, 2, 2, seed=4)[0]
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        save_tuple(str(before), tup)
+        monkeypatch.setattr(cli, "FORMAT_VERSION", cli.FORMAT_VERSION + 1)
+        save_tuple(str(after), tup)
+        assert after.read_bytes() == before.read_bytes()

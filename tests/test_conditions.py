@@ -10,20 +10,19 @@ from pencilspec.conditions import (
     count_words,
     enumerate_words,
     hermitian_parts,
-    realize_word,
-    verify_cycle_identity,
-    verify_first_order_identity,
 )
 from pencilspec.config import Tolerances
-from pencilspec.decomposer import extract_block_structure, unify_layers
-from pencilspec.errors import IndexOutOfRange, ZeroCoefficientOnCycle
+from pencilspec.decomposer import extract_block_structure, unify_layers, verify_cycle_identity
+from pencilspec.errors import ZeroCoefficientOnCycle
 from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
-from pencilspec.linalg import (
-    HermitianTuple,
+from pencilspec.linalg import HermitianTuple, prepare_tuple
+from pencilspec.reference import (
+    IndexOutOfRange,
     eigendecompose_clustered,
     norm_scale,
-    prepare_tuple,
+    realize_word,
     shift_to_invertible,
+    verify_first_order_identity,
 )
 
 

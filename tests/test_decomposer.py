@@ -25,16 +25,17 @@ from pencilspec.errors import (
     ScalarizationFailed,
     SpectrumPatternViolation,
 )
-from pencilspec.charpoly import coefficient_distance, pencil_charpoly
 from pencilspec.instances import (
     gen_conjugate_negative,
     gen_decomposable,
     haar_unitary,
 )
-from pencilspec.linalg import (
-    HermitianTuple,
+from pencilspec.linalg import HermitianTuple
+from pencilspec.reference import (
+    coefficient_distance,
     eigendecompose_clustered,
     norm_scale,
+    pencil_charpoly,
     shift_to_invertible,
 )
 

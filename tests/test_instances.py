@@ -8,7 +8,7 @@ from pencilspec.instances import (
     gen_decomposable,
     haar_unitary,
 )
-from pencilspec.linalg import (
+from pencilspec.reference import (
     eigendecompose_clustered,
     norm_scale,
     shift_to_invertible,

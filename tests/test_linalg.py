@@ -7,20 +7,22 @@ from pencilspec.decomposer import decompose
 from pencilspec.errors import (
     ClusterAmbiguity,
     NotHermitian,
-    SeparationTooSmall,
     SpectrumPatternViolation,
 )
 from pencilspec.linalg import (
     HermitianTuple,
-    apply_tuple_map,
     direct_sum_k_copies,
-    eigendecompose_clustered,
     prepare_tuple,
-    projection_by_interpolation,
-    shift_to_invertible,
     spectral_norm,
 )
 from pencilspec.instances import gen_commuting, gen_decomposable
+from pencilspec.reference import (
+    SeparationTooSmall,
+    apply_tuple_map,
+    eigendecompose_clustered,
+    projection_by_interpolation,
+    shift_to_invertible,
+)
 
 from conftest import rand_hermitian, hermitian_with_spectrum
 

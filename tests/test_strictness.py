@@ -10,11 +10,11 @@ of ``q . (A_1, W)`` clustered by single linkage in the complex plane.
 import numpy as np
 import pytest
 
-from pencilspec.charpoly import cluster_roots
-from pencilspec.conditions import analyze, realize_word
+from pencilspec.conditions import analyze
 from pencilspec.config import DEFAULT
 from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import prepare_tuple
+from pencilspec.reference import cluster_roots, realize_word
 
 from test_resolution import eps_phase_twin
 
