@@ -24,7 +24,6 @@ from .decomposer import (
     extract_block_structure,
     factor_block,
     unify_layers,
-    verify_cycle_identity,
     verify_decomposition,
 )
 from .instances import (

@@ -40,15 +40,6 @@ from .config import DEFAULT, Tolerances
 __all__ = ["KPowerVerdict", "kth_power_test", "kth_power_batch"]
 
 
-def _as_generator_stack(mats):
-    arrs = [np.asarray(a, dtype=np.complex128) for a in mats]
-    dim = arrs[0].shape[0]
-    for a in arrs:
-        if a.shape != (dim, dim):
-            raise ValueError("all pencil generators must be square and equal-sized")
-    return np.stack(arrs), dim
-
-
 @dataclass(frozen=True)
 class KPowerVerdict:
     """Outcome of the sampled perfect-power test.
@@ -204,7 +195,9 @@ def kth_power_test(
 ) -> KPowerVerdict:
     """Decide whether the pencil determinant of ``mats`` is a perfect k-th
     power: :func:`kth_power_batch` on a stack of one pencil, its directions
-    drawn in one call of a generator seeded with ``seed``."""
-    gen, _ = _as_generator_stack(mats)
+    drawn in one call of a generator seeded with ``seed``.  Generators of
+    unequal shapes, non-square ones and an empty ``mats`` raise
+    :class:`ValueError`."""
+    gen = np.stack([np.asarray(a, dtype=np.complex128) for a in mats])
     dirs = _draw_directions(np.random.default_rng(seed), tol.lines, len(gen))
     return kth_power_batch(gen[None], k, n, dirs[None], tol=tol)[0]

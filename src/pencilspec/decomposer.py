@@ -5,8 +5,8 @@ Pipeline, in the eigenbasis of the first generator (n clusters of size k):
 1. slice every other generator into an n x n grid of k x k blocks;
 2. factor each nonzero block as ``c * u`` with ``c >= 0`` and ``u`` unitary
    (diagonal blocks must be real scalars);
-3. unify layers: one shared unitary per index pair, phases absorbed into
-   the per-generator scalars;
+3. unify layers: one shared unitary per index pair, which every layer's
+   block there must match up to a phase;
 4. derive one unitary per cluster along a breadth-first spanning forest of
    the pair graph, rooted at the largest index of each component, and
    verify that every pair closes its triangle with the root to a
@@ -37,7 +37,6 @@ from .errors import (
     NotUnitaryScalar,
     ScalarizationFailed,
     SpectrumPatternViolation,
-    ZeroCoefficientOnCycle,
 )
 from .linalg import HermitianTuple, SpectralData, prepare_tuple
 
@@ -47,7 +46,6 @@ __all__ = [
     "extract_block_structure",
     "factor_block",
     "unify_layers",
-    "verify_cycle_identity",
     "build_block_unitary",
     "decompose",
     "verify_decomposition",
@@ -56,46 +54,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Factored k x k block data of all generators beyond the first.
+    """The shared k x k block unitaries of all generators beyond the first.
 
-    ``c[l-2, i, j]`` is the block scalar of generator l on cluster pair
-    (i, j); after layer unification only the chosen layer's off-diagonal
-    scalar is guaranteed real non-negative, the others are complex with the
-    cross-layer phase absorbed.  ``u[(i, j)]`` is the shared block unitary
-    for pairs in ``pairs`` (symmetric, ``u[(j, i)] = u[(i, j)]*``).
+    ``u[(i, j)]`` is the block unitary of cluster pair (i, j), shared by
+    every generator whose block there is nonzero, with ``u[(j, i)] =
+    u[(i, j)]*``; ``pairs`` holds its keys.  The block scalars are not
+    kept: :func:`build_block_unitary` reads them off the conjugated grid.
     """
 
     n: int
     k: int
     m: int
-    c: np.ndarray
     u: dict
     pairs: frozenset
 
 
-def verify_cycle_identity(bs: BlockStructure, cycle):
-    """Check one cycle of block unitaries for unimodular-scalar defect.
-
-    ``cycle`` is a sequence of distinct 0-based cluster indices.  Returns
-    ``(theta, residual)`` where ``theta`` is the least-squares phase
-    (argument of the normalized trace) and ``residual`` the Frobenius
-    distance of the cycle product from ``exp(i theta) I``.  Raises
-    :class:`ZeroCoefficientOnCycle` when a step of the cycle carries no
-    block unitary.
-    """
-    cyc = tuple(int(j) for j in cycle)
-    if len(set(cyc)) != len(cyc) or not cyc:
-        raise ValueError("cycle must be a non-empty tuple of distinct indices")
-    k = bs.k
-    prod = np.eye(k, dtype=np.complex128)
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        if a == b:
-            continue
-        if (a, b) not in bs.pairs:
-            raise ZeroCoefficientOnCycle(
-                f"pair of clusters ({a + 1}, {b + 1}) carries no nonzero block"
-            )
-        prod = prod @ bs.u[(a, b)]
+def _unimodular_defect(prod):
+    """``(theta, residual)`` of a k x k product: ``theta`` is the argument
+    of its normalized trace, the least-squares phase, and ``residual`` the
+    Frobenius distance of the product from ``exp(i theta) I``."""
+    k = prod.shape[0]
     tr = complex(np.trace(prod)) / k
     theta = float(np.angle(tr)) if tr != 0 else 0.0
     residual = float(np.linalg.norm(prod - np.exp(1j * theta) * np.eye(k)))
@@ -150,10 +128,9 @@ def factor_block(b, tol: float):
 
 
 def _phase_match(u_ref, u_other, k):
-    """Least-squares unimodular scalar aligning u_other with u_ref."""
+    """Distance of u_other from its least-squares unimodular multiple of u_ref."""
     sigma = complex(np.trace(u_ref.conj().T @ u_other)) / k
-    resid = float(np.linalg.norm(u_other - sigma * u_ref))
-    return sigma, resid
+    return float(np.linalg.norm(u_other - sigma * u_ref))
 
 
 def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
@@ -165,17 +142,15 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
     :func:`decompose` passes each prepared generator's largest eigenvalue
     modulus, at least 1 and of order one.  For each pair the layer with the
     largest block scalar donates the unitary (ties to the lowest layer);
-    every other nonzero layer must match it up to a unimodular scalar,
-    which is absorbed into that layer's ``c``.  A mismatch beyond tolerance
-    raises :class:`LayerInconsistency`: the cross-layer 2-cycle relation
-    fails and the tuple cannot split into identical copies.
+    every other nonzero layer must match it up to a unimodular scalar.  A
+    mismatch beyond tolerance raises :class:`LayerInconsistency`: the
+    cross-layer 2-cycle relation fails and the tuple cannot split into
+    identical copies.  A diagonal block that is not a real scalar raises
+    :class:`NotUnitaryScalar`.
     """
     nlayers, n, _, k, _ = blocks.shape
     if len(scales) != nlayers:
         raise ValueError("need one scale per layer")
-    c = np.zeros((nlayers, n, n), dtype=np.complex128)
-    u = {}
-    pairs = set()
 
     for li in range(nlayers):
         for i in range(n):
@@ -190,8 +165,8 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
                     block=(li + 2, i, i),
                     residual=defect,
                 )
-            c[li, i, i] = cd.real
 
+    u = {}
     for i in range(n):
         for j in range(i + 1, n):
             factored = []
@@ -204,27 +179,21 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
             chosen = max(present, key=lambda li: (factored[li][0], -li))
             u_shared = factored[chosen][1]
             for li in present:
-                cf, uf = factored[li]
                 if li == chosen:
-                    c[li, i, j] = cf
-                else:
-                    sigma, resid = _phase_match(u_shared, uf, k)
-                    if resid > tol.structural_tol:
-                        raise LayerInconsistency(
-                            f"generators {chosen + 2} and {li + 2} disagree on pair "
-                            f"({i + 1},{j + 1}) beyond a phase: residual {resid:.3e}",
-                            pair=(i, j),
-                            layer=li + 2,
-                            residual=resid,
-                        )
-                    c[li, i, j] = cf * sigma
-                c[li, j, i] = np.conj(c[li, i, j])
-            pairs.add((i, j))
-            pairs.add((j, i))
+                    continue
+                resid = _phase_match(u_shared, factored[li][1], k)
+                if resid > tol.structural_tol:
+                    raise LayerInconsistency(
+                        f"generators {chosen + 2} and {li + 2} disagree on pair "
+                        f"({i + 1},{j + 1}) beyond a phase: residual {resid:.3e}",
+                        pair=(i, j),
+                        layer=li + 2,
+                        residual=resid,
+                    )
             u[(i, j)] = u_shared
             u[(j, i)] = u_shared.conj().T
 
-    return BlockStructure(n=n, k=k, m=nlayers + 1, c=c, u=u, pairs=frozenset(pairs))
+    return BlockStructure(n=n, k=k, m=nlayers + 1, u=u, pairs=frozenset(u))
 
 
 def _spanning_forest(bs: BlockStructure, tol: Tolerances):
@@ -234,16 +203,16 @@ def _spanning_forest(bs: BlockStructure, tol: Tolerances):
     whose piece is the identity.  A direct neighbour ``j`` of ``a`` gets
     ``u[(a, j)]`` itself, a deeper one its parent's piece times
     ``u[(parent, j)]``: the pieces are the derived ``u[(a, j)]``.  Every pair
-    ``(i, j)`` of non-roots must then close the triangle ``(i, j, a)`` to a
-    unimodular scalar within tolerance, else :class:`CycleInconsistency`
-    names it with 0-based cluster indices.  The check is complete: a
-    pair's triangle is its fundamental cycle, through the tree and the root,
-    and fundamental cycles generate every cycle.  The partition lists the
-    components, each sorted, in the order of their smallest index.
+    ``(i, j)`` of non-roots must then close the triangle ``(i, j, a)``, the
+    product ``u[(i, j)] piece_j* piece_i``, to a unimodular scalar within
+    tolerance, else :class:`CycleInconsistency` names it with 0-based
+    cluster indices.  The check is complete: a pair's triangle is its
+    fundamental cycle, through the tree and the root, and fundamental
+    cycles generate every cycle.  The partition lists the components, each
+    sorted, in the order of their smallest index.
     """
     n = bs.n
     pieces = [None] * n
-    u, pairs = dict(bs.u), set(bs.pairs)
     components = []
     for a in range(n - 1, -1, -1):
         if pieces[a] is not None:
@@ -254,18 +223,13 @@ def _spanning_forest(bs: BlockStructure, tol: Tolerances):
             for j in range(n):
                 if (i, j) in bs.pairs and pieces[j] is None:
                     pieces[j] = bs.u[(a, j)] if i == a else pieces[i] @ bs.u[(i, j)]
-                    u[(a, j)], u[(j, a)] = pieces[j], pieces[j].conj().T
-                    pairs |= {(a, j), (j, a)}
                     comp.append(j)
-        components.append(sorted(comp))
-
-    derived = replace(bs, u=u, pairs=frozenset(pairs))
-    for comp in components:
-        a = comp[-1]
+        comp.sort()
+        components.append(comp)
         for i, j in combinations(comp[:-1], 2):
             if (i, j) not in bs.pairs:
                 continue
-            _, resid = verify_cycle_identity(derived, (i, j, a))
+            _, resid = _unimodular_defect(bs.u[(i, j)] @ pieces[j].conj().T @ pieces[i])
             if resid > tol.structural_tol:
                 raise CycleInconsistency(
                     f"cycle through clusters ({i + 1},{j + 1},{a + 1}) is not a "

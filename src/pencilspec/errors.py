@@ -3,7 +3,8 @@
 Every failure mode gets its own class so callers (and the CLI exit-code
 mapper) can tell a structural verdict ("this tuple is not a direct sum of
 identical copies, and here is the violated relation") from a numerical or
-usage problem.  The errors only the reference routes raise live in
+usage problem.  The errors only the reference routes raise, the cycle
+walker's ``ZeroCoefficientOnCycle`` among them, live in
 :mod:`pencilspec.reference`.
 """
 
@@ -24,10 +25,6 @@ class ClusterAmbiguity(SpectralError):
 
 
 # ------------------------------------------------------------ decomposer
-
-
-class ZeroCoefficientOnCycle(SpectralError):
-    pass
 
 
 class DecompositionError(SpectralError):

@@ -5,10 +5,12 @@ inverse DFT per axis, radius 1, which keeps the Vandermonde system perfectly
 conditioned), restricts it to a line ``t -> det(M0 + t M1)`` evaluated at
 N+1 unit roots and recovered by a single FFT (:func:`restrict_pencil_to_line`),
 and gives the variable transformation law (:func:`transform_tuple_vars`).
-Thresholds are the module constants below, not :class:`Tolerances` fields,
-and the errors only these routes raise are defined here.  The dependency is
-one way: this module imports the production modules, and none of them
-imports it.
+The cycle walker (:func:`verify_cycle_identity`) multiplies block unitaries
+around any cycle; ``decompose`` checks only the triangles of its spanning
+forest, from the forest's own pieces.  Thresholds are the module constants
+below, not :class:`Tolerances` fields, and the errors only these routes
+raise are defined here.  The dependency is one way: this module imports the
+production modules, and none of them imports it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import _as_generator_stack
 from .conditions import WordSpec
 from .config import DEFAULT, Tolerances
+from .decomposer import BlockStructure, _unimodular_defect
 from .errors import SpectralError
 from .linalg import (HermitianTuple, SpectralData, _clustered, _invertible_shift,
                      _require_hermitian, as_complex_matrix, spectral_norm)
@@ -47,6 +49,19 @@ class SeparationTooSmall(SpectralError):
 
 class IndexOutOfRange(SpectralError):
     pass
+
+
+class ZeroCoefficientOnCycle(SpectralError):
+    pass
+
+
+def _as_generator_stack(mats):
+    arrs = [np.asarray(a, dtype=np.complex128) for a in mats]
+    dim = arrs[0].shape[0]
+    for a in arrs:
+        if a.shape != (dim, dim):
+            raise ValueError("all pencil generators must be square and equal-sized")
+    return np.stack(arrs), dim
 
 
 @dataclass(frozen=True)
@@ -448,3 +463,29 @@ def verify_first_order_identity(
     c = -float(spec.eigenvalues[i]) * slope
     p = spec.projections[i]
     return float(np.linalg.norm(p @ al @ p - c * p))
+
+
+def verify_cycle_identity(bs: BlockStructure, cycle):
+    """Check one cycle of block unitaries for unimodular-scalar defect.
+
+    ``cycle`` is a sequence of distinct 0-based cluster indices.  Returns
+    ``(theta, residual)`` where ``theta`` is the least-squares phase
+    (argument of the normalized trace) and ``residual`` the Frobenius
+    distance of the cycle product from ``exp(i theta) I``.  Raises
+    :class:`ZeroCoefficientOnCycle` when a step of the cycle carries no
+    block unitary.
+    """
+    cyc = tuple(int(j) for j in cycle)
+    if len(set(cyc)) != len(cyc) or not cyc:
+        raise ValueError("cycle must be a non-empty tuple of distinct indices")
+    k = bs.k
+    prod = np.eye(k, dtype=np.complex128)
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        if a == b:
+            continue
+        if (a, b) not in bs.pairs:
+            raise ZeroCoefficientOnCycle(
+                f"pair of clusters ({a + 1}, {b + 1}) carries no nonzero block"
+            )
+        prod = prod @ bs.u[(a, b)]
+    return _unimodular_defect(prod)

@@ -16,12 +16,7 @@ import pytest
 from pencilspec.charpoly import kth_power_test
 from pencilspec.cli import main as cli_main
 from pencilspec.conditions import analyze, count_words, enumerate_words
-from pencilspec.decomposer import (
-    decompose,
-    extract_block_structure,
-    unify_layers,
-    verify_cycle_identity,
-)
+from pencilspec.decomposer import decompose, extract_block_structure, unify_layers
 from pencilspec.errors import CycleInconsistency
 from pencilspec.instances import gen_conjugate_negative, gen_decomposable, haar_unitary
 from pencilspec.linalg import HermitianTuple
@@ -37,6 +32,7 @@ from pencilspec.reference import (
     restrict_pencil_to_line,
     shift_to_invertible,
     transform_tuple_vars,
+    verify_cycle_identity,
     verify_first_order_identity,
 )
 

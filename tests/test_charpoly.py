@@ -222,6 +222,16 @@ class TestKthPowerTest:
         with pytest.raises(ValueError):
             kth_power_test([diag(1, 2)], k=2, n=2, seed=0)
 
+    @pytest.mark.parametrize("mats, message", [
+        ([], "at least one array"),
+        ([diag(1, 2), diag(1, 2, 3)], "same shape"),
+        ([np.ones((2, 3)), np.ones((2, 3))], "stacked as"),
+        ([np.ones(2), np.ones(2)], "stacked as"),
+    ], ids=["empty", "unequal", "non-square", "vectors"])
+    def test_malformed_generators_rejected(self, mats, message):
+        with pytest.raises(ValueError, match=message):
+            kth_power_test(mats, 1, 1)
+
     def test_needs_four_lines(self):
         from pencilspec.config import Tolerances
         with pytest.raises(ValueError):

@@ -12,16 +12,17 @@ from pencilspec.conditions import (
     hermitian_parts,
 )
 from pencilspec.config import Tolerances
-from pencilspec.decomposer import extract_block_structure, unify_layers, verify_cycle_identity
-from pencilspec.errors import ZeroCoefficientOnCycle
+from pencilspec.decomposer import extract_block_structure, unify_layers
 from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import HermitianTuple, prepare_tuple
 from pencilspec.reference import (
     IndexOutOfRange,
+    ZeroCoefficientOnCycle,
     eigendecompose_clustered,
     norm_scale,
     realize_word,
     shift_to_invertible,
+    verify_cycle_identity,
     verify_first_order_identity,
 )
 

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pencilspec.decomposer import (
     DecompositionResult,
     _audit_bounds,
     _spanning_forest,
+    _unimodular_defect,
     build_block_unitary,
     decompose,
     extract_block_structure,
@@ -15,6 +17,7 @@ from pencilspec.decomposer import (
     unify_layers,
     verify_decomposition,
 )
+from pencilspec.conditions import analyze
 from pencilspec.config import DEFAULT, Tolerances
 from pencilspec.errors import (
     ClusterAmbiguity,
@@ -37,6 +40,7 @@ from pencilspec.reference import (
     norm_scale,
     pencil_charpoly,
     shift_to_invertible,
+    verify_cycle_identity,
 )
 
 from test_resolution import eps_phase_twin
@@ -54,10 +58,16 @@ def structure_of(tup):
     return unify_layers(blocks, scales), blocks
 
 
-def donor(bs, i, j):
+def donor(blocks, i, j):
     """Layer index that donated the unitary of pair (i, j): the largest
-    block scalar, ties to the lowest layer."""
-    return int(np.argmax(np.abs(bs.c[:, i, j])))
+    block in Frobenius norm, ties to the lowest layer."""
+    return int(np.argmax(np.linalg.norm(blocks[:, i, j], axis=(1, 2))))
+
+
+def block_scalar(bs, blocks, li, i, j):
+    """Least-squares scalar of layer ``li``'s block (i, j) on the shared
+    unitary: ``tr(u* B) / k``."""
+    return complex(np.trace(bs.u[(i, j)].conj().T @ blocks[li, i, j])) / bs.k
 
 
 def manual_structure(n, edges, k=2):
@@ -65,8 +75,7 @@ def manual_structure(n, edges, k=2):
     u = {}
     for (i, j), uij in edges.items():
         u[(i, j)], u[(j, i)] = uij, uij.conj().T
-    return BlockStructure(n=n, k=k, m=2, c=np.zeros((1, n, n), dtype=np.complex128),
-                          u=u, pairs=frozenset(u))
+    return BlockStructure(n=n, k=k, m=2, u=u, pairs=frozenset(u))
 
 
 def consistent_structure(n, edges, k=2):
@@ -139,8 +148,9 @@ class TestUnifyLayers:
         bs, blocks = structure_of(tup)
         assert bs.m == 2 and bs.n == 2 and bs.k == 2
         for (i, j) in bs.pairs:
-            li = donor(bs, i, j)
-            resid = np.linalg.norm(blocks[li, i, j] - bs.c[li, i, j] * bs.u[(i, j)])
+            li = donor(blocks, i, j)
+            c = block_scalar(bs, blocks, li, i, j)
+            resid = np.linalg.norm(blocks[li, i, j] - c * bs.u[(i, j)])
             assert resid <= 1e-7 * norm_scale(tup.matrices[li + 1])
 
     def test_three_generators_share_unitaries(self):
@@ -148,16 +158,17 @@ class TestUnifyLayers:
         bs, blocks = structure_of(tup)
         for (i, j) in bs.pairs:
             for li in range(bs.m - 1):
-                resid = np.linalg.norm(blocks[li, i, j] - bs.c[li, i, j] * bs.u[(i, j)])
+                c = block_scalar(bs, blocks, li, i, j)
+                resid = np.linalg.norm(blocks[li, i, j] - c * bs.u[(i, j)])
                 assert resid <= 1e-6
 
     def test_chosen_layer_scalar_nonnegative(self):
         tup, _ = gen_decomposable(3, 2, 3, seed=17)
-        bs, _ = structure_of(tup)
+        bs, blocks = structure_of(tup)
         for (i, j) in bs.pairs:
             if i < j:
-                li = donor(bs, i, j)
-                val = bs.c[li, i, j]
+                li = donor(blocks, i, j)
+                val = block_scalar(bs, blocks, li, i, j)
                 assert val.imag == pytest.approx(0.0, abs=1e-12)
                 assert val.real >= 0.0
 
@@ -252,6 +263,75 @@ class TestSpanningForest:
         bs = consistent_structure(5, [(0, 3), (1, 4), (1, 2)])
         _, partition = _spanning_forest(bs, DEFAULT)
         assert partition == ((0, 3), (1, 2, 4))
+
+
+def derived_structure(bs, pieces, partition):
+    """``bs`` with ``u[(a, j)] = piece_j`` for the root ``a`` of each
+    component, so that a triangle through ``a`` multiplies the pieces."""
+    u = dict(bs.u)
+    for comp in partition:
+        a = comp[-1]
+        for j in comp[:-1]:
+            u[(a, j)], u[(j, a)] = pieces[j], pieces[j].conj().T
+    return dataclasses.replace(bs, u=u, pairs=frozenset(u))
+
+
+def forest_triangles(bs, partition):
+    """The triangles the forest checks, in its order: components by
+    descending root, then the original pairs of non-roots."""
+    return [(i, j, comp[-1])
+            for comp in sorted(partition, key=lambda comp: -comp[-1])
+            for i, j in combinations(comp[:-1], 2) if (i, j) in bs.pairs]
+
+
+class TestForestMatchesWalker:
+    """The forest's triangle residuals equal the reference walker's on the
+    derived structure, bit for bit."""
+
+    def check(self, monkeypatch, bs):
+        seen = []
+
+        def recorded(prod):
+            theta, residual = _unimodular_defect(prod)
+            seen.append(residual)
+            return theta, residual
+
+        monkeypatch.setattr("pencilspec.decomposer._unimodular_defect", recorded)
+        pieces, partition = _spanning_forest(bs, DEFAULT)
+        derived = derived_structure(bs, pieces, partition)
+        triangles = forest_triangles(bs, partition)
+        assert triangles
+        assert seen == [verify_cycle_identity(derived, t)[1] for t in triangles]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_decomposable(self, monkeypatch, k, m):
+        tup, _ = gen_decomposable(4, k, m, seed=71)
+        bs, _ = structure_of(tup)
+        self.check(monkeypatch, bs)
+
+    @pytest.mark.parametrize("n, edges", [
+        # 3 -> 0 -> 1 and 3 -> 2; (1, 2) is not a tree edge
+        (4, [(0, 3), (2, 3), (1, 2), (0, 1)]),
+        # 4 -> 0 -> 1 -> 2 and 1 -> 3; (2, 3) is not a tree edge
+        (5, [(0, 4), (0, 1), (1, 2), (1, 3), (2, 3)]),
+    ])
+    def test_deep_pieces_and_non_tree_pairs(self, monkeypatch, n, edges):
+        self.check(monkeypatch, consistent_structure(n, edges))
+
+    def test_perturbed_pair_raises_the_walker_residual(self):
+        bs = consistent_structure(4, [(0, 3), (2, 3), (1, 2), (0, 1)])
+        pieces, partition = _spanning_forest(bs, DEFAULT)
+        u = dict(bs.u)
+        u[(1, 2)] = u[(1, 2)] @ diag(1, np.exp(1e-3j))
+        u[(2, 1)] = u[(1, 2)].conj().T
+        bad = dataclasses.replace(bs, u=u)
+        with pytest.raises(CycleInconsistency) as err:
+            _spanning_forest(bad, DEFAULT)
+        assert err.value.cycle == (1, 2, 3)
+        derived = derived_structure(bad, pieces, partition)
+        assert err.value.residual == verify_cycle_identity(derived, (1, 2, 3))[1]
+        assert err.value.residual > DEFAULT.structural_tol
 
 
 class TestBuildBlockUnitary:
@@ -471,6 +551,19 @@ class TestAuditDecides:
         assert _audit_bounds(1.0, 6, DEFAULT)["commutation_defect"] == 1e-9
         coarse = Tolerances(resolution=1e-6)
         assert _audit_bounds(2.0, 6, coarse)["commutation_defect"] == coarse.gap_tol / 10 * 2.0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ScalarizationFailed,
+    reason="ROADMAP item 3: the commutation bound gap_tol / 10 * max_norm is met per "
+           "eigenvalue gap, not by the Frobenius defect summed over a cluster",
+)
+@pytest.mark.parametrize("n, k, m, seed", [(3, 2, 2, 5), (4, 2, 2, 16), (3, 3, 3, 3)])
+def test_analyze_pass_means_decompose_returns(n, k, m, seed):
+    tup = noised_decomposable(n, k, m, seed, 3e-9)
+    assert analyze(tup, k).overall == "pass"
+    res = decompose(tup, k)
+    assert res.verification["ok"]
 
 
 class TestVerifyDecomposition:

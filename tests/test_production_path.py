@@ -22,9 +22,11 @@ MOVED = {
     "linalg": ("norm_scale", "eigendecompose_clustered", "projection_by_interpolation",
                "shift_to_invertible", "apply_tuple_map"),
     "conditions": ("realize_word", "verify_first_order_identity"),
+    "decomposer": ("verify_cycle_identity",),
 }
 MOVED_ERRORS = ("SeparationTooSmall", "GridTooLarge", "DegenerateDirection",
-                "SingularTransform", "BranchTrackingLost", "IndexOutOfRange")
+                "SingularTransform", "BranchTrackingLost", "IndexOutOfRange",
+                "ZeroCoefficientOnCycle")
 
 PRODUCTION = sorted(p for p in Path(pencilspec.__file__).parent.glob("*.py")
                     if p.name != "reference.py")
@@ -80,6 +82,7 @@ def test_production_module_does_not_depend_on_reference(path):
 )
 def test_moved_name_lives_only_in_reference(module, name):
     assert not hasattr(importlib.import_module(f"pencilspec.{module}"), name)
+    assert not hasattr(pencilspec, name)
     assert hasattr(reference, name)
 
 
