@@ -100,6 +100,20 @@ def _line_spectra(gens, dirs, tol):
     return np.linalg.eigvalsh((dirs @ flat).view(np.complex128).reshape(p_count, lines, dim, dim))
 
 
+def _spectra(gens, dirs, tol):
+    """The line spectra ``(P, lines, N)`` of a stack of pencils, computed by
+    :func:`_line_spectra` a chunk of at most ``_BATCH_ENTRIES`` (line,
+    matrix entry) pairs at a time; they are smaller than the generators."""
+    p_count, dim = len(gens), gens.shape[-1]
+    chunk = max(1, _BATCH_ENTRIES // (tol.lines * dim * dim))
+    out = np.empty((p_count, tol.lines, dim))
+    for start in range(0, p_count, chunk):
+        out[start : start + chunk] = _line_spectra(
+            gens[start : start + chunk], dirs[start : start + chunk], tol
+        )
+    return out
+
+
 def _verdicts(lams, k, n, tol):
     """Power-test verdicts from the line spectra of a stack of pencils."""
     p_count, lines = lams.shape[:2]
@@ -177,13 +191,7 @@ def kth_power_batch(
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
     if not len(gens):
         return []
-    # the spectra, P * lines * N reals, are smaller than the generators
-    chunk = max(1, _BATCH_ENTRIES // (tol.lines * dim * dim))
-    spectra = [
-        _line_spectra(gens[start : start + chunk], dirs[start : start + chunk], tol)
-        for start in range(0, len(gens), chunk)
-    ]
-    return _verdicts(np.concatenate(spectra), k, n, tol)
+    return _verdicts(_spectra(gens, dirs, tol), k, n, tol)
 
 
 def kth_power_test(

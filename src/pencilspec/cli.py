@@ -36,7 +36,9 @@ and lists every word in its report: a word whose adjoint was tested
 earlier carries that word's verdict and its index under ``adjoint_of``.
 ``corollary`` draws its lines from a generator seeded with ``--seed``, in
 one draw; a verdict's ``lines`` give, per line, its ``cluster_sizes`` and
-``spread``.  No environment variable changes the reports.
+``spread``.  No environment variable changes the reports, and the CPU
+count changes only the speed: ``analyze`` may run a large battery over
+forked processes, at most one per usable CPU, with the same report.
 """
 
 from __future__ import annotations

@@ -24,9 +24,14 @@ variable (thread count or other) affects them.  The words are realized
 level by level through k-column blocks of the first generator's
 eigenbasis (see :class:`_BlockWords`;
 :func:`~pencilspec.reference.realize_word` is the reference) and tested a
-slice at a time, one call of :func:`~pencilspec.charpoly.kth_power_batch`
-per slice.  A word whose adjoint comes earlier in the enumeration shares
-that word's verdict instead of being tested (see :func:`adjoint_twins`).
+slice at a time.  A word whose adjoint comes earlier in the enumeration
+shares that word's verdict instead of being tested (see
+:func:`adjoint_twins`).  On Linux, a large battery's tested words are cut
+into contiguous shares, as many as repay their forks and one per usable
+CPU at most (see :func:`_share_count`); forked processes compute the line
+spectra of all shares but the first and send them back, and the calling
+process turns every share's spectra into verdicts.  The CPU count changes
+only the speed: verdicts and reports are the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -37,12 +42,24 @@ size.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 
-from .charpoly import KPowerVerdict, _draw_directions, kth_power_batch, kth_power_test
+from .charpoly import (
+    KPowerVerdict,
+    _draw_directions,
+    _spectra,
+    _verdicts,
+    kth_power_batch,
+    kth_power_test,
+)
 from .config import DEFAULT, Tolerances
 from .errors import ClusterAmbiguity, SpectrumPatternViolation
 from .linalg import HermitianTuple, PreparedTuple, SpectralData, _cluster_groups, prepare_tuple
@@ -342,6 +359,174 @@ class ConditionReport:
 # depend on it, and it bounds the stack at 128 * 3 * N^2 complex entries.
 _WORD_SLICE = 128
 
+# Solve work, in tested words * lines * N^3, that one forked share costs
+# the calling process: fork, _exit and waitpid take 1.1-1.6 ms, about 2 ms
+# in all with the pipe and the copy-on-write faults (2-vCPU VM, OpenBLAS),
+# and one unit is 4.5 ns of eigvalsh at N = 12 and 8 ns at N = 8.  Measured
+# there, a battery of 850k units breaks even over two shares, which puts a
+# fork at half of it, and one of 1040k (N = 8) saves 1.6 ms of 10 ms.  A
+# split battery's largest proof_core pencils (15 words at N = 16, 492k
+# units) stay in one process.
+_FORK_COST = 425_000
+
+# The cgroup CPU quota of this process's container, as (quota, period)
+# files: cgroup v2, then v1.  The affinity mask does not show the quota.
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+# The warning Python 3.12 and later give when a process with more than one
+# OS thread forks.  The idle pool threads of OpenBLAS (numpy's wheels ship
+# it) count, but OpenBLAS stops them in its own fork handler, and analyze
+# forks only when the interpreter runs one thread, so the child inherits
+# no lock that another thread held.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
+
+
+def _usable_cpus() -> int:
+    """The CPUs of this process's affinity mask, capped by the whole CPUs of
+    its cgroup's quota where one is set."""
+    cpus = len(os.sched_getaffinity(0))
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            quota, period = map(int, " ".join(Path(p).read_text() for p in paths).split()[:2])
+        except (OSError, ValueError):
+            continue
+        if quota > 0:
+            cpus = min(cpus, max(1, quota // period))
+        break
+    return cpus
+
+
+def _share_count(words: int, lines: int, dim: int) -> int:
+    """Processes for a battery of ``words`` tested words; one where the
+    platform cannot fork or the interpreter runs other threads.
+
+    This process forks the children one after another and then solves its
+    own share, so ``S`` shares of ``units`` of work take about ``(S - 1) *
+    _FORK_COST + units / S``: one more share pays while its fork costs less
+    than the work it takes off this process, ``units / (S (S + 1))``.  The
+    count grows as the square root of the work, one per usable CPU at most.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() != 1:
+        return 1
+    units, shares = words * lines * dim**3, 1
+    while shares * (shares + 1) * _FORK_COST < units:
+        shares += 1
+    return min(shares, _usable_cpus()) if shares > 1 else 1
+
+
+def _share_spectra(tup, spec, words, rows, dirs, tol):
+    """The line spectra of the words at ``rows`` (ascending indices into
+    ``words``), as ``(slice rows, spectra (len, lines, N))`` per slice of
+    ``_WORD_SLICE`` words.  Every share of the battery, forked or not, is
+    solved here."""
+    realized = _BlockWords(tup, spec, words)
+    # the battery's largest array, filled in place a slice of words at a time
+    pencils = np.empty((min(_WORD_SLICE, len(rows)), 3, tup.dim, tup.dim), dtype=complex)
+    pencils[:, 0] = tup.matrices[0]
+    for start in range(0, len(rows), _WORD_SLICE):
+        part = rows[start : start + _WORD_SLICE]
+        stack = pencils[: len(part)]
+        hermitian_parts(realized.matrices(part), out=stack[:, 1:].swapaxes(0, 1))
+        yield part, _spectra(stack, dirs[part], tol)
+
+
+def _fork_share(children, i, tup, spec, words, rows, dirs, tol):
+    """Fork a process that solves the share ``rows``, writes its spectra's
+    float64 bytes to a pipe and exits, and record it as ``children[i] =
+    (pid, pipe)``; nothing is recorded when the pipe or the fork fails."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return
+    pipe = open(read, "rb", buffering=0)
+    # Ctrl-C sends SIGINT to the whole process group.  The child keeps it
+    # blocked, so that it leaves only through os._exit and never unwinds its
+    # copy of the caller's stack; this process records the child at once.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    pipe.close()
+                    # the whole share first: written slice by slice, the pipe
+                    # would fill and stall this process while the parent
+                    # solves its own
+                    spectra = np.concatenate(
+                        [lams for _, lams in _share_spectra(tup, spec, words, rows, dirs, tol)]
+                    )
+                    with open(write, "wb") as out:
+                        out.write(spectra.data.cast("B"))
+                    os._exit(0)
+                finally:  # reached only when the share fails
+                    os._exit(1)
+            children[i] = pid, pipe
+    except OSError:
+        pipe.close()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(write)
+
+
+def _read_share(pipe, rows, k, n, tol, dim):
+    """Verdicts ``(row, verdict)`` of a forked share; ``None`` when its
+    spectra stop short."""
+    data = pipe.read()
+    if len(data) != len(rows) * tol.lines * dim * 8:
+        return None
+    lams = np.frombuffer(data).reshape(len(rows), tol.lines, dim)
+    return list(zip(rows.tolist(), _verdicts(lams, k, n, tol)))
+
+
+def _reap(child, kill=False):
+    """Close a forked share's pipe and wait for it; returns its wait status."""
+    pid, pipe = child
+    pipe.close()
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitpid(pid, 0)[1]
+
+
+def _battery(tup, spec, words, tested, dirs, k, n, tol):
+    """Verdicts of the words at ``tested``, by index, over contiguous shares.
+
+    Shares after the first go to forked processes (see :func:`_share_count`)
+    while this process solves the first; each child's spectra become
+    verdicts here.  A share whose child cannot start, fails or sends short
+    data is solved here instead, so the result, or the exception, is the
+    serial one.  No child outlives the call.
+    """
+    shares = np.array_split(tested, _share_count(len(tested), tol.lines, tup.dim))
+    children = {}
+    try:
+        for i, rows in enumerate(shares[1:], 1):
+            if len(rows):
+                _fork_share(children, i, tup, spec, words, rows, dirs, tol)
+        verdicts = {}
+        for i, rows in enumerate(shares):
+            pairs = None
+            if i in children:
+                pairs = _read_share(children[i][1], rows, k, n, tol, tup.dim)
+                if _reap(children.pop(i)):
+                    pairs = None
+            if pairs is None:
+                pairs = [
+                    pair
+                    for part, lams in _share_spectra(tup, spec, words, rows, dirs, tol)
+                    for pair in zip(part.tolist(), _verdicts(lams, k, n, tol))
+                ]
+            verdicts.update(pairs)
+        return verdicts
+    finally:
+        for child in children.values():
+            _reap(child, kill=True)
+
 
 def analyze(
     tup: HermitianTuple,
@@ -404,16 +589,7 @@ def analyze(
 
     twins = adjoint_twins(words)
     tested = np.array([i for i in range(len(words)) if i not in twins])
-    realized = _BlockWords(shifted, spec, words)
-    verdicts = {}
-    # the battery's largest array, filled in place a slice of words at a time
-    pencils = np.empty((min(_WORD_SLICE, len(tested)), 3, tup.dim, tup.dim), dtype=complex)
-    pencils[:, 0] = shifted.matrices[0]
-    for start in range(0, len(tested), _WORD_SLICE):
-        rows = tested[start : start + _WORD_SLICE]
-        stack = pencils[: len(rows)]
-        hermitian_parts(realized.matrices(rows), out=stack[:, 1:].swapaxes(0, 1))
-        verdicts.update(zip(rows.tolist(), kth_power_batch(stack, k, n, word_dirs[rows], tol=tol)))
+    verdicts = _battery(shifted, spec, words, tested, word_dirs, k, n, tol)
     word_results = tuple((w, verdicts[twins.get(i, i)]) for i, w in enumerate(words))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing

@@ -56,12 +56,12 @@ class ZeroCoefficientOnCycle(SpectralError):
 
 
 def _as_generator_stack(mats):
-    arrs = [np.asarray(a, dtype=np.complex128) for a in mats]
-    dim = arrs[0].shape[0]
-    for a in arrs:
-        if a.shape != (dim, dim):
-            raise ValueError("all pencil generators must be square and equal-sized")
-    return np.stack(arrs), dim
+    """The generators stacked as ``(m, N, N)``, and N; none, generators of
+    unequal shapes and non-square ones raise :class:`ValueError`."""
+    gen = np.stack([np.asarray(a, dtype=np.complex128) for a in mats])
+    if gen.ndim != 3 or gen.shape[1] != gen.shape[2]:
+        raise ValueError("all pencil generators must be square and equal-sized")
+    return gen, gen.shape[1]
 
 
 @dataclass(frozen=True)

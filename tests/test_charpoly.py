@@ -232,6 +232,20 @@ class TestKthPowerTest:
         with pytest.raises(ValueError, match=message):
             kth_power_test(mats, 1, 1)
 
+    @pytest.mark.parametrize("route", [
+        lambda mats: pencil_charpoly(mats),
+        lambda mats: restrict_pencil_to_line(mats, [], [1.0]),
+        lambda mats: branch_derivative(mats, eigendecompose_clustered(diag(1, 1, 2, 2)), 0),
+    ], ids=["pencil_charpoly", "restrict_pencil_to_line", "branch_derivative"])
+    @pytest.mark.parametrize("mats, message", [
+        ([], "at least one array"),
+        ([diag(1, 2), diag(1, 2, 3)], "same shape"),
+        ([np.ones((2, 3)), np.ones((2, 3))], "square and equal-sized"),
+    ], ids=["empty", "unequal", "non-square"])
+    def test_reference_routes_reject_malformed_generators(self, route, mats, message):
+        with pytest.raises(ValueError, match=message):
+            route(mats)
+
     def test_needs_four_lines(self):
         from pencilspec.config import Tolerances
         with pytest.raises(ValueError):
