@@ -28,10 +28,11 @@ slice at a time.  A word whose adjoint comes earlier in the enumeration
 shares that word's verdict instead of being tested (see
 :func:`adjoint_twins`).  On Linux, a large battery's tested words are cut
 into contiguous shares, as many as repay their forks and one per usable
-CPU at most (see :func:`_share_count`); forked processes compute the line
-spectra of all shares but the first and send them back, and the calling
-process turns every share's spectra into verdicts.  The CPU count changes
-only the speed: verdicts and reports are the same.
+CPU at most (see :func:`_share_count`).  The word table is built once,
+before any fork; forked processes write the line spectra of all shares but
+the first into one anonymous shared mapping, and the calling process turns
+every share's spectra into verdicts.  The CPU count changes only the speed:
+verdicts and reports are the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -42,6 +43,7 @@ size.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
 import threading
@@ -204,67 +206,57 @@ class _BlockWords:
     previous ones times the k x k blocks ``U_j* A_s U_i``: one batched
     product per level.  ``words`` must be an :func:`enumerate_words` list
     (levels ascending; per level, projection tuples in order, each with all
-    its letter tuples in order, only the last one possibly cut short).
-    ``matrices`` must be asked for word indices in ascending order across
-    calls, so only the current level's prefixes are kept, next to the ones
-    they are built from.
+    its letter tuples in order, only the last one possibly cut short).  The
+    prefixes of every level are built here, so :meth:`matrices` takes word
+    indices in any order.
     """
 
     def __init__(self, tup: HermitianTuple, spec: SpectralData, words):
         dim, n = tup.dim, spec.n
         u = spec.basis.reshape(dim, n, dim // n).transpose(1, 0, 2)  # U_j, (n, N, k)
         self.gens = np.stack(tup.matrices[1:])                       # A_s, s = 2..m
-        self.letters = len(self.gens)
-        self.left = self.gens[:, None] @ u                           # A_s U_j
-        self.right = self.left.conj().swapaxes(-1, -2)               # U_j* A_s
-        self.blocks = self.right[:, :, None] @ u                     # [s, j, i]: U_j* A_s U_i
-        self.words = words
+        self.letters = letters = len(self.gens)
+        left = self.gens[:, None] @ u                                # A_s U_j
+        self.right = left.conj().swapaxes(-1, -2)                    # U_j* A_s
+        blocks = self.right[:, :, None] @ u                          # [s, j, i]: U_j* A_s U_i
         self.starts = np.searchsorted([w.r for w in words], np.arange(n + 1))
-        self.level = 0
-        self.prefixes = self.last = self.ranks = None
-
-    def _advance(self, level):
-        """Build the prefixes of every level up to ``level``, dropping older ones.
-
-        Prefix f of level r has projection tuple ``f // letters**r`` and, as
-        index ``f % letters**r``, the word's letters but the last; so word t
-        of the level is prefix ``t // letters`` times ``U_jr* A_s`` for its
-        last letter ``s = t % letters``.
-        """
-        letters = self.letters
-        while self.level < level:
-            self.level += 1
-            start, stop = self.starts[self.level], self.starts[self.level + 1]
-            per = letters**self.level
-            tuples = [self.words[i].projections for i in range(start, stop, per * letters)]
-            f = np.arange(-(-(stop - start) // letters))
+        # Prefix f of level r has projection tuple f // letters**r and, as
+        # index f % letters**r, the word's letters but the last; so word t of
+        # the level is prefix t // letters times U_jr* A_s, s = t % letters.
+        # The prefixes of levels 1, 2, ... are stacked in that order, level r
+        # from self.first[r] on, each with its last projection in self.last.
+        counts = -(-np.diff(self.starts[1:]) // letters)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        self.first = np.concatenate([[0], bounds[:-1]])
+        self.prefixes = np.empty((bounds[-1], dim, dim // n), dtype=complex)
+        self.last = np.empty(bounds[-1], dtype=int)
+        ranks = {}
+        for level in range(1, n):
+            a, b, per = bounds[level - 1], bounds[level], letters**level
+            tuples = [words[i].projections
+                      for i in range(self.starts[level], self.starts[level + 1], per * letters)]
+            f = np.arange(b - a)
             q, s = f // per, f % letters
-            j_new = np.array([p[-1] - 1 for p in tuples])
-            if self.level == 1:
-                prefixes = self.left[s, j_new[q]]
+            j_new = self.last[a:b] = np.array([p[-1] - 1 for p in tuples], dtype=int)[q]
+            if level == 1:
+                self.prefixes[a:b] = left[s, j_new]
             else:
-                parent = np.array([self.ranks[p[:-1]] for p in tuples])[q] * (per // letters)
-                j_old = np.array([p[-2] - 1 for p in tuples])[q]
-                prefixes = self.prefixes[parent + f % per // letters] @ self.blocks[
-                    s, j_old, j_new[q]
-                ]
-            self.prefixes, self.last = prefixes, j_new
-            self.ranks = {p: a for a, p in enumerate(tuples)}
+                parent = np.array([ranks[p[:-1]] for p in tuples], dtype=int)[q] * (per // letters)
+                j_old = np.array([p[-2] - 1 for p in tuples], dtype=int)[q]
+                np.matmul(self.prefixes[bounds[level - 2] + parent + f % per // letters],
+                          blocks[s, j_old, j_new], out=self.prefixes[a:b])
+            ranks = {p: i for i, p in enumerate(tuples)}
 
     def matrices(self, indices) -> np.ndarray:
         """The realized words at ``indices``, stacked as ``(len, N, N)``."""
-        indices = np.asarray(indices)
+        indices = np.asarray(indices, dtype=int)
         out = np.empty((len(indices),) + self.gens.shape[1:], dtype=complex)
         levels = np.searchsorted(self.starts, indices, side="right") - 1
-        for level in sorted(set(levels.tolist())):
-            rows = np.flatnonzero(levels == level)
-            t = indices[rows] - self.starts[level]
-            if level == 0:
-                out[rows] = self.gens[t]
-                continue
-            self._advance(level)
-            j = self.last[t // self.letters ** (level + 1)]
-            out[rows] = self.prefixes[t // self.letters] @ self.right[t % self.letters, j]
+        t = indices - self.starts[levels]
+        top = levels > 0
+        out[~top] = self.gens[t[~top]]
+        f = self.first[levels[top]] + t[top] // self.letters
+        out[top] = self.prefixes[f] @ self.right[t[top] % self.letters, self.last[f]]
         return out
 
 
@@ -361,12 +353,12 @@ _WORD_SLICE = 128
 
 # Solve work, in tested words * lines * N^3, that one forked share costs
 # the calling process: fork, _exit and waitpid take 1.1-1.6 ms, about 2 ms
-# in all with the pipe and the copy-on-write faults (2-vCPU VM, OpenBLAS),
-# and one unit is 4.5 ns of eigvalsh at N = 12 and 8 ns at N = 8.  Measured
-# there, a battery of 850k units breaks even over two shares, which puts a
-# fork at half of it, and one of 1040k (N = 8) saves 1.6 ms of 10 ms.  A
-# split battery's largest proof_core pencils (15 words at N = 16, 492k
-# units) stay in one process.
+# in all with the copy-on-write faults and the spectra's return (measured
+# with a pipe; 2-vCPU VM, OpenBLAS), and one unit is 4.5 ns of eigvalsh at
+# N = 12 and 8 ns at N = 8.  Measured there, a battery of 850k units breaks
+# even over two shares, which puts a fork at half of it, and one of 1040k
+# (N = 8) saves 1.6 ms of 10 ms.  A split battery's largest proof_core
+# pencils (15 words at N = 16, 492k units) stay in one process.
 _FORK_COST = 425_000
 
 # The cgroup CPU quota of this process's container, as (quota, period)
@@ -419,12 +411,11 @@ def _share_count(words: int, lines: int, dim: int) -> int:
     return min(shares, _usable_cpus()) if shares > 1 else 1
 
 
-def _share_spectra(tup, spec, words, rows, dirs, tol):
-    """The line spectra of the words at ``rows`` (ascending indices into
-    ``words``), as ``(slice rows, spectra (len, lines, N))`` per slice of
-    ``_WORD_SLICE`` words.  Every share of the battery, forked or not, is
-    solved here."""
-    realized = _BlockWords(tup, spec, words)
+def _share_spectra(tup, realized, rows, dirs, tol):
+    """The line spectra of the words at ``rows`` (ascending indices into the
+    battery's words, realized by ``realized``), as ``(slice rows, spectra
+    (len, lines, N))`` per slice of ``_WORD_SLICE`` words.  Every share of
+    the battery, forked or not, is solved here."""
     # the battery's largest array, filled in place a slice of words at a time
     pencils = np.empty((min(_WORD_SLICE, len(rows)), 3, tup.dim, tup.dim), dtype=complex)
     pencils[:, 0] = tup.matrices[0]
@@ -435,15 +426,12 @@ def _share_spectra(tup, spec, words, rows, dirs, tol):
         yield part, _spectra(stack, dirs[part], tol)
 
 
-def _fork_share(children, i, tup, spec, words, rows, dirs, tol):
-    """Fork a process that solves the share ``rows``, writes its spectra's
-    float64 bytes to a pipe and exits, and record it as ``children[i] =
-    (pid, pipe)``; nothing is recorded when the pipe or the fork fails."""
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return
-    pipe = open(read, "rb", buffering=0)
+def _fork_share(children, i, out, done, share):
+    """Fork a process that writes the spectra ``_share_spectra(*share)``
+    into ``out``, a slice at a time, then the number of rows it wrote into
+    ``done[i]``, and exits; both live in a mapping shared with this process.
+    Record it as ``children[i] = pid``; nothing is recorded when the fork
+    fails."""
     # Ctrl-C sends SIGINT to the whole process group.  The child keeps it
     # blocked, so that it leaves only through os._exit and never unwinds its
     # copy of the caller's stack; this process records the child at once.
@@ -452,80 +440,67 @@ def _fork_share(children, i, tup, spec, words, rows, dirs, tol):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
             pid = os.fork()
-            if pid == 0:
-                try:
-                    pipe.close()
-                    # the whole share first: written slice by slice, the pipe
-                    # would fill and stall this process while the parent
-                    # solves its own
-                    spectra = np.concatenate(
-                        [lams for _, lams in _share_spectra(tup, spec, words, rows, dirs, tol)]
-                    )
-                    with open(write, "wb") as out:
-                        out.write(spectra.data.cast("B"))
-                    os._exit(0)
-                finally:  # reached only when the share fails
-                    os._exit(1)
-            children[i] = pid, pipe
+        if pid == 0:
+            try:
+                written = 0
+                for part, lams in _share_spectra(*share):
+                    out[written : written + len(part)] = lams
+                    written += len(part)
+                done[i] = written
+                os._exit(0)
+            finally:  # reached only when the share fails
+                os._exit(1)
+        children[i] = pid
     except OSError:
-        pipe.close()
+        pass
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.close(write)
-
-
-def _read_share(pipe, rows, k, n, tol, dim):
-    """Verdicts ``(row, verdict)`` of a forked share; ``None`` when its
-    spectra stop short."""
-    data = pipe.read()
-    if len(data) != len(rows) * tol.lines * dim * 8:
-        return None
-    lams = np.frombuffer(data).reshape(len(rows), tol.lines, dim)
-    return list(zip(rows.tolist(), _verdicts(lams, k, n, tol)))
-
-
-def _reap(child, kill=False):
-    """Close a forked share's pipe and wait for it; returns its wait status."""
-    pid, pipe = child
-    pipe.close()
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    return os.waitpid(pid, 0)[1]
 
 
 def _battery(tup, spec, words, tested, dirs, k, n, tol):
     """Verdicts of the words at ``tested``, by index, over contiguous shares.
 
-    Shares after the first go to forked processes (see :func:`_share_count`)
-    while this process solves the first; each child's spectra become
-    verdicts here.  A share whose child cannot start, fails or sends short
-    data is solved here instead, so the result, or the exception, is the
-    serial one.  No child outlives the call.
+    The word table is built once, before any fork.  Shares after the first
+    go to forked processes (see :func:`_share_count`) while this process
+    solves the first; each child writes its share's spectra into one
+    anonymous shared mapping, then marks the share complete, and the spectra
+    become verdicts here.  A share whose child cannot start, fails or leaves
+    its share incomplete is solved here instead, so the result, or the
+    exception, is the serial one.  No child outlives the call.
     """
     shares = np.array_split(tested, _share_count(len(tested), tol.lines, tup.dim))
+    realized = _BlockWords(tup, spec, words)
     children = {}
+    if len(shares) > 1:
+        try:
+            mapping = mmap.mmap(-1, 8 * (len(shares) + len(tested) * tol.lines * tup.dim))
+        except OSError:
+            shares = [tested]
+        else:
+            # a row count per share, then the spectra of every tested word;
+            # the rows of share 0 are never written
+            done = np.frombuffer(mapping, np.int64, len(shares))
+            spectra = np.frombuffer(mapping, offset=done.nbytes).reshape(-1, tol.lines, tup.dim)
+            outs = np.split(spectra, np.cumsum([len(rows) for rows in shares[:-1]]))
     try:
         for i, rows in enumerate(shares[1:], 1):
             if len(rows):
-                _fork_share(children, i, tup, spec, words, rows, dirs, tol)
+                _fork_share(children, i, outs[i], done, (tup, realized, rows, dirs, tol))
         verdicts = {}
         for i, rows in enumerate(shares):
-            pairs = None
             if i in children:
-                pairs = _read_share(children[i][1], rows, k, n, tol, tup.dim)
-                if _reap(children.pop(i)):
-                    pairs = None
-            if pairs is None:
-                pairs = [
-                    pair
-                    for part, lams in _share_spectra(tup, spec, words, rows, dirs, tol)
-                    for pair in zip(part.tolist(), _verdicts(lams, k, n, tol))
-                ]
-            verdicts.update(pairs)
+                status = os.waitpid(children[i], 0)[1]
+                del children[i]
+                if status == 0 and done[i] == len(rows):
+                    verdicts.update(zip(rows.tolist(), _verdicts(outs[i], k, n, tol)))
+                    continue
+            for part, lams in _share_spectra(tup, realized, rows, dirs, tol):
+                verdicts.update(zip(part.tolist(), _verdicts(lams, k, n, tol)))
         return verdicts
     finally:
-        for child in children.values():
-            _reap(child, kill=True)
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def analyze(

@@ -64,7 +64,6 @@ class BlockStructure:
 
     n: int
     k: int
-    m: int
     u: dict
     pairs: frozenset
 
@@ -193,7 +192,7 @@ def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
             u[(i, j)] = u_shared
             u[(j, i)] = u_shared.conj().T
 
-    return BlockStructure(n=n, k=k, m=nlayers + 1, u=u, pairs=frozenset(u))
+    return BlockStructure(n=n, k=k, u=u, pairs=frozenset(u))
 
 
 def _spanning_forest(bs: BlockStructure, tol: Tolerances):

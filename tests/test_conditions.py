@@ -212,6 +212,24 @@ class TestBlockWords:
         for i, w in zip(rows, got):
             assert np.max(np.abs(w - realize_word(prep.tup, prep.spec, words[i]))) <= 1e-13
 
+    @pytest.mark.parametrize("shape, mode, cap", CASES)
+    def test_any_order_and_repeats(self, shape, mode, cap):
+        # every level's prefixes are built up front: a forked share asks
+        # for its words first, and nothing ties a call to the one before
+        from pencilspec.conditions import _BlockWords
+
+        n, k, m = shape
+        prep = prepare_tuple(gen_decomposable(n, k, m, seed=4)[0], k)
+        tol = Tolerances(word_cap=cap) if cap else Tolerances()
+        words, _ = enumerate_words(n, m, mode=mode, tol=tol)
+        realized = _BlockWords(prep.tup, prep.spec, words)
+        rng = np.random.default_rng(5)
+        rows = np.concatenate([rng.permutation(len(words)), rng.integers(len(words), size=9)])
+        for part in (rows[: len(rows) // 2], rows, rows[::-1]):
+            for i, w in zip(part.tolist(), realized.matrices(part)):
+                ref = realize_word(prep.tup, prep.spec, words[i])
+                assert np.max(np.abs(w - ref)) <= 1e-13, words[i]
+
 
 
 class TestAnalyzeDraws:

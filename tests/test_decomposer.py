@@ -75,7 +75,7 @@ def manual_structure(n, edges, k=2):
     u = {}
     for (i, j), uij in edges.items():
         u[(i, j)], u[(j, i)] = uij, uij.conj().T
-    return BlockStructure(n=n, k=k, m=2, u=u, pairs=frozenset(u))
+    return BlockStructure(n=n, k=k, u=u, pairs=frozenset(u))
 
 
 def consistent_structure(n, edges, k=2):
@@ -146,7 +146,7 @@ class TestUnifyLayers:
     def test_two_generators_passthrough(self):
         tup, _ = gen_decomposable(2, 2, 2, seed=11)
         bs, blocks = structure_of(tup)
-        assert bs.m == 2 and bs.n == 2 and bs.k == 2
+        assert len(blocks) == 1 and bs.n == 2 and bs.k == 2
         for (i, j) in bs.pairs:
             li = donor(blocks, i, j)
             c = block_scalar(bs, blocks, li, i, j)
@@ -157,7 +157,7 @@ class TestUnifyLayers:
         tup, _ = gen_decomposable(2, 2, 3, seed=13)
         bs, blocks = structure_of(tup)
         for (i, j) in bs.pairs:
-            for li in range(bs.m - 1):
+            for li in range(len(blocks)):
                 c = block_scalar(bs, blocks, li, i, j)
                 resid = np.linalg.norm(blocks[li, i, j] - c * bs.u[(i, j)])
                 assert resid <= 1e-6

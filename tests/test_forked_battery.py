@@ -6,10 +6,12 @@ shares run in forked processes or in one, and no forked process outlives
 import errno
 import itertools
 import json
+import mmap
 import os
 import re
 import signal
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -218,8 +220,8 @@ def solve_in_child(monkeypatch, in_child):
     parent, share_spectra = os.getpid(), conditions._share_spectra
     solved = []
 
-    def patched(tup, spec, words, rows, dirs, tol):
-        slices = share_spectra(tup, spec, words, rows, dirs, tol)
+    def patched(tup, realized, rows, dirs, tol):
+        slices = share_spectra(tup, realized, rows, dirs, tol)
         if os.getpid() != parent:
             return in_child(slices)
         solved.extend(rows.tolist())
@@ -237,11 +239,17 @@ def child_exits_three(slices):
     os._exit(3)
 
 
-def child_sends_one_slice(slices):
+def child_writes_one_slice(slices):
+    # it exits 0, but its row count says the share is incomplete
     return itertools.islice(slices, 1)
 
 
-@pytest.mark.parametrize("in_child", [child_raises, child_exits_three, child_sends_one_slice],
+def child_blocks(slices):
+    time.sleep(60)  # killed long before
+    return slices
+
+
+@pytest.mark.parametrize("in_child", [child_raises, child_exits_three, child_writes_one_slice],
                          ids=["raises", "exits-non-zero", "short-data"])
 def test_failed_child_share_is_solved_here(monkeypatch, forks, negative, in_child):
     tup, serial = negative
@@ -283,10 +291,10 @@ def test_child_share_error_is_the_serial_error(monkeypatch, forks, negative):
     last = rows_tested(serial)[-1]
     share_spectra = conditions._share_spectra
 
-    def failing(tup, spec, words, rows, dirs, tol):
+    def failing(tup, realized, rows, dirs, tol):
         if last in rows:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return share_spectra(tup, spec, words, rows, dirs, tol)
+        return share_spectra(tup, realized, rows, dirs, tol)
 
     monkeypatch.setattr(conditions, "_share_spectra", failing)
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
@@ -297,43 +305,47 @@ def test_child_share_error_is_the_serial_error(monkeypatch, forks, negative):
         analyze(tup, 2)
 
 
-@pytest.mark.parametrize("call", ["fork", "pipe"])
-def test_fork_failure_falls_back_to_serial(monkeypatch, negative, call):
+@pytest.mark.parametrize("module, call", [(os, "fork"), (mmap, "mmap")], ids=["fork", "mmap"])
+def test_fork_failure_falls_back_to_serial(monkeypatch, forks, negative, module, call):
     tup, serial = negative
 
-    def failing():
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    def failing(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
-    monkeypatch.setattr(os, call, failing)
+    monkeypatch.setattr(module, call, failing)
     fds = os.listdir("/proc/self/fd")
     assert analyze(tup, 2) == serial
     assert os.listdir("/proc/self/fd") == fds
+    assert not forks
 
 
-@pytest.mark.parametrize("target", ["_verdicts", "_read_share"],
+@pytest.mark.parametrize("target", ["_verdicts", "waitpid"],
                          ids=["own-share", "before-reading-child"])
 def test_parent_error_kills_and_reaps_the_child(monkeypatch, forks, target):
     """The parent fails in the first verdicts of its own share, or as it
-    starts to read the child's."""
+    starts to wait for the child's, while the child still solves its share."""
     tup = gen_decomposable(6, 2, 2, seed=7)[0]
     use_cpus(monkeypatch, 2)
+    solve_in_child(monkeypatch, child_blocks)
+    waitpid, statuses, interrupted = os.waitpid, [], []
 
     def failing(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(conditions, target, failing)
-    waitpid, statuses = os.waitpid, []
-
     def recording_waitpid(pid, options):
+        if target == "waitpid" and not interrupted:
+            interrupted.append(pid)
+            failing()
         statuses.append(waitpid(pid, options)[1])
         return pid, statuses[-1]
 
+    if target == "_verdicts":
+        monkeypatch.setattr(conditions, target, failing)
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
     with pytest.raises(KeyboardInterrupt):
         analyze(tup, 2)
     monkeypatch.setattr(os, "waitpid", waitpid)
     assert len(forks) == 1
-    # killed, not left to finish: its 239 KB of spectra do not fit a pipe
     assert [os.WIFSIGNALED(s) and os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
 
 
