@@ -116,35 +116,37 @@ def _spectra(gens, dirs, tol):
 
 def _verdicts(lams, k, n, tol):
     """Power-test verdicts from the line spectra of a stack of pencils."""
-    p_count, lines = lams.shape[:2]
-    # The eigenvalues come sorted, so single linkage at ctol splits each row
-    # where a gap exceeds ctol: clusters are runs, their spread the run's range.
-    ctol = tol.cluster_rel * (1.0 + np.maximum(-lams[..., 0], lams[..., -1]))
-    cut = np.diff(lams, axis=-1) > ctol[..., None]
-    edge = np.ones(cut.shape[:-1] + (1,), dtype=bool)
-    first = np.flatnonzero(np.concatenate([edge, cut], axis=-1))
-    last = np.flatnonzero(np.concatenate([cut, edge], axis=-1))
-    # rows are (pencil, line) pairs; starts[r] is row r's first cluster
-    counts = cut.sum(axis=-1).ravel() + 1
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    sizes = last - first + 1
-    odd = np.logical_or.reduceat(sizes % k != 0, starts[:-1])
-    spreads = np.maximum.reduceat(lams.ravel()[last] - lams.ravel()[first], starts[:-1])
-    line_ok = (~odd & (spreads <= ctol.ravel())).reshape(p_count, lines)
-    # n clusters with sizes divisible by k are n clusters of size k: those
-    # rows share one profile, and only the others slice theirs out
-    profiles = [(k,) * n] * len(counts)
-    for r in np.flatnonzero(odd | (counts != n)).tolist():
-        profiles[r] = tuple(sizes[starts[r] : starts[r + 1]].tolist())
-    records = list(zip(profiles, spreads.tolist()))
-
-    verdicts = []
-    rows = zip(line_ok.all(axis=1).tolist(), np.argmin(line_ok, axis=1).tolist(),
-               spreads.reshape(p_count, lines).tolist())
-    for p, (ok, bad, row) in enumerate(rows):
-        rec = tuple(records[p * lines : (p + 1) * lines])
-        reason = "" if ok else f"line {bad}: cluster sizes {rec[bad][0]}, spread {row[bad]:.3e}"
-        verdicts.append(KPowerVerdict(ok, k, n, rec, max(row), reason, None if ok else bad))
+    p_count, lines, dim = lams.shape
+    # Column r of ``spectra`` is row r = (pencil, line); its eigenvalues come
+    # sorted, so single linkage at ctol cuts it where a gap exceeds ctol:
+    # clusters are runs, their spread the run's range.
+    spectra = np.ascontiguousarray(lams.reshape(-1, dim).T)
+    ctol = tol.cluster_rel * (1.0 + np.maximum(-spectra[0], spectra[-1]))
+    cut = spectra[1:] - spectra[:-1] > ctol
+    odd = cut[np.arange(1, dim) % k != 0].any(axis=0)
+    # start[i] becomes the first eigenvalue of eigenvalue i + 1's cluster
+    start = np.where(cut, spectra[1:], -np.inf)
+    prev = spectra[0]
+    for row in start:
+        prev = np.maximum(prev, row, out=row)
+    spreads = (spectra[1:] - start).max(axis=0, initial=0.0)
+    line_ok = (~odd & (spreads <= ctol)).reshape(p_count, lines)
+    # rows cut after every k-th eigenvalue and nowhere else have n clusters of
+    # size k: they share one profile, and only the others build theirs
+    profiles = [(k,) * n] * len(spreads)
+    for r in np.flatnonzero(odd | ~cut[k - 1 :: k].all(axis=0)).tolist():
+        profiles[r] = tuple(np.diff(np.flatnonzero(np.r_[True, cut[:, r], True])).tolist())
+    # one pass over the pencils, past the frozen dataclass's __init__
+    verdicts, new = [], object.__new__
+    rows = zip(line_ok.all(axis=1).tolist(), line_ok.argmin(axis=1).tolist(),
+               spreads.reshape(p_count, lines).max(axis=1).tolist(),
+               zip(*[zip(profiles, spreads.tolist())] * lines))
+    for ok, bad, worst, rec in rows:
+        reason = "" if ok else "line {}: cluster sizes {}, spread {:.3e}".format(bad, *rec[bad])
+        verdict = new(KPowerVerdict)
+        verdict.__dict__.update(is_kth_power=ok, k=k, n=n, per_line_clusters=rec, worst_spread=worst,
+                                failure_reason=reason, failing_line=None if ok else bad)
+        verdicts.append(verdict)
     return verdicts
 
 

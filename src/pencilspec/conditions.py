@@ -49,7 +49,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -107,14 +107,6 @@ class WordSpec:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "projections", projections)
 
-    @classmethod
-    def _valid(cls, letters, projections):
-        """The word of int tuples already known to be valid labels, built
-        without :meth:`__post_init__` re-converting and re-checking them."""
-        word = object.__new__(cls)
-        word.__dict__.update(letters=letters, projections=projections)
-        return word
-
     @property
     def r(self) -> int:
         return len(self.projections)
@@ -149,15 +141,17 @@ def enumerate_words(n: int, m: int, mode: str = "all", tol: Tolerances = DEFAULT
     if mode not in ("all", "proof_core"):
         raise ValueError(f"unknown mode {mode!r}")
     arrange = permutations if mode == "all" else combinations
-    words = []
-    for r in range(n):
-        letter_tuples = list(product(range(2, m + 1), repeat=r + 1))
-        for projections in arrange(range(1, n + 1), r):
-            for letters in letter_tuples:
-                if len(words) >= tol.word_cap:
-                    return words, True
-                words.append(WordSpec._valid(letters, projections))
-    return words, False
+    pairs = chain.from_iterable(
+        product(arrange(range(1, n + 1), r), product(range(2, m + 1), repeat=r + 1))
+        for r in range(n)
+    )
+    # valid labels by construction: one pass, past the frozen dataclass's __init__
+    words, new, put = [], object.__new__, object.__setattr__
+    for projections, letters in islice(pairs, tol.word_cap):
+        put(word := new(WordSpec), "letters", letters)
+        put(word, "projections", projections)
+        words.append(word)
+    return words, next(pairs, None) is not None
 
 
 def hermitian_parts(w, out=None) -> np.ndarray:
@@ -351,14 +345,15 @@ class ConditionReport:
 # depend on it, and it bounds the stack at 128 * 3 * N^2 complex entries.
 _WORD_SLICE = 128
 
-# Solve work, in tested words * lines * N^3, that one forked share costs
-# the calling process: fork, _exit and waitpid take 1.1-1.6 ms, about 2 ms
-# in all with the copy-on-write faults and the spectra's return (measured
-# with a pipe; 2-vCPU VM, OpenBLAS), and one unit is 4.5 ns of eigvalsh at
-# N = 12 and 8 ns at N = 8.  Measured there, a battery of 850k units breaks
-# even over two shares, which puts a fork at half of it, and one of 1040k
-# (N = 8) saves 1.6 ms of 10 ms.  A split battery's largest proof_core
-# pencils (15 words at N = 16, 492k units) stay in one process.
+# Solve work, in tested words * lines * N^3, that one forked share costs the
+# calling process.  With the shared mapping, os.fork takes 0.35-0.39 ms there
+# and copy-on-write faults the most, 2.4 ms at (6,2,2), fewer in a smaller
+# battery (ROADMAP.md, north star 1).  A unit is 4.5 ns of eigvalsh at N = 12
+# and 8 ns at N = 8.  Against one process, two shares cost 1.1 ms more at 204k
+# units (N = 9) and saved 0.4 ms of 5.7 at 848k (N = 10), 2.0 of 9.3 at 1040k
+# (N = 8): a fork costs about 1.9 ms, 425k units at N = 12 (2-vCPU VM, 40 runs,
+# median).  A split battery's largest proof_core pencils (15 words at N = 16,
+# 492k units) stay in one process.
 _FORK_COST = 425_000
 
 # The cgroup CPU quota of this process's container, as (quota, period)
@@ -526,9 +521,7 @@ def analyze(
             overall="precondition_violated",
             precondition_ok=precondition_ok,
             admissible_ok=admissible_ok,
-            full_tuple=None,
-            word_results=(),
-            failing_words=(),
+            full_tuple=None, word_results=(), failing_words=(),
             n=tup.dim // k if tup.dim % k == 0 else 0,
             k=k,
             mode=mode,
@@ -558,14 +551,14 @@ def analyze(
     full_dirs = _draw_directions(master, tol.lines, tup.m)
     word_dirs = _draw_directions(master, tol.lines, 3, pencils=len(words))
 
-    full_verdict = kth_power_batch(
-        np.stack(shifted.matrices)[None], k, n, full_dirs[None], tol=tol
-    )[0]
+    full_verdict = kth_power_batch(np.stack(shifted.matrices)[None], k, n, full_dirs[None], tol=tol)[0]
 
     twins = adjoint_twins(words)
-    tested = np.array([i for i in range(len(words)) if i not in twins])
+    source = np.arange(len(words))  # the word whose verdict each word takes
+    source[list(twins)] = list(twins.values())
+    tested = np.flatnonzero(source == np.arange(len(words)))
     verdicts = _battery(shifted, spec, words, tested, word_dirs, k, n, tol)
-    word_results = tuple((w, verdicts[twins.get(i, i)]) for i, w in enumerate(words))
+    word_results = tuple(zip(words, map(verdicts.__getitem__, source.tolist())))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing
     return ConditionReport(

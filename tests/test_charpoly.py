@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,6 +309,135 @@ def reference_verdict(mats, k, n, seed, lines=8):
             failing = li
             reason = f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"
     return KPowerVerdict(failing is None, k, n, tuple(records), worst, reason, failing)
+
+
+def verdicts_by_init(lams, k, n):
+    """The verdicts of line spectra ``(P, lines, N)`` through
+    ``KPowerVerdict(...)``, one line at a time in Python floats: the
+    reference of ``charpoly._verdicts``, which skips the dataclass's
+    ``__init__``."""
+    from pencilspec.charpoly import KPowerVerdict
+
+    verdicts = []
+    for rows in lams.tolist():
+        records, reason, failing = [], "", None
+        for li, lam in enumerate(rows):
+            ctol = DEFAULT.cluster_rel * (1.0 + max(-lam[0], lam[-1]))
+            runs = [[lam[0]]]
+            for lo, hi in zip(lam, lam[1:]):
+                if hi - lo > ctol:
+                    runs.append([hi])
+                else:
+                    runs[-1].append(hi)
+            sizes = tuple(len(r) for r in runs)
+            spread = max(r[-1] - r[0] for r in runs)
+            records.append((sizes, spread))
+            if failing is None and not (all(s % k == 0 for s in sizes) and spread <= ctol):
+                failing, reason = li, f"line {li}: cluster sizes {sizes}, spread {spread:.3e}"
+        worst = max(spread for _, spread in records)
+        verdicts.append(KPowerVerdict(failing is None, k, n, tuple(records), worst, reason, failing))
+    return verdicts
+
+
+class TestVerdicts:
+    """``_verdicts`` builds its verdicts without ``KPowerVerdict.__init__``;
+    they must equal, field by field and in type, the ones it builds.  A
+    word's ``failure_reason`` appears in no report, so only this catches a
+    wrong one."""
+
+    @staticmethod
+    def battery_spectra(monkeypatch, tup, k):
+        """The line spectra that ``analyze`` turns into word verdicts."""
+        from pencilspec import conditions
+
+        seen, verdicts = [], conditions._verdicts
+
+        def recording(lams, *args):
+            seen.append(np.array(lams))
+            return verdicts(lams, *args)
+
+        monkeypatch.setattr(conditions, "_verdicts", recording)
+        conditions.analyze(tup, k)
+        return np.concatenate(seen)
+
+    @staticmethod
+    def synthetic_spectra(k, n, rng, pencils=32, lines=8):
+        """Sorted spectra whose pencils cycle through four kinds of lines: n
+        clusters of size k, clusters merged into multiples of k, clusters of
+        any sizes, and n clusters of size k spread over 3 cluster tolerances
+        (the others stay within 0.3 of one).  Pencil p takes its kind from
+        line p % lines on, n clusters of size k before it."""
+
+        def composition(total):
+            cuts = rng.choice(np.arange(1, total), rng.integers(0, total), replace=False)
+            return np.diff([0, *sorted(cuts), total])
+
+        dim = n * k
+        out = np.empty((pencils, lines, dim))
+        for p, row in itertools.product(range(pencils), range(lines)):
+            kind = "rmow"[p % 4] if row >= p % lines else "r"
+            sizes = {"m": k * composition(n), "o": composition(dim)}.get(kind, [k] * n)
+            centers = np.cumsum(rng.uniform(0.2, 1.0, len(sizes))) - 2.0
+            ctol = DEFAULT.cluster_rel * (1.0 + np.max(np.abs(centers)))
+            width = (3.0 if kind == "w" else 0.3) * ctol
+            out[p, row] = np.sort(np.repeat(centers, sizes) + rng.uniform(0, width, dim))
+        return out
+
+    def assert_equal_to_init(self, lams, k, n):
+        from pencilspec.charpoly import _verdicts
+
+        got, want = _verdicts(lams, k, n, DEFAULT), verdicts_by_init(lams, k, n)
+        assert got == want
+        for g, w in zip(got, want):
+            assert hash(g) == hash(w)
+            assert type(g.is_kth_power) is bool and type(g.k) is int and type(g.n) is int
+            assert type(g.worst_spread) is float and type(g.failure_reason) is str
+            assert g.failing_line is None or type(g.failing_line) is int
+            assert type(g.per_line_clusters) is tuple
+            for record in g.per_line_clusters:
+                assert type(record) is tuple and type(record[1]) is float
+                assert type(record[0]) is tuple and {type(s) for s in record[0]} == {int}
+        return got
+
+    def test_decomposable_battery(self, monkeypatch):
+        from pencilspec.instances import gen_decomposable
+
+        lams = self.battery_spectra(monkeypatch, gen_decomposable(4, 3, 3, seed=7)[0], 3)
+        got = self.assert_equal_to_init(lams, 3, 4)
+        assert all(v.is_kth_power for v in got) and len(got) > 200
+
+    def test_failing_conjugate_negative_words(self, monkeypatch):
+        from pencilspec.instances import gen_conjugate_negative
+
+        lams = self.battery_spectra(monkeypatch, gen_conjugate_negative(1)[0], 2)
+        got = self.assert_equal_to_init(lams, 2, lams.shape[-1] // 2)
+        failing = [v for v in got if not v.is_kth_power]
+        assert failing
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (1, 4), (4, 1), (2, 1), (1, 1)])
+    def test_profiles_other_than_n_clusters_of_k(self, k, n):
+        lams = self.synthetic_spectra(k, n, np.random.default_rng(10 * k + n))
+        got = self.assert_equal_to_init(lams, k, n)
+        profiles = {sizes for v in got for sizes, _ in v.per_line_clusters}
+        if k * n > 1:
+            assert profiles - {(k,) * n}
+            assert any(v.is_kth_power for v in got)
+        if k > 1:
+            # failing lines past line 0, named by failure_reason
+            assert {v.failing_line for v in got} - {None, 0}
+        if n > 1:
+            # merged clusters pass with a profile of their own
+            assert any(v.is_kth_power and {s for s, _ in v.per_line_clusters} - {(k,) * n}
+                       for v in got)
+
+    def test_verdicts_stay_frozen(self):
+        import dataclasses
+
+        from pencilspec.charpoly import _verdicts
+
+        v = _verdicts(self.synthetic_spectra(2, 2, np.random.default_rng(1), 1), 2, 2, DEFAULT)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.k = 3
 
 
 class TestKthPowerBatch:

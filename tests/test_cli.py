@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from itertools import product
@@ -762,6 +763,62 @@ class TestGenerateCommand:
         tup, meta = load_tuple(str(path))
         assert tup.dim == 4
         assert meta["descriptor"]["family"] == "commuting"
+
+
+class TestCollectorState:
+    """``main`` runs a command with the cyclic collector off and leaves it
+    as it found it, on every way out."""
+
+    @pytest.fixture
+    def collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "case, code",
+        [("pass", EXIT_PASS), ("fail", EXIT_FAIL), ("precondition", EXIT_PRECONDITION),
+         ("error", EXIT_ERROR), ("usage", EXIT_ERROR), ("help", EXIT_PASS)],
+    )
+    def test_main_restores_the_collector(self, collector, monkeypatch, capsys, pos_file,
+                                         neg_file, tmp_path, enabled, case, code):
+        import pencilspec.cli as cli
+
+        out = str(tmp_path / "rep.json")
+        argv = {
+            "pass": ["analyze", str(pos_file), "--k", "2", "--out", out],
+            "fail": ["analyze", str(neg_file), "--k", "2", "--out", out],
+            "precondition": ["analyze", str(pos_file), "--k", "4", "--out", out],
+            "error": ["analyze", str(tmp_path / "missing.json"), "--k", "2"],
+            "usage": ["analyze", str(pos_file), "--k", "2", "--bogus"],
+            "help": ["analyze", "--help"],
+        }[case]
+        seen, analyze = [], cli.analyze
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "analyze", recording)
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+        assert seen == ([False] if code in (EXIT_FAIL, EXIT_PRECONDITION) or case == "pass" else [])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_an_escaping_exception_restores_the_collector(self, collector, monkeypatch,
+                                                          pos_file, enabled):
+        import pencilspec.cli as cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "analyze", interrupted)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(KeyboardInterrupt):
+            main(["analyze", str(pos_file), "--k", "2"])
+        assert gc.isenabled() is enabled
 
 
 class TestDeterminism:
