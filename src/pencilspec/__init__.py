@@ -3,7 +3,7 @@ and the explicit unitary splitting a passing tuple into k identical copies.
 """
 
 from .config import DEFAULT, Tolerances
-from .linalg import HermitianTuple, SpectralData, direct_sum_k_copies, prepare_tuple
+from .linalg import HermitianTuple, SpectralData, direct_sum_k_copies, extract_block_structure, prepare_tuple
 from .charpoly import KPowerVerdict, kth_power_batch, kth_power_test
 from .conditions import (
     ConditionReport,
@@ -21,7 +21,6 @@ from .decomposer import (
     DecompositionResult,
     build_block_unitary,
     decompose,
-    extract_block_structure,
     factor_block,
     unify_layers,
     verify_decomposition,

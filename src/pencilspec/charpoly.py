@@ -19,6 +19,8 @@ component, so a generic such line separates the components just as a
 generic affine line does.  The generators are Hermitian, so ``q . A`` is
 too: ``eigvalsh`` returns its spectrum real and sorted, and the test
 clusters it by its gaps; no polynomial coefficient is ever formed.
+:func:`kth_power_batch` alone admits pencils (Hermitian, finite); the word
+battery builds its own exactly Hermitian and skips it.
 
 Error model: a pencil fails when any line fails.  An algebraic miss has
 probability zero: the lines on which a non-power restricts to a power form
@@ -74,42 +76,22 @@ def _draw_directions(rng, lines, m, pencils=None):
 _BATCH_ENTRIES = 20_000
 
 
-def _line_spectra(gens, dirs, tol):
-    """Hermitian admission and the sorted line spectra ``(P, lines, N)`` of
-    one chunk of pencils (see :func:`kth_power_batch`)."""
+def _spectra(gens, dirs, tol):
+    """The sorted line spectra ``(P, lines, N)`` of a stack of admitted
+    pencils, a chunk of at most ``_BATCH_ENTRIES`` (line, matrix entry)
+    pairs at a time; they are smaller than the generators."""
     (p_count, m, dim), lines = gens.shape[:3], tol.lines
-    # Exact first: every pencil analyze and corollary build is Hermitian to
-    # the last bit, so the defect and the norms are only formed when some
-    # entry of G - G^H is nonzero.  A NaN or an infinite entry always leaves
-    # one (inf - inf is NaN), and then makes its generator's bound non-finite.
-    diff = np.swapaxes(gens, -1, -2).conj()
-    with np.errstate(invalid="ignore"):
-        differs = np.subtract(gens, diff, out=diff).any()
-    if differs:
-        bound = tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))
-        if not np.all(np.isfinite(bound)):
-            raise ValueError("pencil generators must be finite")
-        defect = np.max(np.abs(diff), axis=(-2, -1))
-        if np.any(defect > bound):
-            raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
+    chunk = max(1, _BATCH_ENTRIES // (lines * dim * dim))
     # q . A for every line as one real matmul on the (re, im) view; real q
     # keeps it Hermitian.  A pencil split into k identical blocks gives
     # k-fold eigenvalues, which rounding moves linearly (Weyl), not by
     # eps**(1/k) as a root finder on coefficients would.
     flat = np.ascontiguousarray(gens).view(np.float64).reshape(p_count, m, -1)
-    return np.linalg.eigvalsh((dirs @ flat).view(np.complex128).reshape(p_count, lines, dim, dim))
-
-
-def _spectra(gens, dirs, tol):
-    """The line spectra ``(P, lines, N)`` of a stack of pencils, computed by
-    :func:`_line_spectra` a chunk of at most ``_BATCH_ENTRIES`` (line,
-    matrix entry) pairs at a time; they are smaller than the generators."""
-    p_count, dim = len(gens), gens.shape[-1]
-    chunk = max(1, _BATCH_ENTRIES // (tol.lines * dim * dim))
-    out = np.empty((p_count, tol.lines, dim))
+    out = np.empty((p_count, lines, dim))
     for start in range(0, p_count, chunk):
-        out[start : start + chunk] = _line_spectra(
-            gens[start : start + chunk], dirs[start : start + chunk], tol
+        part = dirs[start : start + chunk] @ flat[start : start + chunk]
+        out[start : start + chunk] = np.linalg.eigvalsh(
+            part.view(np.complex128).reshape(-1, lines, dim, dim)
         )
     return out
 
@@ -193,6 +175,20 @@ def kth_power_batch(
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
     if not len(gens):
         return []
+    # Exact first: the pencils analyze and corollary pass are Hermitian to
+    # the last bit, so the defect and the norms are only formed when some
+    # entry of G - G^H is nonzero.  A NaN or an infinite entry always leaves
+    # one (inf - inf is NaN), and then makes its generator's bound non-finite.
+    diff = np.swapaxes(gens, -1, -2).conj()
+    with np.errstate(invalid="ignore"):
+        differs = np.subtract(gens, diff, out=diff).any()
+    if differs:
+        bound = tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))
+        if not np.all(np.isfinite(bound)):
+            raise ValueError("pencil generators must be finite")
+        defect = np.max(np.abs(diff), axis=(-2, -1))
+        if np.any(defect > bound):
+            raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
     return _verdicts(_spectra(gens, dirs, tol), k, n, tol)
 
 

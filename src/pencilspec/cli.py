@@ -65,7 +65,7 @@ from .linalg import HermitianTuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 15
+FORMAT_VERSION = 16
 TUPLE_VERSION = 15  # versioned apart, so a report-format bump leaves tuple bytes alone
 
 EXIT_PASS = 0
@@ -99,10 +99,15 @@ def _matrix_from_json(rows):
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to ``path`` through a rename, with the mode that
+    ``open(path, "w")`` gives (``0o666`` less the umask), not ``0o600``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

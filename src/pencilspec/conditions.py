@@ -22,17 +22,19 @@ taking row i.  So a verdict depends on the seed and the word's index
 alone, not on how the battery is sliced or ordered; no environment
 variable (thread count or other) affects them.  The words are realized
 level by level through k-column blocks of the first generator's
-eigenbasis (see :class:`_BlockWords`;
-:func:`~pencilspec.reference.realize_word` is the reference) and tested a
-slice at a time.  A word whose adjoint comes earlier in the enumeration
-shares that word's verdict instead of being tested (see
-:func:`adjoint_twins`).  On Linux, a large battery's tested words are cut
-into contiguous shares, as many as repay their forks and one per usable
-CPU at most (see :func:`_share_count`).  The word table is built once,
-before any fork; forked processes write the line spectra of all shares but
-the first into one anonymous shared mapping, and the calling process turns
-every share's spectra into verdicts.  The CPU count changes only the speed:
-verdicts and reports are the same.
+eigenbasis and the block grid ``decompose`` factors (see
+:class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is the
+reference) and tested a slice at a time; their pencils, exactly
+Hermitian, skip the admission of :func:`~pencilspec.charpoly.kth_power_batch`.
+A word whose adjoint comes earlier in the enumeration shares that word's
+verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
+large battery's tested words are cut into contiguous shares, as many as
+repay their forks and one per usable CPU at most (see :func:`_share_count`).
+The word table is built once, before any fork; forked processes write the
+line spectra of all shares but the first into one anonymous shared
+mapping, and the calling process turns every share's spectra into
+verdicts.  The CPU count changes only the speed: verdicts and reports are
+the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -64,7 +66,8 @@ from .charpoly import (
 )
 from .config import DEFAULT, Tolerances
 from .errors import ClusterAmbiguity, SpectrumPatternViolation
-from .linalg import HermitianTuple, PreparedTuple, SpectralData, _cluster_groups, prepare_tuple
+from .linalg import (HermitianTuple, PreparedTuple, SpectralData, _cluster_groups,
+                     extract_block_structure, prepare_tuple)
 
 __all__ = [
     "WordSpec",
@@ -197,10 +200,11 @@ class _BlockWords:
     so a word is ``(A_s0 U_j1)(U_j1* A_s1 U_j2) ... (U_jr* A_sr)``.  Its
     prefix, everything before the last ``U_jr* A_sr``, is one N x k matrix,
     and the prefixes of the next level (one more projection) are the
-    previous ones times the k x k blocks ``U_j* A_s U_i``: one batched
-    product per level.  ``words`` must be an :func:`enumerate_words` list
-    (levels ascending; per level, projection tuples in order, each with all
-    its letter tuples in order, only the last one possibly cut short).  The
+    previous ones times the k x k blocks ``U_j* A_s U_i`` of
+    :func:`~pencilspec.linalg.extract_block_structure`: one batched product
+    per level.  ``words`` must be an :func:`enumerate_words` list (levels
+    ascending; per level, projection tuples in order, each with all its
+    letter tuples in order, only the last one possibly cut short).  The
     prefixes of every level are built here, so :meth:`matrices` takes word
     indices in any order.
     """
@@ -208,11 +212,12 @@ class _BlockWords:
     def __init__(self, tup: HermitianTuple, spec: SpectralData, words):
         dim, n = tup.dim, spec.n
         u = spec.basis.reshape(dim, n, dim // n).transpose(1, 0, 2)  # U_j, (n, N, k)
+        self.a1 = tup.matrices[0]                                    # each pencil's first generator
         self.gens = np.stack(tup.matrices[1:])                       # A_s, s = 2..m
         self.letters = letters = len(self.gens)
         left = self.gens[:, None] @ u                                # A_s U_j
         self.right = left.conj().swapaxes(-1, -2)                    # U_j* A_s
-        blocks = self.right[:, :, None] @ u                          # [s, j, i]: U_j* A_s U_i
+        blocks = extract_block_structure(tup, spec)                  # [s, j, i]: U_j* A_s U_i
         self.starts = np.searchsorted([w.r for w in words], np.arange(n + 1))
         # Prefix f of level r has projection tuple f // letters**r and, as
         # index f % letters**r, the word's letters but the last; so word t of
@@ -406,14 +411,14 @@ def _share_count(words: int, lines: int, dim: int) -> int:
     return min(shares, _usable_cpus()) if shares > 1 else 1
 
 
-def _share_spectra(tup, realized, rows, dirs, tol):
+def _share_spectra(realized, rows, dirs, tol):
     """The line spectra of the words at ``rows`` (ascending indices into the
-    battery's words, realized by ``realized``), as ``(slice rows, spectra
-    (len, lines, N))`` per slice of ``_WORD_SLICE`` words.  Every share of
-    the battery, forked or not, is solved here."""
+    battery's words, realized by the word table ``realized``), as ``(slice
+    rows, spectra (len, lines, N))`` per slice of ``_WORD_SLICE`` words.
+    Every share of the battery, forked or not, is solved here."""
     # the battery's largest array, filled in place a slice of words at a time
-    pencils = np.empty((min(_WORD_SLICE, len(rows)), 3, tup.dim, tup.dim), dtype=complex)
-    pencils[:, 0] = tup.matrices[0]
+    pencils = np.empty((min(_WORD_SLICE, len(rows)), 3) + realized.a1.shape, dtype=complex)
+    pencils[:, 0] = realized.a1
     for start in range(0, len(rows), _WORD_SLICE):
         part = rows[start : start + _WORD_SLICE]
         stack = pencils[: len(part)]
@@ -452,35 +457,35 @@ def _fork_share(children, i, out, done, share):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _battery(tup, spec, words, tested, dirs, k, n, tol):
+def _battery(realized, tested, dirs, k, n, tol):
     """Verdicts of the words at ``tested``, by index, over contiguous shares.
 
-    The word table is built once, before any fork.  Shares after the first
-    go to forked processes (see :func:`_share_count`) while this process
-    solves the first; each child writes its share's spectra into one
-    anonymous shared mapping, then marks the share complete, and the spectra
-    become verdicts here.  A share whose child cannot start, fails or leaves
-    its share incomplete is solved here instead, so the result, or the
-    exception, is the serial one.  No child outlives the call.
+    The word table ``realized`` is built once, before any fork.  Shares
+    after the first go to forked processes (see :func:`_share_count`) while
+    this process solves the first; each child writes its share's spectra
+    into one anonymous shared mapping, then marks the share complete, and
+    the spectra become verdicts here.  A share whose child cannot start,
+    fails or leaves its share incomplete is solved here instead, so the
+    result, or the exception, is the serial one.  No child outlives the call.
     """
-    shares = np.array_split(tested, _share_count(len(tested), tol.lines, tup.dim))
-    realized = _BlockWords(tup, spec, words)
+    dim = len(realized.a1)
+    shares = np.array_split(tested, _share_count(len(tested), tol.lines, dim))
     children = {}
     if len(shares) > 1:
         try:
-            mapping = mmap.mmap(-1, 8 * (len(shares) + len(tested) * tol.lines * tup.dim))
+            mapping = mmap.mmap(-1, 8 * (len(shares) + len(tested) * tol.lines * dim))
         except OSError:
             shares = [tested]
         else:
             # a row count per share, then the spectra of every tested word;
             # the rows of share 0 are never written
             done = np.frombuffer(mapping, np.int64, len(shares))
-            spectra = np.frombuffer(mapping, offset=done.nbytes).reshape(-1, tol.lines, tup.dim)
+            spectra = np.frombuffer(mapping, offset=done.nbytes).reshape(-1, tol.lines, dim)
             outs = np.split(spectra, np.cumsum([len(rows) for rows in shares[:-1]]))
     try:
         for i, rows in enumerate(shares[1:], 1):
             if len(rows):
-                _fork_share(children, i, outs[i], done, (tup, realized, rows, dirs, tol))
+                _fork_share(children, i, outs[i], done, (realized, rows, dirs, tol))
         verdicts = {}
         for i, rows in enumerate(shares):
             if i in children:
@@ -489,7 +494,7 @@ def _battery(tup, spec, words, tested, dirs, k, n, tol):
                 if status == 0 and done[i] == len(rows):
                     verdicts.update(zip(rows.tolist(), _verdicts(outs[i], k, n, tol)))
                     continue
-            for part, lams in _share_spectra(tup, realized, rows, dirs, tol):
+            for part, lams in _share_spectra(realized, rows, dirs, tol):
                 verdicts.update(zip(part.tolist(), _verdicts(lams, k, n, tol)))
         return verdicts
     finally:
@@ -557,7 +562,7 @@ def analyze(
     source = np.arange(len(words))  # the word whose verdict each word takes
     source[list(twins)] = list(twins.values())
     tested = np.flatnonzero(source == np.arange(len(words)))
-    verdicts = _battery(shifted, spec, words, tested, word_dirs, k, n, tol)
+    verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
     word_results = tuple(zip(words, map(verdicts.__getitem__, source.tolist())))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing

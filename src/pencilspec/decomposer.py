@@ -2,7 +2,8 @@
 
 Pipeline, in the eigenbasis of the first generator (n clusters of size k):
 
-1. slice every other generator into an n x n grid of k x k blocks;
+1. take every other generator's n x n grid of k x k blocks from
+   :func:`~pencilspec.linalg.extract_block_structure`;
 2. factor each nonzero block as ``c * u`` with ``c >= 0`` and ``u`` unitary
    (diagonal blocks must be real scalars);
 3. unify layers: one shared unitary per index pair, which every layer's
@@ -36,14 +37,12 @@ from .errors import (
     LayerInconsistency,
     NotUnitaryScalar,
     ScalarizationFailed,
-    SpectrumPatternViolation,
 )
-from .linalg import HermitianTuple, SpectralData, prepare_tuple
+from .linalg import HermitianTuple, extract_block_structure, prepare_tuple
 
 __all__ = [
     "BlockStructure",
     "DecompositionResult",
-    "extract_block_structure",
     "factor_block",
     "unify_layers",
     "build_block_unitary",
@@ -77,28 +76,6 @@ def _unimodular_defect(prod):
     theta = float(np.angle(tr)) if tr != 0 else 0.0
     residual = float(np.linalg.norm(prod - np.exp(1j * theta) * np.eye(k)))
     return theta, residual
-
-
-def extract_block_structure(tup: HermitianTuple, spec: SpectralData) -> np.ndarray:
-    """k x k block grid of every generator beyond the first, in the ordered
-    eigenbasis of the first one.
-
-    Returns an array of shape (m-1, n, n, k, k).  Raises
-    :class:`SpectrumPatternViolation` unless all clusters share one size.
-    """
-    mults = set(spec.multiplicities)
-    if len(mults) != 1:
-        raise SpectrumPatternViolation(
-            f"cluster sizes {list(spec.multiplicities)} are not uniform"
-        )
-    k = mults.pop()
-    n = spec.n
-    v = spec.rotation()
-    out = np.empty((tup.m - 1, n, n, k, k), dtype=np.complex128)
-    for li, a in enumerate(tup.matrices[1:]):
-        rot = v @ a @ v.conj().T
-        out[li] = rot.reshape(n, k, n, k).transpose(0, 2, 1, 3)
-    return out
 
 
 def factor_block(b, tol: float):
@@ -135,17 +112,17 @@ def _phase_match(u_ref, u_other, k):
 def unify_layers(blocks, scales, tol: Tolerances = DEFAULT) -> BlockStructure:
     """Factor all blocks and share one unitary per index pair across layers.
 
-    ``blocks`` is the (m-1, n, n, k, k) grid from
-    :func:`extract_block_structure`; ``scales`` holds one factor per layer,
-    which multiplies ``tol.structural_tol`` in that layer's block checks.
-    :func:`decompose` passes each prepared generator's largest eigenvalue
-    modulus, at least 1 and of order one.  For each pair the layer with the
-    largest block scalar donates the unitary (ties to the lowest layer);
-    every other nonzero layer must match it up to a unimodular scalar.  A
-    mismatch beyond tolerance raises :class:`LayerInconsistency`: the
-    cross-layer 2-cycle relation fails and the tuple cannot split into
-    identical copies.  A diagonal block that is not a real scalar raises
-    :class:`NotUnitaryScalar`.
+    ``blocks`` is the (m-1, n, n, k, k) grid of
+    :func:`~pencilspec.linalg.extract_block_structure`; ``scales`` holds one
+    factor per layer, which multiplies ``tol.structural_tol`` in that
+    layer's block checks.  :func:`decompose` passes each prepared
+    generator's largest eigenvalue modulus, at least 1 and of order one.
+    For each pair the layer with the largest block scalar donates the
+    unitary (ties to the lowest layer); every other nonzero layer must match
+    it up to a unimodular scalar.  A mismatch beyond tolerance raises
+    :class:`LayerInconsistency`: the cross-layer 2-cycle relation fails and
+    the tuple cannot split into identical copies.  A diagonal block that is
+    not a real scalar raises :class:`NotUnitaryScalar`.
     """
     nlayers, n, _, k, _ = blocks.shape
     if len(scales) != nlayers:
@@ -247,14 +224,14 @@ def build_block_unitary(bs: BlockStructure, blocks, scales, tol: Tolerances = DE
     identity on ``a`` itself); a pair that closes no unimodular triangle
     with ``a`` raises :class:`CycleInconsistency`.  The result is unitary
     and commutes exactly with the diagonalized first generator.
-    Conjugating the raw ``blocks`` grid of :func:`extract_block_structure`
-    by it, block by block as ``piece_i @ B_ij @ piece_j*``, must turn every
-    k x k block of layer ``l`` into a scalar within
-    ``tol.scalar_block_tol * scales[l]``; the first layer that does not
-    raises :class:`ScalarizationFailed` naming its worst block.  Returns
-    ``(udiag, scalars, partition)``: the block unitary, the (m-1, n, n)
-    array of the block scalars it verified, and the components as sorted
-    index tuples.
+    Conjugating the raw ``blocks`` grid of
+    :func:`~pencilspec.linalg.extract_block_structure` by it, block by block
+    as ``piece_i @ B_ij @ piece_j*``, must turn every k x k block of layer
+    ``l`` into a scalar within ``tol.scalar_block_tol * scales[l]``; the
+    first layer that does not raises :class:`ScalarizationFailed` naming its
+    worst block.  Returns ``(udiag, scalars, partition)``: the block
+    unitary, the (m-1, n, n) array of the block scalars it verified, and the
+    components as sorted index tuples.
     """
     n, k = bs.n, bs.k
     pieces, partition = _spanning_forest(bs, tol)

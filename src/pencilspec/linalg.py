@@ -1,6 +1,5 @@
 """Dense complex matrix layer: Hermitian tuples, clustered eigendecomposition,
-spectral projections, and the block/direct-sum helpers the splitting
-construction needs.
+spectral projections, the block grid and the direct-sum helper.
 
 Matrices are plain ``numpy`` complex128 arrays throughout; the only wrapped
 type is :class:`HermitianTuple`, which pins down the pencil generators
@@ -9,6 +8,8 @@ type is :class:`HermitianTuple`, which pins down the pencil generators
 ``corollary``: from one eigendecomposition per generator it derives scale,
 invertibility, the spectra admissibility and ``decompose`` read and, for a
 split into ``k`` copies, the first generator's spectral pattern.
+:func:`extract_block_structure` is the one route to the k x k blocks that
+``analyze`` builds its words from and ``decompose`` factors.
 Everything here is pure and safe to share across threads.
 """
 
@@ -31,6 +32,7 @@ __all__ = [
     "hermitian_defect",
     "direct_sum_k_copies",
     "prepare_tuple",
+    "extract_block_structure",
 ]
 
 
@@ -229,3 +231,17 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
             f"wanted {n} clusters of size {k}"
         )
     return replace(prep, spec=spec)
+
+
+def extract_block_structure(tup: HermitianTuple, spec: SpectralData) -> np.ndarray:
+    """The (m-1, n, n, k, k) grid ``U_i* A_(l+2) U_j`` of every generator
+    beyond the first, ``U_j`` the N x k eigenvector block of cluster j, from
+    one batched ``V A_l V*``.  Raises :class:`SpectrumPatternViolation`
+    unless all clusters share one size."""
+    mults = set(spec.multiplicities)
+    if len(mults) != 1:
+        raise SpectrumPatternViolation(f"cluster sizes {list(spec.multiplicities)} are not uniform")
+    k, n = mults.pop(), spec.n
+    v = spec.rotation()
+    rot = v @ np.stack(tup.matrices[1:]) @ v.conj().T
+    return rot.reshape(-1, n, k, n, k).transpose(0, 1, 3, 2, 4)

@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import re
+import stat
 from itertools import product
 
 import numpy as np
@@ -294,7 +296,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 15
+        assert rep["version"] == 16
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -834,6 +836,31 @@ class TestDeterminism:
         argv = ["decompose", str(pos_file), "--k", "2", "--seed", "5", "--out"]
         assert main(argv + [str(o1)]) == main(argv + [str(o2)])
         assert strip_timestamp(o1.read_text()) == strip_timestamp(o2.read_text())
+
+
+class TestFileModes:
+    """Tuple and report files are replaced atomically, yet get the mode a
+    plain ``open(path, "w")`` gives: ``0o666`` less the umask."""
+
+    @pytest.fixture(params=[0o022, 0o077, 0o002], ids=lambda mask: f"umask-{mask:03o}")
+    def umask(self, request):
+        old = os.umask(request.param)
+        try:
+            yield request.param
+        finally:
+            os.umask(old)
+
+    def test_tuple_and_report_files(self, tmp_path, umask):
+        tup, report = tmp_path / "t.json", tmp_path / "r.json"
+        assert main(["generate", "--family", "decomposable", "--n", "2", "--k", "2", "--m", "2",
+                     "--out", str(tup)]) == EXIT_PASS
+        assert main(["analyze", str(tup), "--k", "2", "--out", str(report)]) == EXIT_PASS
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        for path in (tup, report):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+            assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "r.json", "t.json"]
 
 
 class TestReportLayout:

@@ -327,6 +327,29 @@ class TestWordCondition:
         v = kth_power_test([shifted.matrices[0], *parts], k=2, n=3, seed=0)
         assert not v.is_kth_power
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("into", ["new", "out", "battery-view"])
+    def test_hermitian_parts_are_exactly_hermitian(self, scale, into):
+        # the battery hands these parts to the eigensolver unchecked: every
+        # entry must equal its mirror's conjugate, so that G - G* is zero
+        # (a signed zero on the diagonal counts as zero)
+        rng = np.random.default_rng(int(np.log10(scale)) + 400)
+        w = scale * (rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6)))
+        if into == "new":
+            parts = hermitian_parts(w)
+        elif into == "out":
+            parts = np.full((2, 5, 6, 6), np.nan, dtype=complex)
+            assert hermitian_parts(w, out=parts) is parts
+        else:  # as _share_spectra writes them, behind the first generator
+            stack = np.full((5, 3, 6, 6), np.nan, dtype=complex)
+            parts = stack[:, 1:].swapaxes(0, 1)
+            hermitian_parts(w, out=parts)
+        assert np.all(np.isfinite(parts))
+        for h in parts:
+            assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
+        assert np.any(parts[1])
+        assert np.array_equal(parts, hermitian_parts(w))
+
     def test_hermitian_parts_carry_the_pair_pencil(self):
         # both parts are Hermitian to the last bit, the adjoint negates the
         # second, and the plane (x, y/2, -i y/2) gives back x A_1 + y W

@@ -220,8 +220,8 @@ def solve_in_child(monkeypatch, in_child):
     parent, share_spectra = os.getpid(), conditions._share_spectra
     solved = []
 
-    def patched(tup, realized, rows, dirs, tol):
-        slices = share_spectra(tup, realized, rows, dirs, tol)
+    def patched(realized, rows, dirs, tol):
+        slices = share_spectra(realized, rows, dirs, tol)
         if os.getpid() != parent:
             return in_child(slices)
         solved.extend(rows.tolist())
@@ -291,10 +291,10 @@ def test_child_share_error_is_the_serial_error(monkeypatch, forks, negative):
     last = rows_tested(serial)[-1]
     share_spectra = conditions._share_spectra
 
-    def failing(tup, realized, rows, dirs, tol):
+    def failing(realized, rows, dirs, tol):
         if last in rows:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return share_spectra(tup, realized, rows, dirs, tol)
+        return share_spectra(realized, rows, dirs, tol)
 
     monkeypatch.setattr(conditions, "_share_spectra", failing)
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pencilspec import conditions, decomposer, linalg
 from pencilspec.conditions import analyze
 from pencilspec.config import Tolerances
 from pencilspec.decomposer import decompose
@@ -11,7 +12,9 @@ from pencilspec.errors import (
 )
 from pencilspec.linalg import (
     HermitianTuple,
+    SpectralData,
     direct_sum_k_copies,
+    extract_block_structure,
     prepare_tuple,
     spectral_norm,
 )
@@ -261,3 +264,49 @@ def test_apply_tuple_map_mixes_generators():
     mixed = apply_tuple_map(tup, c)
     assert np.allclose(mixed.matrices[0], diag(3, 4))
     assert np.allclose(mixed.matrices[1], diag(1, 2))
+
+
+class TestBlockGrid:
+    """One route to the k x k blocks ``U_i* A_l U_j``: ``analyze`` realizes
+    its words from them and ``decompose`` factors them."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_per_block_products(self, rng, k, m):
+        n = 3
+        a1 = hermitian_with_spectrum(np.repeat([-2.0, 0.5, 3.0], k), seed=10 * k + m)
+        tup = HermitianTuple((a1,) + tuple(rand_hermitian(n * k, rng) for _ in range(m - 1)))
+        spec = prepare_tuple(tup, k).spec
+        grid = extract_block_structure(tup, spec)
+        assert grid.shape == (m - 1, n, n, k, k)
+        basis = spec.basis
+        for layer, a in enumerate(tup.matrices[1:]):
+            for i in range(n):
+                for j in range(n):
+                    rows, cols = basis[:, i * k : (i + 1) * k], basis[:, j * k : (j + 1) * k]
+                    want = rows.conj().T @ a @ cols
+                    assert np.max(np.abs(grid[layer, i, j] - want)) <= 1e-13 * spectral_norm(a)
+
+    def test_non_uniform_clusters_raise(self):
+        tup = HermitianTuple((diag(1, 2, 2), diag(3, 4, 5)))
+        spec = SpectralData(np.array([1.0, 2.0]), (1, 2), np.eye(3, dtype=complex))
+        with pytest.raises(SpectrumPatternViolation, match="not uniform"):
+            extract_block_structure(tup, spec)
+
+    def test_decomposer_takes_it_from_linalg(self):
+        assert decomposer.extract_block_structure is linalg.extract_block_structure
+
+    def test_each_command_builds_it_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return linalg.extract_block_structure(*args)
+
+        for module in (conditions, decomposer):
+            monkeypatch.setattr(module, "extract_block_structure", counting)
+        tup = gen_decomposable(3, 2, 3, seed=6)[0]
+        assert analyze(tup, 2).overall == "pass"
+        assert len(calls) == 1
+        decompose(tup, 2)
+        assert len(calls) == 2
