@@ -60,7 +60,7 @@ from .conditions import ConditionReport, analyze, corollary
 from .config import DEFAULT, LADDER, Tolerances
 from .decomposer import decompose
 from .errors import ClusterAmbiguity, DecompositionError, SpectralError, SpectrumPatternViolation
-from .instances import gen_commuting, gen_conjugate_negative, gen_decomposable
+from .instances import FAMILIES
 from .linalg import HermitianTuple
 
 TUPLE_FORMAT = "pencilspec-tuple"
@@ -341,16 +341,8 @@ def cmd_corollary(args) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-_FAMILIES = ("decomposable", "conjugate_negative", "commuting")
-
-
 def cmd_generate(args) -> int:
-    if args.family == "decomposable":
-        tup, desc = gen_decomposable(args.n, args.k, args.m, args.seed)
-    elif args.family == "commuting":
-        tup, desc = gen_commuting(args.n, args.k, args.m, args.seed)
-    else:
-        tup, desc = gen_conjugate_negative(args.seed)
+    tup, desc = FAMILIES[args.family](args.n, args.k, args.m, args.seed)
     save_tuple(args.out, tup, metadata={"descriptor": desc.as_dict()})
     return EXIT_PASS
 
@@ -416,7 +408,7 @@ def _build_parser():
     p_co.set_defaults(func=cmd_corollary)
 
     p_ge = sub.add_parser("generate", help="write a seeded instance to a tuple file")
-    p_ge.add_argument("--family", required=True, choices=_FAMILIES)
+    p_ge.add_argument("--family", required=True, choices=FAMILIES)
     p_ge.add_argument("--n", type=int, default=2)
     p_ge.add_argument("--k", type=int, default=2)
     p_ge.add_argument("--m", type=int, default=2)

@@ -66,7 +66,7 @@ from .charpoly import (
 )
 from .config import DEFAULT, Tolerances
 from .errors import ClusterAmbiguity, SpectrumPatternViolation
-from .linalg import (HermitianTuple, PreparedTuple, SpectralData, _cluster_groups,
+from .linalg import (HermitianTuple, PreparedTuple, SpectralData, _clustered,
                      extract_block_structure, prepare_tuple)
 
 __all__ = [
@@ -275,29 +275,25 @@ def check_admissibility(prep: PreparedTuple, k: int, tol: Tolerances = DEFAULT):
     ``prep.eigenvalues``, those of the unit-scale, invertible generators
     :func:`~pencilspec.linalg.prepare_tuple` leaves (a scalar shift moves
     the intersection points but not their multiplicity pattern); they are
-    clustered by the rule of
-    :func:`~pencilspec.reference.eigendecompose_clustered`, and the separation
-    threshold is relative to each generator's largest eigenvalue modulus.
+    summarized by the ``prepare_tuple`` rule, and the separation threshold
+    is relative to each generator's largest eigenvalue modulus.  A ``k``
+    that does not divide N fails every generator's pattern test.
 
     Returns ``(ok, diagnostics)``; never raises on a failing tuple.
     """
-    dim = prep.tup.dim
-    if dim % k:
-        return False, {"reason": f"k={k} does not divide N={dim}"}
-    n = dim // k
+    n = prep.tup.dim // k
     per_gen = []
     ok = True
-    for idx, w in enumerate(prep.eigenvalues):
+    for idx, (w, q) in enumerate(zip(prep.eigenvalues, prep.eigenvectors)):
         entry = {"generator": idx + 1}
         try:
-            groups = _cluster_groups(w, tol)
+            spec = _clustered(w, q, tol)
         except ClusterAmbiguity as exc:
             entry.update(ok=False, reason=f"ambiguous clustering: {exc}")
             per_gen.append(entry)
             ok = False
             continue
-        centers = np.array([float(np.mean(w[g])) for g in groups])
-        mults = [len(g) for g in groups]
+        centers, mults = spec.eigenvalues, list(spec.multiplicities)
         # ascending centers: the closest pair is adjacent
         min_sep = float(np.min(np.diff(centers))) if len(centers) > 1 else float("inf")
         pattern_ok = mults == [k] * n

@@ -1,6 +1,7 @@
 """Seeded instance generators with known ground truth.
 
-Three families:
+Three families, listed in :data:`FAMILIES` (name -> ``(n, k, m, seed)``
+builder), the one family list ``generate --family`` offers:
 
 * ``decomposable`` - a Haar-conjugated direct sum of k identical random
   Hermitian tuples.  Every spectral condition must pass and the splitting
@@ -10,9 +11,12 @@ Three families:
   polynomial times its conjugate-coefficient twin), yet whose off-diagonal
   block phases multiply to -i around the (1,2,3) cycle; no splitting into
   two identical copies exists and the cycle word must fail its power test.
+  It takes only the seed.
 * ``commuting`` - simultaneously diagonalizable generators with every joint
   eigenvalue repeated exactly k times; the zero-off-diagonal branch of the
-  construction.
+  construction.  Its rejection sampler limits it to n <= 16.
+
+Each rotates a block-diagonal tuple by a Haar unitary (:func:`_rotated`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianTuple, direct_sum_k_copies
+from .linalg import HermitianTuple
 
 __all__ = [
     "InstanceDescriptor",
@@ -29,6 +33,7 @@ __all__ = [
     "gen_decomposable",
     "gen_conjugate_negative",
     "gen_commuting",
+    "FAMILIES",
 ]
 
 SPECTRAL_GAP_FLOOR = 0.1  # keeps every tolerance ladder comfortably valid
@@ -76,20 +81,34 @@ def _random_hermitian(n, rng):
     return (g + g.conj().T) / 2.0
 
 
-def _random_hermitian_gapped(n, rng, gap):
+def _gapped(n, draw, spectrum=lambda w: w):
+    """``draw()`` again until its ascending ``spectrum`` of n values has
+    gaps of at least the floor."""
     while True:
-        a = _random_hermitian(n, rng)
-        if n == 1 or float(np.min(np.diff(np.linalg.eigvalsh(a)))) >= gap:
-            return a
+        x = draw()
+        if n == 1 or np.min(np.diff(spectrum(x))) >= SPECTRAL_GAP_FLOOR:
+            return x
 
 
-def _conjugated_copies(seed_mats, k, u):
-    big = direct_sum_k_copies(HermitianTuple(tuple(seed_mats)), k)
-    out = []
-    for a in big.matrices:
-        b = u @ a @ u.conj().T
-        out.append((b + b.conj().T) / 2.0)
-    return HermitianTuple(tuple(out))
+def _rotated(blocks, u) -> HermitianTuple:
+    """The Hermitian parts of ``u B u*`` for each block-diagonal ``B``."""
+    rotated = (u @ b @ u.conj().T for b in blocks)
+    return HermitianTuple(tuple((a + a.conj().T) / 2.0 for a in rotated))
+
+
+def _seeded(n, k, m, seed):
+    if min(n, k, m) < 1:
+        raise ValueError("need n, k, m >= 1")
+    return np.random.default_rng(seed)
+
+
+def _copies(family, seed_mats, k, seed, rng):
+    """k copies of the n x n tuple ``seed_mats``, rotated by a Haar unitary
+    drawn from ``rng``, and the descriptor of a family that splits."""
+    n = seed_mats[0].shape[0]
+    tup = _rotated([np.kron(np.eye(k), a) for a in seed_mats], haar_unitary(n * k, rng))
+    return tup, InstanceDescriptor(family, n, k, len(seed_mats), seed if isinstance(seed, int) else -1,
+                                   expected_pass=True, seed_tuple=tuple(seed_mats))
 
 
 def gen_decomposable(n: int, k: int, m: int, seed) -> tuple:
@@ -98,23 +117,9 @@ def gen_decomposable(n: int, k: int, m: int, seed) -> tuple:
     The first seed generator is resampled until its spectrum is simple with
     minimum gap 0.1, which is what the splitting hypothesis needs.
     """
-    if n < 1 or k < 1 or m < 1 or n * k > 16:
-        raise ValueError("need n, k, m >= 1 and nk <= 16")
-    rng = np.random.default_rng(seed)
-    t1 = _random_hermitian_gapped(n, rng, SPECTRAL_GAP_FLOOR)
-    seed_mats = [t1] + [_random_hermitian(n, rng) for _ in range(m - 1)]
-    u = haar_unitary(n * k, rng)
-    tup = _conjugated_copies(seed_mats, k, u)
-    desc = InstanceDescriptor(
-        family="decomposable",
-        n=n,
-        k=k,
-        m=m,
-        seed=seed if isinstance(seed, int) else -1,
-        expected_pass=True,
-        seed_tuple=tuple(seed_mats),
-    )
-    return tup, desc
+    rng = _seeded(n, k, m, seed)
+    t1 = _gapped(n, lambda: _random_hermitian(n, rng), np.linalg.eigvalsh)
+    return _copies("decomposable", [t1] + [_random_hermitian(n, rng) for _ in range(m - 1)], k, seed, rng)
 
 
 def gen_conjugate_negative(seed) -> tuple:
@@ -134,46 +139,31 @@ def gen_conjugate_negative(seed) -> tuple:
         [[0.0, 1.0, 1.0j], [1.0, 0.0, 1.0], [-1.0j, 1.0, 0.0]], dtype=np.complex128
     )
     z = np.zeros((3, 3), dtype=np.complex128)
-    a1 = np.block([[d, z], [z, d]])
-    a2 = np.block([[b, z], [z, b.conj()]])
-    u = haar_unitary(6, seed)
-    tup = _conjugated_copies([a1, a2], 1, u)
-    desc = InstanceDescriptor(
-        family="conjugate_negative",
-        n=3,
-        k=2,
-        m=2,
-        seed=seed if isinstance(seed, int) else -1,
-        expected_pass=False,
-        failing_word={"letters": (2, 2, 2), "projections": (2, 3)},
-    )
-    return tup, desc
+    tup = _rotated((np.block([[d, z], [z, d]]), np.block([[b, z], [z, b.conj()]])), haar_unitary(6, seed))
+    return tup, InstanceDescriptor("conjugate_negative", 3, 2, 2, seed if isinstance(seed, int) else -1,
+                                   expected_pass=False,
+                                   failing_word={"letters": (2, 2, 2), "projections": (2, 3)})
 
 
 def gen_commuting(n: int, k: int, m: int, seed) -> tuple:
     """Commuting tuple: all generators diagonal in one Haar-random basis,
     each joint eigenvalue vector repeated exactly k times, coordinates
-    separated by the gap floor so every generator has n clean clusters."""
-    if n < 1 or k < 1 or m < 1 or n * k > 16:
-        raise ValueError("need n, k, m >= 1 and nk <= 16")
-    rng = np.random.default_rng(seed)
-    joint = np.empty((n, m))
-    for l in range(m):
-        while True:
-            vals = np.sort(rng.uniform(-2.0, 2.0, size=n))
-            if n == 1 or float(np.min(np.diff(vals))) >= SPECTRAL_GAP_FLOOR:
-                break
-        joint[:, l] = rng.permutation(vals)
-    seed_mats = [np.diag(joint[:, l]).astype(np.complex128) for l in range(m)]
-    u = haar_unitary(n * k, rng)
-    tup = _conjugated_copies(seed_mats, k, u)
-    desc = InstanceDescriptor(
-        family="commuting",
-        n=n,
-        k=k,
-        m=m,
-        seed=seed if isinstance(seed, int) else -1,
-        expected_pass=True,
-        seed_tuple=tuple(seed_mats),
-    )
-    return tup, desc
+    separated by the gap floor so every generator has n clean clusters.
+    Each generator takes about (1 - (n-1)/40)^-n draws: 1.9e3 at n = 16,
+    4e5 at n = 20, and no draw succeeds above n = 40, so n > 16 is refused."""
+    if n > 16:
+        raise ValueError(f"commuting needs n <= 16: drawing n values on [-2, 2] with gaps of "
+                         f"at least {SPECTRAL_GAP_FLOOR} takes about (1 - (n-1)/40)^-n tries")
+    rng = _seeded(n, k, m, seed)
+    seed_mats = []
+    for _ in range(m):
+        vals = _gapped(n, lambda: np.sort(rng.uniform(-2.0, 2.0, size=n)))
+        seed_mats.append(np.diag(rng.permutation(vals)).astype(np.complex128))
+    return _copies("commuting", seed_mats, k, seed, rng)
+
+
+FAMILIES = {
+    "decomposable": gen_decomposable,
+    "conjugate_negative": lambda n, k, m, seed: gen_conjugate_negative(seed),
+    "commuting": gen_commuting,
+}

@@ -236,12 +236,12 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
 def extract_block_structure(tup: HermitianTuple, spec: SpectralData) -> np.ndarray:
     """The (m-1, n, n, k, k) grid ``U_i* A_(l+2) U_j`` of every generator
     beyond the first, ``U_j`` the N x k eigenvector block of cluster j, from
-    one batched ``V A_l V*``.  Raises :class:`SpectrumPatternViolation`
-    unless all clusters share one size."""
+    one batched ``V A_l V*``; empty for a one-generator tuple.  Raises
+    :class:`SpectrumPatternViolation` unless all clusters share one size."""
     mults = set(spec.multiplicities)
     if len(mults) != 1:
         raise SpectrumPatternViolation(f"cluster sizes {list(spec.multiplicities)} are not uniform")
     k, n = mults.pop(), spec.n
     v = spec.rotation()
-    rot = v @ np.stack(tup.matrices[1:]) @ v.conj().T
+    rot = v @ np.reshape(tup.matrices[1:], (-1, tup.dim, tup.dim)) @ v.conj().T
     return rot.reshape(-1, n, k, n, k).transpose(0, 1, 3, 2, 4)

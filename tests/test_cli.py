@@ -15,6 +15,7 @@ from pencilspec.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    _build_parser,
     _word_summary,
     load_tuple,
     main,
@@ -22,7 +23,7 @@ from pencilspec.cli import (
 )
 from pencilspec.conditions import _monomial_span
 from pencilspec.config import DEFAULT, LADDER, Tolerances
-from pencilspec.instances import gen_conjugate_negative, gen_decomposable
+from pencilspec.instances import FAMILIES, gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import HermitianTuple
 
 
@@ -395,6 +396,19 @@ class TestDecomposeCommand:
         assert rep["violated_condition"] == "ScalarizationFailed"
         assert rep["detail"].startswith("final residual")
 
+    def test_one_generator(self, tmp_path):
+        # the grid of a one-generator tuple is empty, not a numpy error;
+        # analyze still refuses m = 1
+        path, out = tmp_path / "t.json", tmp_path / "dec.json"
+        save_tuple(str(path), HermitianTuple(gen_decomposable(3, 2, 2, seed=0)[0].matrices[:1]))
+        assert main(["decompose", str(path), "--k", "2", "--out", str(out)]) == EXIT_PASS
+        rep = json.loads(out.read_text())
+        assert rep["verification"]["ok"] and rep["partition"] == [[1], [2], [3]]
+        assert len(rep["reduced_tuple"]) == 1
+        simple = _tuple_file(tmp_path, (1, 2, 3))
+        assert main(["decompose", str(simple), "--k", "1", "--out", str(out)]) == EXIT_PASS
+        assert main(["analyze", str(simple), "--k", "1", "--out", str(out)]) == EXIT_ERROR
+
     def test_indivisible_k(self, neg_file, tmp_path):
         out = tmp_path / "dec.json"
         assert main(["decompose", str(neg_file), "--k", "4", "--out", str(out)]) == EXIT_PRECONDITION
@@ -742,6 +756,30 @@ class TestGenerateCommand:
         code = main(["generate", "--family", "nope", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_ERROR
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_choices_are_the_family_table(self):
+        # the parser offers exactly instances.FAMILIES, in its order
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices["generate"]
+        family = next(a for a in sub._actions if a.dest == "family")
+        assert list(family.choices) == list(FAMILIES)
+        assert list(FAMILIES) == ["decomposable", "conjugate_negative", "commuting"]
+
+    def test_no_nk_cap(self, tmp_path):
+        # N = 36, above the old nk <= 16 cap, generates and splits
+        path, out = tmp_path / "big.json", tmp_path / "dec.json"
+        assert main(["generate", "--family", "decomposable", "--n", "12", "--k", "3",
+                     "--seed", "1", "--out", str(path)]) == EXIT_PASS
+        assert load_tuple(str(path))[0].dim == 36
+        assert main(["decompose", str(path), "--k", "3", "--out", str(out)]) == EXIT_PASS
+        assert json.loads(out.read_text())["verification"]["ok"]
+
+    def test_commuting_size_guard_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        code = main(["generate", "--family", "commuting", "--n", "17", "--k", "1",
+                     "--out", str(path)])
+        assert code == EXIT_ERROR and not path.exists()
+        assert "n <= 16" in capsys.readouterr().err
 
     def test_help_lists_every_family(self, capsys):
         assert main(["generate", "--help"]) == EXIT_PASS

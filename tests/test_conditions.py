@@ -13,6 +13,7 @@ from pencilspec.conditions import (
 )
 from pencilspec.config import Tolerances
 from pencilspec.decomposer import extract_block_structure, unify_layers
+from pencilspec.errors import SpectrumPatternViolation
 from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import HermitianTuple, prepare_tuple
 from pencilspec.reference import (
@@ -438,9 +439,14 @@ class TestAdmissibility:
             assert ok
 
     def test_nondividing_k(self):
-        prep = prepare_tuple(HermitianTuple((diag(1, 2, 3),)))
-        ok, diagnostics = check_admissibility(prep, k=2)
-        assert not ok and "divide" in diagnostics["reason"]
+        # the pattern test refuses a k that does not divide N, and
+        # prepare_tuple, where the commands check k, raises on it first
+        tup = HermitianTuple((diag(1, 2, 3),))
+        ok, diagnostics = check_admissibility(prepare_tuple(tup), k=2)
+        assert not ok
+        assert "wanted 1 clusters of size 2" in diagnostics["generators"][0]["reason"]
+        with pytest.raises(SpectrumPatternViolation, match="does not divide"):
+            prepare_tuple(tup, 2)
 
 
 class TestAnalyze:

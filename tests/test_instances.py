@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pencilspec.conditions import corollary
 from pencilspec.decomposer import decompose, extract_block_structure, factor_block
 from pencilspec.instances import (
+    FAMILIES,
     gen_commuting,
     gen_conjugate_negative,
     gen_decomposable,
@@ -64,9 +66,19 @@ class TestDecomposable:
         for a, b in zip(t1.matrices, t2.matrices):
             assert np.array_equal(a, b)
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            gen_decomposable(5, 4, 2, seed=0)
+    @pytest.mark.parametrize("gen", [gen_decomposable, gen_commuting])
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_shape_guard(self, gen, shape):
+        with pytest.raises(ValueError, match="need n, k, m >= 1"):
+            gen(*shape, seed=0)
+
+    @pytest.mark.parametrize("n, k, m", [(12, 2, 2), (12, 3, 2), (9, 4, 2)])
+    def test_above_the_old_cap_splits(self, n, k, m):
+        # no cap on nk: N = 24-36 generates, decomposes and passes corollary
+        tup, desc = gen_decomposable(n, k, m, seed=0)
+        assert tup.dim == n * k and desc.seed_tuple[0].shape == (n, n)
+        assert decompose(tup, k).verification["ok"]
+        assert corollary(tup, k, seed=0).verdict.is_kth_power
 
 
 class TestConjugateNegative:
@@ -117,6 +129,16 @@ class TestConjugateNegative:
         assert np.array_equal(t1.matrices[1], t2.matrices[1])
 
 
+class TestFamilies:
+    def test_builders_are_the_generators(self):
+        assert FAMILIES["decomposable"] is gen_decomposable
+        assert FAMILIES["commuting"] is gen_commuting
+        # the negative reads only the seed
+        tup, desc = FAMILIES["conjugate_negative"](4, 3, 5, 7)
+        ref, ref_desc = gen_conjugate_negative(7)
+        assert desc == ref_desc and all(np.array_equal(a, b) for a, b in zip(tup.matrices, ref.matrices))
+
+
 class TestGroundTruthBattery:
     def test_descriptor_verdicts_over_twenty_seeds(self):
         from pencilspec.conditions import analyze
@@ -149,6 +171,12 @@ class TestCommuting:
         assert res.residual <= 1e-8
         for b in res.reduced.matrices:
             assert np.linalg.norm(b - np.diag(np.diag(b))) <= 1e-10
+
+    def test_size_guard_names_the_gap_floor(self):
+        with pytest.raises(ValueError, match=r"n <= 16.*\[-2, 2\].*0\.1"):
+            gen_commuting(17, 1, 2, seed=0)
+        tup, desc = gen_commuting(16, 4, 2, seed=0)
+        assert tup.dim == 64 and desc.family == "commuting"
 
     def test_scalar_multiples_when_n1(self):
         tup, _ = gen_commuting(1, 2, 2, seed=4)

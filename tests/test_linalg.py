@@ -293,6 +293,16 @@ class TestBlockGrid:
         with pytest.raises(SpectrumPatternViolation, match="not uniform"):
             extract_block_structure(tup, spec)
 
+    def test_one_generator_has_an_empty_grid_and_splits(self):
+        # the first generator alone: no layers, every cluster its own part
+        tup = HermitianTuple(gen_decomposable(3, 2, 2, seed=0)[0].matrices[:1])
+        spec = prepare_tuple(tup, 2).spec
+        assert extract_block_structure(tup, spec).shape == (0, 3, 3, 2, 2)
+        res = decompose(tup, 2)
+        assert res.partition == ((0,), (1,), (2,))
+        assert res.verification["ok"] and res.residual <= 1e-12
+        assert res.reduced.m == 1 and res.reduced.dim == 3
+
     def test_decomposer_takes_it_from_linalg(self):
         assert decomposer.extract_block_structure is linalg.extract_block_structure
 
