@@ -20,7 +20,7 @@ generic affine line does.  The generators are Hermitian, so ``q . A`` is
 too: ``eigvalsh`` returns its spectrum real and sorted, and the test
 clusters it by its gaps; no polynomial coefficient is ever formed.
 :func:`kth_power_batch` alone admits pencils (Hermitian, finite); the word
-battery builds its own exactly Hermitian and skips it.
+battery and ``corollary`` build theirs exactly Hermitian and skip it.
 
 Error model: a pencil fails when any line fails.  An algebraic miss has
 probability zero: the lines on which a non-power restricts to a power form
@@ -175,10 +175,10 @@ def kth_power_batch(
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
     if not len(gens):
         return []
-    # Exact first: the pencils analyze and corollary pass are Hermitian to
-    # the last bit, so the defect and the norms are only formed when some
-    # entry of G - G^H is nonzero.  A NaN or an infinite entry always leaves
-    # one (inf - inf is NaN), and then makes its generator's bound non-finite.
+    # Exact first: analyze's full-tuple pencil is Hermitian to the last bit,
+    # so the defect and the norms are only formed when some entry of G - G^H
+    # is nonzero.  A NaN or an infinite entry always leaves one (inf - inf is
+    # NaN), and then makes its generator's bound non-finite.
     diff = np.swapaxes(gens, -1, -2).conj()
     with np.errstate(invalid="ignore"):
         differs = np.subtract(gens, diff, out=diff).any()

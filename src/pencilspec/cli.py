@@ -19,9 +19,11 @@ Exit codes are a stable contract:
   rejects.  ``--help`` exits 0.
 
 Each input is checked once, where it enters: arguments by the parser,
-tolerances when :class:`~pencilspec.config.Tolerances` is built, and ``k``
-against the tuple by :func:`~pencilspec.linalg.prepare_tuple` (``corollary``
-needs only ``k | N``, which :func:`~pencilspec.conditions.corollary` checks).
+tolerances when :class:`~pencilspec.config.Tolerances` is built (without
+``--tol``, :data:`~pencilspec.config.DEFAULT` serves as it is), the tuple's
+generators when it is loaded, and ``k`` against the tuple by
+:func:`~pencilspec.linalg.prepare_tuple` (``corollary`` needs only ``k | N``,
+which :func:`~pencilspec.conditions.corollary` checks).
 An exit 3 writes no report.
 
 Files are JSON, one line per top-level key (sorted), so the ``timestamp``
@@ -51,7 +53,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
@@ -100,19 +101,16 @@ def _matrix_from_json(rows):
 
 def _atomic_write(path, text):
     """Write ``text`` to ``path`` through a rename, with the mode that
-    ``open(path, "w")`` gives (``0o666`` less the umask), not ``0o600``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    ``open(path, "w")`` gives: the temporary file, new in the target's
+    directory, is created ``0o666`` and the kernel takes off the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -227,8 +225,10 @@ _SETTABLE = tuple(f.name for f in dataclasses.fields(Tolerances) if f.init)
 
 
 def _tolerances_from_overrides(pairs):
+    if not pairs:
+        return DEFAULT
     values = {}
-    for item in pairs or ():
+    for item in pairs:
         key, _, raw = item.partition("=")
         if key in LADDER:
             raise ValueError(f"tolerance {key} is derived from resolution; set resolution instead")

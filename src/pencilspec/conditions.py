@@ -39,7 +39,8 @@ the same.
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
 monomial span (at most ``2 N^2`` matrices), so it has no cap on the family
-size.
+size; that pencil, exactly Hermitian like the word pencils, skips the
+admission too.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .charpoly import (
     _spectra,
     _verdicts,
     kth_power_batch,
-    kth_power_test,
 )
 from .config import DEFAULT, Tolerances
 from .errors import ClusterAmbiguity, SpectrumPatternViolation
@@ -653,10 +653,13 @@ def corollary(
             f"no monomial direction is above singular_eig_rel={tol.singular_eig_rel} "
             f"(resolution={tol.resolution}): the span is empty"
         )
-    gens = hermitian_parts(span).reshape(-1, tup.dim, tup.dim)
+    # exactly Hermitian, like the word pencils: no admission, and the
+    # directions kth_power_test(gens, k, n, seed) draws
+    gens = hermitian_parts(span).reshape(1, -1, tup.dim, tup.dim)
+    dirs = _draw_directions(np.random.default_rng(seed), tol.lines, gens.shape[1], pencils=1)
     return CorollaryReport(
         degree_bound=degree_bound,
         family_size=sum(tup.m**d for d in range(1, degree_bound + 1)),
         shifts=prep.shifts,
-        verdict=kth_power_test(gens, k, n, seed=seed, tol=tol),
+        verdict=_verdicts(_spectra(gens, dirs, tol), k, n, tol)[0],
     )

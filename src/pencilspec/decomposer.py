@@ -321,9 +321,10 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
         # new index s*n + i picks up old index i*k + s: subspace s collects
         # the s-th vector of every cluster
         permutation=np.arange(n * k).reshape(n, k).T.ravel(),
-        reduced=HermitianTuple(tuple(
+        # real scales and diagonal shifts of exactly Hermitian parts
+        reduced=HermitianTuple.exact([
             c * b - mu * np.eye(n) for b, c, mu in zip(unit_reduced, prep.scales, prep.shifts)
-        )),
+        ]),
         eigenvalues=spec.eigenvalues * prep.scales[0] - prep.shifts[0],
         partition=partition,
         shifts=prep.shifts,

@@ -93,7 +93,7 @@ def _gapped(n, draw, spectrum=lambda w: w):
 def _rotated(blocks, u) -> HermitianTuple:
     """The Hermitian parts of ``u B u*`` for each block-diagonal ``B``."""
     rotated = (u @ b @ u.conj().T for b in blocks)
-    return HermitianTuple(tuple((a + a.conj().T) / 2.0 for a in rotated))
+    return HermitianTuple.exact([(a + a.conj().T) / 2.0 for a in rotated])
 
 
 def _seeded(n, k, m, seed):

@@ -3,7 +3,9 @@ spectral projections, the block grid and the direct-sum helper.
 
 Matrices are plain ``numpy`` complex128 arrays throughout; the only wrapped
 type is :class:`HermitianTuple`, which pins down the pencil generators
-``A_1, ..., A_m`` and validates them once at construction.
+``A_1, ..., A_m`` and admits them once, where they enter; a tuple the
+program builds Hermitian to the last bit is wrapped by
+:meth:`HermitianTuple.exact` and checked for finiteness only.
 :func:`prepare_tuple` is the one entry of ``analyze``, ``decompose`` and
 ``corollary``: from one eigendecomposition per generator it derives scale,
 invertibility, the spectra admissibility and ``decompose`` read and, for a
@@ -29,7 +31,6 @@ __all__ = [
     "PreparedTuple",
     "as_complex_matrix",
     "spectral_norm",
-    "hermitian_defect",
     "direct_sum_k_copies",
     "prepare_tuple",
     "extract_block_structure",
@@ -50,15 +51,40 @@ def spectral_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hermitian_defect(a) -> float:
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def _require_finite(stack):
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
 
 
-def _require_hermitian(a, tol: Tolerances):
-    defect = hermitian_defect(a)
-    # relative to ||a|| at every scale; an exactly Hermitian matrix skips the norm
-    if defect and defect > (bound := tol.hermitian_rel * spectral_norm(a)):
-        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {bound:.3e}")
+def _admitted(stack, tol: Tolerances):
+    """The exact Hermitian parts of a finite ``(m, N, N)`` stack whose
+    generators' Hermitian defects are within ``tol.hermitian_rel`` times
+    their spectral norms, at every scale; raises :class:`NotHermitian`
+    naming the first that is not."""
+    _require_finite(stack)
+    adj = stack.conj().swapaxes(-1, -2)
+    diff = stack - adj
+    # exact first: the defects and the norms are formed only when some entry differs
+    if diff.any():
+        defects = np.abs(diff).max(axis=(-2, -1))
+        bounds = tol.hermitian_rel * np.linalg.norm(stack, 2, axis=(-2, -1))
+        if (bad := defects > bounds).any():
+            i = int(np.argmax(bad))
+            raise NotHermitian(f"Hermitian defect {defects[i]:.3e} exceeds {bounds[i]:.3e}")
+    return (stack + adj) / 2.0
+
+
+def _stack_error(mats, tol: Tolerances) -> ValueError:
+    """The error of generators that do not stack as ``(m, N, N)``, in the
+    order a check matrix by matrix meets it: each one's shape and
+    finiteness, an empty tuple, then the generators before the first of
+    another size."""
+    mats = [as_complex_matrix(a) for a in mats]
+    if not mats:
+        return ValueError("tuple must contain at least one matrix")
+    same = next((i for i, a in enumerate(mats) if a.shape != mats[0].shape), len(mats))
+    _admitted(np.stack(mats[:same]), tol)
+    return ValueError("all generators must share one dimension")
 
 
 @dataclass(frozen=True)
@@ -67,7 +93,9 @@ class HermitianTuple:
 
     Each generator's Hermitian defect must be within ``tol.hermitian_rel``
     times its spectral norm, at any scale; its exact Hermitian part is
-    stored, so tuples derived from it pass any later check.
+    stored, so tuples derived from it pass any later check.  The generators
+    are admitted in one pass over their stack; :meth:`exact` wraps the
+    tuples the program builds.
     """
 
     matrices: tuple
@@ -75,15 +103,25 @@ class HermitianTuple:
     tol: InitVar[Tolerances] = DEFAULT
 
     def __post_init__(self, tol):
-        mats = tuple(as_complex_matrix(a) for a in self.matrices)
-        if not mats:
-            raise ValueError("tuple must contain at least one matrix")
-        dim = mats[0].shape[0]
-        for a in mats:
-            if a.shape[0] != dim:
-                raise ValueError("all generators must share one dimension")
-            _require_hermitian(a, tol)
-        object.__setattr__(self, "matrices", tuple((a + a.conj().T) / 2.0 for a in mats))
+        mats = tuple(self.matrices)
+        try:
+            stack = np.array(mats, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged, or an entry that is not a number
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise _stack_error(mats, tol)
+        object.__setattr__(self, "matrices", tuple(_admitted(stack, tol)))
+
+    @classmethod
+    def exact(cls, mats) -> HermitianTuple:
+        """The tuple of ``mats``, same-size matrices Hermitian to the last
+        bit by construction, stored as they are.  Only finiteness is checked:
+        unit scaling overflows at subnormal scales, which is malformed input."""
+        stack = np.asarray(mats, dtype=np.complex128)
+        _require_finite(stack)
+        tup = object.__new__(cls)
+        object.__setattr__(tup, "matrices", tuple(stack))
+        return tup
 
     @property
     def dim(self) -> int:
@@ -157,7 +195,7 @@ def direct_sum_k_copies(tup: HermitianTuple, k: int) -> HermitianTuple:
     """Block-diagonal tuple with k copies of every generator."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return HermitianTuple(tuple(np.kron(np.eye(k), a) for a in tup.matrices))
+    return HermitianTuple.exact([np.kron(np.eye(k), a) for a in tup.matrices])
 
 
 def _invertible_shift(w, tol: Tolerances) -> float:
@@ -209,15 +247,16 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
             raise ValueError("k must be a positive integer")
         if tup.dim % k:
             raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
-    w, q = np.linalg.eigh(np.stack(tup.matrices))
+    stack = np.stack(tup.matrices)
+    w, q = np.linalg.eigh(stack)
     norms = np.max(np.abs(w), axis=1)
     scales = np.where(norms > 0, norms, 1.0)
     unit = w / scales[:, None]
     mus = np.array([_invertible_shift(u, tol) for u in unit])
-    eye = np.eye(tup.dim)
-    mats = tuple(a / c + mu * eye for a, c, mu in zip(tup.matrices, scales, mus))
-    prep = PreparedTuple(HermitianTuple(mats), tuple(scales.tolist()), tuple((mus * scales).tolist()),
-                         unit + mus[:, None], q)
+    # a real scale and a real diagonal shift keep each generator exactly Hermitian
+    mats = stack / scales[:, None, None] + mus[:, None, None] * np.eye(tup.dim)
+    prep = PreparedTuple(HermitianTuple.exact(mats), tuple(scales.tolist()),
+                         tuple((mus * scales).tolist()), unit + mus[:, None], q)
     if k is None:
         return prep
     n = tup.dim // k

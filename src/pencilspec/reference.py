@@ -23,8 +23,8 @@ from .conditions import WordSpec
 from .config import DEFAULT, Tolerances
 from .decomposer import BlockStructure, _unimodular_defect
 from .errors import SpectralError
-from .linalg import (HermitianTuple, SpectralData, _clustered, _invertible_shift,
-                     _require_hermitian, as_complex_matrix, spectral_norm)
+from .linalg import (HermitianTuple, SpectralData, _admitted, _clustered, _invertible_shift,
+                     as_complex_matrix, spectral_norm)
 
 
 class GridTooLarge(SpectralError):
@@ -358,7 +358,7 @@ def eigendecompose_clustered(a, tol: Tolerances = DEFAULT) -> SpectralData:
     Hermitian check at ``tol.hermitian_rel``.
     """
     a = as_complex_matrix(a)
-    _require_hermitian(a, tol)
+    _admitted(a[None], tol)
     return _clustered(*np.linalg.eigh(a), tol)
 
 

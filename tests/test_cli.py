@@ -15,6 +15,7 @@ from pencilspec.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    _atomic_write,
     _build_parser,
     _word_summary,
     load_tuple,
@@ -899,6 +900,25 @@ class TestFileModes:
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
             assert path.stat().st_mode == plain.stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "r.json", "t.json"]
+
+    def test_umask_is_never_cleared(self, tmp_path, monkeypatch, umask):
+        # a umask of 0, even for an instant, gives any file another thread
+        # creates then mode 0o666 or 0o777
+        calls = []
+        real = os.umask
+        monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or real(mask))
+        _atomic_write(str(tmp_path / "r.json"), "{}\n")
+        assert 0 not in calls
+        assert stat.S_IMODE((tmp_path / "r.json").stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            _atomic_write(str(tmp_path / "r.json"), "{}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportLayout:

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from pencilspec import conditions, decomposer, linalg
 from pencilspec.conditions import analyze
-from pencilspec.config import Tolerances
+from pencilspec.config import DEFAULT, Tolerances
 from pencilspec.decomposer import decompose
 from pencilspec.errors import (
     ClusterAmbiguity,
@@ -54,6 +56,37 @@ class TestHermitianTuple:
             HermitianTuple((c * np.array([[0.0, 1.0], [0.0, 0.0]]),))
         tup = HermitianTuple((c * np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]]), np.zeros((2, 2))))
         assert np.array_equal(tup.matrices[1], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_admission_matches_the_per_matrix_rule(self, seed):
+        # the rule matrix by matrix: defect max|a - a^H| within hermitian_rel
+        # times ||a||_2, else NotHermitian; each stored as (a + a^H) / 2
+        rng = np.random.default_rng(seed)
+        mats = [rand_hermitian(4, rng) * 10.0 ** rng.uniform(-200, 200) for _ in range(3)]
+        for a in mats[rng.integers(3):]:
+            a[0, 1] += rng.choice([0.0, 1e-15, 1e-11]) * np.linalg.norm(a, 2)
+        defects = [np.max(np.abs(a - a.conj().T)) for a in mats]
+        bounds = [DEFAULT.hermitian_rel * np.linalg.norm(a, 2) for a in mats]
+        bad = [i for i, (d, b) in enumerate(zip(defects, bounds)) if d > b]
+        if bad:
+            i = bad[0]
+            message = f"Hermitian defect {defects[i]:.3e} exceeds {bounds[i]:.3e}"
+            with pytest.raises(NotHermitian, match=f"^{re.escape(message)}$"):
+                HermitianTuple(tuple(mats))
+        else:
+            stored = HermitianTuple(tuple(mats)).matrices
+            assert all(np.array_equal(s, (a + a.conj().T) / 2.0) for s, a in zip(stored, mats))
+
+    def test_exact_checks_finiteness_only(self):
+        # for matrices Hermitian by construction: stored as they are, never
+        # re-symmetrized, and refused only when an entry is not finite
+        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        tup = HermitianTuple.exact([diag(1, 2), a])
+        assert tup.m == 2 and tup.dim == 2
+        assert np.array_equal(tup.matrices[1], a)
+        for bad in (np.nan, np.inf, complex(0, -np.inf)):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                HermitianTuple.exact([diag(1, 2), diag(bad, 1)])
 
     def test_caller_tolerance_governs_admission(self):
         a = diag(1, 1, 2, 2)
