@@ -19,8 +19,9 @@ component, so a generic such line separates the components just as a
 generic affine line does.  The generators are Hermitian, so ``q . A`` is
 too: ``eigvalsh`` returns its spectrum real and sorted, and the test
 clusters it by its gaps; no polynomial coefficient is ever formed.
-:func:`kth_power_batch` alone admits pencils (Hermitian, finite); the word
-battery and ``corollary`` build theirs exactly Hermitian and skip it.
+:func:`kth_power_batch` admits pencils from outside the program (finite,
+then Hermitian); every pencil a command builds is exactly Hermitian and goes
+to :func:`_spectra` and :func:`_verdicts` unchecked.
 
 Error model: a pencil fails when any line fails.  An algebraic miss has
 probability zero: the lines on which a non-power restricts to a power form
@@ -139,24 +140,24 @@ def kth_power_batch(
     dirs,
     tol: Tolerances = DEFAULT,
 ) -> list:
-    """Decide, for each pencil of a stack of Hermitian generators, whether
-    its determinant is a perfect k-th power.
+    """Decide, for each pencil of a stack of Hermitian generators from
+    outside the program, whether its determinant is a perfect k-th power.
 
     ``gens`` holds P pencils of m Hermitian generators each, shape
     ``(P, m, N, N)``, and ``dirs`` the real directions of their lines, shape
     ``(P, tol.lines, m)``: pencil p is restricted to the lines ``x = t q``
     through the origin for the rows ``q`` of ``dirs[p]``, so its verdict
     depends on its generators and its directions alone, neither on
-    evaluation order nor on the rest of the stack.  A generator ``G`` with
-    ``max|G - G^H| > tol.hermitian_rel * max|G|`` raises
-    :class:`ValueError`: the eigensolver reads one triangle only.  So does
-    a generator with a NaN or infinite entry, wherever it sits, and a
-    direction with one.  On every line the eigenvalues of the Hermitian
-    ``q . A`` (the reciprocal roots, zero for the root at infinity) must
-    form clusters whose sizes are all multiples of k, with intra-cluster
-    spread below the cluster tolerance: single linkage splits the sorted
-    spectrum where a gap exceeds that tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
-    every ``e_j``, so a base with repeated factors passes.  Returns one
+    evaluation order nor on the rest of the stack.  A direction or a
+    generator with a NaN or infinite entry raises :class:`ValueError`, and
+    so does a generator ``G`` with ``max|G - G^H| > tol.hermitian_rel *
+    max|G|``: the eigensolver reads one triangle only.  On every line the
+    eigenvalues of the Hermitian ``q . A`` (the reciprocal roots, zero for
+    the root at infinity) must form clusters whose sizes are all multiples
+    of k, with intra-cluster spread below the cluster tolerance: single
+    linkage splits the sorted spectrum where a gap exceeds that tolerance.
+    ``prod f_j^e_j`` is a k-th power exactly when k divides every ``e_j``,
+    so a base with repeated factors passes.  Returns one
     :class:`KPowerVerdict` per pencil.
     """
     gens = np.asarray(gens, dtype=np.complex128)
@@ -175,20 +176,11 @@ def kth_power_batch(
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
     if not len(gens):
         return []
-    # Exact first: analyze's full-tuple pencil is Hermitian to the last bit,
-    # so the defect and the norms are only formed when some entry of G - G^H
-    # is nonzero.  A NaN or an infinite entry always leaves one (inf - inf is
-    # NaN), and then makes its generator's bound non-finite.
-    diff = np.swapaxes(gens, -1, -2).conj()
-    with np.errstate(invalid="ignore"):
-        differs = np.subtract(gens, diff, out=diff).any()
-    if differs:
-        bound = tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))
-        if not np.all(np.isfinite(bound)):
-            raise ValueError("pencil generators must be finite")
-        defect = np.max(np.abs(diff), axis=(-2, -1))
-        if np.any(defect > bound):
-            raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
+    if not np.isfinite(gens).all():
+        raise ValueError("pencil generators must be finite")
+    defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
+    if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
+        raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
     return _verdicts(_spectra(gens, dirs, tol), k, n, tol)
 
 

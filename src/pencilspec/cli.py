@@ -18,12 +18,14 @@ Exit codes are a stable contract:
   ``resolution``) and values that :class:`~pencilspec.config.Tolerances`
   rejects.  ``--help`` exits 0.
 
-Each input is checked once, where it enters: arguments by the parser,
-tolerances when :class:`~pencilspec.config.Tolerances` is built (without
-``--tol``, :data:`~pencilspec.config.DEFAULT` serves as it is), the tuple's
-generators when it is loaded, and ``k`` against the tuple by
-:func:`~pencilspec.linalg.prepare_tuple` (``corollary`` needs only ``k | N``,
-which :func:`~pencilspec.conditions.corollary` checks).
+Only input from outside the program is checked, once, where it enters:
+arguments by the parser, tolerances when :class:`~pencilspec.config.Tolerances`
+is built (without ``--tol``, :data:`~pencilspec.config.DEFAULT` serves as it
+is), the tuple's generators when it is loaded (finite, Hermitian unless
+``--allow-nonhermitian``, with a Hermitian part that does not overflow), and
+``k`` against the tuple by :func:`~pencilspec.linalg.prepare_tuple`
+(``corollary`` needs only ``k | N``, which
+:func:`~pencilspec.conditions.corollary` checks).
 An exit 3 writes no report.
 
 Files are JSON, one line per top-level key (sorted), so the ``timestamp``
@@ -62,7 +64,7 @@ from .config import DEFAULT, LADDER, Tolerances
 from .decomposer import decompose
 from .errors import ClusterAmbiguity, DecompositionError, SpectralError, SpectrumPatternViolation
 from .instances import FAMILIES
-from .linalg import HermitianTuple
+from .linalg import HermitianTuple, hermitian_part
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
@@ -143,11 +145,12 @@ def save_tuple(path, tup: HermitianTuple, metadata=None):
 def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT, data=None):
     """Read a tuple file.  Returns ``(HermitianTuple, metadata dict)``.
 
-    Matrices are stored as their Hermitian parts.  A Hermitian defect above
-    ``tol.hermitian_rel`` times the matrix's spectral norm is rejected unless
-    ``allow_nonhermitian`` is set.  ``data``, when given, is the file's
-    bytes as already read (and hashed) by the caller; ``path`` then only
-    names the file in error messages.
+    Matrices are stored as their Hermitian parts
+    (:func:`~pencilspec.linalg.hermitian_part`, which refuses one that
+    overflows).  A Hermitian defect above ``tol.hermitian_rel`` times the
+    matrix's spectral norm is rejected unless ``allow_nonhermitian`` is set.
+    ``data``, when given, is the file's bytes as already read (and hashed) by
+    the caller; ``path`` then only names the file in error messages.
     """
     if data is None:
         with open(path, "rb") as fh:
@@ -162,7 +165,7 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     if len(mats) != m or any(a.shape != (dim, dim) for a in mats):
         raise ValueError(f"{path}: matrix shapes disagree with the header")
     if allow_nonhermitian:
-        mats = [(a + a.conj().T) / 2.0 for a in mats]
+        mats = hermitian_part(np.reshape(mats, (m, dim, dim)))
     return HermitianTuple(tuple(mats), tol=tol), doc.get("metadata", {})
 
 

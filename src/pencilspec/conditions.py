@@ -24,8 +24,10 @@ variable (thread count or other) affects them.  The words are realized
 level by level through k-column blocks of the first generator's
 eigenbasis and the block grid ``decompose`` factors (see
 :class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is the
-reference) and tested a slice at a time; their pencils, exactly
-Hermitian, skip the admission of :func:`~pencilspec.charpoly.kth_power_batch`.
+reference) and tested a slice at a time.  Their pencils and the full
+tuple's, exactly Hermitian, go straight to the eigensolves: only pencils
+from outside the program pass the admission of
+:func:`~pencilspec.charpoly.kth_power_batch`, which no command calls.
 A word whose adjoint comes earlier in the enumeration shares that word's
 verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
 large battery's tested words are cut into contiguous shares, as many as
@@ -57,13 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charpoly import (
-    KPowerVerdict,
-    _draw_directions,
-    _spectra,
-    _verdicts,
-    kth_power_batch,
-)
+from .charpoly import KPowerVerdict, _draw_directions, _spectra, _verdicts
 from .config import DEFAULT, Tolerances
 from .errors import ClusterAmbiguity, SpectrumPatternViolation
 from .linalg import (HermitianTuple, PreparedTuple, SpectralData, _clustered,
@@ -552,13 +548,14 @@ def analyze(
     full_dirs = _draw_directions(master, tol.lines, tup.m)
     word_dirs = _draw_directions(master, tol.lines, 3, pencils=len(words))
 
-    full_verdict = kth_power_batch(np.stack(shifted.matrices)[None], k, n, full_dirs[None], tol=tol)[0]
-
     twins = adjoint_twins(words)
     source = np.arange(len(words))  # the word whose verdict each word takes
     source[list(twins)] = list(twins.values())
     tested = np.flatnonzero(source == np.arange(len(words)))
     verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
+    # the full tuple's pencil, exactly Hermitian like the word pencils
+    full = np.stack(shifted.matrices)[None]
+    full_verdict = _verdicts(_spectra(full, full_dirs[None], tol), k, n, tol)[0]
     word_results = tuple(zip(words, map(verdicts.__getitem__, source.tolist())))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing

@@ -29,22 +29,12 @@ __all__ = [
     "HermitianTuple",
     "SpectralData",
     "PreparedTuple",
-    "as_complex_matrix",
+    "hermitian_part",
     "spectral_norm",
     "direct_sum_k_copies",
     "prepare_tuple",
     "extract_block_structure",
 ]
-
-
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a finite square complex128 array."""
-    arr = np.array(a, dtype=np.complex128, copy=True)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("matrix entries must be finite")
-    return arr
 
 
 def spectral_norm(a) -> float:
@@ -56,14 +46,25 @@ def _require_finite(stack):
         raise ValueError("matrix entries must be finite")
 
 
-def _admitted(stack, tol: Tolerances):
-    """The exact Hermitian parts of a finite ``(m, N, N)`` stack whose
-    generators' Hermitian defects are within ``tol.hermitian_rel`` times
-    their spectral norms, at every scale; raises :class:`NotHermitian`
-    naming the first that is not."""
+def hermitian_part(stack):
+    """``(G + G*) / 2`` for each of a finite stack of square matrices; one
+    that overflows raises :class:`ValueError`, and nothing warns."""
     _require_finite(stack)
-    adj = stack.conj().swapaxes(-1, -2)
-    diff = stack - adj
+    with np.errstate(over="ignore", invalid="ignore"):  # complex inf / 2 is NaN
+        part = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+    if not np.isfinite(part).all():
+        raise ValueError("Hermitian part (A + A^H) / 2 overflows: entries too large")
+    return part
+
+
+def _admitted(stack, tol: Tolerances):
+    """The exact Hermitian parts (:func:`hermitian_part`) of a finite
+    ``(m, N, N)`` stack whose generators' Hermitian defects are within
+    ``tol.hermitian_rel`` times their spectral norms, at every scale; raises
+    :class:`NotHermitian` naming the first that is not."""
+    part = hermitian_part(stack)
+    with np.errstate(over="ignore"):  # an overflowing defect is refused below
+        diff = stack - stack.conj().swapaxes(-1, -2)
     # exact first: the defects and the norms are formed only when some entry differs
     if diff.any():
         defects = np.abs(diff).max(axis=(-2, -1))
@@ -71,20 +72,7 @@ def _admitted(stack, tol: Tolerances):
         if (bad := defects > bounds).any():
             i = int(np.argmax(bad))
             raise NotHermitian(f"Hermitian defect {defects[i]:.3e} exceeds {bounds[i]:.3e}")
-    return (stack + adj) / 2.0
-
-
-def _stack_error(mats, tol: Tolerances) -> ValueError:
-    """The error of generators that do not stack as ``(m, N, N)``, in the
-    order a check matrix by matrix meets it: each one's shape and
-    finiteness, an empty tuple, then the generators before the first of
-    another size."""
-    mats = [as_complex_matrix(a) for a in mats]
-    if not mats:
-        return ValueError("tuple must contain at least one matrix")
-    same = next((i for i, a in enumerate(mats) if a.shape != mats[0].shape), len(mats))
-    _admitted(np.stack(mats[:same]), tol)
-    return ValueError("all generators must share one dimension")
+    return part
 
 
 @dataclass(frozen=True)
@@ -94,8 +82,9 @@ class HermitianTuple:
     Each generator's Hermitian defect must be within ``tol.hermitian_rel``
     times its spectral norm, at any scale; its exact Hermitian part is
     stored, so tuples derived from it pass any later check.  The generators
-    are admitted in one pass over their stack; :meth:`exact` wraps the
-    tuples the program builds.
+    are admitted in one pass over their stack, which must be a non-empty
+    ``(m, N, N)`` stack of numbers; :meth:`exact` wraps the tuples the
+    program builds.
     """
 
     matrices: tuple
@@ -103,13 +92,12 @@ class HermitianTuple:
     tol: InitVar[Tolerances] = DEFAULT
 
     def __post_init__(self, tol):
-        mats = tuple(self.matrices)
-        try:
-            stack = np.array(mats, dtype=np.complex128)
-        except (TypeError, ValueError):  # ragged, or an entry that is not a number
-            stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise _stack_error(mats, tol)
+        try:  # numpy refuses ragged input and entries that are not numbers
+            stack = np.array(self.matrices, dtype=np.complex128)
+            if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+                raise ValueError(f"got shape {stack.shape}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"generators must be a non-empty (m, N, N) stack of numbers: {exc}") from None
         object.__setattr__(self, "matrices", tuple(_admitted(stack, tol)))
 
     @classmethod

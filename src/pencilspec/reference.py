@@ -24,7 +24,7 @@ from .config import DEFAULT, Tolerances
 from .decomposer import BlockStructure, _unimodular_defect
 from .errors import SpectralError
 from .linalg import (HermitianTuple, SpectralData, _admitted, _clustered, _invertible_shift,
-                     as_complex_matrix, spectral_norm)
+                     spectral_norm)
 
 
 class GridTooLarge(SpectralError):
@@ -341,6 +341,16 @@ def cluster_roots(roots, tol: float):
     clusters.sort(key=lambda c: (round(float(c.real.mean()), 12), round(float(c.imag.mean()), 12)))
     return clusters
 
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a finite square complex128 array."""
+    arr = np.array(a, dtype=np.complex128, copy=True)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise ValueError("matrix entries must be finite")
+    return arr
 
 
 def norm_scale(a) -> float:

@@ -538,9 +538,8 @@ class TestKthPowerBatch:
         assert kth_power_batch(np.stack(gens)[None], k=2, n=2, dirs=self.dirs([3]))[0].is_kth_power
 
     def test_exact_first_admission_keeps_verdicts_and_message(self):
-        # the exact G == G* test only skips forming the defect: exact and
-        # rounding-level stacks get the reference verdicts, and a stack
-        # above the bound the defect bound's own message
+        # exact and rounding-level stacks get the reference verdicts, and a
+        # stack above the bound the defect bound's own message
         from pencilspec.instances import haar_unitary
 
         gens, seeds = self.stack()
@@ -563,9 +562,8 @@ class TestKthPowerBatch:
         )
 
     def test_nan_entry_is_rejected(self):
-        # NaN differs from itself, so G - G* holds a NaN and the generator's
-        # bound is NaN: the stack is refused before the eigensolver, which
-        # reads one triangle only and would ignore or mangle the entry.
+        # the stack is refused before the eigensolver, which reads one
+        # triangle only and would ignore or mangle the entry
         gens, seeds = self.stack()
         gens[1, 1, 0, 1] = gens[1, 1, 1, 0] = np.nan
         with pytest.raises(ValueError, match="^pencil generators must be finite$"):
@@ -582,7 +580,7 @@ class TestKthPowerBatch:
     def test_non_finite_entry_is_rejected(self, value, entries):
         # before, these passed, failed with a NaN spread or raised
         # LinAlgError, by where the entry sat; an exactly Hermitian inf pair
-        # leaves inf - inf = NaN in G - G*
+        # is refused too
         second = diag(3, 3, 4, 4)
         for entry in entries:
             second[entry] = value

@@ -88,6 +88,33 @@ class TestHermitianTuple:
             with pytest.raises(ValueError, match="^matrix entries must be finite$"):
                 HermitianTuple.exact([diag(1, 2), diag(bad, 1)])
 
+    @pytest.mark.parametrize(
+        "mats",
+        [(), ([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]]), (np.ones((2, 3)),),
+         (diag(1, 2), diag(1, 2, 3)), ([["a", "b"], ["c", "d"]],)],
+        ids=["empty", "ragged", "non-square", "mixed-sizes", "strings"],
+    )
+    def test_malformed_stack_raises_one_value_error(self, mats):
+        with pytest.raises(ValueError, match=r"^generators must be a non-empty "
+                                             r"\(m, N, N\) stack of numbers: "):
+            HermitianTuple(mats)
+
+    def test_well_shaped_stack_keeps_its_admission_errors(self):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            HermitianTuple((diag(1, 2), diag(np.nan, 1)))
+        with pytest.raises(NotHermitian, match=r"^Hermitian defect 1\.000e\+00 exceeds 1\.000e-12$"):
+            HermitianTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),))
+
+    @pytest.mark.parametrize("c", [1e308, np.finfo(float).max])
+    def test_overflowing_hermitian_part_is_refused(self, c):
+        # (a + a^H) / 2 overflows although every entry is finite; no warning
+        # (the suite turns warnings into errors), and one message naming it
+        a = c * np.array([[1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ValueError, match="^Hermitian part .* overflows"):
+            HermitianTuple((a,))
+        with pytest.raises(ValueError, match="^Hermitian part .* overflows"):
+            linalg.hermitian_part(a[None])
+
     def test_caller_tolerance_governs_admission(self):
         a = diag(1, 1, 2, 2)
         a[0, 1] += 1e-10

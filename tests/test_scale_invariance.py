@@ -110,3 +110,30 @@ def test_decompose_residual_within_bound(tmp_path, family, shape, seed, scale):
 def test_extreme_scales_answer_or_refuse(tmp_path, scale):
     tup = gen_decomposable(3, 2, 2, seed=1)[0]
     assert set(run_all(tmp_path, HermitianTuple.exact([scale * a for a in tup.matrices]))) <= {EXIT_PASS, 3}
+
+
+# Every entry is finite, but at 1e308 the Hermitian part (a + a^H) / 2
+# overflows: with or without --allow-nonhermitian, each command refuses the
+# file with one line naming the overflow, writes no report and warns nothing
+# (the suite turns warnings into errors).  Just below, the tuple splits.
+@pytest.mark.parametrize("flags", [(), ("--allow-nonhermitian",)], ids=["strict", "allow-nonhermitian"])
+def test_overflowing_hermitian_part_is_refused(tmp_path, capsys, flags):
+    tup = gen_decomposable(3, 2, 2, seed=1)[0]
+    path, out = tmp_path / "t.json", tmp_path / "rep.json"
+    save_tuple(str(path), HermitianTuple.exact([1e308 * a for a in tup.matrices]))
+    capsys.readouterr()
+    for cmd in COMMANDS:
+        assert main([cmd, str(path), "--k", "2", "--out", str(out), *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "overflows" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [5e307, np.finfo(float).max / 4], ids=["x5e307", "x(max/4)"])
+@pytest.mark.parametrize("flags", [(), ("--allow-nonhermitian",)], ids=["strict", "allow-nonhermitian"])
+def test_largest_scales_below_the_overflow_answer(tmp_path, scale, flags):
+    tup = gen_decomposable(3, 2, 2, seed=1)[0]
+    path = tmp_path / "t.json"
+    save_tuple(str(path), HermitianTuple.exact([scale * a for a in tup.matrices]))
+    out = str(tmp_path / "rep.json")
+    assert [main([cmd, str(path), "--k", "2", "--out", out, *flags]) for cmd in COMMANDS] == [0] * 3
