@@ -151,7 +151,9 @@ def kth_power_batch(
     evaluation order nor on the rest of the stack.  A direction or a
     generator with a NaN or infinite entry raises :class:`ValueError`, and
     so does a generator ``G`` with ``max|G - G^H| > tol.hermitian_rel *
-    max|G|``: the eigensolver reads one triangle only.  On every line the
+    max|G|``: the eigensolver reads one triangle only.  So do generators
+    and directions whose line combinations ``q . A`` could overflow: an
+    entry bound above the largest float over 4N.  On every line the
     eigenvalues of the Hermitian ``q . A`` (the reciprocal roots, zero for
     the root at infinity) must form clusters whose sizes are all multiples
     of k, with intra-cluster spread below the cluster tolerance: single
@@ -181,6 +183,19 @@ def kth_power_batch(
     defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
     if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
         raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
+    # A line's q . A has real and imaginary parts at most |q| . (each
+    # generator's largest part), its eigenvalues at most sqrt(2) N times that
+    # and their gaps twice it; 4N in place of 2 sqrt(2) N leaves room for
+    # rounding, so nothing overflows below the limit.
+    parts = np.maximum(np.abs(gens.real), np.abs(gens.imag)).max(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # an overflowing bound is refused below
+        bound = np.abs(dirs) @ parts[..., None]
+    limit = np.finfo(np.float64).max / (4 * dim)
+    if np.any(bound > limit):
+        raise ValueError(
+            f"line combinations q . A overflow: entry bound {np.max(bound):.3e} "
+            f"above {limit:.3e}"
+        )
     return _verdicts(_spectra(gens, dirs, tol), k, n, tol)
 
 

@@ -584,10 +584,13 @@ def _monomial_span(mats, degree_bound, tol):
     The span up to degree d+1 is the span up to degree d plus the directions
     that degree d added, times the generators (unit-scale ones, as
     :func:`~pencilspec.linalg.prepare_tuple` leaves them).  Those products
-    are projected off the basis twice, and a thin SVD keeps the residual
-    directions above ``tol.singular_eig_rel``.  A degree that adds none
-    closes the span.  Equal weight on every direction makes the verdict
-    depend on the span alone, not on the generators' scale.
+    are projected off the basis twice (degree 1 has no basis to project
+    off), and a thin SVD keeps the residual directions above
+    ``tol.singular_eig_rel``.  A degree that adds none closes the span.  No
+    singular value exceeds the Frobenius norm, ``sigma_max <= ||R||_F``, so a
+    residual ``R`` whose norm is below half the cut closes the span without
+    the SVD, which could keep nothing there.  Equal weight on every direction
+    makes the verdict depend on the span alone, not on the generators' scale.
     """
     gen = np.stack(mats)
     dim = gen.shape[1]
@@ -595,8 +598,14 @@ def _monomial_span(mats, degree_bound, tol):
     added = np.eye(dim).reshape(1, -1)
     for _ in range(degree_bound):
         rows = np.matmul(added.reshape(-1, 1, dim, dim), gen).reshape(-1, dim * dim)
-        for _ in range(2):
-            rows = rows - (rows @ span.conj().T) @ span
+        if len(span):
+            for _ in range(2):
+                rows = rows - (rows @ span.conj().T) @ span
+        # the closing degree's residual is rounding, near 1e-15; half the cut
+        # leaves room for the rounding of the computed norm and singular
+        # values, so the SVD could keep nothing below it
+        if np.linalg.norm(rows) < tol.singular_eig_rel / 2:
+            break
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
         added = vh[s > tol.singular_eig_rel]
         if not len(added):

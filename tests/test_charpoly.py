@@ -613,6 +613,21 @@ class TestKthPowerBatch:
         with pytest.raises(ValueError, match="^line directions must be finite$"):
             kth_power_batch(gens, k=2, n=2, dirs=dirs)
 
+    def test_overflowing_lines_are_rejected(self):
+        # finite generators whose line combinations overflow: before, a
+        # failing verdict with spread nan after an overflow RuntimeWarning,
+        # which filterwarnings = error turns into a test failure
+        gens = np.stack([1.7e308 * np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match=r"^line combinations q \. A overflow"):
+            kth_power_batch(gens[None], k=2, n=1, dirs=self.dirs([1]))
+        with pytest.raises(ValueError, match=r"^line combinations q \. A overflow"):
+            kth_power_test(list(gens), k=2, n=1, seed=0)
+
+    def test_large_lines_below_the_overflow_bound_are_tested(self):
+        v = kth_power_test([1e300 * np.eye(2), np.eye(2)], k=2, n=1, seed=0)
+        assert v.is_kth_power
+        assert v.worst_spread == 0.0
+
     def test_rejects_bad_stack(self):
         gens, seeds = self.stack()
         dirs = self.dirs(seeds)

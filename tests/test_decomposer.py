@@ -555,7 +555,7 @@ class TestAuditDecides:
 
 @pytest.mark.xfail(
     strict=True, raises=ScalarizationFailed,
-    reason="ROADMAP item 3: the commutation bound gap_tol / 10 * max_norm is met per "
+    reason="ROADMAP item 4: the commutation bound gap_tol / 10 * max_norm is met per "
            "eigenvalue gap, not by the Frobenius defect summed over a cluster",
 )
 @pytest.mark.parametrize("n, k, m, seed", [(3, 2, 2, 5), (4, 2, 2, 16), (3, 3, 3, 3)])
