@@ -180,8 +180,12 @@ def kth_power_batch(
         return []
     if not np.isfinite(gens).all():
         raise ValueError("pencil generators must be finite")
-    defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
-    if np.any(defect > tol.hermitian_rel * np.max(np.abs(gens), axis=(-2, -1))):
+    # finite entries near the largest float overflow both; an infinite defect
+    # is refused here, and one against an infinite max|G| by the bound below
+    with np.errstate(over="ignore"):
+        defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
+        size = np.max(np.abs(gens), axis=(-2, -1))
+    if np.any(defect > tol.hermitian_rel * size):
         raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
     # A line's q . A has real and imaginary parts at most |q| . (each
     # generator's largest part), its eigenvalues at most sqrt(2) N times that

@@ -59,7 +59,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .conditions import ConditionReport, analyze, corollary
+from .conditions import MODES, ConditionReport, analyze, corollary
 from .config import DEFAULT, LADDER, Tolerances
 from .decomposer import decompose
 from .errors import ClusterAmbiguity, DecompositionError, SpectralError, SpectrumPatternViolation
@@ -399,7 +399,7 @@ def _build_parser():
 
     p_an = sub.add_parser("analyze", help="run the spectral condition battery")
     common(p_an)
-    p_an.add_argument("--mode", choices=("all", "proof_core"), default="all")
+    p_an.add_argument("--mode", choices=MODES, default="all")
     p_an.set_defaults(func=cmd_analyze)
 
     p_de = sub.add_parser("decompose", help="construct the splitting unitary")

@@ -66,6 +66,7 @@ from .linalg import (HermitianTuple, PreparedTuple, SpectralData, _clustered,
                      extract_block_structure, prepare_tuple)
 
 __all__ = [
+    "MODES",
     "WordSpec",
     "ConditionReport",
     "enumerate_words",
@@ -114,15 +115,19 @@ class WordSpec:
         return {"letters": list(self.letters), "projections": list(self.projections)}
 
 
+# The one list of word modes, whose keys ``analyze --mode`` offers: each mode's
+# count of the projection tuples with r of n labels, and their arrangement.
+MODES = {
+    "all": (math.perm, permutations),
+    "proof_core": (math.comb, combinations),
+}
+
+
 def count_words(n: int, m: int, mode: str = "all") -> int:
     """Closed-form size of the word family."""
-    if mode == "all":
-        arrangements = math.perm
-    elif mode == "proof_core":
-        arrangements = math.comb
-    else:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return sum((m - 1) ** (r + 1) * arrangements(n, r) for r in range(n))
+    return sum((m - 1) ** (r + 1) * MODES[mode][0](n, r) for r in range(n))
 
 
 def enumerate_words(n: int, m: int, mode: str = "all", tol: Tolerances = DEFAULT):
@@ -137,9 +142,9 @@ def enumerate_words(n: int, m: int, mode: str = "all", tol: Tolerances = DEFAULT
     """
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
-    if mode not in ("all", "proof_core"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    arrange = permutations if mode == "all" else combinations
+    arrange = MODES[mode][1]
     pairs = chain.from_iterable(
         product(arrange(range(1, n + 1), r), product(range(2, m + 1), repeat=r + 1))
         for r in range(n)
@@ -586,11 +591,12 @@ def _monomial_span(mats, degree_bound, tol):
     :func:`~pencilspec.linalg.prepare_tuple` leaves them).  Those products
     are projected off the basis twice (degree 1 has no basis to project
     off), and a thin SVD keeps the residual directions above
-    ``tol.singular_eig_rel``.  A degree that adds none closes the span.  No
-    singular value exceeds the Frobenius norm, ``sigma_max <= ||R||_F``, so a
-    residual ``R`` whose norm is below half the cut closes the span without
-    the SVD, which could keep nothing there.  Equal weight on every direction
-    makes the verdict depend on the span alone, not on the generators' scale.
+    ``tol.singular_eig_rel``.  No singular value exceeds the Frobenius norm,
+    ``sigma_max <= ||R||_F``, so a residual ``R`` whose norm is below half the
+    cut closes the span without the SVD, which could keep nothing there; so
+    does the empty residual that follows a degree adding none.  Equal weight
+    on every direction makes the verdict depend on the span alone, not on
+    the generators' scale.
     """
     gen = np.stack(mats)
     dim = gen.shape[1]
@@ -608,8 +614,6 @@ def _monomial_span(mats, degree_bound, tol):
             break
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
         added = vh[s > tol.singular_eig_rel]
-        if not len(added):
-            break
         span = np.concatenate([span, added])
     return span.reshape(-1, dim, dim)
 

@@ -17,6 +17,7 @@ Everything here is pure and safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import KW_ONLY, InitVar, dataclass, replace
 from functools import cached_property
 
@@ -103,8 +104,7 @@ class HermitianTuple:
     @classmethod
     def exact(cls, mats) -> HermitianTuple:
         """The tuple of ``mats``, same-size matrices Hermitian to the last
-        bit by construction, stored as they are.  Only finiteness is checked:
-        unit scaling overflows at subnormal scales, which is malformed input."""
+        bit by construction, stored as they are.  Only finiteness is checked."""
         stack = np.asarray(mats, dtype=np.complex128)
         _require_finite(stack)
         tup = object.__new__(cls)
@@ -221,8 +221,9 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
     One batched ``eigh`` gives everything: the scale ``max |w_l|`` (a zero
     generator keeps 1), the shift of the unit spectrum ``w_l / scale_l`` by
     the rule of :func:`_invertible_shift`, and the prepared eigenpairs
-    (same eigenvectors).  Neither step changes whether the tuple splits
-    into identical copies (``x_l -> x_l / c_l`` keeps a perfect power a
+    (same eigenvectors); a subnormal scale, ``scale * finfo.max < 1``,
+    raises :class:`ValueError` first.  Neither step changes whether the tuple
+    splits into identical copies (``x_l -> x_l / c_l`` keeps a perfect power a
     perfect power), so verdicts do not depend on the generators' scales.
     With ``k``, also check that k divides N and that the first generator
     has N/k eigenvalue clusters of size k, raising
@@ -239,6 +240,11 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
     w, q = np.linalg.eigh(stack)
     norms = np.max(np.abs(w), axis=1)
     scales = np.where(norms > 0, norms, 1.0)
+    # numpy divides the complex stack through 1 / scale, which overflows where
+    # scale * finfo.max < 1 (a product of Python floats, which cannot warn)
+    if (smallest := float(scales.min())) * sys.float_info.max < 1:
+        raise ValueError(f"generator norm {smallest:.3e} is below the normal range: "
+                         "unit scaling overflows")
     unit = w / scales[:, None]
     mus = np.array([_invertible_shift(u, tol) for u in unit])
     # a real scale and a real diagonal shift keep each generator exactly Hermitian

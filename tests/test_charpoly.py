@@ -623,6 +623,20 @@ class TestKthPowerBatch:
         with pytest.raises(ValueError, match=r"^line combinations q \. A overflow"):
             kth_power_test(list(gens), k=2, n=1, seed=0)
 
+    @pytest.mark.parametrize("gen", [
+        np.array([[0, 1.7e308], [-1.7e308, 0]]),
+        np.diag([1.5e308j, 1.5e308]),
+        np.diag([1.7e308 + 1.7e308j, 1]),
+    ], ids=["antisymmetric", "imaginary-diagonal", "complex-diagonal"])
+    def test_finite_entries_near_the_maximum_are_refused_without_a_warning(self, gen):
+        # the defect |G - G^H| and max|G| overflow on these finite entries:
+        # they warned before, and filterwarnings = error turns a warning into
+        # a failure; an infinite defect is not Hermitian, and against an
+        # infinite max|G| the line bound refuses
+        gens = np.stack([gen, np.eye(2)]).astype(complex)
+        with pytest.raises(ValueError):
+            kth_power_batch(gens[None], k=2, n=1, dirs=self.dirs([1]))
+
     def test_large_lines_below_the_overflow_bound_are_tested(self):
         v = kth_power_test([1e300 * np.eye(2), np.eye(2)], k=2, n=1, seed=0)
         assert v.is_kth_power

@@ -22,7 +22,7 @@ from pencilspec.cli import (
     main,
     save_tuple,
 )
-from pencilspec.conditions import _monomial_span
+from pencilspec.conditions import MODES, _monomial_span
 from pencilspec.config import DEFAULT, LADDER, Tolerances
 from pencilspec.instances import FAMILIES, gen_conjugate_negative, gen_decomposable
 from pencilspec.linalg import HermitianTuple
@@ -184,6 +184,14 @@ class TestTupleFiles:
 
 
 class TestAnalyzeCommand:
+    def test_mode_choices_are_the_mode_table(self):
+        # the parser offers exactly conditions.MODES, in its order
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices["analyze"]
+        mode = next(a for a in sub._actions if a.dest == "mode")
+        assert list(mode.choices) == list(MODES) == ["all", "proof_core"]
+        assert mode.default == "all"
+
     def test_positive_exits_zero(self, pos_file, tmp_path):
         out = tmp_path / "rep.json"
         code = main(["analyze", str(pos_file), "--k", "2", "--seed", "3", "--out", str(out)])

@@ -71,8 +71,10 @@ class TestEnumeration:
                     words, truncated = enumerate_words(n, m, mode=mode, tol=Tolerances(word_cap=10**6))
                     assert not truncated
                     assert len(words) == count_words(n, m, mode)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
             count_words(3, 2, "bogus")
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            enumerate_words(3, 2, mode="bogus")
 
     def test_n2_m2_explicit(self):
         words, _ = enumerate_words(2, 2, mode="all")

@@ -277,6 +277,21 @@ class TestPrepareTuple:
         with pytest.raises(ValueError):
             prepare_tuple(HermitianTuple((diag(1, 1),)), 0)
 
+    @pytest.mark.parametrize("norm", [5e-324, 1e-315, 5e-309])
+    def test_subnormal_scale_is_refused_by_name(self, norm):
+        # 1 / norm overflows, so no unit tuple can be formed; the generator
+        # at the largest float's scale beside it is fine
+        tup = HermitianTuple((diag(1e307, 5e307), diag(norm, norm)))
+        with pytest.raises(ValueError, match=r"^generator norm \S+ is below the normal range: "
+                                             r"unit scaling overflows$"):
+            prepare_tuple(tup)
+
+    @pytest.mark.parametrize("norm", [6e-309, np.finfo(float).tiny])
+    def test_smallest_scales_that_unit_scaling_reaches(self, norm):
+        prep = prepare_tuple(HermitianTuple((diag(norm, 2 * norm),)))
+        assert np.isfinite(prep.tup.matrices[0]).all()
+        assert prep.eigenvalues[0][-1] == 1.0
+
 
 def _singular_first(tup):
     a1 = tup.matrices[0]

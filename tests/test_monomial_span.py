@@ -1,6 +1,8 @@
 """The monomial span closes on a norm bound: a residual too small for any
 singular value to clear the cut ends the span without an SVD, and the basis
-is the one an SVD at every degree builds."""
+is the one an SVD at every degree builds.  A degree whose SVD keeps nothing
+leaves the next degree no rows, and their empty residual closes the span on
+the same bound."""
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from pencilspec.instances import FAMILIES
 from pencilspec.linalg import prepare_tuple
 
 
-def svd_every_degree(mats, degree_bound, tol):
+def svd_every_degree(mats, degree_bound, tol, record=None):
     """The span's loop without the norm close: every degree projects off the
-    basis twice, even an empty one, and runs the SVD."""
+    basis twice, even an empty one, and runs the SVD.  With ``record``, each
+    degree appends its residual's ``(sigma_max, ||R||_F)`` to it."""
     gen = np.stack(mats)
     dim = gen.shape[1]
     span = np.zeros((0, dim * dim), dtype=np.complex128)
@@ -24,6 +27,8 @@ def svd_every_degree(mats, degree_bound, tol):
         for _ in range(2):
             rows = rows - (rows @ span.conj().T) @ span
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        if record is not None:
+            record.append((s.max(initial=0.0), np.linalg.norm(rows)))
         added = vh[s > tol.singular_eig_rel]
         if not len(added):
             break
@@ -99,3 +104,34 @@ def test_only_degrees_that_add_a_direction_run_the_svd(monkeypatch):
     # degree 1 adds the generators and degree 2 fills M_3 (x) I_2; degree 3
     # adds nothing, and its residual is closed by its norm
     assert len(calls) == 2
+
+
+def test_a_degree_whose_svd_keeps_nothing_closes_the_span(monkeypatch):
+    # The first resolution on a grid at which the copy loop ends on a degree
+    # whose residual the norm bound leaves open, sigma_max < cut <= 2 ||R||_F,
+    # with a basis already built: that degree's SVD runs and keeps nothing
+    tup, _ = FAMILIES["decomposable"](3, 2, 2, 0)
+    for resolution in np.logspace(1, 3, 21):
+        tol = Tolerances(resolution=float(resolution))
+        mats = prepare_tuple(tup, tol=tol).tup.matrices
+        record = []
+        want = svd_every_degree(mats, 7, tol, record)
+        sigma_max, norm = record[-1]
+        if len(want) and sigma_max < tol.singular_eig_rel <= 2 * norm:
+            break
+    else:
+        pytest.fail("no resolution on the grid reaches a degree whose SVD keeps nothing")
+    assert len(record) < 7
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(rows, *args, **kwargs):
+        calls.append(rows.shape)
+        return svd(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    got = _monomial_span(mats, 7, tol)
+    # the span runs the same SVDs, the last keeping nothing, and the next
+    # degree's empty residual closes it
+    assert len(calls) == len(record)
+    assert np.array_equal(got, want)

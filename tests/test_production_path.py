@@ -96,29 +96,3 @@ def test_unknown_attribute_raises(module):
     with pytest.raises(AttributeError, match=f"'pencilspec.{module}' has no attribute 'nope'"):
         importlib.import_module(f"pencilspec.{module}").nope
 
-
-def test_no_command_calls_kth_power_batch(tmp_path, monkeypatch):
-    # kth_power_batch admits pencils from outside; every pencil a command
-    # builds is exactly Hermitian and goes to the eigensolves directly
-    from pencilspec.charpoly import kth_power_batch
-    from pencilspec.cli import main, save_tuple
-    from pencilspec.instances import gen_conjugate_negative, gen_decomposable
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a command called kth_power_batch")
-
-    patched = []
-    for name, module in list(sys.modules.items()):
-        if name == "pencilspec" or name.startswith("pencilspec."):
-            for attr, value in list(vars(module).items()):
-                if value is kth_power_batch:
-                    monkeypatch.setattr(module, attr, refused)
-                    patched.append(f"{name}.{attr}")
-    assert "pencilspec.charpoly.kth_power_batch" in patched
-    cases = [(gen_decomposable(3, 2, 2, seed=1)[0], 0), (gen_conjugate_negative(1)[0], 1)]
-    for i, (tup, want) in enumerate(cases):
-        path = tmp_path / f"t{i}.json"
-        save_tuple(str(path), tup)
-        codes = [main([command, str(path), "--k", "2", "--out", str(tmp_path / f"{command}{i}.json")])
-                 for command in ("analyze", "decompose", "corollary")]
-        assert codes == [want] * 3

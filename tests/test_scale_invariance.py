@@ -102,14 +102,25 @@ def test_decompose_residual_within_bound(tmp_path, family, shape, seed, scale):
 
 # Subnormal entries (1e-310, 1e-315) overflow unit scaling, and at 1e308 the
 # loaded tuple's Hermitian part overflows (ROADMAP item 7).  The tuple splits,
-# so each command must answer 0 or refuse the file with 3: never fail it (1),
-# never report a violated precondition (2), never raise.  The overflows still
-# warn; item 7 tracks that, so the warnings are let through here.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e-310, 1e-315, 1e308], ids=lambda c: f"x{c:g}")
-def test_extreme_scales_answer_or_refuse(tmp_path, scale):
+# but neither can be answered: each command refuses the file with 3 and one
+# stderr line naming the cause, writes no report and warns nothing (the suite
+# turns warnings into errors).
+EXTREME = {1e-310: "is below the normal range: unit scaling overflows",
+           1e-315: "is below the normal range: unit scaling overflows",
+           1e308: "Hermitian part (A + A^H) / 2 overflows"}
+
+
+@pytest.mark.parametrize("scale", list(EXTREME), ids=lambda c: f"x{c:g}")
+def test_extreme_scales_answer_or_refuse(tmp_path, capsys, scale):
     tup = gen_decomposable(3, 2, 2, seed=1)[0]
-    assert set(run_all(tmp_path, HermitianTuple.exact([scale * a for a in tup.matrices]))) <= {EXIT_PASS, 3}
+    path, out = tmp_path / "t.json", tmp_path / "rep.json"
+    save_tuple(str(path), HermitianTuple.exact([scale * a for a in tup.matrices]))
+    capsys.readouterr()
+    for cmd in COMMANDS:
+        assert main([cmd, str(path), "--k", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and EXTREME[scale] in err
+        assert not out.exists()
 
 
 # Every entry is finite, but at 1e308 the Hermitian part (a + a^H) / 2
