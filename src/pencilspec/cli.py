@@ -68,7 +68,7 @@ from .linalg import HermitianTuple, hermitian_part
 
 TUPLE_FORMAT = "pencilspec-tuple"
 REPORT_FORMAT = "pencilspec-report"
-FORMAT_VERSION = 16
+FORMAT_VERSION = 17
 TUPLE_VERSION = 15  # versioned apart, so a report-format bump leaves tuple bytes alone
 
 EXIT_PASS = 0
@@ -88,12 +88,12 @@ def _matrix_to_json(a):
 
 
 def _matrix_from_json(rows):
-    # each cell exactly an [re, im] pair of JSON numbers; a bool is an int to
-    # Python, and numpy would read a string or a bool as a number, so the
-    # types are checked on the object array first (ragged rows fail there)
+    # nested lists, of any depth, of [re, im] pairs of JSON numbers; a bool is
+    # an int to Python, and numpy would read a string or a bool as a number, so
+    # the types are checked on the object array first (ragged lists fail there)
     try:
         cells = np.array(rows, dtype=object)
-        pairs = cells.ndim == 3 and cells.shape[2] == 2
+        pairs = cells.shape[-1:] == (2,)
         if not pairs or not set(map(type, cells.ravel())) <= {int, float}:
             raise ValueError("a cell is not an [re, im] pair of numbers")
         return cells.astype(np.float64).view(np.complex128)[..., 0]
@@ -135,7 +135,7 @@ def save_tuple(path, tup: HermitianTuple, metadata=None):
         "version": TUPLE_VERSION,
         "dim": tup.dim,
         "m": tup.m,
-        "matrices": [_matrix_to_json(a) for a in tup.matrices],
+        "matrices": _matrix_to_json(tup.matrices),
     }
     if metadata:
         doc["metadata"] = metadata
@@ -161,12 +161,14 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     m, dim, matrices = doc.get("m"), doc.get("dim"), doc.get("matrices")
     if not isinstance(matrices, list) or type(m) is not int or type(dim) is not int:
         raise ValueError(f"{path}: need a list 'matrices' and integers 'm' and 'dim'")
-    mats = [_matrix_from_json(rows) for rows in matrices]
-    if len(mats) != m or any(a.shape != (dim, dim) for a in mats):
+    if m < 1 or dim < 1:
+        raise ValueError(f"{path}: need 'm' and 'dim' of at least 1, got m={m}, dim={dim}")
+    mats = _matrix_from_json(matrices)
+    if mats.shape != (m, dim, dim):
         raise ValueError(f"{path}: matrix shapes disagree with the header")
     if allow_nonhermitian:
-        mats = hermitian_part(np.reshape(mats, (m, dim, dim)))
-    return HermitianTuple(tuple(mats), tol=tol), doc.get("metadata", {})
+        mats = hermitian_part(mats)
+    return HermitianTuple(mats, tol=tol), doc.get("metadata", {})
 
 
 def _verdict_to_json(v):
@@ -324,7 +326,7 @@ def cmd_decompose(args) -> int:
     report["permutation"] = [int(p) for p in result.permutation]
     report["eigenbasis"] = _matrix_to_json(result.eigenbasis)
     report["block_unitary"] = _matrix_to_json(result.block_unitary)
-    report["reduced_tuple"] = [_matrix_to_json(b) for b in result.reduced.matrices]
+    report["reduced_tuple"] = _matrix_to_json(result.reduced.matrices)
     report["verification"] = result.verification
     _emit(report, args.out)
     return EXIT_PASS

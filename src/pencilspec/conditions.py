@@ -138,10 +138,11 @@ def enumerate_words(n: int, m: int, mode: str = "all", tol: Tolerances = DEFAULT
     representative per projection subset (strictly increasing labels), the
     words the constructive argument actually consumes.  Returns
     ``(words, truncated)``; enumeration stops at ``tol.word_cap`` words and
-    flags the cut in ``truncated``.
+    flags the cut in ``truncated``.  A one-generator tuple has no letters,
+    hence no words.
     """
-    if n < 1 or m < 2:
-        raise ValueError("need n >= 1 and m >= 2")
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     arrange = MODES[mode][1]
@@ -214,7 +215,7 @@ class _BlockWords:
         dim, n = tup.dim, spec.n
         u = spec.basis.reshape(dim, n, dim // n).transpose(1, 0, 2)  # U_j, (n, N, k)
         self.a1 = tup.matrices[0]                                    # each pencil's first generator
-        self.gens = np.stack(tup.matrices[1:])                       # A_s, s = 2..m
+        self.gens = tup.matrices[1:]                                 # A_s, s = 2..m
         self.letters = letters = len(self.gens)
         left = self.gens[:, None] @ u                                # A_s U_j
         self.right = left.conj().swapaxes(-1, -2)                    # U_j* A_s
@@ -276,19 +277,19 @@ def check_admissibility(prep: PreparedTuple, k: int, tol: Tolerances = DEFAULT):
     ``prep.eigenvalues``, those of the unit-scale, invertible generators
     :func:`~pencilspec.linalg.prepare_tuple` leaves (a scalar shift moves
     the intersection points but not their multiplicity pattern); they are
-    summarized by the ``prepare_tuple`` rule, and the separation threshold
-    is relative to each generator's largest eigenvalue modulus.  A ``k``
-    that does not divide N fails every generator's pattern test.
+    clustered by the ``prepare_tuple`` rule, with no eigenbasis, and the
+    separation threshold is relative to each generator's largest eigenvalue
+    modulus.  A ``k`` that does not divide N fails every pattern test.
 
     Returns ``(ok, diagnostics)``; never raises on a failing tuple.
     """
     n = prep.tup.dim // k
     per_gen = []
     ok = True
-    for idx, (w, q) in enumerate(zip(prep.eigenvalues, prep.eigenvectors)):
+    for idx, w in enumerate(prep.eigenvalues):
         entry = {"generator": idx + 1}
         try:
-            spec = _clustered(w, q, tol)
+            spec = _clustered(w, None, tol)
         except ClusterAmbiguity as exc:
             entry.update(ok=False, reason=f"ambiguous clustering: {exc}")
             per_gen.append(entry)
@@ -513,11 +514,10 @@ def analyze(
     then one block of directions per word in enumeration order; the adjoint
     twin of an earlier word skips its test and takes that word's verdict.
     A battery of more than ``tol.word_cap`` words is refused, like a failed
-    precondition, before any of it is tested.
+    precondition, before any of it is tested.  A one-generator tuple has no
+    words: its verdict is the precondition, admissibility and the full
+    tuple's pencil.
     """
-    if tup.m < 2:
-        raise ValueError("need at least two generators")
-
     def bail(detail, precondition_ok=False, admissible_ok=False, adm=None, prep=None):
         return ConditionReport(
             overall="precondition_violated",
@@ -557,10 +557,11 @@ def analyze(
     source = np.arange(len(words))  # the word whose verdict each word takes
     source[list(twins)] = list(twins.values())
     tested = np.flatnonzero(source == np.arange(len(words)))
-    verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
+    verdicts = {}
+    if len(tested):  # a one-generator tuple has no words to build a table of
+        verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
     # the full tuple's pencil, exactly Hermitian like the word pencils
-    full = np.stack(shifted.matrices)[None]
-    full_verdict = _verdicts(_spectra(full, full_dirs[None], tol), k, n, tol)[0]
+    full_verdict = _verdicts(_spectra(shifted.matrices[None], full_dirs[None], tol), k, n, tol)[0]
     word_results = tuple(zip(words, map(verdicts.__getitem__, source.tolist())))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing
@@ -584,7 +585,7 @@ def analyze(
 
 def _monomial_span(mats, degree_bound, tol):
     """Orthonormal basis, in the Frobenius inner product, of the span of the
-    monomials in ``mats`` of degrees 1..degree_bound.
+    monomials in the ``(m, N, N)`` stack ``mats`` of degrees 1..degree_bound.
 
     The span up to degree d+1 is the span up to degree d plus the directions
     that degree d added, times the generators (unit-scale ones, as
@@ -598,12 +599,11 @@ def _monomial_span(mats, degree_bound, tol):
     on every direction makes the verdict depend on the span alone, not on
     the generators' scale.
     """
-    gen = np.stack(mats)
-    dim = gen.shape[1]
+    dim = mats.shape[1]
     span = np.zeros((0, dim * dim), dtype=np.complex128)
     added = np.eye(dim).reshape(1, -1)
     for _ in range(degree_bound):
-        rows = np.matmul(added.reshape(-1, 1, dim, dim), gen).reshape(-1, dim * dim)
+        rows = np.matmul(added.reshape(-1, 1, dim, dim), mats).reshape(-1, dim * dim)
         if len(span):
             for _ in range(2):
                 rows = rows - (rows @ span.conj().T) @ span

@@ -332,7 +332,7 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     )
     audit = verify_decomposition(tup, result, tol=tol)
     if not audit["ok"]:
-        bounds = _audit_bounds(tup.max_norm() or 1.0, tup.dim, tol)
+        bounds = _audit_bounds(tup.max_norm() or 1.0, tup.dim, k, tol)
         name = next(key for key, bound in bounds.items() if not audit[key] <= bound)
         label = "final residual" if name == "max_residual" else name.replace("_", " ")
         raise ScalarizationFailed(
@@ -341,14 +341,21 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     return replace(result, residual=audit["max_residual"], verification=audit)
 
 
-def _audit_bounds(max_norm: float, dim: int, tol: Tolerances) -> dict:
-    """The bounds :func:`verify_decomposition`'s ``ok`` reads, in order."""
+def _audit_bounds(max_norm: float, dim: int, k: int, tol: Tolerances) -> dict:
+    """The bounds :func:`verify_decomposition`'s ``ok`` reads, in order, for
+    a split of an N = ``dim`` tuple into ``k`` copies."""
+    # Clustering joins only gaps below gap_tol / 10 (the lower edge of its
+    # ambiguity window), so the eigenvalues of a cluster of size k spread over
+    # at most k - 1 joined gaps.  A block unitary U mixes a cluster's
+    # eigenvectors only, and entry (i, j) of [U, V A_1 V*] is U_ij times the
+    # difference of two of its eigenvalues: each row of U has unit norm, so the
+    # Frobenius defect over N rows is at most sqrt(N) times the spread.  With
+    # k = 1 no gap is joined; the floor of 1 leaves room for the off-diagonal
+    # rounding of V A_1 V*.
     return {
         "max_residual": tol.residual_tol * max_norm,
         "unitarity_transform": tol.unitary_rel * dim,
-        # clustering joins only gaps below gap_tol / 10 (the lower edge of its
-        # ambiguity window), so a block unitary commutes with A_1 to about that
-        "commutation_defect": tol.gap_tol / 10 * max_norm,
+        "commutation_defect": tol.gap_tol / 10 * max(1, k - 1) * np.sqrt(dim) * max_norm,
         "b1_diagonal_defect": tol.residual_tol * max_norm,
     }
 
@@ -370,8 +377,8 @@ def verify_decomposition(tup: HermitianTuple, result: DecompositionResult, tol: 
     udiag = result.block_unitary
     dim = tup.dim
     max_norm = tup.max_norm() or 1.0
-    mats = [a / max_norm for a in tup.matrices]
-    reduced = [b / max_norm for b in result.reduced.matrices]
+    mats = tup.matrices / max_norm
+    reduced = result.reduced.matrices / max_norm
 
     residuals = [
         float(np.linalg.norm(t @ a @ t.conj().T - np.kron(np.eye(k), b))) * max_norm
@@ -389,6 +396,6 @@ def verify_decomposition(tup: HermitianTuple, result: DecompositionResult, tol: 
             np.linalg.norm(reduced[0] - np.diag(result.eigenvalues / max_norm))
         ) * max_norm,
     }
-    bounds = _audit_bounds(max_norm, dim, tol)
+    bounds = _audit_bounds(max_norm, dim, k, tol)
     report["ok"] = all(report[key] <= bound for key, bound in bounds.items())
     return report

@@ -7,9 +7,9 @@ type is :class:`HermitianTuple`, which pins down the pencil generators
 program builds Hermitian to the last bit is wrapped by
 :meth:`HermitianTuple.exact` and checked for finiteness only.
 :func:`prepare_tuple` is the one entry of ``analyze``, ``decompose`` and
-``corollary``: from one eigendecomposition per generator it derives scale,
-invertibility, the spectra admissibility and ``decompose`` read and, for a
-split into ``k`` copies, the first generator's spectral pattern.
+``corollary``: from the generators' eigenvalues it derives scale,
+invertibility and the spectra admissibility reads and, for a split into ``k``
+copies, from the first generator's eigenbasis its spectral pattern.
 :func:`extract_block_structure` is the one route to the k x k blocks that
 ``analyze`` builds its words from and ``decompose`` factors.
 Everything here is pure and safe to share across threads.
@@ -83,12 +83,12 @@ class HermitianTuple:
     Each generator's Hermitian defect must be within ``tol.hermitian_rel``
     times its spectral norm, at any scale; its exact Hermitian part is
     stored, so tuples derived from it pass any later check.  The generators
-    are admitted in one pass over their stack, which must be a non-empty
-    ``(m, N, N)`` stack of numbers; :meth:`exact` wraps the tuples the
-    program builds.
+    are admitted in one pass over ``matrices``, a non-empty ``(m, N, N)``
+    stack of numbers kept as one complex array; :meth:`exact` wraps the
+    tuples the program builds.
     """
 
-    matrices: tuple
+    matrices: np.ndarray
     _: KW_ONLY
     tol: InitVar[Tolerances] = DEFAULT
 
@@ -99,7 +99,7 @@ class HermitianTuple:
                 raise ValueError(f"got shape {stack.shape}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"generators must be a non-empty (m, N, N) stack of numbers: {exc}") from None
-        object.__setattr__(self, "matrices", tuple(_admitted(stack, tol)))
+        object.__setattr__(self, "matrices", _admitted(stack, tol))
 
     @classmethod
     def exact(cls, mats) -> HermitianTuple:
@@ -108,12 +108,12 @@ class HermitianTuple:
         stack = np.asarray(mats, dtype=np.complex128)
         _require_finite(stack)
         tup = object.__new__(cls)
-        object.__setattr__(tup, "matrices", tuple(stack))
+        object.__setattr__(tup, "matrices", stack)
         return tup
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def m(self) -> int:
@@ -170,7 +170,7 @@ def _cluster_groups(w, tol: Tolerances):
 
 
 def _clustered(w, q, tol: Tolerances) -> SpectralData:
-    """:class:`SpectralData` of the eigenpairs ``(w, q)`` of one Hermitian matrix."""
+    """:class:`SpectralData` of the eigenpairs ``(w, q)`` (``q`` may be ``None``)."""
     groups = _cluster_groups(w, tol)
     return SpectralData(
         eigenvalues=np.array([float(np.mean(w[g])) for g in groups]),
@@ -183,7 +183,7 @@ def direct_sum_k_copies(tup: HermitianTuple, k: int) -> HermitianTuple:
     """Block-diagonal tuple with k copies of every generator."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return HermitianTuple.exact([np.kron(np.eye(k), a) for a in tup.matrices])
+    return HermitianTuple.exact(np.kron(np.eye(k), tup.matrices))
 
 
 def _invertible_shift(w, tol: Tolerances) -> float:
@@ -200,28 +200,28 @@ class PreparedTuple:
     """A tuple brought to unit scale and made invertible, with its spectra.
 
     ``tup.matrices[l]`` is ``(A_l + shifts[l] I) / scales[l]``, so
-    ``shifts`` are in the input's units; its eigenpairs are
-    ``eigenvalues[l]`` (ascending, largest modulus at least 1) and the
-    columns of ``eigenvectors[l]``.  When prepared for a split into ``k``
-    copies, ``spec`` is the clustered eigendecomposition of the first
-    prepared generator, with N/k clusters of size ``k``.
+    ``shifts`` are in the input's units; its eigenvalues are
+    ``eigenvalues[l]`` (ascending, largest modulus at least 1).  When
+    prepared for a split into ``k`` copies, ``spec`` is the clustered
+    eigendecomposition of the first prepared generator, with N/k clusters
+    of size ``k``; no other generator's eigenvectors are solved.
     """
 
     tup: HermitianTuple
     scales: tuple
     shifts: tuple
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     spec: SpectralData = None
 
 
 def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT) -> PreparedTuple:
     """Divide each generator by its spectral norm, then shift singular ones.
 
-    One batched ``eigh`` gives everything: the scale ``max |w_l|`` (a zero
-    generator keeps 1), the shift of the unit spectrum ``w_l / scale_l`` by
-    the rule of :func:`_invertible_shift`, and the prepared eigenpairs
-    (same eigenvectors); a subnormal scale, ``scale * finfo.max < 1``,
+    One batched ``eigvalsh`` gives the spectra ``w_l`` (with ``k``, ``eigh``
+    of the first generator gives ``w_1`` and ``spec``'s basis), hence the
+    scale ``max |w_l|`` (a zero generator keeps 1), the shift of the unit
+    spectrum ``w_l / scale_l`` by the rule of :func:`_invertible_shift`, and
+    the prepared eigenvalues; a subnormal scale, ``scale * finfo.max < 1``,
     raises :class:`ValueError` first.  Neither step changes whether the tuple
     splits into identical copies (``x_l -> x_l / c_l`` keeps a perfect power a
     perfect power), so verdicts do not depend on the generators' scales.
@@ -236,8 +236,9 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
             raise ValueError("k must be a positive integer")
         if tup.dim % k:
             raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
-    stack = np.stack(tup.matrices)
-    w, q = np.linalg.eigh(stack)
+    w = np.linalg.eigvalsh(tup.matrices)
+    if k is not None:
+        w[0], q = np.linalg.eigh(tup.matrices[0])
     norms = np.max(np.abs(w), axis=1)
     scales = np.where(norms > 0, norms, 1.0)
     # numpy divides the complex stack through 1 / scale, which overflows where
@@ -248,14 +249,14 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
     unit = w / scales[:, None]
     mus = np.array([_invertible_shift(u, tol) for u in unit])
     # a real scale and a real diagonal shift keep each generator exactly Hermitian
-    mats = stack / scales[:, None, None] + mus[:, None, None] * np.eye(tup.dim)
+    mats = tup.matrices / scales[:, None, None] + mus[:, None, None] * np.eye(tup.dim)
     prep = PreparedTuple(HermitianTuple.exact(mats), tuple(scales.tolist()),
-                         tuple((mus * scales).tolist()), unit + mus[:, None], q)
+                         tuple((mus * scales).tolist()), unit + mus[:, None])
     if k is None:
         return prep
     n = tup.dim // k
     try:
-        spec = _clustered(prep.eigenvalues[0], q[0], tol)
+        spec = _clustered(prep.eigenvalues[0], q, tol)
     except ClusterAmbiguity as exc:
         raise ClusterAmbiguity(f"first generator: {exc}") from None
     if spec.multiplicities != (k,) * n:
@@ -276,5 +277,5 @@ def extract_block_structure(tup: HermitianTuple, spec: SpectralData) -> np.ndarr
         raise SpectrumPatternViolation(f"cluster sizes {list(spec.multiplicities)} are not uniform")
     k, n = mults.pop(), spec.n
     v = spec.rotation()
-    rot = v @ np.reshape(tup.matrices[1:], (-1, tup.dim, tup.dim)) @ v.conj().T
+    rot = v @ tup.matrices[1:] @ v.conj().T
     return rot.reshape(-1, n, k, n, k).transpose(0, 1, 3, 2, 4)

@@ -51,6 +51,21 @@ def neg_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("command, solves", [("analyze", 1), ("decompose", 1), ("corollary", 0)])
+def test_one_eigenbasis_per_command(pos_file, tmp_path, monkeypatch, command, solves):
+    # only the first generator's eigenvectors are solved, and only with a split
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    argv = [command, str(pos_file), "--k", "2", "--out", str(tmp_path / "rep.json")]
+    assert main(argv) == EXIT_PASS
+    assert len(calls) == solves
+
+
 class TestTupleFiles:
     def test_round_trip_lossless(self, tmp_path):
         tup, _ = gen_decomposable(2, 2, 2, seed=3)
@@ -145,14 +160,19 @@ class TestTupleFiles:
         assert main(argv + ["--tol", "resolution=1e-5"]) == EXIT_PASS
 
     def test_bulk_decode_matches_the_per_cell_reference(self):
-        # the decoder reads every cell as complex(re, im) did, to the bit
+        # one call decodes a whole 'matrices' list, and any leading shape,
+        # reading every cell as complex(re, im) did, to the bit
         from pencilspec.cli import _matrix_from_json
 
         rows = [[[-0.0, 1e-300], [5e-324, -0.0], [3, -7]],
                 [[1.7976931348623157e308, 0.1], [-2.5, 0], [0.0, -1e-300]]]
+        matrices = [rows, [[[1, 2], [3, 4], [5, 6]], [[0.5, -0.5], [7e-310, 9], [-1, 1e300]]]]
+        for cells in (rows, matrices, [matrices, matrices[::-1]]):
+            got = _matrix_from_json(cells)
+            flat = np.array(cells, dtype=float).reshape(-1, 2)
+            want = np.array([complex(*c) for c in flat], dtype=np.complex128)
+            assert got.shape == np.shape(cells)[:-1] and got.tobytes() == want.tobytes()
         got = _matrix_from_json(rows)
-        want = np.array([[complex(*c) for c in row] for row in rows], dtype=np.complex128)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert np.signbit(got[0, 0].real) and np.signbit(got[0, 1].imag)
 
     @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
@@ -306,7 +326,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "rep.json"
         assert main(["analyze", str(neg_file), "--k", "2", "--out", str(out)]) == EXIT_FAIL
         rep = json.loads(out.read_text())
-        assert rep["version"] == 16
+        assert rep["version"] == 17
         words = rep["words"]
         assert len(words) == 10
         twins = [(i, e["adjoint_of"]) for i, e in enumerate(words) if "adjoint_of" in e]
@@ -407,7 +427,7 @@ class TestDecomposeCommand:
 
     def test_one_generator(self, tmp_path):
         # the grid of a one-generator tuple is empty, not a numpy error;
-        # analyze still refuses m = 1
+        # analyze answers m = 1 with no words
         path, out = tmp_path / "t.json", tmp_path / "dec.json"
         save_tuple(str(path), HermitianTuple(gen_decomposable(3, 2, 2, seed=0)[0].matrices[:1]))
         assert main(["decompose", str(path), "--k", "2", "--out", str(out)]) == EXIT_PASS
@@ -416,7 +436,9 @@ class TestDecomposeCommand:
         assert len(rep["reduced_tuple"]) == 1
         simple = _tuple_file(tmp_path, (1, 2, 3))
         assert main(["decompose", str(simple), "--k", "1", "--out", str(out)]) == EXIT_PASS
-        assert main(["analyze", str(simple), "--k", "1", "--out", str(out)]) == EXIT_ERROR
+        assert main(["analyze", str(simple), "--k", "1", "--out", str(out)]) == EXIT_PASS
+        rep = json.loads(out.read_text())
+        assert rep["overall"] == "pass" and rep["words"] == [] and rep["full_tuple"]["is_kth_power"]
 
     def test_indivisible_k(self, neg_file, tmp_path):
         out = tmp_path / "dec.json"

@@ -533,7 +533,7 @@ class TestAuditDecides:
                 # only the audit raises it here: the construction's own checks held
                 (audit,) = audits
                 assert not audit["ok"]
-                bounds = _audit_bounds(tup.max_norm(), n * k, DEFAULT)
+                bounds = _audit_bounds(tup.max_norm(), n * k, k, DEFAULT)
                 first = next(key for key in bounds if not audit[key] <= bounds[key])
                 label = "final residual" if first == "max_residual" else first.replace("_", " ")
                 assert str(exc).startswith(f"{label} {audit[first]:.3e} exceeds ")
@@ -547,17 +547,27 @@ class TestAuditDecides:
             assert np.linalg.norm(u @ u.conj().T - np.eye(n * k)) <= 1e-13 * n * k
 
     def test_commutation_bound_follows_resolution(self):
-        # the bound is gap_tol / 10, bit-equal to the old literal at the default
-        assert _audit_bounds(1.0, 6, DEFAULT)["commutation_defect"] == 1e-9
+        # gap_tol / 10 per joined gap, k - 1 gaps a cluster (at least one),
+        # sqrt(N) for the Frobenius norm over N rows
+        assert _audit_bounds(1.0, 6, 2, DEFAULT)["commutation_defect"] == 1e-9 * np.sqrt(6)
+        assert _audit_bounds(1.0, 9, 3, DEFAULT)["commutation_defect"] == 1e-9 * 2 * 3.0
         coarse = Tolerances(resolution=1e-6)
-        assert _audit_bounds(2.0, 6, coarse)["commutation_defect"] == coarse.gap_tol / 10 * 2.0
+        assert (_audit_bounds(2.0, 8, 4, coarse)["commutation_defect"]
+                == coarse.gap_tol / 10 * 3 * np.sqrt(8) * 2.0)
+
+    @pytest.mark.parametrize("angle", [1e-3, np.pi / 4])
+    def test_a_block_unitary_mixing_two_clusters_exceeds_the_commutation_bound(self, angle):
+        # a Givens rotation between the first basis vector of cluster 1 and
+        # the first of cluster 2 no longer commutes with the diagonalized A_1
+        tup, _ = gen_decomposable(3, 2, 2, seed=47)
+        res = decompose(tup, 2)
+        givens = np.eye(6, dtype=complex)
+        givens[[0, 0, 2, 2], [0, 2, 0, 2]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+        rep = verify_decomposition(tup, dataclasses.replace(res, block_unitary=res.block_unitary @ givens))
+        bound = _audit_bounds(tup.max_norm(), 6, 2, DEFAULT)["commutation_defect"]
+        assert rep["commutation_defect"] > 100 * bound and not rep["ok"]
 
 
-@pytest.mark.xfail(
-    strict=True, raises=ScalarizationFailed,
-    reason="ROADMAP item 4: the commutation bound gap_tol / 10 * max_norm is met per "
-           "eigenvalue gap, not by the Frobenius defect summed over a cluster",
-)
 @pytest.mark.parametrize("n, k, m, seed", [(3, 2, 2, 5), (4, 2, 2, 16), (3, 3, 3, 3)])
 def test_analyze_pass_means_decompose_returns(n, k, m, seed):
     tup = noised_decomposable(n, k, m, seed, 3e-9)

@@ -77,6 +77,13 @@ class TestHermitianTuple:
             stored = HermitianTuple(tuple(mats)).matrices
             assert all(np.array_equal(s, (a + a.conj().T) / 2.0) for s, a in zip(stored, mats))
 
+    def test_both_constructors_hold_one_complex_stack(self):
+        mats = (diag(1, 2), np.array([[0, 1j], [-1j, 0]]))
+        for tup in (HermitianTuple(mats), HermitianTuple.exact(mats)):
+            assert type(tup.matrices) is np.ndarray
+            assert tup.matrices.shape == (2, 2, 2) and tup.matrices.dtype == np.complex128
+            assert np.array_equal(tup.matrices, np.array(mats))
+
     def test_exact_checks_finiteness_only(self):
         # for matrices Hermitian by construction: stored as they are, never
         # re-symmetrized, and refused only when an entry is not finite
@@ -295,7 +302,7 @@ class TestPrepareTuple:
 
 def _singular_first(tup):
     a1 = tup.matrices[0]
-    return HermitianTuple((a1 - np.linalg.eigvalsh(a1)[0] * np.eye(tup.dim),) + tup.matrices[1:])
+    return HermitianTuple((a1 - np.linalg.eigvalsh(a1)[0] * np.eye(tup.dim), *tup.matrices[1:]))
 
 
 def _rescaled(tup):
@@ -316,8 +323,8 @@ _PREPARED_CASES = {
 
 @pytest.mark.parametrize("case", list(_PREPARED_CASES))
 def test_prepared_spectra_match_independent_routes(case):
-    """Every piece of a PreparedTuple, derived from one batched eigh, against
-    a route that does not share it."""
+    """Every piece of a PreparedTuple, derived from one batched eigvalsh and
+    the first generator's eigh, against a route that does not share it."""
     tup = _PREPARED_CASES[case]()
     prep = prepare_tuple(tup, 2)
     norms = [spectral_norm(a) for a in tup.matrices]
@@ -326,11 +333,32 @@ def test_prepared_spectra_match_independent_routes(case):
     unit = HermitianTuple(tuple(a / c for a, c in zip(tup.matrices, prep.scales)))
     _, unit_shifts = shift_to_invertible(unit)
     assert prep.shifts == pytest.approx([mu * c for mu, c in zip(unit_shifts, prep.scales)])
-    for a, w, q in zip(prep.tup.matrices, prep.eigenvalues, prep.eigenvectors):
+    for a, w in zip(prep.tup.matrices, prep.eigenvalues):
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-13
-        assert np.max(np.abs(q.conj().T @ a @ q - np.diag(w))) <= 1e-13
         assert np.max(np.abs(w)) >= 1.0 - 1e-15
+    q, a1 = prep.spec.basis, prep.tup.matrices[0]
+    assert np.max(np.abs(q.conj().T @ a1 @ q - np.diag(prep.eigenvalues[0]))) <= 1e-13
     assert prep.spec.multiplicities == (2,) * (tup.dim // 2)
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_only_the_first_eigenbasis_is_solved(monkeypatch, k):
+    # every spectrum from one eigvalsh; with k, one eigh of the first generator
+    solved, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        solved.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    tup = gen_decomposable(3, 2, 3, seed=1)[0]
+    prep = prepare_tuple(tup, k)
+    if k is None:
+        assert solved == [] and prep.spec is None
+    else:
+        (a1,) = solved
+        assert np.array_equal(a1, tup.matrices[0])
+    assert not hasattr(prep, "eigenvectors")
 
 
 def test_apply_tuple_map_mixes_generators():
