@@ -19,9 +19,10 @@ component, so a generic such line separates the components just as a
 generic affine line does.  The generators are Hermitian, so ``q . A`` is
 too: ``eigvalsh`` returns its spectrum real and sorted, and the test
 clusters it by its gaps; no polynomial coefficient is ever formed.
-:func:`kth_power_batch` admits pencils from outside the program (finite,
-then Hermitian); every pencil a command builds is exactly Hermitian and goes
-to :func:`_spectra` and :func:`_verdicts` unchecked.
+:func:`kth_power_batch` admits pencils from outside the program by the one
+rule of every matrix that enters (``linalg._admitted``, as for a tuple file);
+every pencil a command builds is exactly Hermitian and goes to
+:func:`_spectra` and :func:`_verdicts` unchecked.
 
 Error model: a pencil fails when any line fails.  An algebraic miss has
 probability zero: the lines on which a non-power restricts to a power form
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
+from .linalg import _admitted
 
 __all__ = ["KPowerVerdict", "kth_power_test", "kth_power_batch"]
 
@@ -148,18 +150,26 @@ def kth_power_batch(
     ``(P, tol.lines, m)``: pencil p is restricted to the lines ``x = t q``
     through the origin for the rows ``q`` of ``dirs[p]``, so its verdict
     depends on its generators and its directions alone, neither on
-    evaluation order nor on the rest of the stack.  A direction or a
-    generator with a NaN or infinite entry raises :class:`ValueError`, and
-    so does a generator ``G`` with ``max|G - G^H| > tol.hermitian_rel *
-    max|G|``: the eigensolver reads one triangle only.  So do generators
-    and directions whose line combinations ``q . A`` could overflow: an
-    entry bound above the largest float over 4N.  On every line the
-    eigenvalues of the Hermitian ``q . A`` (the reciprocal roots, zero for
-    the root at infinity) must form clusters whose sizes are all multiples
-    of k, with intra-cluster spread below the cluster tolerance: single
-    linkage splits the sorted spectrum where a gap exceeds that tolerance.
-    ``prod f_j^e_j`` is a k-th power exactly when k divides every ``e_j``,
-    so a base with repeated factors passes.  Returns one
+    evaluation order nor on the rest of the stack.  A direction with a NaN
+    or infinite entry raises :class:`ValueError`.  The generators are
+    admitted by the rule of :class:`~pencilspec.linalg.HermitianTuple` (the
+    eigensolver reads one triangle only), with its messages: a NaN or
+    infinite entry ("matrix entries must be finite") or a Hermitian part
+    ``(G + G^H) / 2`` that overflows, as entries above half the largest float
+    do, raises :class:`ValueError`, and a Hermitian defect ``max|G - G^H|``
+    above ``tol.hermitian_rel`` times the spectral norm of ``G`` raises
+    :class:`~pencilspec.errors.NotHermitian`, a :class:`ValueError` too.
+    The spectra read the generators as given, not their Hermitian parts.
+    Admitted generators and directions whose line combinations ``q . A``
+    could overflow raise :class:`ValueError` as well: an entry bound above
+    the largest float over 4N.
+
+    On every line the eigenvalues of the Hermitian ``q . A`` (the reciprocal
+    roots, zero for the root at infinity) must form clusters whose sizes are
+    all multiples of k, with intra-cluster spread below the cluster
+    tolerance: single linkage splits the sorted spectrum where a gap exceeds
+    that tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
+    every ``e_j``, so a base with repeated factors passes.  Returns one
     :class:`KPowerVerdict` per pencil.
     """
     gens = np.asarray(gens, dtype=np.complex128)
@@ -178,15 +188,9 @@ def kth_power_batch(
         raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
     if not len(gens):
         return []
-    if not np.isfinite(gens).all():
-        raise ValueError("pencil generators must be finite")
-    # finite entries near the largest float overflow both; an infinite defect
-    # is refused here, and one against an infinite max|G| by the bound below
-    with np.errstate(over="ignore"):
-        defect = np.max(np.abs(gens - np.swapaxes(gens, -1, -2).conj()), axis=(-2, -1))
-        size = np.max(np.abs(gens), axis=(-2, -1))
-    if np.any(defect > tol.hermitian_rel * size):
-        raise ValueError(f"pencil generators must be Hermitian, defect {np.max(defect):.3e}")
+    # the tuple rule, for the decision only: the spectra read the caller's
+    # matrices, not their Hermitian parts
+    _admitted(gens.reshape(-1, dim, dim), tol)
     # A line's q . A has real and imaginary parts at most |q| . (each
     # generator's largest part), its eigenvalues at most sqrt(2) N times that
     # and their gaps twice it; 4N in place of 2 sqrt(2) N leaves room for
@@ -212,9 +216,9 @@ def kth_power_test(
 ) -> KPowerVerdict:
     """Decide whether the pencil determinant of ``mats`` is a perfect k-th
     power: :func:`kth_power_batch` on a stack of one pencil, its directions
-    drawn in one call of a generator seeded with ``seed``.  Generators of
-    unequal shapes, non-square ones and an empty ``mats`` raise
-    :class:`ValueError`."""
+    drawn in one call of a generator seeded with ``seed``, so it admits and
+    refuses what that function does.  Generators of unequal shapes,
+    non-square ones and an empty ``mats`` raise :class:`ValueError`."""
     gen = np.stack([np.asarray(a, dtype=np.complex128) for a in mats])
     dirs = _draw_directions(np.random.default_rng(seed), tol.lines, len(gen))
     return kth_power_batch(gen[None], k, n, dirs[None], tol=tol)[0]

@@ -146,9 +146,11 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     """Read a tuple file.  Returns ``(HermitianTuple, metadata dict)``.
 
     Matrices are stored as their Hermitian parts
-    (:func:`~pencilspec.linalg.hermitian_part`, which refuses one that
-    overflows).  A Hermitian defect above ``tol.hermitian_rel`` times the
-    matrix's spectral norm is rejected unless ``allow_nonhermitian`` is set.
+    (:func:`~pencilspec.linalg.hermitian_part`, which refuses one that is not
+    finite or overflows).  A Hermitian defect above ``tol.hermitian_rel``
+    times the matrix's spectral norm raises :class:`NotHermitian` unless
+    ``allow_nonhermitian`` is set; the tuple is then the Hermitian parts,
+    admitted with no defect check.
     ``data``, when given, is the file's bytes as already read (and hashed) by
     the caller; ``path`` then only names the file in error messages.
     """
@@ -166,9 +168,8 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     mats = _matrix_from_json(matrices)
     if mats.shape != (m, dim, dim):
         raise ValueError(f"{path}: matrix shapes disagree with the header")
-    if allow_nonhermitian:
-        mats = hermitian_part(mats)
-    return HermitianTuple(mats, tol=tol), doc.get("metadata", {})
+    tup = HermitianTuple.exact(hermitian_part(mats)) if allow_nonhermitian else HermitianTuple(mats, tol=tol)
+    return tup, doc.get("metadata", {})
 
 
 def _verdict_to_json(v):
@@ -438,8 +439,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PASS if exc.code == 0 else EXIT_ERROR
     except (OSError, ValueError, SpectralError) as exc:
-        # json.JSONDecodeError is a ValueError; NotHermitian is a
-        # SpectralError
+        # json.JSONDecodeError and NotHermitian are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except MemoryError as exc:

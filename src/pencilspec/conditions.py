@@ -27,7 +27,8 @@ eigenbasis and the block grid ``decompose`` factors (see
 reference) and tested a slice at a time.  Their pencils and the full
 tuple's, exactly Hermitian, go straight to the eigensolves: only pencils
 from outside the program pass the admission of
-:func:`~pencilspec.charpoly.kth_power_batch`, which no command calls.
+:func:`~pencilspec.charpoly.kth_power_batch`, which no command calls; it is
+the tuple file's rule (``linalg._admitted``), messages and all.
 A word whose adjoint comes earlier in the enumeration shares that word's
 verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
 large battery's tested words are cut into contiguous shares, as many as

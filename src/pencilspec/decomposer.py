@@ -38,7 +38,7 @@ from .errors import (
     NotUnitaryScalar,
     ScalarizationFailed,
 )
-from .linalg import HermitianTuple, extract_block_structure, prepare_tuple
+from .linalg import HermitianTuple, extract_block_structure, hermitian_part, prepare_tuple
 
 __all__ = [
     "BlockStructure",
@@ -311,7 +311,7 @@ def decompose(tup: HermitianTuple, k: int, tol: Tolerances = DEFAULT) -> Decompo
     bs = unify_layers(blocks, layer_scales, tol=tol)
     udiag, scalars, partition = build_block_unitary(bs, blocks, layer_scales, tol=tol)
     unit_reduced = [np.diag(spec.eigenvalues).astype(np.complex128)]
-    unit_reduced += list((scalars + scalars.conj().transpose(0, 2, 1)) / 2.0)
+    unit_reduced += list(hermitian_part(scalars))
 
     result = DecompositionResult(
         n=n,

@@ -16,8 +16,11 @@ class SpectralError(Exception):
 # ---------------------------------------------------------------- linalg
 
 
-class NotHermitian(SpectralError):
-    pass
+class NotHermitian(SpectralError, ValueError):
+    """A matrix from outside the program has a Hermitian defect above
+    ``tol.hermitian_rel`` times its spectral norm (``linalg._admitted``, the
+    one admission rule).  It is a :class:`ValueError` too, like the refusal
+    of a non-finite or overflowing matrix, wherever the matrix enters."""
 
 
 class ClusterAmbiguity(SpectralError):

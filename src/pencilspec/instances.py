@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianTuple
+from .linalg import HermitianTuple, hermitian_part
 
 __all__ = [
     "InstanceDescriptor",
@@ -77,8 +77,7 @@ def haar_unitary(n: int, seed) -> np.ndarray:
 
 
 def _random_hermitian(n, rng):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2.0
+    return hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def _gapped(n, draw, spectrum=lambda w: w):
@@ -92,8 +91,7 @@ def _gapped(n, draw, spectrum=lambda w: w):
 
 def _rotated(blocks, u) -> HermitianTuple:
     """The Hermitian parts of ``u B u*`` for each block-diagonal ``B``."""
-    rotated = (u @ b @ u.conj().T for b in blocks)
-    return HermitianTuple.exact([(a + a.conj().T) / 2.0 for a in rotated])
+    return HermitianTuple.exact(hermitian_part(np.stack([u @ b @ u.conj().T for b in blocks])))
 
 
 def _seeded(n, k, m, seed):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pencilspec.charpoly import kth_power_batch, kth_power_test
 from pencilspec.config import DEFAULT
+from pencilspec.errors import NotHermitian
 from pencilspec.linalg import HermitianTuple
 from pencilspec.reference import (
     DegenerateDirection,
@@ -539,7 +540,8 @@ class TestKthPowerBatch:
 
     def test_exact_first_admission_keeps_verdicts_and_message(self):
         # exact and rounding-level stacks get the reference verdicts, and a
-        # stack above the bound the defect bound's own message
+        # stack above the bound the tuple rule's message: the first generator
+        # whose defect exceeds hermitian_rel times its spectral norm
         from pencilspec.instances import haar_unitary
 
         gens, seeds = self.stack()
@@ -553,20 +555,20 @@ class TestKthPowerBatch:
             reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(stack, seeds)]
             assert kth_power_batch(stack, k=2, n=2, dirs=dirs) == reference
         rotated[3, 1, 0, 2] += 1e-6
-        defect = np.max(np.abs(rotated - np.swapaxes(rotated, -1, -2).conj()), axis=(-2, -1))
-        assert np.max(defect) > DEFAULT.hermitian_rel * np.max(np.abs(rotated))
-        with pytest.raises(ValueError) as raised:
+        bad = rotated[3, 1]
+        defect = np.max(np.abs(bad - bad.conj().T))
+        bound = DEFAULT.hermitian_rel * np.linalg.norm(bad, 2)
+        assert defect > bound
+        with pytest.raises(NotHermitian) as raised:
             kth_power_batch(rotated, k=2, n=2, dirs=dirs)
-        assert str(raised.value) == (
-            f"pencil generators must be Hermitian, defect {np.max(defect):.3e}"
-        )
+        assert str(raised.value) == f"Hermitian defect {defect:.3e} exceeds {bound:.3e}"
 
     def test_nan_entry_is_rejected(self):
         # the stack is refused before the eigensolver, which reads one
         # triangle only and would ignore or mangle the entry
         gens, seeds = self.stack()
         gens[1, 1, 0, 1] = gens[1, 1, 1, 0] = np.nan
-        with pytest.raises(ValueError, match="^pencil generators must be finite$"):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             kth_power_batch(gens, k=2, n=2, dirs=self.dirs(seeds))
 
     @pytest.mark.parametrize(
@@ -584,7 +586,7 @@ class TestKthPowerBatch:
         second = diag(3, 3, 4, 4)
         for entry in entries:
             second[entry] = value
-        with pytest.raises(ValueError, match="^pencil generators must be finite$"):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             kth_power_test([diag(1, 1, 2, 2), second], k=2, n=2, seed=1)
 
     def test_chain_merges_transitively(self):
@@ -616,8 +618,9 @@ class TestKthPowerBatch:
     def test_overflowing_lines_are_rejected(self):
         # finite generators whose line combinations overflow: before, a
         # failing verdict with spread nan after an overflow RuntimeWarning,
-        # which filterwarnings = error turns into a test failure
-        gens = np.stack([1.7e308 * np.eye(2), np.eye(2)])
+        # which filterwarnings = error turns into a test failure; 8e307 is
+        # below half the float maximum, so admission lets it through
+        gens = np.stack([8e307 * np.eye(2), np.eye(2)])
         with pytest.raises(ValueError, match=r"^line combinations q \. A overflow"):
             kth_power_batch(gens[None], k=2, n=1, dirs=self.dirs([1]))
         with pytest.raises(ValueError, match=r"^line combinations q \. A overflow"):
@@ -629,10 +632,10 @@ class TestKthPowerBatch:
         np.diag([1.7e308 + 1.7e308j, 1]),
     ], ids=["antisymmetric", "imaginary-diagonal", "complex-diagonal"])
     def test_finite_entries_near_the_maximum_are_refused_without_a_warning(self, gen):
-        # the defect |G - G^H| and max|G| overflow on these finite entries:
-        # they warned before, and filterwarnings = error turns a warning into
-        # a failure; an infinite defect is not Hermitian, and against an
-        # infinite max|G| the line bound refuses
+        # the defect |G - G^H| or the Hermitian part (G + G^H) / 2 overflows
+        # on these finite entries: they warned before, and filterwarnings =
+        # error turns a warning into a failure; an infinite defect is not
+        # Hermitian, and an overflowing Hermitian part is refused as such
         gens = np.stack([gen, np.eye(2)]).astype(complex)
         with pytest.raises(ValueError):
             kth_power_batch(gens[None], k=2, n=1, dirs=self.dirs([1]))

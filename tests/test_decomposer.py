@@ -546,6 +546,23 @@ class TestAuditDecides:
             u = res.block_unitary
             assert np.linalg.norm(u @ u.conj().T - np.eye(n * k)) <= 1e-13 * n * k
 
+    @pytest.mark.parametrize("name", list(_audit_bounds(1.0, 6, 2, DEFAULT)))
+    def test_refusal_names_the_first_bound_exceeded(self, monkeypatch, name):
+        # a crafted audit: the keys before ``name`` within their bounds, ``name``
+        # at twice its bound and every later key at ten times its own
+        tup, _ = gen_decomposable(3, 2, 2, seed=0)
+        bounds = _audit_bounds(tup.max_norm(), 6, 2, DEFAULT)
+        first = list(bounds).index(name)
+        audit = {key: bound * (0.5 if i < first else 2.0 if i == first else 10.0)
+                 for i, (key, bound) in enumerate(bounds.items())}
+        audit["ok"] = False
+        monkeypatch.setattr("pencilspec.decomposer.verify_decomposition", lambda *a, **kw: audit)
+        label = "final residual" if name == "max_residual" else name.replace("_", " ")
+        with pytest.raises(ScalarizationFailed) as raised:
+            decompose(tup, 2)
+        assert str(raised.value) == f"{label} {audit[name]:.3e} exceeds {bounds[name]:.3e}"
+        assert raised.value.residual == audit[name]
+
     def test_commutation_bound_follows_resolution(self):
         # gap_tol / 10 per joined gap, k - 1 gaps a cluster (at least one),
         # sqrt(N) for the Frobenius norm over N rows
