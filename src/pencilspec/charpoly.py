@@ -19,10 +19,10 @@ component, so a generic such line separates the components just as a
 generic affine line does.  The generators are Hermitian, so ``q . A`` is
 too: ``eigvalsh`` returns its spectrum real and sorted, and the test
 clusters it by its gaps; no polynomial coefficient is ever formed.
-:func:`kth_power_batch` admits pencils from outside the program by the one
-rule of every matrix that enters (``linalg._admitted``, as for a tuple file);
-every pencil a command builds is exactly Hermitian and goes to
-:func:`_spectra` and :func:`_verdicts` unchecked.
+:func:`kth_power_test` admits a pencil from outside the program as a
+:class:`~pencilspec.linalg.HermitianTuple`, the rule of a tuple file; every
+pencil a command builds is exactly Hermitian and goes to :func:`_spectra`
+and :func:`_verdicts` unchecked.
 
 Error model: a pencil fails when any line fails.  An algebraic miss has
 probability zero: the lines on which a non-power restricts to a power form
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .linalg import _admitted
+from .linalg import HermitianTuple
 
-__all__ = ["KPowerVerdict", "kth_power_test", "kth_power_batch"]
+__all__ = ["KPowerVerdict", "kth_power_test"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class KPowerVerdict:
     spread)``: the eigenvalue cluster sizes found, in ascending order of
     the eigenvalues, and the worst intra-cluster spread.  ``failing_line``
     is the index of the first line that failed, ``None`` when all passed.
-    The pencil's directions pin every line (see :func:`kth_power_batch`).
+    The pencil's directions pin every line (see :func:`kth_power_test`).
     """
 
     is_kth_power: bool
@@ -135,78 +135,6 @@ def _verdicts(lams, k, n, tol):
     return verdicts
 
 
-def kth_power_batch(
-    gens,
-    k: int,
-    n: int,
-    dirs,
-    tol: Tolerances = DEFAULT,
-) -> list:
-    """Decide, for each pencil of a stack of Hermitian generators from
-    outside the program, whether its determinant is a perfect k-th power.
-
-    ``gens`` holds P pencils of m Hermitian generators each, shape
-    ``(P, m, N, N)``, and ``dirs`` the real directions of their lines, shape
-    ``(P, tol.lines, m)``: pencil p is restricted to the lines ``x = t q``
-    through the origin for the rows ``q`` of ``dirs[p]``, so its verdict
-    depends on its generators and its directions alone, neither on
-    evaluation order nor on the rest of the stack.  A direction with a NaN
-    or infinite entry raises :class:`ValueError`.  The generators are
-    admitted by the rule of :class:`~pencilspec.linalg.HermitianTuple` (the
-    eigensolver reads one triangle only), with its messages: a NaN or
-    infinite entry ("matrix entries must be finite") or a Hermitian part
-    ``(G + G^H) / 2`` that overflows, as entries above half the largest float
-    do, raises :class:`ValueError`, and a Hermitian defect ``max|G - G^H|``
-    above ``tol.hermitian_rel`` times the spectral norm of ``G`` raises
-    :class:`~pencilspec.errors.NotHermitian`, a :class:`ValueError` too.
-    The spectra read the generators as given, not their Hermitian parts.
-    Admitted generators and directions whose line combinations ``q . A``
-    could overflow raise :class:`ValueError` as well: an entry bound above
-    the largest float over 4N.
-
-    On every line the eigenvalues of the Hermitian ``q . A`` (the reciprocal
-    roots, zero for the root at infinity) must form clusters whose sizes are
-    all multiples of k, with intra-cluster spread below the cluster
-    tolerance: single linkage splits the sorted spectrum where a gap exceeds
-    that tolerance.  ``prod f_j^e_j`` is a k-th power exactly when k divides
-    every ``e_j``, so a base with repeated factors passes.  Returns one
-    :class:`KPowerVerdict` per pencil.
-    """
-    gens = np.asarray(gens, dtype=np.complex128)
-    if gens.ndim != 4 or gens.shape[-1] != gens.shape[-2]:
-        raise ValueError("pencils must be stacked as (P, m, N, N)")
-    dim = gens.shape[-1]
-    dirs = np.asarray(dirs, dtype=np.float64)
-    if dirs.shape != (gens.shape[0], tol.lines, gens.shape[1]):
-        raise ValueError(
-            f"need directions of shape {(gens.shape[0], tol.lines, gens.shape[1])}, "
-            f"got {dirs.shape}"
-        )
-    if not np.all(np.isfinite(dirs)):
-        raise ValueError("line directions must be finite")
-    if k < 1 or n < 1 or n * k != dim:
-        raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
-    if not len(gens):
-        return []
-    # the tuple rule, for the decision only: the spectra read the caller's
-    # matrices, not their Hermitian parts
-    _admitted(gens.reshape(-1, dim, dim), tol)
-    # A line's q . A has real and imaginary parts at most |q| . (each
-    # generator's largest part), its eigenvalues at most sqrt(2) N times that
-    # and their gaps twice it; 4N in place of 2 sqrt(2) N leaves room for
-    # rounding, so nothing overflows below the limit.
-    parts = np.maximum(np.abs(gens.real), np.abs(gens.imag)).max(axis=(-2, -1))
-    with np.errstate(over="ignore"):  # an overflowing bound is refused below
-        bound = np.abs(dirs) @ parts[..., None]
-    limit = np.finfo(np.float64).max / (4 * dim)
-    if np.any(bound > limit):
-        raise ValueError(
-            f"line combinations q . A overflow: entry bound {np.max(bound):.3e} "
-            f"above {limit:.3e}"
-        )
-    return _verdicts(_spectra(gens, dirs, tol), k, n, tol)
-
-
 def kth_power_test(
     mats,
     k: int,
@@ -214,11 +142,44 @@ def kth_power_test(
     seed: int = 0,
     tol: Tolerances = DEFAULT,
 ) -> KPowerVerdict:
-    """Decide whether the pencil determinant of ``mats`` is a perfect k-th
-    power: :func:`kth_power_batch` on a stack of one pencil, its directions
-    drawn in one call of a generator seeded with ``seed``, so it admits and
-    refuses what that function does.  Generators of unequal shapes,
-    non-square ones and an empty ``mats`` raise :class:`ValueError`."""
-    gen = np.stack([np.asarray(a, dtype=np.complex128) for a in mats])
-    dirs = _draw_directions(np.random.default_rng(seed), tol.lines, len(gen))
-    return kth_power_batch(gen[None], k, n, dirs[None], tol=tol)[0]
+    """Decide whether the pencil determinant of Hermitian generators ``mats``
+    from outside the program is a perfect k-th power.
+
+    ``mats`` is admitted as ``HermitianTuple(mats, tol=tol)`` admits it,
+    refusals and messages alike (a :class:`ValueError`, or its subclass
+    :class:`~pencilspec.errors.NotHermitian` for a Hermitian defect above
+    ``tol.hermitian_rel`` times the spectral norm); the spectra read the
+    generators as given, not their Hermitian parts.  ``n * k`` must equal N,
+    and generators whose line combinations ``q . A`` could overflow (an
+    entry bound above the largest float over 4N) raise :class:`ValueError`.
+
+    The pencil is restricted to the ``tol.lines`` lines ``x = t q`` whose
+    directions ``q`` are drawn in one call of a generator seeded with
+    ``seed``, as ``analyze`` draws the full tuple's.  On every line the
+    eigenvalues of the Hermitian ``q . A`` (the reciprocal roots, zero for
+    the root at infinity) must form clusters whose sizes are all multiples
+    of k, with intra-cluster spread below the cluster tolerance: single
+    linkage splits the sorted spectrum where a gap exceeds that tolerance.
+    ``prod f_j^e_j`` is a k-th power exactly when k divides every ``e_j``,
+    so a base with repeated factors passes.
+    """
+    HermitianTuple(mats, tol=tol)  # the tuple rule, for the decision only
+    gens = np.asarray(mats, dtype=np.complex128)
+    m, dim = gens.shape[:2]
+    if k < 1 or n < 1 or n * k != dim:
+        raise ValueError(f"need n*k == {dim}, got n={n}, k={k}")
+    dirs = _draw_directions(np.random.default_rng(seed), tol.lines, m)
+    # A line's q . A has real and imaginary parts at most |q| . (each
+    # generator's largest part), its eigenvalues at most sqrt(2) N times that
+    # and their gaps twice it; 4N in place of 2 sqrt(2) N leaves room for
+    # rounding, so nothing overflows below the limit.
+    parts = np.maximum(np.abs(gens.real), np.abs(gens.imag)).max(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # an overflowing bound is refused below
+        bound = np.abs(dirs) @ parts
+    limit = np.finfo(np.float64).max / (4 * dim)
+    if np.any(bound > limit):
+        raise ValueError(
+            f"line combinations q . A overflow: entry bound {np.max(bound):.3e} "
+            f"above {limit:.3e}"
+        )
+    return _verdicts(_spectra(gens[None], dirs[None], tol), k, n, tol)[0]

@@ -25,10 +25,9 @@ level by level through k-column blocks of the first generator's
 eigenbasis and the block grid ``decompose`` factors (see
 :class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is the
 reference) and tested a slice at a time.  Their pencils and the full
-tuple's, exactly Hermitian, go straight to the eigensolves: only pencils
-from outside the program pass the admission of
-:func:`~pencilspec.charpoly.kth_power_batch`, which no command calls; it is
-the tuple file's rule (``linalg._admitted``), messages and all.
+tuple's, exactly Hermitian, go straight to the eigensolves: only a pencil
+from outside the program is admitted, as a tuple file is, by
+:func:`~pencilspec.charpoly.kth_power_test`, which no command calls.
 A word whose adjoint comes earlier in the enumeration shares that word's
 verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
 large battery's tested words are cut into contiguous shares, as many as

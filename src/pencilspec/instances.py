@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianTuple, hermitian_part
+from .linalg import HermitianTuple, direct_sum_k_copies, hermitian_part
 
 __all__ = [
     "InstanceDescriptor",
@@ -104,7 +104,8 @@ def _copies(family, seed_mats, k, seed, rng):
     """k copies of the n x n tuple ``seed_mats``, rotated by a Haar unitary
     drawn from ``rng``, and the descriptor of a family that splits."""
     n = seed_mats[0].shape[0]
-    tup = _rotated([np.kron(np.eye(k), a) for a in seed_mats], haar_unitary(n * k, rng))
+    blocks = direct_sum_k_copies(HermitianTuple.exact(seed_mats), k).matrices
+    tup = _rotated(blocks, haar_unitary(n * k, rng))
     return tup, InstanceDescriptor(family, n, k, len(seed_mats), seed if isinstance(seed, int) else -1,
                                    expected_pass=True, seed_tuple=tuple(seed_mats))
 

@@ -217,14 +217,16 @@ class PreparedTuple:
 def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT) -> PreparedTuple:
     """Divide each generator by its spectral norm, then shift singular ones.
 
-    One batched ``eigvalsh`` gives the spectra ``w_l`` (with ``k``, ``eigh``
-    of the first generator gives ``w_1`` and ``spec``'s basis), hence the
-    scale ``max |w_l|`` (a zero generator keeps 1), the shift of the unit
-    spectrum ``w_l / scale_l`` by the rule of :func:`_invertible_shift`, and
-    the prepared eigenvalues; a subnormal scale, ``scale * finfo.max < 1``,
-    raises :class:`ValueError` first.  Neither step changes whether the tuple
-    splits into identical copies (``x_l -> x_l / c_l`` keeps a perfect power a
-    perfect power), so verdicts do not depend on the generators' scales.
+    One batched ``eigvalsh`` gives the spectra ``w_l`` (with ``k``, of every
+    generator but the first, whose ``w_1`` and ``spec``'s basis come from one
+    ``eigh``), hence the scale ``max |w_l|`` (a zero generator keeps 1), the
+    shift of the unit spectrum ``w_l / scale_l`` by the rule of
+    :func:`_invertible_shift`, and the prepared eigenvalues; a subnormal
+    scale (``scale * finfo.max < 1``), an infinite one, or a shift that
+    overflows in the input's units raises :class:`ValueError`.  Neither step
+    changes whether the tuple splits into identical copies (``x_l -> x_l /
+    c_l`` keeps a perfect power a perfect power), so verdicts do not depend
+    on the generators' scales.
     With ``k``, also check that k divides N and that the first generator
     has N/k eigenvalue clusters of size k, raising
     :class:`SpectrumPatternViolation` otherwise, or :class:`ClusterAmbiguity`
@@ -236,22 +238,30 @@ def prepare_tuple(tup: HermitianTuple, k: int = None, tol: Tolerances = DEFAULT)
             raise ValueError("k must be a positive integer")
         if tup.dim % k:
             raise SpectrumPatternViolation(f"k={k} does not divide N={tup.dim}")
-    w = np.linalg.eigvalsh(tup.matrices)
+    w = np.linalg.eigvalsh(tup.matrices if k is None else tup.matrices[1:])
     if k is not None:
-        w[0], q = np.linalg.eigh(tup.matrices[0])
+        w1, q = np.linalg.eigh(tup.matrices[0])
+        w = np.concatenate([w1[None], w])
     norms = np.max(np.abs(w), axis=1)
     scales = np.where(norms > 0, norms, 1.0)
     # numpy divides the complex stack through 1 / scale, which overflows where
-    # scale * finfo.max < 1 (a product of Python floats, which cannot warn)
+    # scale * finfo.max < 1 (a product of Python floats, which cannot warn);
+    # entries below half the float maximum can still have an infinite norm
     if (smallest := float(scales.min())) * sys.float_info.max < 1:
         raise ValueError(f"generator norm {smallest:.3e} is below the normal range: "
                          "unit scaling overflows")
+    if not float(scales.max()) <= sys.float_info.max:
+        raise ValueError("generator norm overflows: entries too large")
     unit = w / scales[:, None]
     mus = np.array([_invertible_shift(u, tol) for u in unit])
+    # in Python floats too, so that an overflowing shift is inf without a warning
+    shifts = tuple(mu * s for mu, s in zip(mus.tolist(), scales.tolist()))
+    if max(shifts) > sys.float_info.max:
+        raise ValueError("generator shift ||A|| + 1 overflows in input units: entries too large")
     # a real scale and a real diagonal shift keep each generator exactly Hermitian
     mats = tup.matrices / scales[:, None, None] + mus[:, None, None] * np.eye(tup.dim)
     prep = PreparedTuple(HermitianTuple.exact(mats), tuple(scales.tolist()),
-                         tuple((mus * scales).tolist()), unit + mus[:, None])
+                         shifts, unit + mus[:, None])
     if k is None:
         return prep
     n = tup.dim // k

@@ -1,10 +1,10 @@
 """One Hermitian admission rule wherever a matrix enters from outside.
 
-``HermitianTuple``, a tuple file read by ``load_tuple``, ``kth_power_batch``
-and ``kth_power_test`` all admit through ``linalg._admitted``: entries must be
+``HermitianTuple``, a tuple file read by ``load_tuple`` and a pencil given to
+``kth_power_test`` all admit through ``linalg._admitted``: entries must be
 finite, the Hermitian part ``(A + A^H) / 2`` must not overflow, and the
 Hermitian defect ``max|A - A^H|`` must be within ``hermitian_rel`` times the
-spectral norm.  Each case below feeds one malformed generator to the four
+spectral norm.  Each case below feeds one malformed generator to the three
 routes and expects the same exception type and message from each.
 """
 
@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from pencilspec.charpoly import _draw_directions, kth_power_batch, kth_power_test
+from pencilspec.charpoly import kth_power_test
 from pencilspec.cli import load_tuple
 from pencilspec.config import DEFAULT
 from pencilspec.errors import NotHermitian, SpectralError
@@ -70,12 +70,10 @@ def _to_file(path, mats):
 
 
 def _routes(tmp_path, mats):
-    dirs = _draw_directions(np.random.default_rng(3), DEFAULT.lines, len(mats))[None]
     path = _to_file(tmp_path / "tuple.json", mats)
     return {
         "HermitianTuple": lambda: HermitianTuple(mats),
         "load_tuple": lambda: load_tuple(str(path)),
-        "kth_power_batch": lambda: kth_power_batch(np.stack(mats)[None], k=2, n=2, dirs=dirs),
         "kth_power_test": lambda: kth_power_test(mats, k=2, n=2, seed=3),
     }
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilspec.charpoly import kth_power_batch, kth_power_test
+from pencilspec.charpoly import kth_power_test
 from pencilspec.config import DEFAULT
 from pencilspec.errors import NotHermitian
 from pencilspec.linalg import HermitianTuple
@@ -225,15 +225,19 @@ class TestKthPowerTest:
         with pytest.raises(ValueError):
             kth_power_test([diag(1, 2)], k=2, n=2, seed=0)
 
-    @pytest.mark.parametrize("mats, message", [
-        ([], "at least one array"),
-        ([diag(1, 2), diag(1, 2, 3)], "same shape"),
-        ([np.ones((2, 3)), np.ones((2, 3))], "stacked as"),
-        ([np.ones(2), np.ones(2)], "stacked as"),
+    @pytest.mark.parametrize("mats", [
+        [],
+        [diag(1, 2), diag(1, 2, 3)],
+        [np.ones((2, 3)), np.ones((2, 3))],
+        [np.ones(2), np.ones(2)],
     ], ids=["empty", "unequal", "non-square", "vectors"])
-    def test_malformed_generators_rejected(self, mats, message):
-        with pytest.raises(ValueError, match=message):
+    def test_malformed_generators_rejected(self, mats):
+        # refused as HermitianTuple refuses them, message and all
+        with pytest.raises(ValueError, match="^generators must be a non-empty") as tuple_refusal:
+            HermitianTuple(mats)
+        with pytest.raises(ValueError) as raised:
             kth_power_test(mats, 1, 1)
+        assert str(raised.value) == str(tuple_refusal.value)
 
     @pytest.mark.parametrize("route", [
         lambda mats: pencil_charpoly(mats),
@@ -441,7 +445,7 @@ class TestVerdicts:
             v.k = 3
 
 
-class TestKthPowerBatch:
+class TestOutsidePencils:
     GOLDEN = [diag(1, 1, 1, 2), diag(3, 3, 3, 5)]
     GOLDEN_LINES = (
         ((1, 3), 0.0),
@@ -471,36 +475,19 @@ class TestKthPowerBatch:
         ]
         return np.stack([np.stack(p) for p in pencils]), [7, 5, 0, 0, 11]
 
-    @staticmethod
-    def dirs(seeds, m=2):
-        # each pencil's directions as kth_power_test draws them for its seed
-        from pencilspec.charpoly import _draw_directions
-
-        return np.stack([_draw_directions(np.random.default_rng(s), DEFAULT.lines, m)
-                         for s in seeds])
-
-    def test_batch_equals_per_line_reference(self, monkeypatch):
-        import pencilspec.charpoly as charpoly
-
+    def test_verdicts_equal_per_line_reference(self):
         gens, seeds = self.stack()
-        dirs = self.dirs(seeds)
         reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(gens, seeds)]
-        batched = kth_power_batch(gens, k=2, n=2, dirs=dirs)
-        assert batched == reference
-        assert batched == [kth_power_test(list(g), k=2, n=2, seed=s) for g, s in zip(gens, seeds)]
-        assert [v.is_kth_power for v in batched] == [True, True, False, True, True]
-        assert batched[2].per_line_clusters == self.GOLDEN_LINES
-        assert batched[2].failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
-        assert batched[3].worst_spread > 0.0  # the rotation leaves rounding in the roots
-        for budget in (1, 2 * 8 * 16, 3 * 8 * 16):
-            monkeypatch.setattr(charpoly, "_BATCH_ENTRIES", budget)
-            assert kth_power_batch(gens, k=2, n=2, dirs=dirs) == reference
+        verdicts = [kth_power_test(list(g), k=2, n=2, seed=s) for g, s in zip(gens, seeds)]
+        assert verdicts == reference
+        assert [v.is_kth_power for v in verdicts] == [True, True, False, True, True]
+        assert verdicts[2].per_line_clusters == self.GOLDEN_LINES
+        assert verdicts[2].failure_reason == "line 0: cluster sizes (1, 3), spread 0.000e+00"
+        assert verdicts[3].worst_spread > 0.0  # the rotation leaves rounding in the roots
 
     def test_kth_power_test_builds_one_generator(self, monkeypatch):
-        # one generator per call, whatever the number of lines; the batch
-        # itself draws nothing
+        # one generator per call, whatever the number of lines
         gens, seeds = self.stack()
-        dirs = self.dirs(seeds)
         built = []
         default_rng = np.random.default_rng
 
@@ -511,21 +498,12 @@ class TestKthPowerBatch:
         monkeypatch.setattr(np.random, "default_rng", counting)
         kth_power_test(list(gens[0]), k=2, n=2, seed=seeds[0])
         assert built == seeds[:1]
-        kth_power_batch(gens, k=2, n=2, dirs=dirs)
-        assert built == seeds[:1]
-
-    def test_stack_order_does_not_change_verdicts(self):
-        gens, seeds = self.stack()
-        dirs = self.dirs(seeds)
-        forward = kth_power_batch(gens, k=2, n=2, dirs=dirs)
-        backward = kth_power_batch(gens[::-1], k=2, n=2, dirs=dirs[::-1])
-        assert backward[::-1] == forward
 
     def test_rejects_a_non_hermitian_generator(self):
         gens, seeds = self.stack()
         gens[3, 1, 0, 2] += 1e-6  # one entry off its conjugate partner
         with pytest.raises(ValueError, match="Hermitian"):
-            kth_power_batch(gens, k=2, n=2, dirs=self.dirs(seeds))
+            kth_power_test(list(gens[3]), k=2, n=2, seed=seeds[3])
 
     def test_accepts_a_rotated_hermitian_generator(self):
         # a Haar rotation leaves a defect at rounding level, which the
@@ -536,40 +514,39 @@ class TestKthPowerBatch:
         gens = [u @ g @ u.conj().T for g in (diag(1, 1, 2, 2), diag(3, 3, 4, 4))]
         defect = max(float(np.max(np.abs(g - g.conj().T))) for g in gens)
         assert 0.0 < defect <= 1e-14
-        assert kth_power_batch(np.stack(gens)[None], k=2, n=2, dirs=self.dirs([3]))[0].is_kth_power
+        assert kth_power_test(gens, k=2, n=2, seed=3).is_kth_power
 
     def test_exact_first_admission_keeps_verdicts_and_message(self):
-        # exact and rounding-level stacks get the reference verdicts, and a
-        # stack above the bound the tuple rule's message: the first generator
+        # exact and rounding-level pencils get the reference verdicts, and a
+        # pencil above the bound the tuple rule's message: the first generator
         # whose defect exceeds hermitian_rel times its spectral norm
         from pencilspec.instances import haar_unitary
 
         gens, seeds = self.stack()
-        dirs = self.dirs(seeds)
         assert np.array_equal(gens, np.swapaxes(gens, -1, -2).conj())
         u = haar_unitary(4, 8)
         rotated = u @ gens @ u.conj().T
         defect = np.max(np.abs(rotated - np.swapaxes(rotated, -1, -2).conj()), axis=(-2, -1))
         assert 0.0 < np.max(defect) <= 1e-14
         for stack in (gens, rotated):
-            reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(stack, seeds)]
-            assert kth_power_batch(stack, k=2, n=2, dirs=dirs) == reference
+            for g, s in zip(stack, seeds):
+                assert kth_power_test(list(g), k=2, n=2, seed=s) == reference_verdict(list(g), 2, 2, s)
         rotated[3, 1, 0, 2] += 1e-6
         bad = rotated[3, 1]
         defect = np.max(np.abs(bad - bad.conj().T))
         bound = DEFAULT.hermitian_rel * np.linalg.norm(bad, 2)
         assert defect > bound
         with pytest.raises(NotHermitian) as raised:
-            kth_power_batch(rotated, k=2, n=2, dirs=dirs)
+            kth_power_test(list(rotated[3]), k=2, n=2, seed=seeds[3])
         assert str(raised.value) == f"Hermitian defect {defect:.3e} exceeds {bound:.3e}"
 
     def test_nan_entry_is_rejected(self):
-        # the stack is refused before the eigensolver, which reads one
+        # the pencil is refused before the eigensolver, which reads one
         # triangle only and would ignore or mangle the entry
         gens, seeds = self.stack()
         gens[1, 1, 0, 1] = gens[1, 1, 1, 0] = np.nan
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-            kth_power_batch(gens, k=2, n=2, dirs=self.dirs(seeds))
+            kth_power_test(list(gens[1]), k=2, n=2, seed=seeds[1])
 
     @pytest.mark.parametrize(
         "value, entries",
@@ -606,25 +583,13 @@ class TestKthPowerBatch:
         assert not v.is_kth_power
         assert v.failing_line == 0
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_direction_is_rejected(self, value):
-        # refused before the matmul and the eigensolver see it
-        gens = np.stack([diag(1, 1, 2, 2), diag(3, 3, 4, 4)])[None]
-        dirs = self.dirs([1])
-        dirs[0, 0, 0] = value
-        with pytest.raises(ValueError, match="^line directions must be finite$"):
-            kth_power_batch(gens, k=2, n=2, dirs=dirs)
-
     def test_overflowing_lines_are_rejected(self):
         # finite generators whose line combinations overflow: before, a
         # failing verdict with spread nan after an overflow RuntimeWarning,
         # which filterwarnings = error turns into a test failure; 8e307 is
         # below half the float maximum, so admission lets it through
-        gens = np.stack([8e307 * np.eye(2), np.eye(2)])
         with pytest.raises(ValueError, match=r"^line combinations q \. A overflow"):
-            kth_power_batch(gens[None], k=2, n=1, dirs=self.dirs([1]))
-        with pytest.raises(ValueError, match=r"^line combinations q \. A overflow"):
-            kth_power_test(list(gens), k=2, n=1, seed=0)
+            kth_power_test([8e307 * np.eye(2), np.eye(2)], k=2, n=1, seed=0)
 
     @pytest.mark.parametrize("gen", [
         np.array([[0, 1.7e308], [-1.7e308, 0]]),
@@ -636,26 +601,13 @@ class TestKthPowerBatch:
         # on these finite entries: they warned before, and filterwarnings =
         # error turns a warning into a failure; an infinite defect is not
         # Hermitian, and an overflowing Hermitian part is refused as such
-        gens = np.stack([gen, np.eye(2)]).astype(complex)
         with pytest.raises(ValueError):
-            kth_power_batch(gens[None], k=2, n=1, dirs=self.dirs([1]))
+            kth_power_test([gen.astype(complex), np.eye(2)], k=2, n=1, seed=1)
 
     def test_large_lines_below_the_overflow_bound_are_tested(self):
         v = kth_power_test([1e300 * np.eye(2), np.eye(2)], k=2, n=1, seed=0)
         assert v.is_kth_power
         assert v.worst_spread == 0.0
-
-    def test_rejects_bad_stack(self):
-        gens, seeds = self.stack()
-        dirs = self.dirs(seeds)
-        with pytest.raises(ValueError):
-            kth_power_batch(gens[0], k=2, n=2, dirs=dirs[:1])
-        with pytest.raises(ValueError):
-            kth_power_batch(gens, k=2, n=2, dirs=dirs[:-1])
-        with pytest.raises(ValueError):  # one direction short on every pencil
-            kth_power_batch(gens, k=2, n=2, dirs=dirs[:, :-1])
-        with pytest.raises(ValueError):  # directions in three variables
-            kth_power_batch(gens, k=2, n=2, dirs=self.dirs(seeds, m=3))
 
 
 class TestTransformVars:

@@ -239,18 +239,18 @@ class TestAnalyzeDraws:
     def test_lines_come_from_the_seed_and_the_word_index(self):
         # the full tuple's (lines, m) block first, then (words, lines, 3) in
         # one call; word i is tested on row i, twins skipped or not
-        from pencilspec.charpoly import kth_power_batch
+        from pencilspec.charpoly import _spectra, _verdicts, kth_power_test
         from pencilspec.conditions import _BlockWords
 
         tup, _ = gen_decomposable(3, 2, 3, seed=4)
         rep = analyze(tup, 2, seed=12)
         prep = prepare_tuple(tup, 2)
-        lines = Tolerances().lines
+        tol = Tolerances()
         rng = np.random.default_rng(12)
-        full = rng.standard_normal((lines, 3))
-        word_dirs = rng.standard_normal((len(rep.word_results), lines, 3))
+        rng.standard_normal((tol.lines, 3))  # the full tuple's, as kth_power_test draws them
+        word_dirs = rng.standard_normal((len(rep.word_results), tol.lines, 3))
         gens = np.stack(prep.tup.matrices)
-        assert kth_power_batch(gens[None], 2, 3, full[None]) == [rep.full_tuple]
+        assert kth_power_test(gens, 2, 3, seed=12) == rep.full_tuple
         words = [w for w, _ in rep.word_results]
         mats = _BlockWords(prep.tup, prep.spec, words).matrices(range(len(words)))
         tested = [i for i in range(len(words)) if i not in rep.adjoint_of]
@@ -260,9 +260,8 @@ class TestAnalyzeDraws:
         assert all(rep.word_results[i][1].worst_spread > 0 for i in tested)
         for i in tested:
             pencil = np.concatenate([gens[:1], hermitian_parts(mats[i])])
-            assert kth_power_batch(pencil[None], 2, 3, word_dirs[i : i + 1]) == [
-                rep.word_results[i][1]
-            ]
+            lams = _spectra(pencil[None], word_dirs[i : i + 1], tol)
+            assert _verdicts(lams, 2, 3, tol) == [rep.word_results[i][1]]
 
     @pytest.mark.parametrize(
         "make, k",

@@ -22,20 +22,16 @@ from pencilspec.cli import EXIT_FAIL, EXIT_PASS, main
 
 # Functions no command enters, each with the reason it stays.
 ALLOWED = {
-    "charpoly.kth_power_batch":
-        "public API: admits pencils from outside the program, while every pencil "
-        "a command builds is exactly Hermitian and goes to the eigensolves directly",
     "charpoly.kth_power_test":
-        "public API: the one-pencil entry for outside callers; the acceptance "
-        "battery tests the full tuple through it",
+        "public API: admits a pencil from outside the program, while every pencil "
+        "a command builds is exactly Hermitian and goes to the eigensolves directly; "
+        "the acceptance battery tests the full tuple through it",
     "conditions.WordSpec.__post_init__":
         "public API: validates a WordSpec built by an outside caller; "
         "enumerate_words builds its words from valid labels past __init__",
     "linalg.SpectralData.projections":
         "read only by reference (word realization, the first-order identity) "
         "and by acceptance criterion 1",
-    "linalg.direct_sum_k_copies":
-        "public API for outside callers; no command builds a direct sum",
 }
 
 PRODUCTION = sorted(p for p in Path(pencilspec.__file__).parent.glob("*.py")
@@ -150,7 +146,7 @@ def test_every_allowed_name_exists_and_says_why():
 
 
 def test_exit_codes(traced):
-    # at k every command gives the ground truth, with kth_power_batch never
+    # at k every command gives the ground truth, with kth_power_test never
     # entered on the way (test_no_command_enters_an_allowed_def)
     codes, _ = traced
     for case in CASES:

@@ -100,27 +100,59 @@ def test_decompose_residual_within_bound(tmp_path, family, shape, seed, scale):
     assert rep["residual"] == rep["verification"]["max_residual"]
 
 
-# Subnormal entries (1e-310, 1e-315) overflow unit scaling, and at 1e308 the
+# Keyed by the largest entry modulus.  Subnormal entries (down to 5e-324, the
+# smallest) overflow unit scaling, and from 1e308 up to the float maximum the
 # loaded tuple's Hermitian part overflows (ROADMAP item 7).  The tuple splits,
 # but neither can be answered: each command refuses the file with 3 and one
 # stderr line naming the cause, writes no report and warns nothing (the suite
 # turns warnings into errors).
-EXTREME = {1e-310: "is below the normal range: unit scaling overflows",
+EXTREME = {5e-324: "is below the normal range: unit scaling overflows",
            1e-315: "is below the normal range: unit scaling overflows",
-           1e308: "Hermitian part (A + A^H) / 2 overflows"}
+           1e-310: "is below the normal range: unit scaling overflows",
+           1e308: "Hermitian part (A + A^H) / 2 overflows",
+           np.finfo(float).max: "Hermitian part (A + A^H) / 2 overflows"}
+
+
+def refuses_everywhere(capsys, path, k, message, flags=()):
+    """Each command exits 3 on ``path`` with one stderr line holding
+    ``message``, and writes no report."""
+    out = path.parent / "rep.json"
+    capsys.readouterr()
+    for cmd in COMMANDS:
+        assert main([cmd, str(path), "--k", str(k), "--out", str(out), *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("scale", list(EXTREME), ids=lambda c: f"x{c:g}")
 def test_extreme_scales_answer_or_refuse(tmp_path, capsys, scale):
-    tup = gen_decomposable(3, 2, 2, seed=1)[0]
-    path, out = tmp_path / "t.json", tmp_path / "rep.json"
-    save_tuple(str(path), HermitianTuple.exact([scale * a for a in tup.matrices]))
-    capsys.readouterr()
-    for cmd in COMMANDS:
-        assert main([cmd, str(path), "--k", "2", "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and EXTREME[scale] in err
-        assert not out.exists()
+    # normalized by the largest entry first, so that every entry stays finite
+    mats = gen_decomposable(3, 2, 2, seed=1)[0].matrices
+    path = tmp_path / "t.json"
+    save_tuple(str(path), HermitianTuple.exact(scale * (mats / np.max(np.abs(mats)))))
+    refuses_everywhere(capsys, path, 2, EXTREME[scale])
+
+
+# Admitted entries (below half the float maximum) whose spectral norm, or
+# whose shift ||A|| + 1 in the input's units, overflows: the all-equal 4 x 4
+# generator's norm is 4 times its entry, and the singular 2 x 2 one's shift
+# twice its norm.  Each command refuses the file by name.
+HALF_MAX = 0.99 * np.finfo(float).max / 2
+OVERFLOWING_NORMS = {
+    "norm-4x4": ([np.full((4, 4), HALF_MAX), np.diag([1.0, 2.0, 3.0, 4.0])], 2,
+                 "generator norm overflows"),
+    "shift-2x2": ([np.full((2, 2), HALF_MAX), np.diag([1.0, 2.0])], 1,
+                  "generator shift ||A|| + 1 overflows in input units"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING_NORMS))
+def test_overflowing_norm_or_shift_is_refused(tmp_path, capsys, case):
+    mats, k, message = OVERFLOWING_NORMS[case]
+    path = tmp_path / "t.json"
+    save_tuple(str(path), HermitianTuple(mats))
+    refuses_everywhere(capsys, path, k, message)
 
 
 # Every entry is finite, but at 1e308 the Hermitian part (a + a^H) / 2
@@ -130,14 +162,9 @@ def test_extreme_scales_answer_or_refuse(tmp_path, capsys, scale):
 @pytest.mark.parametrize("flags", [(), ("--allow-nonhermitian",)], ids=["strict", "allow-nonhermitian"])
 def test_overflowing_hermitian_part_is_refused(tmp_path, capsys, flags):
     tup = gen_decomposable(3, 2, 2, seed=1)[0]
-    path, out = tmp_path / "t.json", tmp_path / "rep.json"
+    path = tmp_path / "t.json"
     save_tuple(str(path), HermitianTuple.exact([1e308 * a for a in tup.matrices]))
-    capsys.readouterr()
-    for cmd in COMMANDS:
-        assert main([cmd, str(path), "--k", "2", "--out", str(out), *flags]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and "overflows" in err
-        assert not out.exists()
+    refuses_everywhere(capsys, path, 2, "overflows", flags)
 
 
 @pytest.mark.parametrize("scale", [5e307, np.finfo(float).max / 4], ids=["x5e307", "x(max/4)"])
