@@ -475,6 +475,15 @@ class TestOutsidePencils:
         ]
         return np.stack([np.stack(p) for p in pencils]), [7, 5, 0, 0, 11]
 
+    def test_kth_power_test_is_the_one_outside_entry(self):
+        import pencilspec
+        import pencilspec.charpoly as charpoly
+
+        assert charpoly.__all__ == ["KPowerVerdict", "kth_power_test"]
+        assert pencilspec.kth_power_test is kth_power_test
+        assert not hasattr(charpoly, "kth_power_batch")
+        assert not hasattr(pencilspec, "kth_power_batch")
+
     def test_verdicts_equal_per_line_reference(self):
         gens, seeds = self.stack()
         reference = [reference_verdict(list(g), 2, 2, s) for g, s in zip(gens, seeds)]

@@ -293,6 +293,28 @@ class TestPrepareTuple:
                                              r"unit scaling overflows$"):
             prepare_tuple(tup)
 
+    @pytest.mark.parametrize("a1, message", [
+        # all-equal entries below half the float maximum: the norm is 4 times one
+        (np.full((4, 4), 0.99 * np.finfo(float).max / 2),
+         r"^generator norm overflows: entries too large$"),
+        # singular: the shift ||A|| + 1 is twice the norm in input units
+        (np.full((2, 2), 0.99 * np.finfo(float).max / 2),
+         r"^generator shift \|\|A\|\| \+ 1 overflows in input units: entries too large$"),
+    ], ids=["norm", "shift"])
+    def test_overflowing_norm_or_shift_is_refused_by_name(self, a1, message):
+        tup = HermitianTuple((a1, np.diag(np.arange(1.0, len(a1) + 1))))
+        with pytest.raises(ValueError, match=message):
+            prepare_tuple(tup)
+
+    def test_one_generator_with_k(self):
+        # the batched eigvalsh gets an empty (0, N) stack; the row is the eigh's
+        a1 = diag(1, 1, 3, 3)
+        prep = prepare_tuple(HermitianTuple((a1,)), 2)
+        assert prep.scales == (3.0,) and prep.shifts == (0.0,)
+        assert len(prep.eigenvalues) == 1
+        assert np.allclose(prep.eigenvalues[0], [1 / 3, 1 / 3, 1, 1])
+        assert prep.spec.multiplicities == (2, 2)
+
     @pytest.mark.parametrize("norm", [6e-309, np.finfo(float).tiny])
     def test_smallest_scales_that_unit_scaling_reaches(self, norm):
         prep = prepare_tuple(HermitianTuple((diag(norm, 2 * norm),)))
