@@ -22,7 +22,9 @@ clusters it by its gaps; no polynomial coefficient is ever formed.
 :func:`kth_power_test` admits a pencil from outside the program as a
 :class:`~pencilspec.linalg.HermitianTuple`, the rule of a tuple file; every
 pencil a command builds is exactly Hermitian and goes to :func:`_spectra`
-and :func:`_verdicts` unchecked.
+and :func:`_verdicts` unchecked.  :func:`_spectra` solves whatever stack
+it is given at once; the word battery, the one caller that stacks more
+than one pencil, bounds its stacks.
 
 Error model: a pencil fails when any line fails.  An algebraic miss has
 probability zero: the lines on which a non-power restricts to a power form
@@ -73,30 +75,17 @@ def _draw_directions(rng, lines, m, pencils=None):
     return rng.standard_normal((lines, m) if pencils is None else (pencils, lines, m))
 
 
-# Working-set budget of the batched power test: pencils are cut into chunks
-# of at most this many (line, matrix entry) pairs, so the stacked operands
-# stay small whatever the number of pencils.
-_BATCH_ENTRIES = 20_000
-
-
-def _spectra(gens, dirs, tol):
+def _spectra(gens, dirs):
     """The sorted line spectra ``(P, lines, N)`` of a stack of admitted
-    pencils, a chunk of at most ``_BATCH_ENTRIES`` (line, matrix entry)
-    pairs at a time; they are smaller than the generators."""
-    (p_count, m, dim), lines = gens.shape[:3], tol.lines
-    chunk = max(1, _BATCH_ENTRIES // (lines * dim * dim))
+    pencils ``gens`` ``(P, m, N, N)`` on the lines ``dirs`` ``(P, lines,
+    m)``, in one matmul and one stacked ``eigvalsh``."""
+    p_count, m, dim = gens.shape[:3]
     # q . A for every line as one real matmul on the (re, im) view; real q
     # keeps it Hermitian.  A pencil split into k identical blocks gives
     # k-fold eigenvalues, which rounding moves linearly (Weyl), not by
     # eps**(1/k) as a root finder on coefficients would.
     flat = np.ascontiguousarray(gens).view(np.float64).reshape(p_count, m, -1)
-    out = np.empty((p_count, lines, dim))
-    for start in range(0, p_count, chunk):
-        part = dirs[start : start + chunk] @ flat[start : start + chunk]
-        out[start : start + chunk] = np.linalg.eigvalsh(
-            part.view(np.complex128).reshape(-1, lines, dim, dim)
-        )
-    return out
+    return np.linalg.eigvalsh((dirs @ flat).view(np.complex128).reshape(p_count, -1, dim, dim))
 
 
 def _verdicts(lams, k, n, tol):
@@ -182,4 +171,4 @@ def kth_power_test(
             f"line combinations q . A overflow: entry bound {np.max(bound):.3e} "
             f"above {limit:.3e}"
         )
-    return _verdicts(_spectra(gens[None], dirs[None], tol), k, n, tol)[0]
+    return _verdicts(_spectra(gens[None], dirs[None]), k, n, tol)[0]

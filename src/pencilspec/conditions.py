@@ -24,9 +24,10 @@ variable (thread count or other) affects them.  The words are realized
 level by level through k-column blocks of the first generator's
 eigenbasis and the block grid ``decompose`` factors (see
 :class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is the
-reference) and tested a slice at a time.  Their pencils and the full
-tuple's, exactly Hermitian, go straight to the eigensolves: only a pencil
-from outside the program is admitted, as a tuple file is, by
+reference) and solved a bounded slice at a time (see
+:func:`_share_spectra`).  Their pencils and the full tuple's, exactly
+Hermitian, go straight to the eigensolves: only a pencil from outside the
+program is admitted, as a tuple file is, by
 :func:`~pencilspec.charpoly.kth_power_test`, which no command calls.
 A word whose adjoint comes earlier in the enumeration shares that word's
 verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
@@ -34,9 +35,9 @@ large battery's tested words are cut into contiguous shares, as many as
 repay their forks and one per usable CPU at most (see :func:`_share_count`).
 The word table is built once, before any fork; forked processes write the
 line spectra of all shares but the first into one anonymous shared
-mapping, and the calling process turns every share's spectra into
-verdicts.  The CPU count changes only the speed: verdicts and reports are
-the same.
+mapping, and the calling process turns each share's spectra into verdicts
+in one call.  The CPU count changes only the speed: verdicts and reports
+are the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -344,19 +345,24 @@ class ConditionReport:
     adjoint_of: dict = field(default_factory=dict)  # word index -> certifying word index
 
 
-# Words whose pencils are stacked per call of the power test; verdicts do not
-# depend on it, and it bounds the stack at 128 * 3 * N^2 complex entries.
-_WORD_SLICE = 128
+# Working-set budget of the word battery: a share is solved a slice of at
+# most this many (line, matrix entry) pairs at a time, so the stacked pencils
+# and their line matrices stay small whatever the battery's size.  Verdicts
+# do not depend on it.
+_BATCH_ENTRIES = 20_000
 
 # Solve work, in tested words * lines * N^3, that one forked share costs the
-# calling process.  With the shared mapping, os.fork takes 0.35-0.39 ms there
-# and copy-on-write faults the most, 2.4 ms at (6,2,2), fewer in a smaller
-# battery (ROADMAP.md, north star 1).  A unit is 4.5 ns of eigvalsh at N = 12
-# and 8 ns at N = 8.  Against one process, two shares cost 1.1 ms more at 204k
-# units (N = 9) and saved 0.4 ms of 5.7 at 848k (N = 10), 2.0 of 9.3 at 1040k
-# (N = 8): a fork costs about 1.9 ms, 425k units at N = 12 (2-vCPU VM, 40 runs,
-# median).  A split battery's largest proof_core pencils (15 words at N = 16,
-# 492k units) stay in one process.
+# calling process.  Per forked command (2-vCPU VM; ROADMAP.md, north star 1):
+# os.fork takes 0.85-0.92 ms; the parent takes 774-1,084 minor faults and the
+# child 843-1,133, a copy-on-write fault costing 2.6-4.6 us while the child
+# lives and 0.36-0.66 us after it exits, a zero-fill fault 1.9-2.8 us; and the
+# next command pays about 0.44 ms of leftover faults.  Against one process,
+# two shares tie at (4,2,3), 1040k units at N = 8 (17.46 against 17.06 ms,
+# one process winning 6 of 12 rounds), and save 2.1 ms at (4,3,3), 3511k
+# units (24.15 against 26.28 ms), and 14.9 ms at (6,2,2), 8599k units (50.1
+# against 65.0 ms).  So the break-even of two shares, 850k units, sits just
+# under (4,2,3).  A split battery's largest proof_core pencils (15 words at
+# N = 16, 492k units) stay in one process.
 _FORK_COST = 425_000
 
 # The cgroup CPU quota of this process's container, as (quota, period)
@@ -409,27 +415,28 @@ def _share_count(words: int, lines: int, dim: int) -> int:
     return min(shares, _usable_cpus()) if shares > 1 else 1
 
 
-def _share_spectra(realized, rows, dirs, tol):
-    """The line spectra of the words at ``rows`` (ascending indices into the
-    battery's words, realized by the word table ``realized``), as ``(slice
-    rows, spectra (len, lines, N))`` per slice of ``_WORD_SLICE`` words.
-    Every share of the battery, forked or not, is solved here."""
+def _share_spectra(realized, rows, dirs, tol, out):
+    """Write the line spectra of the words at ``rows`` (ascending indices
+    into the battery's words, realized by the word table ``realized``) into
+    ``out``, ``(len(rows), lines, N)``, a slice of at most
+    ``_BATCH_ENTRIES`` (line, matrix entry) pairs at a time.  Every share of
+    the battery, forked or not, is solved here."""
+    size = max(1, _BATCH_ENTRIES // (tol.lines * realized.a1.size))
     # the battery's largest array, filled in place a slice of words at a time
-    pencils = np.empty((min(_WORD_SLICE, len(rows)), 3) + realized.a1.shape, dtype=complex)
+    pencils = np.empty((min(size, len(rows)), 3) + realized.a1.shape, dtype=complex)
     pencils[:, 0] = realized.a1
-    for start in range(0, len(rows), _WORD_SLICE):
-        part = rows[start : start + _WORD_SLICE]
+    for start in range(0, len(rows), size):
+        part = rows[start : start + size]
         stack = pencils[: len(part)]
         hermitian_parts(realized.matrices(part), out=stack[:, 1:].swapaxes(0, 1))
-        yield part, _spectra(stack, dirs[part], tol)
+        out[start : start + len(part)] = _spectra(stack, dirs[part])
 
 
-def _fork_share(children, i, out, done, share):
-    """Fork a process that writes the spectra ``_share_spectra(*share)``
-    into ``out``, a slice at a time, then the number of rows it wrote into
-    ``done[i]``, and exits; both live in a mapping shared with this process.
-    Record it as ``children[i] = pid``; nothing is recorded when the fork
-    fails."""
+def _fork_share(children, i, done, share):
+    """Fork a process that writes its spectra by ``_share_spectra(*share)``
+    into a mapping shared with this process, then its row count into
+    ``done[i]``, and exits.  Record it as ``children[i] = pid``; nothing is
+    recorded when the fork fails."""
     # Ctrl-C sends SIGINT to the whole process group.  The child keeps it
     # blocked, so that it leaves only through os._exit and never unwinds its
     # copy of the caller's stack; this process records the child at once.
@@ -440,11 +447,8 @@ def _fork_share(children, i, out, done, share):
             pid = os.fork()
         if pid == 0:
             try:
-                written = 0
-                for part, lams in _share_spectra(*share):
-                    out[written : written + len(part)] = lams
-                    written += len(part)
-                done[i] = written
+                _share_spectra(*share)
+                done[i] = len(share[1])
                 os._exit(0)
             finally:  # reached only when the share fails
                 os._exit(1)
@@ -456,44 +460,42 @@ def _fork_share(children, i, out, done, share):
 
 
 def _battery(realized, tested, dirs, k, n, tol):
-    """Verdicts of the words at ``tested``, by index, over contiguous shares.
+    """Verdicts of the words at ``tested``, in order, over contiguous shares.
 
     The word table ``realized`` is built once, before any fork.  Shares
     after the first go to forked processes (see :func:`_share_count`) while
     this process solves the first; each child writes its share's spectra
     into one anonymous shared mapping, then marks the share complete, and
-    the spectra become verdicts here.  A share whose child cannot start,
-    fails or leaves its share incomplete is solved here instead, so the
-    result, or the exception, is the serial one.  No child outlives the call.
+    the spectra become verdicts here, one call per share.  A share whose
+    child cannot start, fails or leaves its share incomplete is solved here
+    instead, so the result, or the exception, is the serial one.  No child
+    outlives the call.
     """
     dim = len(realized.a1)
     shares = np.array_split(tested, _share_count(len(tested), tol.lines, dim))
-    children = {}
+    spectra, done, children = np.empty((len(tested), tol.lines, dim)), None, {}
     if len(shares) > 1:
         try:
-            mapping = mmap.mmap(-1, 8 * (len(shares) + len(tested) * tol.lines * dim))
+            mapping = mmap.mmap(-1, 8 * (len(shares) + spectra.size))
         except OSError:
             shares = [tested]
         else:
-            # a row count per share, then the spectra of every tested word;
-            # the rows of share 0 are never written
+            # a row count per share, then the spectra of every tested word
             done = np.frombuffer(mapping, np.int64, len(shares))
-            spectra = np.frombuffer(mapping, offset=done.nbytes).reshape(-1, tol.lines, dim)
-            outs = np.split(spectra, np.cumsum([len(rows) for rows in shares[:-1]]))
+            spectra = np.frombuffer(mapping, offset=done.nbytes).reshape(spectra.shape)
+    outs = np.split(spectra, np.cumsum([len(rows) for rows in shares[:-1]]))
     try:
         for i, rows in enumerate(shares[1:], 1):
             if len(rows):
-                _fork_share(children, i, outs[i], done, (realized, rows, dirs, tol))
-        verdicts = {}
+                _fork_share(children, i, done, (realized, rows, dirs, tol, outs[i]))
+        verdicts = []
         for i, rows in enumerate(shares):
-            if i in children:
-                status = os.waitpid(children[i], 0)[1]
-                del children[i]
-                if status == 0 and done[i] == len(rows):
-                    verdicts.update(zip(rows.tolist(), _verdicts(outs[i], k, n, tol)))
-                    continue
-            for part, lams in _share_spectra(realized, rows, dirs, tol):
-                verdicts.update(zip(part.tolist(), _verdicts(lams, k, n, tol)))
+            # a share that no child completed is solved here
+            status = os.waitpid(children[i], 0)[1] if i in children else -1
+            children.pop(i, None)
+            if status or done[i] != len(rows):
+                _share_spectra(realized, rows, dirs, tol, outs[i])
+            verdicts += _verdicts(outs[i], k, n, tol)
         return verdicts
     finally:
         for pid in children.values():
@@ -557,12 +559,14 @@ def analyze(
     source = np.arange(len(words))  # the word whose verdict each word takes
     source[list(twins)] = list(twins.values())
     tested = np.flatnonzero(source == np.arange(len(words)))
-    verdicts = {}
+    verdicts = []
     if len(tested):  # a one-generator tuple has no words to build a table of
         verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
     # the full tuple's pencil, exactly Hermitian like the word pencils
-    full_verdict = _verdicts(_spectra(shifted.matrices[None], full_dirs[None], tol), k, n, tol)[0]
-    word_results = tuple(zip(words, map(verdicts.__getitem__, source.tolist())))
+    full_verdict = _verdicts(_spectra(shifted.matrices[None], full_dirs[None]), k, n, tol)[0]
+    # each word's source is tested, and its place in ``tested`` its verdict's
+    slots = np.searchsorted(tested, source).tolist()
+    word_results = tuple(zip(words, map(verdicts.__getitem__, slots)))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing
     return ConditionReport(
@@ -671,5 +675,5 @@ def corollary(
         degree_bound=degree_bound,
         family_size=sum(tup.m**d for d in range(1, degree_bound + 1)),
         shifts=prep.shifts,
-        verdict=_verdicts(_spectra(gens, dirs, tol), k, n, tol)[0],
+        verdict=_verdicts(_spectra(gens, dirs), k, n, tol)[0],
     )

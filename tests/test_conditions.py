@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -260,7 +262,7 @@ class TestAnalyzeDraws:
         assert all(rep.word_results[i][1].worst_spread > 0 for i in tested)
         for i in tested:
             pencil = np.concatenate([gens[:1], hermitian_parts(mats[i])])
-            lams = _spectra(pencil[None], word_dirs[i : i + 1], tol)
+            lams = _spectra(pencil[None], word_dirs[i : i + 1])
             assert _verdicts(lams, 2, 3, tol) == [rep.word_results[i][1]]
 
     @pytest.mark.parametrize(
@@ -272,18 +274,22 @@ class TestAnalyzeDraws:
         ],
         ids=["conjugate_negative", "decomposable", "commuting"],
     )
-    def test_analyze_does_not_depend_on_slicing(self, monkeypatch, make, k):
-        import pencilspec.charpoly as charpoly
+    @pytest.mark.parametrize("shares", [1, 3])
+    def test_analyze_does_not_depend_on_slicing(self, monkeypatch, make, k, shares):
         import pencilspec.conditions as conditions
 
         tup = make()
         reference = analyze(tup, k, seed=9)
         assert len(reference.word_results) > 7
-        for word_slice in (1, 7, 128):
-            monkeypatch.setattr(conditions, "_WORD_SLICE", word_slice)
+        # the shares forced where the platform forks, whatever the host's CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)),
+                            raising=False)
+        monkeypatch.setattr(conditions, "_CPU_QUOTA_FILES", ())
+        monkeypatch.setattr(conditions, "_FORK_COST", 1)
+        # one word a slice, twice over, the default, and one slice a share
+        for budget in (1, Tolerances().lines * tup.dim**2, conditions._BATCH_ENTRIES, 10**9):
+            monkeypatch.setattr(conditions, "_BATCH_ENTRIES", budget)
             assert analyze(tup, k, seed=9) == reference
-        monkeypatch.setattr(charpoly, "_BATCH_ENTRIES", 1)
-        assert analyze(tup, k, seed=9) == reference
 
     def test_analyze_builds_one_generator(self, monkeypatch):
         tup, _ = gen_decomposable(3, 2, 3, seed=2)

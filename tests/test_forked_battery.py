@@ -4,7 +4,6 @@ shares run in forked processes or in one, and no forked process outlives
 ``conditions._FORK_COST``; there is no setting for it."""
 
 import errno
-import itertools
 import json
 import mmap
 import os
@@ -20,6 +19,7 @@ import pytest
 from pencilspec import conditions
 from pencilspec.cli import EXIT_FAIL, EXIT_PASS, main
 from pencilspec.conditions import analyze
+from pencilspec.config import DEFAULT
 from pencilspec.instances import gen_conjugate_negative, gen_decomposable
 
 pytestmark = pytest.mark.skipif(
@@ -61,6 +61,11 @@ def use_cpus(monkeypatch, cpus, fork_cost=None):
     monkeypatch.setattr(conditions, "_CPU_QUOTA_FILES", ())
     if fork_cost is not None:
         monkeypatch.setattr(conditions, "_FORK_COST", fork_cost)
+
+
+def slice_words(monkeypatch, words, dim):
+    """Slices of ``words`` words at N = ``dim``: a budget of their line matrices."""
+    monkeypatch.setattr(conditions, "_BATCH_ENTRIES", words * DEFAULT.lines * dim * dim)
 
 
 def generate(tmp_path, *args):
@@ -130,9 +135,44 @@ def test_share_edges(monkeypatch, forks, tup, cpus, word_slice, children):
     use_cpus(monkeypatch, 1)
     serial = analyze(tup, 2)
     use_cpus(monkeypatch, cpus, fork_cost=1)
-    monkeypatch.setattr(conditions, "_WORD_SLICE", word_slice)
+    slice_words(monkeypatch, word_slice, tup.dim)
     assert analyze(tup, 2) == serial
     assert len(forks) == children
+
+
+def test_battery_stacks_at_most_one_slice(tmp_path, monkeypatch, forks):
+    """Every call of the battery in this process stacks at most the words
+    whose line matrices fit the budget, 17 at N = 12; the full tuple,
+    ``corollary`` and ``kth_power_test`` pass one pencil each."""
+    from pencilspec import charpoly
+
+    tup = gen_decomposable(6, 2, 2, seed=7)[0]
+    path = generate(tmp_path, "--family", "decomposable", "--n", "6", "--k", "2", "--m", "2",
+                    "--seed", "7")
+    stacks, spectra = [], charpoly._spectra
+
+    def recording(gens, dirs):
+        stacks.append(gens.shape[:2])  # (pencils, generators)
+        return spectra(gens, dirs)
+
+    monkeypatch.setattr(conditions, "_spectra", recording)
+    monkeypatch.setattr(charpoly, "_spectra", recording)
+    bound = max(1, conditions._BATCH_ENTRIES // (DEFAULT.lines * tup.dim**2))
+    assert bound == 17
+    # 622 tested words, all in this process or half of them beside a child
+    for cpus, words in [(1, 622), (2, 311)]:
+        use_cpus(monkeypatch, cpus)
+        stacks.clear()
+        assert analyze_report(path, 2, tmp_path / "report.json")[0] == EXIT_PASS
+        battery = [p for p, m in stacks if m == 3]
+        assert max(battery) == bound and sum(battery) == words
+        assert [p for p, m in stacks if m != 3] == [1]  # the full tuple, m = 2
+    assert len(forks) == 1
+    stacks.clear()
+    out = tmp_path / "corollary.json"
+    assert main(["corollary", str(path), "--k", "2", "--out", str(out)]) == EXIT_PASS
+    assert charpoly.kth_power_test(tup.matrices, 2, 6).is_kth_power
+    assert [p for p, _ in stacks] == [1, 1]
 
 
 def test_share_count(monkeypatch):
@@ -210,43 +250,45 @@ def negative(monkeypatch):
     use_cpus(monkeypatch, 1)
     serial = analyze(tup, 2)
     use_cpus(monkeypatch, 2, fork_cost=1)
-    monkeypatch.setattr(conditions, "_WORD_SLICE", 2)
+    slice_words(monkeypatch, 2, tup.dim)
     return tup, serial
 
 
 def solve_in_child(monkeypatch, in_child):
-    """Replace the share routine by ``in_child(slices)`` in forked processes;
-    returns the rows this process solves."""
+    """Replace the share routine by ``in_child(solve, share)`` in forked
+    processes, where ``solve(*share)`` runs the routine on the child's
+    arguments; returns the rows this process solves."""
     parent, share_spectra = os.getpid(), conditions._share_spectra
     solved = []
 
-    def patched(realized, rows, dirs, tol):
-        slices = share_spectra(realized, rows, dirs, tol)
+    def patched(realized, rows, dirs, tol, out):
         if os.getpid() != parent:
-            return in_child(slices)
+            return in_child(share_spectra, (realized, rows, dirs, tol, out))
         solved.extend(rows.tolist())
-        return slices
+        return share_spectra(realized, rows, dirs, tol, out)
 
     monkeypatch.setattr(conditions, "_share_spectra", patched)
     return solved
 
 
-def child_raises(slices):
+def child_raises(solve, share):
     raise RuntimeError("only in the child")
 
 
-def child_exits_three(slices):
+def child_exits_three(solve, share):
     os._exit(3)
 
 
-def child_writes_one_slice(slices):
+def child_writes_one_slice(solve, share):
     # it exits 0, but its row count says the share is incomplete
-    return itertools.islice(slices, 1)
+    realized, rows, dirs, tol, out = share
+    solve(realized, rows[:2], dirs, tol, out[:2])
+    os._exit(0)
 
 
-def child_blocks(slices):
+def child_blocks(solve, share):
     time.sleep(60)  # killed long before
-    return slices
+    return solve(*share)
 
 
 @pytest.mark.parametrize("in_child", [child_raises, child_exits_three, child_writes_one_slice],
@@ -264,10 +306,10 @@ def test_child_blocks_sigint_and_parent_restores_its_mask(monkeypatch, forks, ne
     the caller's stack on it, so it solves its share with SIGINT blocked."""
     tup, serial = negative
 
-    def needs_sigint_blocked(slices):
+    def needs_sigint_blocked(solve, share):
         if signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, []):
             os._exit(5)
-        return slices
+        return solve(*share)
 
     solved = solve_in_child(monkeypatch, needs_sigint_blocked)
     assert analyze(tup, 2) == serial
@@ -278,7 +320,7 @@ def test_child_blocks_sigint_and_parent_restores_its_mask(monkeypatch, forks, ne
 
 def test_child_exiting_non_zero_after_its_data_is_not_trusted(monkeypatch, forks, negative):
     tup, serial = negative
-    solved = solve_in_child(monkeypatch, lambda slices: slices)
+    solved = solve_in_child(monkeypatch, lambda solve, share: solve(*share))
     exit_ = os._exit
     monkeypatch.setattr(os, "_exit", lambda status: exit_(status or 3))
     assert analyze(tup, 2) == serial
@@ -291,10 +333,10 @@ def test_child_share_error_is_the_serial_error(monkeypatch, forks, negative):
     last = rows_tested(serial)[-1]
     share_spectra = conditions._share_spectra
 
-    def failing(realized, rows, dirs, tol):
+    def failing(realized, rows, dirs, tol, out):
         if last in rows:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return share_spectra(realized, rows, dirs, tol)
+        return share_spectra(realized, rows, dirs, tol, out)
 
     monkeypatch.setattr(conditions, "_share_spectra", failing)
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
