@@ -13,10 +13,10 @@ Exit codes are a stable contract:
   prefix is tested); every exit 2 writes a report naming the violation,
 * 3 - I/O trouble, malformed input, numerical breakdown, or invalid
   arguments: usage errors (a missing or unknown flag, a value of the wrong
-  type, ``--k`` below 1), a ``--tol`` name other than ``resolution``,
-  ``lines`` and ``word_cap`` (the other thresholds are derived from
-  ``resolution``) and values that :class:`~pencilspec.config.Tolerances`
-  rejects.  ``--help`` exits 0.
+  type, ``--k`` below 1, ``--seed`` below 0), a ``--tol`` name other than
+  ``resolution``, ``lines`` and ``word_cap`` (the other thresholds are
+  derived from ``resolution``) and values that
+  :class:`~pencilspec.config.Tolerances` rejects.  ``--help`` exits 0.
 
 Only input from outside the program is checked, once, where it enters:
 arguments by the parser, tolerances when :class:`~pencilspec.config.Tolerances`
@@ -358,15 +358,17 @@ def cmd_generate(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _positive_int(text):
-    """argparse type of ``--k``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low):
+    """argparse type of an integer of at least ``low`` (``--k``, ``--seed``)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -384,9 +386,9 @@ def _build_parser():
     def common(p):
         p.add_argument("input", help="tuple file (JSON)")
         p.add_argument(
-            "--k", type=_positive_int, required=True, help="number of copies to certify"
+            "--k", type=_int_at_least(1), required=True, help="number of copies to certify"
         )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--out", default=None, help="report path (stdout if omitted)")
         p.add_argument(
             "--tol",
@@ -418,7 +420,7 @@ def _build_parser():
     p_ge.add_argument("--n", type=int, default=2)
     p_ge.add_argument("--k", type=int, default=2)
     p_ge.add_argument("--m", type=int, default=2)
-    p_ge.add_argument("--seed", type=int, default=0)
+    p_ge.add_argument("--seed", type=_int_at_least(0), default=0)
     p_ge.add_argument("--out", required=True)
     p_ge.set_defaults(func=cmd_generate)
     return parser

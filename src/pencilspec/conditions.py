@@ -20,11 +20,11 @@ seeded with the master seed, draws every line: first the full tuple's
 directions, then, in one call, a block of directions per word, word i
 taking row i.  So a verdict depends on the seed and the word's index
 alone, not on how the battery is sliced or ordered; no environment
-variable (thread count or other) affects them.  The words are realized
-level by level through k-column blocks of the first generator's
-eigenbasis and the block grid ``decompose`` factors (see
-:class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is the
-reference) and solved a bounded slice at a time (see
+variable (thread count or other) affects them.  Each word is realized
+as its own chain of k-column blocks of the first generator's eigenbasis
+and of the block grid ``decompose`` factors, multiplied left to right
+(see :class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is
+the reference), and solved a bounded slice at a time (see
 :func:`_share_spectra`).  Their pencils and the full tuple's, exactly
 Hermitian, go straight to the eigensolves: only a pencil from outside the
 program is admitted, as a tuple file is, by
@@ -33,11 +33,12 @@ A word whose adjoint comes earlier in the enumeration shares that word's
 verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
 large battery's tested words are cut into contiguous shares, as many as
 repay their forks and one per usable CPU at most (see :func:`_share_count`).
-The word table is built once, before any fork; forked processes write the
-line spectra of all shares but the first into one anonymous shared
-mapping, and the calling process turns each share's spectra into verdicts
-in one call.  The CPU count changes only the speed: verdicts and reports
-are the same.
+The word table (operand blocks and index tuples) is built once, before
+any fork, and each process realizes its own share's words; forked
+processes write the line spectra of all shares but the first into one
+anonymous shared mapping, and the calling process turns each share's
+spectra into verdicts in one call.  The CPU count changes only the
+speed: verdicts and reports are the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -200,16 +201,17 @@ class _BlockWords:
     """Word matrices through k-column blocks of the first generator's eigenbasis.
 
     With ``U_j`` the N x k eigenvector block of cluster j, ``P_j = U_j U_j*``,
-    so a word is ``(A_s0 U_j1)(U_j1* A_s1 U_j2) ... (U_jr* A_sr)``.  Its
-    prefix, everything before the last ``U_jr* A_sr``, is one N x k matrix,
-    and the prefixes of the next level (one more projection) are the
-    previous ones times the k x k blocks ``U_j* A_s U_i`` of
-    :func:`~pencilspec.linalg.extract_block_structure`: one batched product
-    per level.  ``words`` must be an :func:`enumerate_words` list (levels
-    ascending; per level, projection tuples in order, each with all its
-    letter tuples in order, only the last one possibly cut short).  The
-    prefixes of every level are built here, so :meth:`matrices` takes word
-    indices in any order.
+    so a word is the chain ``(A_s0 U_j1)(U_j1* A_s1 U_j2) ... (U_jr* A_sr)``
+    of an N x k block, r - 1 k x k blocks of
+    :func:`~pencilspec.linalg.extract_block_structure` and a k x N block.
+    :meth:`matrices` multiplies each chain left to right, one batched
+    product per factor over a level's asked words; a batch multiplies each
+    of its matrices alone, so a word's bytes depend on no other word.  Only
+    the operand stacks and each level's letter and projection tuples are
+    kept, so :meth:`matrices` takes word indices in any order.  ``words``
+    must be an :func:`enumerate_words` list (levels ascending; per level,
+    projection tuples in order, each with all its letter tuples in order,
+    only the last one possibly cut short).
     """
 
     def __init__(self, tup: HermitianTuple, spec: SpectralData, words):
@@ -217,48 +219,39 @@ class _BlockWords:
         u = spec.basis.reshape(dim, n, dim // n).transpose(1, 0, 2)  # U_j, (n, N, k)
         self.a1 = tup.matrices[0]                                    # each pencil's first generator
         self.gens = tup.matrices[1:]                                 # A_s, s = 2..m
-        self.letters = letters = len(self.gens)
-        left = self.gens[:, None] @ u                                # A_s U_j
-        self.right = left.conj().swapaxes(-1, -2)                    # U_j* A_s
-        blocks = extract_block_structure(tup, spec)                  # [s, j, i]: U_j* A_s U_i
+        self.left = self.gens[:, None] @ u                           # [s, j]: A_s U_j
+        self.right = self.left.conj().swapaxes(-1, -2)               # [s, j]: U_j* A_s
+        self.grid = extract_block_structure(tup, spec)               # [s, j, i]: U_j* A_s U_i
         self.starts = np.searchsorted([w.r for w in words], np.arange(n + 1))
-        # Prefix f of level r has projection tuple f // letters**r and, as
-        # index f % letters**r, the word's letters but the last; so word t of
-        # the level is prefix t // letters times U_jr* A_s, s = t % letters.
-        # The prefixes of levels 1, 2, ... are stacked in that order, level r
-        # from self.first[r] on, each with its last projection in self.last.
-        counts = -(-np.diff(self.starts[1:]) // letters)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        self.first = np.concatenate([[0], bounds[:-1]])
-        self.prefixes = np.empty((bounds[-1], dim, dim // n), dtype=complex)
-        self.last = np.empty(bounds[-1], dtype=int)
-        ranks = {}
-        for level in range(1, n):
-            a, b, per = bounds[level - 1], bounds[level], letters**level
-            tuples = [words[i].projections
-                      for i in range(self.starts[level], self.starts[level + 1], per * letters)]
-            f = np.arange(b - a)
-            q, s = f // per, f % letters
-            j_new = self.last[a:b] = np.array([p[-1] - 1 for p in tuples], dtype=int)[q]
-            if level == 1:
-                self.prefixes[a:b] = left[s, j_new]
-            else:
-                parent = np.array([ranks[p[:-1]] for p in tuples], dtype=int)[q] * (per // letters)
-                j_old = np.array([p[-2] - 1 for p in tuples], dtype=int)[q]
-                np.matmul(self.prefixes[bounds[level - 2] + parent + f % per // letters],
-                          blocks[s, j_old, j_new], out=self.prefixes[a:b])
-            ranks = {p: i for i, p in enumerate(tuples)}
+        # word t of level r has letter tuple t % per and projection tuple
+        # t // per, per = (m - 1)**(r + 1), both 0-based; an empty level's
+        # arrays are never indexed
+        self.levels = []
+        for r, (a, b) in enumerate(zip(self.starts, self.starts[1:])):
+            per = len(self.gens) ** (r + 1)
+            letters = [w.letters for w in words[a : min(b, a + per)]]
+            projections = [w.projections for w in words[a:b:per]]
+            self.levels.append((per, np.array(letters, dtype=int) - 2,
+                                np.array(projections, dtype=int) - 1))
 
     def matrices(self, indices) -> np.ndarray:
         """The realized words at ``indices``, stacked as ``(len, N, N)``."""
         indices = np.asarray(indices, dtype=int)
         out = np.empty((len(indices),) + self.gens.shape[1:], dtype=complex)
         levels = np.searchsorted(self.starts, indices, side="right") - 1
-        t = indices - self.starts[levels]
-        top = levels > 0
-        out[~top] = self.gens[t[~top]]
-        f = self.first[levels[top]] + t[top] // self.letters
-        out[top] = self.prefixes[f] @ self.right[t[top] % self.letters, self.last[f]]
+        for r, (per, letters, projections) in enumerate(self.levels):
+            at = levels == r
+            if not at.any():
+                continue
+            t = indices[at] - self.starts[r]
+            s, j = letters[t % per].T, projections[t // per].T
+            if r == 0:
+                out[at] = self.gens[s[0]]
+                continue
+            word = self.left[s[0], j[0]]
+            for i in range(1, r):
+                word = word @ self.grid[s[i], j[i - 1], j[i]]
+            out[at] = word @ self.right[s[r], j[r - 1]]
         return out
 
 

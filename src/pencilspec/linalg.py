@@ -50,10 +50,10 @@ def _require_finite(stack):
 def hermitian_part(stack):
     """``(G + G*) / 2`` for each of a finite stack of square matrices; one
     that overflows raises :class:`ValueError`, and nothing warns."""
-    _require_finite(stack)
     with np.errstate(over="ignore", invalid="ignore"):  # complex inf / 2 is NaN
         part = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
     if not np.isfinite(part).all():
+        _require_finite(stack)  # a non-finite entry leaves its part non-finite
         raise ValueError("Hermitian part (A + A^H) / 2 overflows: entries too large")
     return part
 

@@ -661,13 +661,21 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("analyze", "--k"), ("decompose", "--k"), ("corollary", "--k")],
+        [("analyze", "--k"), ("decompose", "--k"), ("corollary", "--k"),
+         ("analyze", "--seed"), ("decompose", "--seed"), ("corollary", "--seed"),
+         ("generate", "--seed")],
     )
     def test_nonpositive_integer_is_a_usage_error(self, tmp_path, command, flag, capsys):
-        # rejected by the parser, before the (missing) input file is opened
-        argv = [command, str(tmp_path / "missing.json"), "--k", "2", flag, "0"]
+        # --k below 1 or --seed below 0, rejected by the parser, before the
+        # (missing) input file is opened or an instance is drawn
+        low, value = (1, "0") if flag == "--k" else (0, "-1")
+        source = (["--family", "decomposable"] if command == "generate"
+                  else [str(tmp_path / "missing.json"), "--k", "2"])
+        out = tmp_path / "out.json"
+        argv = [command, *source, flag, value, "--out", str(out)]
         assert main(argv) == EXIT_ERROR
-        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert f"argument {flag}: must be at least {low}, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
     @pytest.mark.parametrize(

@@ -176,12 +176,17 @@ class TestRealizeWord:
 
 class TestBlockWords:
     # (n, k, m), mode, word_cap: k = 3, n = 1 (no projections), m = 3, both
-    # modes, and caps that cut a level inside a projection tuple's block
-    # (82 of 96 words at level 2 in "all", 34 of 64 at level 3 in "proof_core")
+    # modes, caps that cut a level inside a projection tuple's block (82 of
+    # 96 words at level 2 in "all", 34 of 64 at level 3 in "proof_core"),
+    # and caps at the level starts 2 and 14 of (3, 2, 3) in "all" and one
+    # word past the second, which leave levels empty or with one word
     CASES = [
         ((3, 3, 2), "all", None),
         ((1, 2, 3), "all", None),
         ((3, 2, 3), "all", None),
+        ((3, 2, 3), "all", 2),
+        ((3, 2, 3), "all", 14),
+        ((3, 2, 3), "all", 15),
         ((3, 2, 3), "proof_core", None),
         ((4, 2, 3), "all", 100),
         ((4, 2, 3), "proof_core", 100),
@@ -206,8 +211,8 @@ class TestBlockWords:
                 assert np.max(np.abs(w - ref)) <= 1e-13, words[i]
 
     def test_skipped_words_do_not_shift_the_rest(self):
-        # analyze asks only for the words it tests; the prefixes of the
-        # skipped ones are still built, since longer words extend them
+        # analyze asks only for the words it tests; each is realized from
+        # its own indices, whatever words are skipped around it
         from pencilspec.conditions import _BlockWords
 
         prep = prepare_tuple(gen_conjugate_negative(seed=3)[0], 2)
@@ -219,8 +224,9 @@ class TestBlockWords:
 
     @pytest.mark.parametrize("shape, mode, cap", CASES)
     def test_any_order_and_repeats(self, shape, mode, cap):
-        # every level's prefixes are built up front: a forked share asks
-        # for its words first, and nothing ties a call to the one before
+        # a word is realized from the operand blocks and its level's
+        # tuples alone: a forked share asks for its words first, and
+        # nothing ties a call to the one before
         from pencilspec.conditions import _BlockWords
 
         n, k, m = shape
@@ -235,6 +241,26 @@ class TestBlockWords:
                 ref = realize_word(prep.tup, prep.spec, words[i])
                 assert np.max(np.abs(w - ref)) <= 1e-13, words[i]
 
+    def test_table_keeps_no_word_matrix(self):
+        # the table is built before the battery forks and keeps only the
+        # operand blocks and the levels' index tuples: about 53 KiB at
+        # (6, 2, 2) in "all", where a table of every word's N x k prefix
+        # takes 477 KiB
+        import tracemalloc
+
+        from pencilspec.conditions import _BlockWords
+
+        prep = prepare_tuple(gen_decomposable(6, 2, 2, seed=7)[0], 2)
+        words, _ = enumerate_words(6, 2, mode="all")
+        assert len(words) == 1237
+        tracemalloc.start()
+        try:
+            realized = _BlockWords(prep.tup, prep.spec, words)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 128 * 1024
+        assert realized.matrices([len(words) - 1]).shape == (1, 12, 12)
 
 
 class TestAnalyzeDraws:
