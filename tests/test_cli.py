@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -15,8 +16,10 @@ from pencilspec.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_PRECONDITION,
+    _LIST_CHUNK,
     _atomic_write,
     _build_parser,
+    _dump_json,
     _word_summary,
     load_tuple,
     main,
@@ -663,19 +666,21 @@ class TestArgumentValidation:
         "command, flag",
         [("analyze", "--k"), ("decompose", "--k"), ("corollary", "--k"),
          ("analyze", "--seed"), ("decompose", "--seed"), ("corollary", "--seed"),
-         ("generate", "--seed")],
+         ("generate", "--seed"), ("generate", "--n"), ("generate", "--k"), ("generate", "--m")],
     )
     def test_nonpositive_integer_is_a_usage_error(self, tmp_path, command, flag, capsys):
-        # --k below 1 or --seed below 0, rejected by the parser, before the
-        # (missing) input file is opened or an instance is drawn
-        low, value = (1, "0") if flag == "--k" else (0, "-1")
-        source = (["--family", "decomposable"] if command == "generate"
-                  else [str(tmp_path / "missing.json"), "--k", "2"])
+        # --k, --n or --m below 1 or --seed below 0, rejected by the parser,
+        # before the (missing) input file is opened or an instance is drawn,
+        # for every family, even one that reads only --seed
+        low, value = (0, "-1") if flag == "--seed" else (1, "0")
+        sources = ([["--family", family] for family in FAMILIES] if command == "generate"
+                   else [[str(tmp_path / "missing.json"), "--k", "2"]])
         out = tmp_path / "out.json"
-        argv = [command, *source, flag, value, "--out", str(out)]
-        assert main(argv) == EXIT_ERROR
-        assert not out.exists()
-        assert f"argument {flag}: must be at least {low}, got {value}" in capsys.readouterr().err
+        for source in sources:
+            argv = [command, *source, flag, value, "--out", str(out)]
+            assert main(argv) == EXIT_ERROR
+            assert not out.exists()
+            assert f"argument {flag}: must be at least {low}, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "decompose", "corollary"])
     @pytest.mark.parametrize(
@@ -1020,3 +1025,42 @@ class TestReportLayout:
         monkeypatch.setattr(cli, "FORMAT_VERSION", cli.FORMAT_VERSION + 1)
         save_tuple(str(after), tup)
         assert after.read_bytes() == before.read_bytes()
+
+
+def _one_shot(doc):
+    # the whole document through one encoder call per value
+    lines = (f" {json.dumps(k)}: {json.dumps(doc[k], sort_keys=True)}" for k in sorted(doc))
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+class TestChunkedLists:
+    """``_dump_json`` encodes a top-level list ``_LIST_CHUNK`` items at a time,
+    with the bytes of one encoder call, and without the one call's peak."""
+
+    ITEMS = [{"z": 1, "a": [2, (3, -0.0)], "m": None}, (1e-300, True), -0.0, 1e-300, False,
+             None, [[1, [2.5, {"y": "x", "b": []}]], ()], "s\u00e9", 7]
+
+    @pytest.mark.parametrize("length", sorted({0, 1, _LIST_CHUNK - 1, _LIST_CHUNK,
+                                               _LIST_CHUNK + 1, 2 * _LIST_CHUNK + 3}))
+    def test_bytes_of_one_encoder_call(self, length):
+        items = [self.ITEMS[i % len(self.ITEMS)] for i in range(length)]
+        doc = {"words": items, "b": {"k": 2, "a": -0.0}, "a": 1e-300, "c": tuple(items),
+               "d": [items, items]}
+        assert _dump_json(doc) == _one_shot(doc)
+
+    def test_analyze_report_peak_stays_under_a_mebibyte(self, tmp_path):
+        # one call holds 2.2 MB for the 214 KB of (6,2,2)'s 1,237 word rows
+        path, out = tmp_path / "t.json", tmp_path / "rep.json"
+        save_tuple(str(path), gen_decomposable(6, 2, 2, seed=7)[0])
+        assert main(["analyze", str(path), "--k", "2", "--mode", "all", "--out", str(out)]) == EXIT_PASS
+        text = out.read_text()
+        report = json.loads(text)
+        assert len(report["words"]) > 1000
+        tracemalloc.start()
+        try:
+            chunked = _dump_json(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunked == text == _one_shot(report)
+        assert peak < 2**20

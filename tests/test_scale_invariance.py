@@ -3,7 +3,8 @@
 Whether ``(A_1, ..., A_m)`` is unitarily a direct sum of identical copies
 does not change when a generator is multiplied by a nonzero real
 (``x_l -> x_l / c_l`` keeps a perfect power a perfect power), so every
-command must give its ground-truth exit code at every scale.
+command must give its ground-truth exit code at every scale, and
+``analyze`` the same verdicts, word by word, at every per-generator scale.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from pencilspec.cli import EXIT_FAIL, EXIT_PASS, EXIT_PRECONDITION, main, save_tuple
+from pencilspec.conditions import MODES
 from pencilspec.config import DEFAULT
 from pencilspec.decomposer import decompose, verify_decomposition
 from pencilspec.instances import gen_commuting, gen_conjugate_negative, gen_decomposable
@@ -51,6 +53,38 @@ def scaled(tup, scales):
 def test_exit_codes_are_scale_invariant(tmp_path, case, scales):
     tup, want = CASES[case]
     assert run_all(tmp_path, scaled(tup, scales)) == (want,) * len(COMMANDS)
+
+
+VERDICT_CASES = {name: tup for name, (tup, _) in CASES.items()}
+VERDICT_CASES["decomposable-4-2-3"] = gen_decomposable(4, 2, 3, seed=1)[0]
+
+
+def analyze_verdicts(tmp_path, tup, mode):
+    """The verdicts of an ``analyze`` report: overall, admissibility, the full
+    tuple's, each word's power verdict and reported cluster profile, and the
+    failing words."""
+    path, out = tmp_path / "t.json", tmp_path / "rep.json"
+    save_tuple(str(path), tup)
+    main(["analyze", str(path), "--k", "2", "--mode", mode, "--out", str(out)])
+    rep = json.loads(out.read_text())
+    return {
+        "overall": rep["overall"],
+        "admissible_ok": rep["admissible_ok"],
+        "full_tuple": rep["full_tuple"]["is_kth_power"],
+        "words": [(w["is_kth_power"], w["cluster_profile"]) for w in rep["words"]],
+        "failing_words": rep["failing_words"],
+    }
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", list(VERDICT_CASES))
+def test_verdicts_are_per_generator_scale_invariant(tmp_path, case, mode):
+    # not only the exit code: every verdict analyze reports, word by word
+    tup = VERDICT_CASES[case]
+    want = analyze_verdicts(tmp_path, tup, mode)
+    assert want["words"]
+    for scales in PER_GENERATOR:
+        assert analyze_verdicts(tmp_path, scaled(tup, scales), mode) == want
 
 
 def test_zero_generator(tmp_path):
