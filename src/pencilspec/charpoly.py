@@ -24,7 +24,13 @@ clusters it by its gaps; no polynomial coefficient is ever formed.
 pencil a command builds is exactly Hermitian and goes to :func:`_spectra`
 and :func:`_verdicts` unchecked.  :func:`_spectra` solves whatever stack
 it is given at once; the word battery, the one caller that stacks more
-than one pencil, bounds its stacks.
+than one pencil, bounds its stacks.  :func:`_verdicts` runs two stages:
+:func:`_line_tests` reduces each line's spectrum to its test (where the
+spectrum is cut into clusters, the worst spread, the pass flag), and
+:func:`_tested_verdicts` builds the verdicts from those tests.  A line's
+test depends on its spectrum alone, so the battery tests each slice as it
+is solved, keeps the tests and not the spectra, and builds a share's
+verdicts from its joined tests.
 
 Error model: a pencil fails when any line fails.  An algebraic miss has
 probability zero: the lines on which a non-power restricts to a power form
@@ -88,40 +94,77 @@ def _spectra(gens, dirs):
     return np.linalg.eigvalsh((dirs @ flat).view(np.complex128).reshape(p_count, -1, dim, dim))
 
 
-def _verdicts(lams, k, n, tol):
-    """Power-test verdicts from the line spectra of a stack of pencils."""
+# The _regular_gaps column of each (N, k), built once: building it takes
+# three array operations, about a tenth of one pencil's verdicts (30 us at
+# N = 6, 2-vCPU VM), and both stages would pay them at every call.
+_REGULAR_GAPS = {}
+
+
+def _regular_gaps(dim, k):
+    """The gap mask of N/k clusters of size k, as a column: cut after every
+    k-th eigenvalue and nowhere else.  Shared, so read only."""
+    gaps = _REGULAR_GAPS.get((dim, k))
+    if gaps is None:
+        gaps = _REGULAR_GAPS[dim, k] = (np.arange(1, dim) % k == 0)[:, None]
+        gaps.flags.writeable = False
+    return gaps
+
+
+def _line_tests(lams, k, tol):
+    """The power test on each line of a stack of pencils, from its sorted
+    line spectra ``lams`` ``(P, lines, N)``: ``(gaps, spreads, ok)``.
+    Column r of the boolean gap mask ``gaps`` ``(N - 1, P * lines)`` marks
+    where the spectrum of row r = (pencil, line) is cut into clusters;
+    ``spreads`` and ``ok`` ``(P, lines)`` are each line's worst
+    intra-cluster spread and whether the line passes.  A line's test
+    depends on its spectrum alone, so a stack cut into slices gives its
+    tests in slices."""
     p_count, lines, dim = lams.shape
     # Column r of ``spectra`` is row r = (pencil, line); its eigenvalues come
     # sorted, so single linkage at ctol cuts it where a gap exceeds ctol:
     # clusters are runs, their spread the run's range.
     spectra = np.ascontiguousarray(lams.reshape(-1, dim).T)
     ctol = tol.cluster_rel * (1.0 + np.maximum(-spectra[0], spectra[-1]))
-    cut = spectra[1:] - spectra[:-1] > ctol
-    odd = cut[np.arange(1, dim) % k != 0].any(axis=0)
+    gaps = spectra[1:] - spectra[:-1] > ctol
+    # a cut off a multiple of k leaves a cluster whose size k does not divide
+    odd = (gaps > _regular_gaps(dim, k)).any(axis=0)
     # start[i] becomes the first eigenvalue of eigenvalue i + 1's cluster
-    start = np.where(cut, spectra[1:], -np.inf)
+    start = np.where(gaps, spectra[1:], -np.inf)
     prev = spectra[0]
     for row in start:
         prev = np.maximum(prev, row, out=row)
     spreads = (spectra[1:] - start).max(axis=0, initial=0.0)
-    line_ok = (~odd & (spreads <= ctol)).reshape(p_count, lines)
+    ok = ~odd & (spreads <= ctol)
+    return gaps, spreads.reshape(p_count, lines), ok.reshape(p_count, lines)
+
+
+def _tested_verdicts(gaps, spreads, ok, k, n):
+    """Power-test verdicts of a stack of pencils from the tests of its
+    lines, as :func:`_line_tests` gives them."""
+    p_count, lines = ok.shape
     # rows cut after every k-th eigenvalue and nowhere else have n clusters of
     # size k: they share one profile, and only the others build theirs
-    profiles = [(k,) * n] * len(spreads)
-    for r in np.flatnonzero(odd | ~cut[k - 1 :: k].all(axis=0)).tolist():
-        profiles[r] = tuple(np.diff(np.flatnonzero(np.r_[True, cut[:, r], True])).tolist())
+    irregular = (gaps != _regular_gaps(k * n, k)).any(axis=0)
+    profiles = [(k,) * n] * len(irregular)
+    for r in np.flatnonzero(irregular).tolist():
+        profiles[r] = tuple(np.diff(np.flatnonzero(np.r_[True, gaps[:, r], True])).tolist())
     # one pass over the pencils, past the frozen dataclass's __init__
     verdicts, new = [], object.__new__
-    rows = zip(line_ok.all(axis=1).tolist(), line_ok.argmin(axis=1).tolist(),
-               spreads.reshape(p_count, lines).max(axis=1).tolist(),
-               zip(*[zip(profiles, spreads.tolist())] * lines))
-    for ok, bad, worst, rec in rows:
-        reason = "" if ok else "line {}: cluster sizes {}, spread {:.3e}".format(bad, *rec[bad])
+    rows = zip(ok.all(axis=1).tolist(), ok.argmin(axis=1).tolist(), spreads.max(axis=1).tolist(),
+               zip(*[zip(profiles, spreads.ravel().tolist())] * lines))
+    for passed, bad, worst, rec in rows:
+        reason = "" if passed else "line {}: cluster sizes {}, spread {:.3e}".format(bad, *rec[bad])
         verdict = new(KPowerVerdict)
-        verdict.__dict__.update(is_kth_power=ok, k=k, n=n, per_line_clusters=rec, worst_spread=worst,
-                                failure_reason=reason, failing_line=None if ok else bad)
+        verdict.__dict__.update(is_kth_power=passed, k=k, n=n, per_line_clusters=rec,
+                                worst_spread=worst, failure_reason=reason,
+                                failing_line=None if passed else bad)
         verdicts.append(verdict)
     return verdicts
+
+
+def _verdicts(lams, k, n, tol):
+    """Power-test verdicts from the line spectra of a stack of pencils."""
+    return _tested_verdicts(*_line_tests(lams, k, tol), k, n)
 
 
 def kth_power_test(

@@ -59,6 +59,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Sequence
 from datetime import datetime, timezone
 
 import numpy as np
@@ -134,7 +135,7 @@ def _encode(value) -> str:
 
 def _encode_value(value) -> str:
     # a list's slices are joined by the encoder's own ", ": one call's text
-    if not isinstance(value, list):
+    if not isinstance(value, (list, _WordRows)):
         return _encode(value)
     slices = (_encode(value[i:i + _LIST_CHUNK])[1:-1] for i in range(0, len(value), _LIST_CHUNK))
     return "[" + ", ".join(slices) + "]"
@@ -210,15 +211,38 @@ def _verdict_to_json(v):
     }
 
 
-def _word_summary(w, v):
-    # the profile of the line that failure_reason names, else of line 0
-    return {
+def _word_summary(w, v, twin=None):
+    # the profile of the line that failure_reason names, else of line 0; a
+    # word that takes the verdict of its adjoint ``twin`` names it
+    row = {
         "letters": w.letters,
         "projections": w.projections,
         "is_kth_power": v.is_kth_power,
         "cluster_profile": list(v.per_line_clusters[v.failing_line or 0][0]),
         "worst_spread": v.worst_spread,
+        "adjoint_of": twin,
     }
+    if twin is None:
+        del row["adjoint_of"]  # sized for the key, so no row grows
+    return row
+
+
+class _WordRows(Sequence):
+    """``analyze``'s word rows, read only: an index or a slice builds its
+    rows when it is asked for, so a report never holds every row at once;
+    :func:`_dump_json` asks ``_LIST_CHUNK`` rows at a time."""
+
+    def __init__(self, report: ConditionReport):
+        self._results, self._twins = report.word_results, report.adjoint_of
+
+    def __len__(self):
+        return len(self._results)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        return _word_summary(*self._results[i], self._twins.get(i))
 
 
 def _report_skeleton(command, args, input_path, digest, tol: Tolerances):
@@ -267,9 +291,6 @@ def _tolerances_from_overrides(pairs):
 
 
 def _analyze_report_body(report: ConditionReport):
-    words = [_word_summary(w, v) for w, v in report.word_results]
-    for i, j in report.adjoint_of.items():
-        words[i]["adjoint_of"] = j
     return {
         "overall": report.overall,
         "detail": report.detail,
@@ -282,7 +303,7 @@ def _analyze_report_body(report: ConditionReport):
         "shifts": list(report.shifts),
         "scales": list(report.scales),
         "full_tuple": _verdict_to_json(report.full_tuple),
-        "words": words,
+        "words": _WordRows(report),
         "failing_words": [w.as_dict() for w in report.failing_words],
     }
 

@@ -24,8 +24,9 @@ variable (thread count or other) affects them.  Each word is realized
 as its own chain of k-column blocks of the first generator's eigenbasis
 and of the block grid ``decompose`` factors, multiplied left to right
 (see :class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is
-the reference), and solved a bounded slice at a time (see
-:func:`_share_spectra`).  Their pencils and the full tuple's, exactly
+the reference), and solved a bounded slice at a time, each slice's line
+spectra reduced at once to per-line tests: gap mask, spread and pass flag
+(see :func:`_share_tests`).  Their pencils and the full tuple's, exactly
 Hermitian, go straight to the eigensolves: only a pencil from outside the
 program is admitted, as a tuple file is, by
 :func:`~pencilspec.charpoly.kth_power_test`, which no command calls.
@@ -34,11 +35,11 @@ verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
 large battery's tested words are cut into contiguous shares, as many as
 repay their forks and one per usable CPU at most (see :func:`_share_count`).
 The word table (operand blocks and index tuples) is built once, before
-any fork, and each process realizes its own share's words; forked
-processes write the line spectra of all shares but the first into one
-anonymous shared mapping, and the calling process turns each share's
-spectra into verdicts in one call.  The CPU count changes only the
-speed: verdicts and reports are the same.
+any fork, and each process realizes and tests its own share's words;
+forked processes write the line tests of all shares but the first into
+one anonymous shared mapping, and the calling process turns each share's
+tests into verdicts in one call.  The CPU count changes only the speed:
+verdicts and reports are the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -61,7 +62,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .charpoly import KPowerVerdict, _draw_directions, _spectra, _verdicts
+from .charpoly import (KPowerVerdict, _draw_directions, _line_tests, _spectra, _tested_verdicts,
+                       _verdicts)
 from .config import DEFAULT, Tolerances
 from .errors import ClusterAmbiguity, SpectrumPatternViolation
 from .linalg import (HermitianTuple, PreparedTuple, SpectralData, _clustered,
@@ -217,6 +219,7 @@ class _BlockWords:
     def __init__(self, tup: HermitianTuple, spec: SpectralData, words):
         dim, n = tup.dim, spec.n
         u = spec.basis.reshape(dim, n, dim // n).transpose(1, 0, 2)  # U_j, (n, N, k)
+        self.k = dim // n
         self.a1 = tup.matrices[0]                                    # each pencil's first generator
         self.gens = tup.matrices[1:]                                 # A_s, s = 2..m
         self.left = self.gens[:, None] @ u                           # [s, j]: A_s U_j
@@ -408,12 +411,21 @@ def _share_count(words: int, lines: int, dim: int) -> int:
     return min(shares, _usable_cpus()) if shares > 1 else 1
 
 
-def _share_spectra(realized, rows, dirs, tol, out):
-    """Write the line spectra of the words at ``rows`` (ascending indices
+def _line_record(dim):
+    """The record of one line's test in the battery's shares: its spread,
+    whether it passes, and its gap mask (``gaps[i]`` when the sorted
+    spectrum is cut between eigenvalues i and i + 1), ``N + 8`` bytes
+    against the ``8 N`` of its spectrum."""
+    return np.dtype([("spread", np.float64), ("ok", np.bool_), ("gaps", np.bool_, (dim - 1,))])
+
+
+def _share_tests(realized, rows, dirs, tol, out):
+    """Write the line tests of the words at ``rows`` (ascending indices
     into the battery's words, realized by the word table ``realized``) into
-    ``out``, ``(len(rows), lines, N)``, a slice of at most
-    ``_BATCH_ENTRIES`` (line, matrix entry) pairs at a time.  Every share of
-    the battery, forked or not, is solved here."""
+    ``out``, ``(len(rows), lines)`` :func:`_line_record` records, a slice of
+    at most ``_BATCH_ENTRIES`` (line, matrix entry) pairs at a time; each
+    slice's spectra become tests as soon as they are solved.  Every share
+    of the battery, forked or not, is solved here."""
     size = max(1, _BATCH_ENTRIES // (tol.lines * realized.a1.size))
     # the battery's largest array, filled in place a slice of words at a time
     pencils = np.empty((min(size, len(rows)), 3) + realized.a1.shape, dtype=complex)
@@ -422,11 +434,21 @@ def _share_spectra(realized, rows, dirs, tol, out):
         part = rows[start : start + size]
         stack = pencils[: len(part)]
         hermitian_parts(realized.matrices(part), out=stack[:, 1:].swapaxes(0, 1))
-        out[start : start + len(part)] = _spectra(stack, dirs[part])
+        gaps, spreads, ok = _line_tests(_spectra(stack, dirs[part]), realized.k, tol)
+        record = out[start : start + len(part)]
+        record["gaps"] = gaps.T.reshape(record["gaps"].shape)
+        record["spread"], record["ok"] = spreads, ok
+
+
+def _share_verdicts(tests, k, n):
+    """The verdicts of a share's words from its line tests, as
+    :func:`_share_tests` writes them."""
+    gaps = tests["gaps"].reshape(tests.size, k * n - 1).T
+    return _tested_verdicts(gaps, tests["spread"], tests["ok"], k, n)
 
 
 def _fork_share(children, i, done, share):
-    """Fork a process that writes its spectra by ``_share_spectra(*share)``
+    """Fork a process that writes its line tests by ``_share_tests(*share)``
     into a mapping shared with this process, then its row count into
     ``done[i]``, and exits.  Record it as ``children[i] = pid``; nothing is
     recorded when the fork fails."""
@@ -440,7 +462,7 @@ def _fork_share(children, i, done, share):
             pid = os.fork()
         if pid == 0:
             try:
-                _share_spectra(*share)
+                _share_tests(*share)
                 done[i] = len(share[1])
                 os._exit(0)
             finally:  # reached only when the share fails
@@ -457,26 +479,26 @@ def _battery(realized, tested, dirs, k, n, tol):
 
     The word table ``realized`` is built once, before any fork.  Shares
     after the first go to forked processes (see :func:`_share_count`) while
-    this process solves the first; each child writes its share's spectra
-    into one anonymous shared mapping, then marks the share complete, and
-    the spectra become verdicts here, one call per share.  A share whose
-    child cannot start, fails or leaves its share incomplete is solved here
-    instead, so the result, or the exception, is the serial one.  No child
-    outlives the call.
+    this process solves the first; each child writes its share's line
+    tests into one anonymous shared mapping, then marks the share
+    complete, and the tests become verdicts here, one call per share.  A
+    share whose child cannot start, fails or leaves its share incomplete is
+    solved here instead, so the result, or the exception, is the serial
+    one.  No child outlives the call.
     """
     dim = len(realized.a1)
     shares = np.array_split(tested, _share_count(len(tested), tol.lines, dim))
-    spectra, done, children = np.empty((len(tested), tol.lines, dim)), None, {}
+    tests, done, children = np.empty((len(tested), tol.lines), _line_record(dim)), None, {}
     if len(shares) > 1:
         try:
-            mapping = mmap.mmap(-1, 8 * (len(shares) + spectra.size))
+            mapping = mmap.mmap(-1, 8 * len(shares) + tests.nbytes)
         except OSError:
             shares = [tested]
         else:
-            # a row count per share, then the spectra of every tested word
+            # a row count per share, then the line tests of every tested word
             done = np.frombuffer(mapping, np.int64, len(shares))
-            spectra = np.frombuffer(mapping, offset=done.nbytes).reshape(spectra.shape)
-    outs = np.split(spectra, np.cumsum([len(rows) for rows in shares[:-1]]))
+            tests = np.frombuffer(mapping, tests.dtype, offset=done.nbytes).reshape(tests.shape)
+    outs = np.split(tests, np.cumsum([len(rows) for rows in shares[:-1]]))
     try:
         for i, rows in enumerate(shares[1:], 1):
             if len(rows):
@@ -487,8 +509,8 @@ def _battery(realized, tested, dirs, k, n, tol):
             status = os.waitpid(children[i], 0)[1] if i in children else -1
             children.pop(i, None)
             if status or done[i] != len(rows):
-                _share_spectra(realized, rows, dirs, tol, outs[i])
-            verdicts += _verdicts(outs[i], k, n, tol)
+                _share_tests(realized, rows, dirs, tol, outs[i])
+            verdicts += _share_verdicts(outs[i], k, n)
         return verdicts
     finally:
         for pid in children.values():

@@ -350,18 +350,24 @@ class TestVerdicts:
     word's ``failure_reason`` appears in no report, so only this catches a
     wrong one."""
 
+    # (k, n) of the synthetic spectra, N = 1 and one cluster among them
+    SYNTHETIC = [(2, 3), (3, 2), (1, 4), (4, 1), (2, 1), (1, 1)]
+
     @staticmethod
     def battery_spectra(monkeypatch, tup, k):
-        """The line spectra that ``analyze`` turns into word verdicts."""
+        """The line spectra that ``analyze`` turns into word verdicts, and
+        the full tuple's."""
         from pencilspec import conditions
 
-        seen, verdicts = [], conditions._verdicts
+        seen, spectra = [], conditions._spectra
 
-        def recording(lams, *args):
-            seen.append(np.array(lams))
-            return verdicts(lams, *args)
+        def recording(*args):
+            seen.append(spectra(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(conditions, "_verdicts", recording)
+        monkeypatch.setattr(conditions, "_spectra", recording)
+        # in one process: a forked share's spectra never reach this one
+        monkeypatch.setattr(conditions, "_share_count", lambda *args: 1)
         conditions.analyze(tup, k)
         return np.concatenate(seen)
 
@@ -419,7 +425,7 @@ class TestVerdicts:
         failing = [v for v in got if not v.is_kth_power]
         assert failing
 
-    @pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (1, 4), (4, 1), (2, 1), (1, 1)])
+    @pytest.mark.parametrize("k, n", SYNTHETIC)
     def test_profiles_other_than_n_clusters_of_k(self, k, n):
         lams = self.synthetic_spectra(k, n, np.random.default_rng(10 * k + n))
         got = self.assert_equal_to_init(lams, k, n)
@@ -434,6 +440,34 @@ class TestVerdicts:
             # merged clusters pass with a profile of their own
             assert any(v.is_kth_power and {s for s, _ in v.per_line_clusters} - {(k,) * n}
                        for v in got)
+
+    @pytest.mark.parametrize(
+        "spectra",
+        ["decomposable-battery", "negative-words", *(f"synthetic-{k}-{n}" for k, n in SYNTHETIC)],
+    )
+    def test_line_tests_in_slices_give_the_verdicts(self, monkeypatch, spectra):
+        """The battery tests its lines a slice of pencils at a time and makes
+        a share's verdicts from the joined tests: at any cut points, that is
+        ``_verdicts`` of the whole stack, and so is each slice's verdicts
+        joined."""
+        from pencilspec.charpoly import _line_tests, _tested_verdicts, _verdicts
+        from pencilspec.instances import gen_conjugate_negative, gen_decomposable
+
+        if spectra == "decomposable-battery":
+            k, lams = 3, self.battery_spectra(monkeypatch, gen_decomposable(4, 3, 3, seed=7)[0], 3)
+        elif spectra == "negative-words":
+            k, lams = 2, self.battery_spectra(monkeypatch, gen_conjugate_negative(1)[0], 2)
+        else:
+            k, n = map(int, spectra.split("-")[1:])
+            lams = self.synthetic_spectra(k, n, np.random.default_rng(10 * k + n))
+        n, pencils = lams.shape[-1] // k, len(lams)
+        want = _verdicts(lams, k, n, DEFAULT)
+        assert want == verdicts_by_init(lams, k, n)
+        for cuts in ([], [0], [1], [pencils // 2], [1, 2, pencils - 1], range(pencils)):
+            tests = [_line_tests(part, k, DEFAULT) for part in np.split(lams, list(cuts))]
+            gaps, spreads, ok = (np.concatenate(t, axis=a) for t, a in zip(zip(*tests), (1, 0, 0)))
+            assert _tested_verdicts(gaps, spreads, ok, k, n) == want
+            assert sum((_tested_verdicts(*t, k, n) for t in tests), []) == want
 
     def test_verdicts_stay_frozen(self):
         import dataclasses

@@ -1064,3 +1064,42 @@ class TestChunkedLists:
             tracemalloc.stop()
         assert chunked == text == _one_shot(report)
         assert peak < 2**20
+
+    def test_word_rows_are_built_when_asked(self):
+        # conjugate_negative's 10 words, 3 of them adjoint twins
+        from pencilspec.cli import _analyze_report_body
+        from pencilspec.conditions import analyze
+
+        report = analyze(gen_conjugate_negative(0)[0], 2)
+        eager = [_word_summary(w, v) for w, v in report.word_results]
+        for i, j in report.adjoint_of.items():
+            eager[i]["adjoint_of"] = j
+        rows = _analyze_report_body(report)["words"]
+        assert len(report.adjoint_of) == 3
+        assert len(rows) == len(eager) and list(rows) == eager
+        assert rows[-1] == eager[-1] and rows[1:9:3] == eager[1:9:3] and rows[::-1] == eager[::-1]
+        with pytest.raises(IndexError):
+            rows[len(eager)]
+        with pytest.raises(TypeError):
+            rows[0] = eager[0]
+        assert _dump_json({"words": rows, "n": 3}) == _one_shot({"words": eager, "n": 3})
+
+    def test_analyze_peak_in_one_process(self, tmp_path, monkeypatch):
+        """An in-process ``analyze --mode all`` of (6,2,2)'s 622 tested words
+        in one share: the share keeps line tests, not line spectra, and the
+        report builds its word rows a slice at a time.  The spectra and the
+        rows held at once read 2.64 MB (Python 3.11)."""
+        from pencilspec import conditions
+
+        monkeypatch.setattr(conditions, "_share_count", lambda *args: 1)
+        path = tmp_path / "t.json"
+        save_tuple(str(path), gen_decomposable(6, 2, 2, seed=7)[0])
+        argv = ["analyze", str(path), "--k", "2", "--mode", "all", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == EXIT_PASS  # the parser and the cached constants built
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_PASS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6

@@ -175,6 +175,23 @@ def test_battery_stacks_at_most_one_slice(tmp_path, monkeypatch, forks):
     assert [p for p, _ in stacks] == [1, 1]
 
 
+def test_shared_mapping_holds_line_tests(monkeypatch, forks):
+    """The children write each line's test, N + 8 bytes (20 at N = 12), not
+    its spectrum, 8 N bytes: the mapping is under a quarter of the spectra."""
+    tup = gen_decomposable(6, 2, 2, seed=7)[0]
+    use_cpus(monkeypatch, 2)
+    lengths, mapping = [], mmap.mmap
+
+    def recording(fileno, length, *args, **kwargs):
+        lengths.append(length)
+        return mapping(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", recording)
+    report = analyze(tup, 2)
+    assert len(forks) == 1 and len(lengths) == 1
+    assert lengths[0] < 8 * len(rows_tested(report)) * DEFAULT.lines * tup.dim / 4
+
+
 def test_share_count(monkeypatch):
     use_cpus(monkeypatch, 4, fork_cost=100)
     assert conditions._share_count(1, 1, 4) == 1        # 64 units: less than two forks
@@ -258,16 +275,16 @@ def solve_in_child(monkeypatch, in_child):
     """Replace the share routine by ``in_child(solve, share)`` in forked
     processes, where ``solve(*share)`` runs the routine on the child's
     arguments; returns the rows this process solves."""
-    parent, share_spectra = os.getpid(), conditions._share_spectra
+    parent, share_tests = os.getpid(), conditions._share_tests
     solved = []
 
     def patched(realized, rows, dirs, tol, out):
         if os.getpid() != parent:
-            return in_child(share_spectra, (realized, rows, dirs, tol, out))
+            return in_child(share_tests, (realized, rows, dirs, tol, out))
         solved.extend(rows.tolist())
-        return share_spectra(realized, rows, dirs, tol, out)
+        return share_tests(realized, rows, dirs, tol, out)
 
-    monkeypatch.setattr(conditions, "_share_spectra", patched)
+    monkeypatch.setattr(conditions, "_share_tests", patched)
     return solved
 
 
@@ -331,14 +348,14 @@ def test_child_exiting_non_zero_after_its_data_is_not_trusted(monkeypatch, forks
 def test_child_share_error_is_the_serial_error(monkeypatch, forks, negative):
     tup, serial = negative
     last = rows_tested(serial)[-1]
-    share_spectra = conditions._share_spectra
+    share_tests = conditions._share_tests
 
     def failing(realized, rows, dirs, tol, out):
         if last in rows:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return share_spectra(realized, rows, dirs, tol, out)
+        return share_tests(realized, rows, dirs, tol, out)
 
-    monkeypatch.setattr(conditions, "_share_spectra", failing)
+    monkeypatch.setattr(conditions, "_share_tests", failing)
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         analyze(tup, 2)
     assert len(forks) == 1
@@ -361,7 +378,7 @@ def test_fork_failure_falls_back_to_serial(monkeypatch, forks, negative, module,
     assert not forks
 
 
-@pytest.mark.parametrize("target", ["_verdicts", "waitpid"],
+@pytest.mark.parametrize("target", ["_share_verdicts", "waitpid"],
                          ids=["own-share", "before-reading-child"])
 def test_parent_error_kills_and_reaps_the_child(monkeypatch, forks, target):
     """The parent fails in the first verdicts of its own share, or as it
@@ -381,7 +398,7 @@ def test_parent_error_kills_and_reaps_the_child(monkeypatch, forks, target):
         statuses.append(waitpid(pid, options)[1])
         return pid, statuses[-1]
 
-    if target == "_verdicts":
+    if target == "_share_verdicts":
         monkeypatch.setattr(conditions, target, failing)
     monkeypatch.setattr(os, "waitpid", recording_waitpid)
     with pytest.raises(KeyboardInterrupt):
