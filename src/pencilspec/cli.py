@@ -173,14 +173,17 @@ def load_tuple(path, allow_nonhermitian: bool = False, tol: Tolerances = DEFAULT
     finite or overflows).  A Hermitian defect above ``tol.hermitian_rel``
     times the matrix's spectral norm raises :class:`NotHermitian` unless
     ``allow_nonhermitian`` is set; the tuple is then the Hermitian parts,
-    admitted with no defect check.
-    ``data``, when given, is the file's bytes as already read (and hashed) by
-    the caller; ``path`` then only names the file in error messages.
+    admitted with no defect check.  ``data``, when given, is the file's bytes
+    as already read (and hashed) by the caller; ``path`` then only names the
+    file in error messages, as in the refusal of one nested too deeply.
     """
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
-    doc = json.loads(data.decode("utf-8"))
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
     if not isinstance(doc, dict) or doc.get("format") != TUPLE_FORMAT:
         raise ValueError(f"{path}: not a {TUPLE_FORMAT} file")
     m, dim, matrices = doc.get("m"), doc.get("dim"), doc.get("matrices")
@@ -484,8 +487,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return EXIT_PASS if exc.code == 0 else EXIT_ERROR
-    except (OSError, ValueError, SpectralError) as exc:
-        # json.JSONDecodeError and NotHermitian are ValueErrors
+    except (OSError, ValueError, RecursionError, SpectralError) as exc:
+        # JSONDecodeError, NotHermitian: ValueErrors; RecursionError: metadata too deep to encode
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except MemoryError as exc:

@@ -21,25 +21,25 @@ directions, then, in one call, a block of directions per word, word i
 taking row i.  So a verdict depends on the seed and the word's index
 alone, not on how the battery is sliced or ordered; no environment
 variable (thread count or other) affects them.  Each word is realized
-as its own chain of k-column blocks of the first generator's eigenbasis
-and of the block grid ``decompose`` factors, multiplied left to right
-(see :class:`_BlockWords`; :func:`~pencilspec.reference.realize_word` is
-the reference), and solved a bounded slice at a time, each slice's line
-spectra reduced at once to per-line tests: gap mask, spread and pass flag
-(see :func:`_share_tests`).  Their pencils and the full tuple's, exactly
-Hermitian, go straight to the eigensolves: only a pencil from outside the
-program is admitted, as a tuple file is, by
+from its own labels as a chain of k-column blocks of the first generator's
+eigenbasis and of the block grid ``decompose`` factors, multiplied left to
+right; the word table keeps only these operand blocks and so realizes any
+word list (see :class:`_BlockWords`; :func:`~pencilspec.reference.realize_word`
+is the reference).  Words are solved a bounded slice at a time, each
+slice's line spectra reduced at once to per-line tests: gap mask, spread
+and pass flag (see :func:`_share_tests`).  Their pencils and the full
+tuple's, exactly Hermitian, go straight to the eigensolves: only a pencil
+from outside the program is admitted, as a tuple file is, by
 :func:`~pencilspec.charpoly.kth_power_test`, which no command calls.
 A word whose adjoint comes earlier in the enumeration shares that word's
 verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
 large battery's tested words are cut into contiguous shares, as many as
 repay their forks and one per usable CPU at most (see :func:`_share_count`).
-The word table (operand blocks and index tuples) is built once, before
-any fork, and each process realizes and tests its own share's words;
-forked processes write the line tests of all shares but the first into
-one anonymous shared mapping, and the calling process turns each share's
-tests into verdicts in one call.  The CPU count changes only the speed:
-verdicts and reports are the same.
+The word table is built once, before any fork, and each process realizes
+and tests its own share's words; forked processes write the line tests of
+all shares but the first into one anonymous shared mapping, and the
+calling process turns each share's tests into verdicts in one call.  The
+CPU count changes only the speed: verdicts and reports are the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -206,48 +206,31 @@ class _BlockWords:
     so a word is the chain ``(A_s0 U_j1)(U_j1* A_s1 U_j2) ... (U_jr* A_sr)``
     of an N x k block, r - 1 k x k blocks of
     :func:`~pencilspec.linalg.extract_block_structure` and a k x N block.
-    :meth:`matrices` multiplies each chain left to right, one batched
-    product per factor over a level's asked words; a batch multiplies each
-    of its matrices alone, so a word's bytes depend on no other word.  Only
-    the operand stacks and each level's letter and projection tuples are
-    kept, so :meth:`matrices` takes word indices in any order.  ``words``
-    must be an :func:`enumerate_words` list (levels ascending; per level,
-    projection tuples in order, each with all its letter tuples in order,
-    only the last one possibly cut short).
+    It keeps only these operand blocks and ``words``, any word list, and
+    :meth:`matrices` builds each asked word's chain from its own labels: one
+    batched product per factor over a level's asked words, each matrix
+    multiplied alone, so a word's bytes depend on no other word.
     """
 
     def __init__(self, tup: HermitianTuple, spec: SpectralData, words):
-        dim, n = tup.dim, spec.n
-        u = spec.basis.reshape(dim, n, dim // n).transpose(1, 0, 2)  # U_j, (n, N, k)
-        self.k = dim // n
+        u = spec.basis.reshape(tup.dim, spec.n, -1).transpose(1, 0, 2)  # U_j, (n, N, k)
+        self.k = u.shape[2]
         self.a1 = tup.matrices[0]                                    # each pencil's first generator
         self.gens = tup.matrices[1:]                                 # A_s, s = 2..m
         self.left = self.gens[:, None] @ u                           # [s, j]: A_s U_j
         self.right = self.left.conj().swapaxes(-1, -2)               # [s, j]: U_j* A_s
         self.grid = extract_block_structure(tup, spec)               # [s, j, i]: U_j* A_s U_i
-        self.starts = np.searchsorted([w.r for w in words], np.arange(n + 1))
-        # word t of level r has letter tuple t % per and projection tuple
-        # t // per, per = (m - 1)**(r + 1), both 0-based; an empty level's
-        # arrays are never indexed
-        self.levels = []
-        for r, (a, b) in enumerate(zip(self.starts, self.starts[1:])):
-            per = len(self.gens) ** (r + 1)
-            letters = [w.letters for w in words[a : min(b, a + per)]]
-            projections = [w.projections for w in words[a:b:per]]
-            self.levels.append((per, np.array(letters, dtype=int) - 2,
-                                np.array(projections, dtype=int) - 1))
+        self.words = words
 
     def matrices(self, indices) -> np.ndarray:
         """The realized words at ``indices``, stacked as ``(len, N, N)``."""
-        indices = np.asarray(indices, dtype=int)
-        out = np.empty((len(indices),) + self.gens.shape[1:], dtype=complex)
-        levels = np.searchsorted(self.starts, indices, side="right") - 1
-        for r, (per, letters, projections) in enumerate(self.levels):
+        asked = [self.words[t] for t in indices]
+        out = np.empty((len(asked),) + self.gens.shape[1:], dtype=complex)
+        levels = np.array([w.r for w in asked])
+        for r in set(levels.tolist()):
             at = levels == r
-            if not at.any():
-                continue
-            t = indices[at] - self.starts[r]
-            s, j = letters[t % per].T, projections[t // per].T
+            labels = np.array([w.letters + w.projections for w in asked if w.r == r]).T
+            s, j = labels[: r + 1] - 2, labels[r + 1 :] - 1  # 0-based, a row per factor
             if r == 0:
                 out[at] = self.gens[s[0]]
                 continue
@@ -574,9 +557,7 @@ def analyze(
     source = np.arange(len(words))  # the word whose verdict each word takes
     source[list(twins)] = list(twins.values())
     tested = np.flatnonzero(source == np.arange(len(words)))
-    verdicts = []
-    if len(tested):  # a one-generator tuple has no words to build a table of
-        verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
+    verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
     # the full tuple's pencil, exactly Hermitian like the word pencils
     full_verdict = _verdicts(_spectra(shifted.matrices[None], full_dirs[None]), k, n, tol)[0]
     # each word's source is tested, and its place in ``tested`` its verdict's

@@ -224,8 +224,8 @@ class TestBlockWords:
 
     @pytest.mark.parametrize("shape, mode, cap", CASES)
     def test_any_order_and_repeats(self, shape, mode, cap):
-        # a word is realized from the operand blocks and its level's
-        # tuples alone: a forked share asks for its words first, and
+        # a word is realized from the operand blocks and its own labels
+        # alone: a forked share asks for its words first, and
         # nothing ties a call to the one before
         from pencilspec.conditions import _BlockWords
 
@@ -241,11 +241,45 @@ class TestBlockWords:
                 ref = realize_word(prep.tup, prep.spec, words[i])
                 assert np.max(np.abs(w - ref)) <= 1e-13, words[i]
 
+    @staticmethod
+    def _word_lists(n, m, rng):
+        """Word lists that :func:`enumerate_words` does not produce."""
+        words, _ = enumerate_words(n, m, mode="all")
+
+        def word():
+            r = int(rng.integers(n))
+            return WordSpec(tuple(rng.integers(2, m + 1, size=r + 1)),
+                            tuple(rng.permutation(n)[:r] + 1))
+
+        return {
+            "reversed": words[::-1],
+            "shuffled": [words[i] for i in rng.permutation(len(words))],
+            "first letter 2": [w for w in words if w.letters[0] == 2],
+            "hand-built": [word() for _ in range(40)],
+        }
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (2, 3, 4)])
+    def test_any_word_list(self, shape):
+        # each word's chain is built from its own labels, so the table
+        # realizes a list in any order, a filtered one and words made by
+        # hand that mix levels and letters, asked for in any order
+        from pencilspec.conditions import _BlockWords
+
+        n, k, m = shape
+        prep = prepare_tuple(gen_decomposable(n, k, m, seed=4)[0], k)
+        rng = np.random.default_rng(8)
+        for label, words in self._word_lists(n, m, rng).items():
+            realized = _BlockWords(prep.tup, prep.spec, words)
+            rows = rng.permutation(len(words))
+            for i, w in zip(rows.tolist(), realized.matrices(rows)):
+                ref = realize_word(prep.tup, prep.spec, words[i])
+                assert np.max(np.abs(w - ref)) <= 1e-13, (label, words[i])
+
     def test_table_keeps_no_word_matrix(self):
         # the table is built before the battery forks and keeps only the
-        # operand blocks and the levels' index tuples: about 53 KiB at
-        # (6, 2, 2) in "all", where a table of every word's N x k prefix
-        # takes 477 KiB
+        # operand blocks and the word list, with no index tuples: about
+        # 53 KiB at (6, 2, 2) in "all", where a table of every word's N x k
+        # prefix takes 477 KiB
         import tracemalloc
 
         from pencilspec.conditions import _BlockWords

@@ -4,6 +4,7 @@ shares run in forked processes or in one, and no forked process outlives
 ``conditions._FORK_COST``; there is no setting for it."""
 
 import errno
+import hashlib
 import json
 import mmap
 import os
@@ -17,10 +18,11 @@ import numpy as np
 import pytest
 
 from pencilspec import conditions
-from pencilspec.cli import EXIT_FAIL, EXIT_PASS, main
+from pencilspec.cli import EXIT_FAIL, EXIT_PASS, main, save_tuple
 from pencilspec.conditions import analyze
 from pencilspec.config import DEFAULT
 from pencilspec.instances import gen_conjugate_negative, gen_decomposable
+from pencilspec.linalg import HermitianTuple
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -138,6 +140,37 @@ def test_share_edges(monkeypatch, forks, tup, cpus, word_slice, children):
     slice_words(monkeypatch, word_slice, tup.dim)
     assert analyze(tup, 2) == serial
     assert len(forks) == children
+
+
+# sha256 of the report of diag(1, 2, 3) at k = 1, its timestamp line dropped
+ONE_GENERATOR_REPORTS = {
+    "all": "a88dce031f1d50149ce549c79f1eb4f2279431faccd9b387780aa1914e27a92c",
+    "proof_core": "37be0d3ceccc13b1cec62af6c26d95bb1d619b504d2b321c029601d1a48ff96f",
+}
+
+
+@pytest.mark.parametrize("mode", list(ONE_GENERATOR_REPORTS))
+def test_one_generator_runs_the_empty_battery(tmp_path, monkeypatch, forks, mode):
+    # a one-generator tuple has no words: the battery runs on none, in this
+    # process though forks are cheap, and the report keeps its bytes
+    tup = HermitianTuple([np.diag([1.0, 2.0, 3.0])])
+    use_cpus(monkeypatch, 4, fork_cost=1)
+    batteries, battery = [], conditions._battery
+
+    def recording(realized, tested, *rest):
+        batteries.append(len(tested))
+        return battery(realized, tested, *rest)
+
+    monkeypatch.setattr(conditions, "_battery", recording)
+    rep = analyze(tup, 1, mode=mode)
+    assert rep.overall == "pass" and rep.word_results == () and rep.adjoint_of == {}
+    monkeypatch.chdir(tmp_path)
+    save_tuple("one.json", tup)
+    assert main(["analyze", "one.json", "--k", "1", "--mode", mode, "--out", "rep.json"]) == EXIT_PASS
+    assert batteries == [0, 0] and not forks
+    lines = (tmp_path / "rep.json").read_text().splitlines(keepends=True)
+    body = "".join(line for line in lines if not line.startswith(' "timestamp": '))
+    assert hashlib.sha256(body.encode()).hexdigest() == ONE_GENERATOR_REPORTS[mode]
 
 
 def test_battery_stacks_at_most_one_slice(tmp_path, monkeypatch, forks):

@@ -5,6 +5,8 @@ command must answer with an exit code of the contract, with nothing escaping
 ``cli.main`` (the suite turns warnings into errors too); an exit 3 writes no
 report and one ``error:`` line that names the cause.  The mutations that keep
 the file valid (a generator rescaled, the first generator alone) must split.
+Its ``matrices`` or ``metadata`` nested around and past the JSON decoder's
+limit must be answered or refused the same way.
 """
 
 import json
@@ -139,3 +141,60 @@ def test_mutated_tuple_file(valid_doc, tmp_path, capsys, label, seed):
             (line,) = err.splitlines()
             assert line.startswith("error: ") and re.search(cause, line[len("error: "):]), line
         out.unlink(missing_ok=True)
+
+
+def _nested(valid_doc, key, depth):
+    """The valid file's text with ``key`` set to ``depth`` nested empty lists."""
+    return json.dumps({**valid_doc, key: None}).replace(
+        f'"{key}": null', f'"{key}": ' + "[" * depth + "]" * depth)
+
+
+def _answers(path, out, capsys):
+    """Each command's exit code and stderr lines on the file at ``path``,
+    after checking that an exit 3 wrote no report."""
+    results = []
+    for command in COMMANDS:
+        code = main([command, str(path), "--k", "2", "--out", str(out)])
+        if code == EXIT_ERROR:
+            assert not out.exists(), command
+        out.unlink(missing_ok=True)
+        results.append((code, capsys.readouterr().err.splitlines()))
+    return results
+
+
+@pytest.mark.parametrize("key", ["matrices", "metadata"])
+def test_nested_past_the_decoder_limit(valid_doc, tmp_path, capsys, key):
+    # past the JSON decoder's nesting limit of every interpreter (about
+    # 1,000 levels on Python 3.10 and 3.11, 1,500 on 3.12, 10,000 on 3.13)
+    path, out = tmp_path / "t.json", tmp_path / "rep.json"
+    path.write_text(_nested(valid_doc, key, 100_000))
+    for code, err in _answers(path, out, capsys):
+        assert code == EXIT_ERROR
+        assert err == [f"error: {path}: JSON nested too deeply to decode"]
+
+
+@pytest.mark.parametrize("key", ["matrices", "metadata"])
+def test_nested_near_the_decoder_limit(valid_doc, tmp_path, capsys, key):
+    # just under the limit the file decodes; its metadata, echoed in the
+    # report, may then not encode: either way a command answers with a
+    # report or refuses the file with one line and no report
+    def decodes(depth):
+        try:
+            json.loads(_nested(valid_doc, key, depth))
+        except RecursionError:
+            return False
+        return True
+
+    low, high = 1, 100_000  # the deepest decodable nesting here is in [low, high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if decodes(mid) else (low, mid)
+    path, out = tmp_path / "t.json", tmp_path / "rep.json"
+    for depth in range(low - 12, low + 3):
+        path.write_text(_nested(valid_doc, key, depth))
+        for code, err in _answers(path, out, capsys):
+            if code == EXIT_ERROR:
+                (line,) = err
+                assert line.startswith("error: "), (depth, line)
+            else:
+                assert code == EXIT_PASS and key == "metadata" and not err, depth
