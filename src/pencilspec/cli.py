@@ -30,20 +30,20 @@ is), the tuple's generators when it is loaded (finite, Hermitian unless
 An exit 3 writes no report.
 
 Files are JSON, one line per top-level key (sorted), so the ``timestamp``
-line can be dropped with a line filter.  A top-level list is encoded
-``_LIST_CHUNK`` items at a time, with the bytes of one encoder call, since
-the C encoder holds every piece of a call's text until it returns.  Complex
-numbers are stored as ``[re, im]`` pairs with full shortest-round-trip
-decimal digits, so a load/save cycle is lossless.  Reports echo the inputs,
-the seeds and the whole tolerance block; rerunning with identical inputs
-reproduces a report byte for byte except for its ``timestamp`` line.
-``analyze`` draws every line of its battery from one generator seeded with
-``--seed`` (the full tuple's first, then one block per word), tests its
-words in batched calls, and lists every word in its report: a word whose
-adjoint was tested earlier carries that word's verdict and its index under
-``adjoint_of``.  ``corollary`` draws its lines from a generator seeded with
-``--seed``, in one draw; a verdict's ``lines`` give, per line, its
-``cluster_sizes`` and ``spread``.  No environment variable changes the
+line can be dropped with a line filter.  A top-level list or generator (as
+``analyze``'s word rows are) is encoded ``_LIST_CHUNK`` items per encoder
+call, with the bytes of one call, since the C encoder holds every piece of a
+call's text until it returns.  Complex numbers are stored as ``[re, im]``
+pairs with full shortest-round-trip decimal digits, so a load/save cycle is
+lossless.  Reports echo the inputs, the seeds and the whole tolerance block;
+rerunning with identical inputs reproduces a report byte for byte except for
+its ``timestamp`` line.  ``analyze`` draws every line of its battery from one
+generator seeded with ``--seed`` (the full tuple's first, then one block per
+word), tests its words in batched calls, and lists every word in its report:
+a word whose adjoint was tested earlier carries that word's verdict and its
+index under ``adjoint_of``.  ``corollary`` draws its lines from a generator
+seeded with ``--seed``, in one draw; a verdict's ``lines`` give, per line,
+its ``cluster_sizes`` and ``spread``.  No environment variable changes the
 reports, and the CPU count changes only the speed: ``analyze`` may run a
 large battery over forked processes, at most one per usable CPU, with the
 same report.
@@ -59,8 +59,9 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Sequence
 from datetime import datetime, timezone
+from itertools import islice
+from types import GeneratorType
 
 import numpy as np
 
@@ -134,20 +135,22 @@ def _encode(value) -> str:
 
 
 def _encode_value(value) -> str:
-    # a list's slices are joined by the encoder's own ", ": one call's text
-    if not isinstance(value, (list, _WordRows)):
+    # a list's or generator's slices, joined by the encoder's own ", ": one call's text
+    if not isinstance(value, (list, GeneratorType)):
         return _encode(value)
-    slices = (_encode(value[i:i + _LIST_CHUNK])[1:-1] for i in range(0, len(value), _LIST_CHUNK))
-    return "[" + ", ".join(slices) + "]"
+    items = iter(value)
+    slices = iter(lambda: list(islice(items, _LIST_CHUNK)), [])
+    return "[" + ", ".join(_encode(part)[1:-1] for part in slices) + "]"
 
 
 def _dump_json(obj) -> str:
     """``obj`` with one line per top-level key, in sorted order, each value
     on one line through the C encoder (``indent`` would force the pure-Python
     one).  A scalar such as ``timestamp`` thus sits on a line of its own.
-    A top-level list is encoded ``_LIST_CHUNK`` items at a time, with the
-    bytes of one call: the C encoder holds every piece of a call's text until
-    the call ends, about ten times the text for ``analyze``'s word rows."""
+    A top-level list or generator is encoded ``_LIST_CHUNK`` items at a time,
+    with the bytes of one call on the list: the C encoder holds every piece of
+    a call's text until the call ends, about ten times the text for
+    ``analyze``'s word rows, which a generator builds as they are asked."""
     lines = (f" {json.dumps(key)}: {_encode_value(obj[key])}" for key in sorted(obj))
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
@@ -230,24 +233,6 @@ def _word_summary(w, v, twin=None):
     return row
 
 
-class _WordRows(Sequence):
-    """``analyze``'s word rows, read only: an index or a slice builds its
-    rows when it is asked for, so a report never holds every row at once;
-    :func:`_dump_json` asks ``_LIST_CHUNK`` rows at a time."""
-
-    def __init__(self, report: ConditionReport):
-        self._results, self._twins = report.word_results, report.adjoint_of
-
-    def __len__(self):
-        return len(self._results)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]
-        return _word_summary(*self._results[i], self._twins.get(i))
-
-
 def _report_skeleton(command, args, input_path, digest, tol: Tolerances):
     return {
         "format": REPORT_FORMAT,
@@ -264,7 +249,10 @@ def _report_skeleton(command, args, input_path, digest, tol: Tolerances):
 
 
 def _emit(report, out_path):
-    text = _dump_json(report)
+    try:
+        text = _dump_json(report)
+    except RecursionError:  # the echoed metadata decoded, but nests too deeply to encode
+        raise ValueError(f"{report['input']['path']}: metadata nested too deeply to encode") from None
     if out_path:
         _atomic_write(out_path, text)
     else:
@@ -306,7 +294,8 @@ def _analyze_report_body(report: ConditionReport):
         "shifts": list(report.shifts),
         "scales": list(report.scales),
         "full_tuple": _verdict_to_json(report.full_tuple),
-        "words": _WordRows(report),
+        "words": (_word_summary(w, v, report.adjoint_of.get(i))
+                  for i, (w, v) in enumerate(report.word_results)),
         "failing_words": [w.as_dict() for w in report.failing_words],
     }
 
@@ -487,8 +476,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return EXIT_PASS if exc.code == 0 else EXIT_ERROR
-    except (OSError, ValueError, RecursionError, SpectralError) as exc:
-        # JSONDecodeError, NotHermitian: ValueErrors; RecursionError: metadata too deep to encode
+    except (OSError, ValueError, SpectralError) as exc:
+        # JSONDecodeError, NotHermitian: ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except MemoryError as exc:

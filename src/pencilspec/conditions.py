@@ -32,14 +32,16 @@ tuple's, exactly Hermitian, go straight to the eigensolves: only a pencil
 from outside the program is admitted, as a tuple file is, by
 :func:`~pencilspec.charpoly.kth_power_test`, which no command calls.
 A word whose adjoint comes earlier in the enumeration shares that word's
-verdict instead of being tested (see :func:`adjoint_twins`).  On Linux, a
-large battery's tested words are cut into contiguous shares, as many as
-repay their forks and one per usable CPU at most (see :func:`_share_count`).
-The word table is built once, before any fork, and each process realizes
-and tests its own share's words; forked processes write the line tests of
-all shares but the first into one anonymous shared mapping, and the
-calling process turns each share's tests into verdicts in one call.  The
-CPU count changes only the speed: verdicts and reports are the same.
+verdict instead of being tested (see :func:`adjoint_twins`), so the word
+table and the battery get only the tested words and their rows of the
+draw, in order.  On Linux, a large battery's words are cut into contiguous
+shares, as many as repay their forks and one per usable CPU at most (see
+:func:`_share_count`).  The word table is built once, before any fork, and
+each process realizes and tests its own share's words; forked processes
+write the line tests of all shares but the first into one anonymous shared
+mapping, and the calling process turns each share's tests into verdicts in
+one call.  The CPU count changes only the speed: verdicts and reports are
+the same.
 
 :func:`corollary` needs neither the precondition nor admissibility: it runs
 the power test on the Hermitian parts of an orthonormal basis of the
@@ -214,7 +216,7 @@ class _BlockWords:
 
     def __init__(self, tup: HermitianTuple, spec: SpectralData, words):
         u = spec.basis.reshape(tup.dim, spec.n, -1).transpose(1, 0, 2)  # U_j, (n, N, k)
-        self.k = u.shape[2]
+        self.n, self.k = u.shape[0], u.shape[2]
         self.a1 = tup.matrices[0]                                    # each pencil's first generator
         self.gens = tup.matrices[1:]                                 # A_s, s = 2..m
         self.left = self.gens[:, None] @ u                           # [s, j]: A_s U_j
@@ -457,28 +459,29 @@ def _fork_share(children, i, done, share):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _battery(realized, tested, dirs, k, n, tol):
-    """Verdicts of the words at ``tested``, in order, over contiguous shares.
+def _battery(realized, dirs, tol):
+    """Verdicts of the words of the word table ``realized``, any list of the
+    tuple's words, in order: word i is tested on row i of ``dirs``.
 
-    The word table ``realized`` is built once, before any fork.  Shares
-    after the first go to forked processes (see :func:`_share_count`) while
-    this process solves the first; each child writes its share's line
-    tests into one anonymous shared mapping, then marks the share
-    complete, and the tests become verdicts here, one call per share.  A
-    share whose child cannot start, fails or leaves its share incomplete is
-    solved here instead, so the result, or the exception, is the serial
-    one.  No child outlives the call.
+    The table is built once, before any fork.  Its words are cut into
+    contiguous shares; shares after the first go to forked processes (see
+    :func:`_share_count`) while this process solves the first.  Each child
+    writes its share's line tests into one anonymous shared mapping, then
+    marks the share complete, and the tests become verdicts here, one call
+    per share.  A share whose child cannot start, fails or leaves its share
+    incomplete is solved here instead, so the result, or the exception, is
+    the serial one.  No child outlives the call.
     """
-    dim = len(realized.a1)
-    shares = np.array_split(tested, _share_count(len(tested), tol.lines, dim))
-    tests, done, children = np.empty((len(tested), tol.lines), _line_record(dim)), None, {}
+    dim, positions = len(realized.a1), np.arange(len(realized.words))
+    shares = np.array_split(positions, _share_count(len(positions), tol.lines, dim))
+    tests, done, children = np.empty((len(positions), tol.lines), _line_record(dim)), None, {}
     if len(shares) > 1:
         try:
             mapping = mmap.mmap(-1, 8 * len(shares) + tests.nbytes)
         except OSError:
-            shares = [tested]
+            shares = [positions]
         else:
-            # a row count per share, then the line tests of every tested word
+            # a row count per share, then the line tests of every word
             done = np.frombuffer(mapping, np.int64, len(shares))
             tests = np.frombuffer(mapping, tests.dtype, offset=done.nbytes).reshape(tests.shape)
     outs = np.split(tests, np.cumsum([len(rows) for rows in shares[:-1]]))
@@ -493,7 +496,7 @@ def _battery(realized, tested, dirs, k, n, tol):
             children.pop(i, None)
             if status or done[i] != len(rows):
                 _share_tests(realized, rows, dirs, tol, outs[i])
-            verdicts += _share_verdicts(outs[i], k, n)
+            verdicts += _share_verdicts(outs[i], realized.k, realized.n)
         return verdicts
     finally:
         for pid in children.values():
@@ -551,18 +554,16 @@ def analyze(
     words, _ = enumerate_words(n, tup.m, mode=mode, tol=tol)
     master = np.random.default_rng(seed)
     full_dirs = _draw_directions(master, tol.lines, tup.m)
-    word_dirs = _draw_directions(master, tol.lines, 3, pencils=len(words))
-
     twins = adjoint_twins(words)
-    source = np.arange(len(words))  # the word whose verdict each word takes
-    source[list(twins)] = list(twins.values())
-    tested = np.flatnonzero(source == np.arange(len(words)))
-    verdicts = _battery(_BlockWords(shifted, spec, words), tested, word_dirs, k, n, tol)
+    tested = [i for i in range(len(words)) if i not in twins]
+    # word i's lines are row i of one draw; only the tested words' rows are kept
+    dirs = _draw_directions(master, tol.lines, 3, pencils=len(words))[tested]
+    realized = _BlockWords(shifted, spec, [words[i] for i in tested])
+    verdicts = dict(zip(tested, _battery(realized, dirs, tol)))
     # the full tuple's pencil, exactly Hermitian like the word pencils
     full_verdict = _verdicts(_spectra(shifted.matrices[None], full_dirs[None]), k, n, tol)[0]
-    # each word's source is tested, and its place in ``tested`` its verdict's
-    slots = np.searchsorted(tested, source).tolist()
-    word_results = tuple(zip(words, map(verdicts.__getitem__, slots)))
+    # a twin takes the verdict of its earlier adjoint
+    word_results = tuple((w, verdicts[twins.get(i, i)]) for i, w in enumerate(words))
     failing = tuple(w for w, v in word_results if not v.is_kth_power)
     ok = full_verdict.is_kth_power and not failing
     return ConditionReport(

@@ -1065,24 +1065,35 @@ class TestChunkedLists:
         assert chunked == text == _one_shot(report)
         assert peak < 2**20
 
-    def test_word_rows_are_built_when_asked(self):
-        # conjugate_negative's 10 words, 3 of them adjoint twins
-        from pencilspec.cli import _analyze_report_body
+    def test_word_rows_are_built_when_asked(self, monkeypatch):
+        # conjugate_negative's 10 words, 3 of them adjoint twins, in slices of 3
+        from pencilspec import cli
         from pencilspec.conditions import analyze
 
         report = analyze(gen_conjugate_negative(0)[0], 2)
         eager = [_word_summary(w, v) for w, v in report.word_results]
         for i, j in report.adjoint_of.items():
             eager[i]["adjoint_of"] = j
-        rows = _analyze_report_body(report)["words"]
-        assert len(report.adjoint_of) == 3
-        assert len(rows) == len(eager) and list(rows) == eager
-        assert rows[-1] == eager[-1] and rows[1:9:3] == eager[1:9:3] and rows[::-1] == eager[::-1]
-        with pytest.raises(IndexError):
-            rows[len(eager)]
-        with pytest.raises(TypeError):
-            rows[0] = eager[0]
-        assert _dump_json({"words": rows, "n": 3}) == _one_shot({"words": eager, "n": 3})
+        built, calls, encode = [], [], cli._encode
+
+        def building(*args):
+            built.append(_word_summary(*args))
+            return built[-1]
+
+        def encoding(value):
+            calls.append(len(built))  # rows built when each encoder call starts
+            return encode(value)
+
+        monkeypatch.setattr(cli, "_word_summary", building)
+        monkeypatch.setattr(cli, "_encode", encoding)
+        monkeypatch.setattr(cli, "_LIST_CHUNK", 3)
+        rows = cli._analyze_report_body(report)["words"]
+        assert len(report.adjoint_of) == 3 and not built
+        text = _dump_json({"words": rows, "n": 3})
+        # "n" first, then one call per slice, each building at most 3 rows
+        assert calls == [0, 3, 6, 9, 10]
+        assert built == eager
+        assert text == _one_shot({"words": eager, "n": 3})
 
     def test_analyze_peak_in_one_process(self, tmp_path, monkeypatch):
         """An in-process ``analyze --mode all`` of (6,2,2)'s 622 tested words

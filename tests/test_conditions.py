@@ -365,6 +365,29 @@ class TestAnalyzeDraws:
         assert len(rep.word_results) == 62
         assert built == [6]
 
+    def test_battery_gets_only_the_tested_words_and_their_rows(self, monkeypatch):
+        # (6,2,2): 1,237 words, 615 of them adjoint twins that take a verdict
+        # and are never tested, so neither the table nor the draw keeps them
+        import pencilspec.conditions as conditions
+
+        tup, _ = gen_decomposable(6, 2, 2, seed=7)
+        calls, battery = [], conditions._battery
+
+        def recording(realized, dirs, tol):
+            calls.append((list(realized.words), dirs.copy()))
+            return battery(realized, dirs, tol)
+
+        monkeypatch.setattr(conditions, "_battery", recording)
+        rep = analyze(tup, 2, seed=5)
+        ((words, dirs),) = calls
+        tested = [i for i in range(len(rep.word_results)) if i not in rep.adjoint_of]
+        assert len(dirs) == len(words) == len(rep.word_results) - len(rep.adjoint_of) == 622
+        assert words == [rep.word_results[i][0] for i in tested]
+        rng = np.random.default_rng(5)
+        rng.standard_normal((Tolerances().lines, 2))  # the full tuple's
+        draw = rng.standard_normal((len(rep.word_results), Tolerances().lines, 3))
+        assert np.array_equal(dirs, draw[tested])
+
 
 class TestWordCondition:
     def test_commuting_tuple_all_words_pass(self):

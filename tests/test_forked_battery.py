@@ -22,7 +22,7 @@ from pencilspec.cli import EXIT_FAIL, EXIT_PASS, main, save_tuple
 from pencilspec.conditions import analyze
 from pencilspec.config import DEFAULT
 from pencilspec.instances import gen_conjugate_negative, gen_decomposable
-from pencilspec.linalg import HermitianTuple
+from pencilspec.linalg import HermitianTuple, prepare_tuple
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -84,7 +84,9 @@ def analyze_report(path, k, out):
 
 
 def rows_tested(report):
-    return [i for i in range(len(report.word_results)) if i not in report.adjoint_of]
+    """The battery's rows: the positions 0 ... T - 1 of the T tested words,
+    the words that are not an earlier word's adjoint twin."""
+    return list(range(len(report.word_results) - len(report.adjoint_of)))
 
 
 # --------------------------------------------------------------------------
@@ -142,6 +144,37 @@ def test_share_edges(monkeypatch, forks, tup, cpus, word_slice, children):
     assert len(forks) == children
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])
+@pytest.mark.parametrize(
+    "tup, picked",
+    [(gen_decomposable(4, 2, 3, seed=7)[0], 120), (gen_conjugate_negative(0)[0], 6)],
+    ids=["decomposable-4-2-3", "conjugate_negative"],
+)
+def test_battery_tests_any_word_list(monkeypatch, forks, tup, picked, cpus):
+    """A word list ``enumerate_words`` did not make, as the naming words
+    after a span failure or the cycle words will be: a shuffled subset of
+    the tested words, built by hand from their labels, each with its row of
+    ``analyze``'s draw.  Every word gets the verdict ``analyze`` gives it."""
+    use_cpus(monkeypatch, 1)
+    report = analyze(tup, 2, seed=3)
+    rng = np.random.default_rng(3)
+    rng.standard_normal((DEFAULT.lines, tup.m))  # the full tuple's
+    draw = rng.standard_normal((len(report.word_results), DEFAULT.lines, 3))
+    tested = [i for i in range(len(report.word_results)) if i not in report.adjoint_of]
+    order = np.random.default_rng(0).permutation(tested)[:picked].tolist()
+    assert order != sorted(order)
+    words = [conditions.WordSpec(list(w.letters), list(w.projections))
+             for w, _ in map(report.word_results.__getitem__, order)]
+    prep = prepare_tuple(tup, 2)
+    realized = conditions._BlockWords(prep.tup, prep.spec, words)
+    use_cpus(monkeypatch, cpus, fork_cost=1)
+    verdicts = conditions._battery(realized, draw[order], DEFAULT)
+    assert verdicts == [report.word_results[i][1] for i in order]
+    assert len(forks) == cpus - 1
+    # the negative's subset keeps a failing word
+    assert (report.overall == "fail") == (not all(v.is_kth_power for v in verdicts))
+
+
 # sha256 of the report of diag(1, 2, 3) at k = 1, its timestamp line dropped
 ONE_GENERATOR_REPORTS = {
     "all": "a88dce031f1d50149ce549c79f1eb4f2279431faccd9b387780aa1914e27a92c",
@@ -157,9 +190,9 @@ def test_one_generator_runs_the_empty_battery(tmp_path, monkeypatch, forks, mode
     use_cpus(monkeypatch, 4, fork_cost=1)
     batteries, battery = [], conditions._battery
 
-    def recording(realized, tested, *rest):
-        batteries.append(len(tested))
-        return battery(realized, tested, *rest)
+    def recording(realized, dirs, *rest):
+        batteries.append(len(dirs))
+        return battery(realized, dirs, *rest)
 
     monkeypatch.setattr(conditions, "_battery", recording)
     rep = analyze(tup, 1, mode=mode)

@@ -177,7 +177,8 @@ def test_nested_past_the_decoder_limit(valid_doc, tmp_path, capsys, key):
 def test_nested_near_the_decoder_limit(valid_doc, tmp_path, capsys, key):
     # just under the limit the file decodes; its metadata, echoed in the
     # report, may then not encode: either way a command answers with a
-    # report or refuses the file with one line and no report
+    # report or refuses the file with one line and no report, a line that
+    # names the file when the metadata is at fault
     def decodes(depth):
         try:
             json.loads(_nested(valid_doc, key, depth))
@@ -196,5 +197,8 @@ def test_nested_near_the_decoder_limit(valid_doc, tmp_path, capsys, key):
             if code == EXIT_ERROR:
                 (line,) = err
                 assert line.startswith("error: "), (depth, line)
+                if key == "metadata":
+                    assert line in (f"error: {path}: JSON nested too deeply to decode",
+                                    f"error: {path}: metadata nested too deeply to encode"), depth
             else:
                 assert code == EXIT_PASS and key == "metadata" and not err, depth
